@@ -150,10 +150,9 @@ func Dial(opts Options) (*Client, error) {
 
 // conn returns pool connection i%PoolSize, dialing or redialing as needed.
 func (c *Client) conn(i int) (*conn, error) {
-	if i < 0 {
-		i = -i
-	}
-	idx := i % c.opts.PoolSize
+	// Unsigned, so that a negative i (math.MinInt included, which has no
+	// negation) still lands inside the pool.
+	idx := int(uint(i) % uint(c.opts.PoolSize))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -373,9 +372,14 @@ func (c *Client) OpenTable(name string) engine.Table {
 }
 
 // Begin starts a read-write transaction pinned to pool connection
-// worker%PoolSize. Failures surface on the returned transaction's
-// operations (engine.DB.Begin has no error return), as the retryable
-// engine.ErrConnLost.
+// worker%PoolSize. It costs no round trip: the client picks the
+// transaction's handle itself and the MsgBegin frame is held back until the
+// first frame that names the transaction, which it then precedes in the
+// same write. The server therefore takes the snapshot (and a worker slot)
+// when it first hears of the transaction — at its first operation, never
+// earlier than Begin returned. Failures, a refused Begin included, surface
+// on the returned transaction's operations (engine.DB.Begin has no error
+// return).
 func (c *Client) Begin(worker int) engine.Txn { return c.begin(worker, 0) }
 
 // BeginReadOnly starts a read-only transaction.
@@ -388,25 +392,7 @@ func (c *Client) begin(worker int, flags byte) engine.Txn {
 	if err != nil {
 		return &clientTxn{err: err}
 	}
-	// Begin carries the client's observed epoch: a deposed primary (lower
-	// epoch) must refuse rather than accept writes it can never replicate.
-	p := proto.AppendU8(nil, flags)
-	p = proto.AppendU64(p, c.epochMax.Load())
-	st, detail, d, err := cn.call(proto.MsgBegin, p)
-	if err != nil {
-		return &clientTxn{err: err}
-	}
-	if err := st.Err(detail); err != nil {
-		if errors.Is(err, engine.ErrStaleEpoch) {
-			c.rotate(cn, err)
-		}
-		return &clientTxn{err: err}
-	}
-	id := d.U64()
-	if d.Err() != nil {
-		return &clientTxn{err: connLost(d.Err())}
-	}
-	return &clientTxn{c: c, cn: cn, id: id}
+	return &clientTxn{c: c, cn: cn, id: proto.ClientTxnBit | cn.nextTxn.Add(1), flags: flags}
 }
 
 // Health fetches the server's engine health snapshot. Cause is the causing

@@ -17,7 +17,7 @@ import (
 )
 
 // startServer serves db on a loopback listener and returns its address.
-func startServer(t *testing.T, db engine.DB, cfg server.Config) (*server.Server, string) {
+func startServer(t testing.TB, db engine.DB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	cfg.DB = db
 	srv, err := server.New(cfg)

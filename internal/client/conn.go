@@ -34,6 +34,11 @@ type conn struct {
 	broken  bool
 	cause   error
 
+	// nextTxn numbers the transaction handles this connection has given out
+	// (see Client.begin); never reused, so a handle cannot name two
+	// transactions in one session's lifetime.
+	nextTxn atomic.Uint64
+
 	// lateCommits counts consecutive commits on this connection that died
 	// of engine.ErrDeadlineExceeded; see clientTxn.Commit for why repeated
 	// commit deadlines trigger a rotation probe.
@@ -124,22 +129,45 @@ func (c *conn) isBroken() bool {
 
 func (c *conn) close() { c.fail(errClientClosed) }
 
-// call performs one request/response exchange. Transport failures surface
-// as engine.ErrConnLost so retry loops treat them like any other retryable
-// conflict; protocol-level outcomes are carried in the returned status.
-func (c *conn) call(typ byte, payload []byte) (proto.Status, string, *proto.Dec, error) {
-	ch := make(chan response, 1)
+// waiter is one request in flight: the type it was sent with (its response
+// must echo it) and the channel the reader delivers the response on.
+type waiter struct {
+	typ byte
+	ch  chan response
+}
+
+// register allots a request id and parks a waiter for its response. Caller
+// holds pmu.
+func (c *conn) register(typ byte) (uint64, waiter) {
+	c.nextID++
+	w := waiter{typ: typ, ch: make(chan response, 1)}
+	c.pending[c.nextID] = w.ch
+	return c.nextID, w
+}
+
+// send writes one request frame and returns the waiter for its response. A
+// non-nil begin is the payload of a transaction's held MsgBegin: that frame
+// goes out first, under the same wmu hold and the same Flush, so no frame of
+// another goroutine sharing the connection can come between the two and the
+// pair costs one write to the socket; bw is then the waiter for the Begin
+// response. Transport failures surface as engine.ErrConnLost so retry loops
+// treat them like any other retryable conflict.
+func (c *conn) send(typ byte, payload, begin []byte) (w, bw waiter, err error) {
+	var id, beginID uint64
 	c.pmu.Lock()
 	if c.broken {
 		cause := c.cause
 		c.pmu.Unlock()
-		return 0, "", nil, connLost(cause)
+		return w, bw, connLost(cause)
 	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
+	frames := uint64(1)
+	if begin != nil {
+		beginID, bw = c.register(proto.MsgBegin)
+		frames = 2
+	}
+	id, w = c.register(typ)
 	c.pmu.Unlock()
-	c.counters.requests.Add(1)
+	c.counters.requests.Add(frames)
 
 	var dlMillis uint32
 	if c.reqTimeout > 0 {
@@ -150,19 +178,27 @@ func (c *conn) call(typ byte, payload []byte) (proto.Status, string, *proto.Dec,
 		}
 	}
 	c.wmu.Lock()
-	err := proto.WriteFrameD(c.bw, typ, id, dlMillis, payload)
+	if begin != nil {
+		err = proto.WriteFrameD(c.bw, proto.MsgBegin, beginID, dlMillis, begin)
+	}
+	if err == nil {
+		err = proto.WriteFrameD(c.bw, typ, id, dlMillis, payload)
+	}
 	if err == nil {
 		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		c.fail(err)
-		return 0, "", nil, connLost(err)
+		c.fail(err) // releases both waiters; nobody is listening yet
+		return w, bw, connLost(err)
 	}
+	return w, bw, nil
+}
 
+// await blocks for the response to a sent request. Protocol-level outcomes
+// are carried in the returned status; transport failures are
+// engine.ErrConnLost, like send's.
+func (c *conn) await(w waiter) (proto.Status, string, *proto.Dec, error) {
 	var r response
 	if c.reqTimeout > 0 {
 		// Wait twice the budget: the server enforces the deadline at
@@ -172,14 +208,14 @@ func (c *conn) call(typ byte, payload []byte) (proto.Status, string, *proto.Dec,
 		// trusted, so the whole connection fails.
 		timer := time.NewTimer(2 * c.reqTimeout)
 		select {
-		case r = <-ch:
+		case r = <-w.ch:
 			timer.Stop()
 		case <-timer.C:
 			c.fail(errRequestTimeout)
-			r = <-ch // fail delivered the cause (or the response raced in)
+			r = <-w.ch // fail delivered the cause (or the response raced in)
 		}
 	} else {
-		r = <-ch
+		r = <-w.ch
 	}
 	if r.err != nil {
 		if errors.Is(r.err, errRequestTimeout) {
@@ -187,8 +223,8 @@ func (c *conn) call(typ byte, payload []byte) (proto.Status, string, *proto.Dec,
 		}
 		return 0, "", nil, connLost(r.err)
 	}
-	if r.typ != typ|proto.RespFlag {
-		err := fmt.Errorf("%w: response type %#x for request %#x", proto.ErrBadFrame, r.typ, typ)
+	if r.typ != w.typ|proto.RespFlag {
+		err := fmt.Errorf("%w: response type %#x for request %#x", proto.ErrBadFrame, r.typ, w.typ)
 		c.fail(err)
 		return 0, "", nil, connLost(err)
 	}
@@ -200,6 +236,15 @@ func (c *conn) call(typ byte, payload []byte) (proto.Status, string, *proto.Dec,
 		return 0, "", nil, connLost(d.Err())
 	}
 	return st, detail, d, nil
+}
+
+// call performs one request/response exchange.
+func (c *conn) call(typ byte, payload []byte) (proto.Status, string, *proto.Dec, error) {
+	w, _, err := c.send(typ, payload, nil)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	return c.await(w)
 }
 
 // ping round-trips a MsgPing, returning the server's primary epoch and

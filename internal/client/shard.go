@@ -55,9 +55,9 @@ func (c *Client) ShardPrepare(txn engine.Txn, gid []byte, mapVersion uint64, ops
 		p = proto.AppendBytes(p, op.Key)
 		p = proto.AppendBytes(p, op.Value)
 	}
-	st, detail, _, err := t.cn.call(proto.MsgShardPrepare, p)
+	st, detail, _, err := t.rpc(proto.MsgShardPrepare, p)
 	if err != nil {
-		return t.fail(err)
+		return err
 	}
 	if err := st.Err(detail); err != nil {
 		return err

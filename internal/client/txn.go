@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 
 	"ermia/internal/engine"
 	"ermia/internal/proto"
@@ -13,11 +14,15 @@ import (
 // reports the original engine.ErrConnLost, and the server aborts the
 // orphaned transaction during session teardown.
 type clientTxn struct {
-	c    *Client
-	cn   *conn
-	id   uint64
-	err  error // sticky failure; also set for a failed Begin
-	done bool
+	c     *Client
+	cn    *conn
+	id    uint64 // client-assigned handle, proto.ClientTxnBit set
+	flags byte   // MsgBegin flags, until the Begin is sent
+	// begun is set once the held MsgBegin has gone out. A transaction that
+	// ends before that never existed as far as the server is concerned.
+	begun bool
+	err   error // sticky failure; also set for a refused Begin
+	done  bool
 }
 
 // fail records the first transport failure.
@@ -26,6 +31,59 @@ func (t *clientTxn) fail(err error) error {
 		t.err = err
 	}
 	return err
+}
+
+// rpc sends one frame that names the transaction and awaits its response.
+// The transaction's first frame carries the held MsgBegin ahead of it in
+// the same write; rpc then awaits the Begin response before the frame's
+// own, so a refused Begin surfaces here with the sentinel the server gave
+// (and sticks), not as the StatusUnknownTxn the orphaned frame earns.
+// Transport failures are sticky.
+func (t *clientTxn) rpc(typ byte, payload []byte) (proto.Status, string, *proto.Dec, error) {
+	var begin []byte
+	if !t.begun {
+		t.begun = true
+		// Begin carries the client's observed epoch: a deposed primary
+		// (lower epoch) must refuse rather than accept writes it can never
+		// replicate.
+		var b [17]byte
+		begin = proto.AppendU64(proto.AppendU64(proto.AppendU8(b[:0], t.flags), t.c.epochMax.Load()), t.id)
+	}
+	w, bw, err := t.cn.send(typ, payload, begin)
+	if err == nil && begin != nil {
+		err = t.awaitBegin(bw)
+	}
+	if err != nil {
+		return 0, "", nil, t.fail(err)
+	}
+	st, detail, d, err := t.cn.await(w)
+	if err != nil {
+		return 0, "", nil, t.fail(err)
+	}
+	return st, detail, d, nil
+}
+
+// awaitBegin consumes the response to the held MsgBegin.
+func (t *clientTxn) awaitBegin(bw waiter) error {
+	st, detail, d, err := t.cn.await(bw)
+	if err != nil {
+		return err
+	}
+	if err := st.Err(detail); err != nil {
+		if errors.Is(err, engine.ErrStaleEpoch) {
+			t.c.rotate(t.cn, err)
+		}
+		return err
+	}
+	if id := d.U64(); d.Err() != nil || id != t.id {
+		// A server that predates client handles assigned an id of its own;
+		// every frame sent under the handle would miss. Servers upgrade
+		// before clients (DESIGN.md, wire section).
+		err := fmt.Errorf("%w: server registered transaction %#x, not the client handle %#x", proto.ErrBadFrame, id, t.id)
+		t.cn.fail(err)
+		return connLost(err)
+	}
+	return nil
 }
 
 // table resolves the engine.Table argument, ensuring the table exists
@@ -60,9 +118,9 @@ func (t *clientTxn) op(typ byte, tbl engine.Table, key, value []byte) (*proto.De
 		if typ == proto.MsgInsert || typ == proto.MsgUpdate {
 			p = proto.AppendBytes(p, value)
 		}
-		st, detail, d, err := t.cn.call(typ, p)
+		st, detail, d, err := t.rpc(typ, p)
 		if err != nil {
-			return nil, t.fail(err)
+			return nil, err
 		}
 		if err := st.Err(detail); err != nil {
 			// A handle can go stale across a server restart that lost the
@@ -137,9 +195,9 @@ func (t *clientTxn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []b
 		p = proto.AppendU8(p, hasHi)
 		p = proto.AppendBytes(p, cursor)
 		p = proto.AppendBytes(p, hi)
-		st, detail, d, err := t.cn.call(proto.MsgScan, p)
+		st, detail, d, err := t.rpc(proto.MsgScan, p)
 		if err != nil {
-			return t.fail(err)
+			return err
 		}
 		if err := st.Err(detail); err != nil {
 			if errors.Is(err, proto.ErrUnknownTable) && !recreated {
@@ -201,7 +259,10 @@ func (t *clientTxn) Commit() error {
 		return engine.ErrAborted
 	}
 	t.done = true
-	st, detail, _, err := t.cn.call(proto.MsgCommit, proto.AppendU64(nil, t.id))
+	if !t.begun {
+		return nil // the server never heard of it: nothing to commit
+	}
+	st, detail, _, err := t.rpc(proto.MsgCommit, proto.AppendU64(nil, t.id))
 	if err != nil {
 		return err
 	}
@@ -224,7 +285,7 @@ func (t *clientTxn) Abort() {
 		return
 	}
 	t.done = true
-	if t.err != nil || t.cn == nil {
+	if t.err != nil || !t.begun {
 		return
 	}
 	t.cn.call(proto.MsgAbort, proto.AppendU64(nil, t.id))

@@ -53,6 +53,18 @@ const (
 
 // Message types. A response frame uses the request's type with RespFlag set.
 const (
+	// MsgBegin opens a transaction. Request: u8 flags (BeginReadOnly), then
+	// — each field optional, in this order, so a shorter payload is an older
+	// client — u64 highest primary epoch the client has observed (a server
+	// behind it is a deposed primary and answers StatusStaleEpoch), u64
+	// client-assigned transaction handle. Response: u64 transaction id, the
+	// number every later frame of the transaction names. With a handle the
+	// server registers the transaction under it and echoes it, which lets
+	// the client write Begin and the transaction's first frame back to back
+	// without waiting; the handle must carry ClientTxnBit and name no
+	// transaction still open on the connection (StatusBadRequest otherwise).
+	// Without one the server assigns the id, and its ids never carry
+	// ClientTxnBit, so the two namespaces cannot collide.
 	MsgBegin byte = iota + 1
 	MsgGet
 	MsgInsert
@@ -150,6 +162,11 @@ const (
 const (
 	BeginReadOnly byte = 1 << 0
 )
+
+// ClientTxnBit is set in every client-assigned transaction handle and in no
+// server-assigned transaction id. Handles are scoped to their connection:
+// two connections may use the same one at the same time.
+const ClientTxnBit uint64 = 1 << 63
 
 // Checkpoint request flag bits.
 const (

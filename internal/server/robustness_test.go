@@ -197,6 +197,80 @@ func TestBeginRefusesFutureEpoch(t *testing.T) {
 	}
 }
 
+// TestBeginHandles pins the two ways a transaction gets its wire id. A
+// Begin without a handle (any client older than handles) is given a
+// server-assigned id, outside the client namespace, and runs to commit. A
+// Begin with a handle is registered under it and echoes it; a handle that
+// names a live transaction, or that lies outside the client namespace, is
+// refused without touching what is already open.
+func TestBeginHandles(t *testing.T) {
+	db := openCore(t, core.Config{})
+	srv, addr := serve(t, db, server.Config{})
+	rc := rawDial(t, addr)
+	if st, _, _ := rc.call(proto.MsgCreateTable, 0, proto.AppendBytes(nil, []byte("t"))); st != proto.StatusOK {
+		t.Fatalf("create table: %v", st)
+	}
+	begin := func(handle ...uint64) (proto.Status, uint64) {
+		p := proto.AppendU64(proto.AppendU8(nil, 0), 0) // flags, epoch
+		for _, h := range handle {
+			p = proto.AppendU64(p, h)
+		}
+		st, _, d := rc.call(proto.MsgBegin, 0, p)
+		return st, d.U64()
+	}
+	insert := func(txnID uint64, key string) proto.Status {
+		p := proto.AppendU64(nil, txnID)
+		for _, f := range []string{"t", key, "v"} {
+			p = proto.AppendBytes(p, []byte(f))
+		}
+		st, _, _ := rc.call(proto.MsgInsert, 0, p)
+		return st
+	}
+	commit := func(txnID uint64) proto.Status {
+		st, _, _ := rc.call(proto.MsgCommit, 0, proto.AppendU64(nil, txnID))
+		return st
+	}
+
+	st, old := begin()
+	if st != proto.StatusOK || old == 0 || old&proto.ClientTxnBit != 0 {
+		t.Fatalf("old-style begin: %v, id %#x; want OK and a server id", st, old)
+	}
+	const handle = proto.ClientTxnBit | 1
+	if st, id := begin(handle); st != proto.StatusOK || id != handle {
+		t.Fatalf("begin with a handle: %v, id %#x; want OK echoing %#x", st, id, uint64(handle))
+	}
+	if st := insert(handle, "mine"); st != proto.StatusOK {
+		t.Fatalf("insert under the handle: %v", st)
+	}
+	if st, _ := begin(handle); st != proto.StatusBadRequest {
+		t.Fatalf("duplicate live handle: %v, want StatusBadRequest", st)
+	}
+	if st, _ := begin(7); st != proto.StatusBadRequest {
+		t.Fatalf("handle without the client bit: %v, want StatusBadRequest", st)
+	}
+	if got := srv.Stats().OpenTxns; got != 2 {
+		t.Fatalf("%d transactions open after the refusals, want 2", got)
+	}
+	if st := insert(old, "theirs"); st != proto.StatusOK {
+		t.Fatalf("insert under the server id: %v", st)
+	}
+	// The refused duplicate must not have replaced the first transaction:
+	// its write is still there to commit.
+	if st := commit(handle); st != proto.StatusOK {
+		t.Fatalf("commit under the handle: %v", st)
+	}
+	if st := commit(old); st != proto.StatusOK {
+		t.Fatalf("commit under the server id: %v", st)
+	}
+	txn := db.BeginReadOnly(0)
+	defer txn.Abort()
+	for _, key := range []string{"mine", "theirs"} {
+		if _, err := txn.Get(db.OpenTable("t"), []byte(key)); err != nil {
+			t.Fatalf("row %q: %v", key, err)
+		}
+	}
+}
+
 // TestWriteTimeoutDisconnectsSlowReader: a peer that stops reading is
 // disconnected once the configured write timeout fires, reclaiming its
 // connection and transaction resources — it must not wedge the session

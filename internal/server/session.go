@@ -134,16 +134,23 @@ func (s *session) writeLoop() {
 	defer close(s.writerDone)
 	bw := bufio.NewWriterSize(s.nc, 64<<10)
 	dead := false
+	// A peer that stops reading must not wedge this writer (and through a
+	// full response queue, the group committer) forever. The deadline is
+	// armed only ahead of a call that reaches the connection — the flush
+	// that ends a batch, or a frame too large for what is left of the
+	// buffer — not for every frame that merely lands in the buffer.
+	arm := func() { s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout)) }
 	for f := range s.out {
 		if dead {
 			continue // keep draining so producers never block on a dead conn
 		}
-		// A peer that stops reading must not wedge this writer (and through
-		// a full response queue, the group committer) forever.
-		s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+		if len(f) > bw.Available() {
+			arm()
+		}
 		if _, err := bw.Write(f); err != nil {
 			dead = true
 		} else if len(s.out) == 0 {
+			arm()
 			if err := bw.Flush(); err != nil {
 				dead = true
 			}
@@ -327,20 +334,29 @@ func (s *session) handlePing(req request) {
 }
 
 // handleBegin opens a transaction and parks it in the session's registry
-// keyed by wire txn id; Commit/Abort requests finish it and teardown
-// aborts whatever the client left open.
+// keyed by wire txn id — the client's handle when the request carries one,
+// a server-assigned id otherwise; Commit/Abort requests finish it and
+// teardown aborts whatever the client left open.
 //
 //ermia:txn-owner session txn registry owns the handle; handleCommit/handleAbort finish it and teardown aborts leftovers
 func (s *session) handleBegin(req request, d *proto.Dec) {
 	flags := d.U8()
-	// Older clients send only the flag byte; newer ones append the highest
-	// primary epoch they have observed, and a server behind that epoch is a
-	// deposed primary that must fence itself rather than accept the work.
-	var cliEpoch uint64
+	// The fields after the flag byte are optional, oldest first: the highest
+	// primary epoch the client has observed (a server behind that epoch is a
+	// deposed primary that must fence itself rather than accept the work),
+	// then the handle the client wants the transaction registered under.
+	var cliEpoch, handle uint64
 	if len(req.payload) > 1 {
 		cliEpoch = d.U64()
 	}
-	if d.Err() != nil {
+	hasHandle := len(req.payload) > 9
+	if hasHandle {
+		handle = d.U64()
+	}
+	// A handle outside the client namespace could shadow a server id; a live
+	// one names another transaction, which must not be clobbered.
+	_, live := s.txns[handle]
+	if d.Err() != nil || hasHandle && (live || handle&proto.ClientTxnBit == 0) {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 		return
 	}
@@ -364,7 +380,10 @@ func (s *session) handleBegin(req request, d *proto.Dec) {
 	} else {
 		txn = s.srv.db.Begin(slot)
 	}
-	id := s.srv.nextTxnID.Add(1)
+	id := handle
+	if !hasHandle {
+		id = s.srv.nextTxnID.Add(1)
+	}
 	s.txns[id] = openTxn{txn: txn, slot: slot, readOnly: readOnly}
 	s.openTxns.Add(1)
 	s.srv.openTxns.Add(1)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, the repo-specific static-analysis
-# suite, build, tests, and a short race pass over the packages with real
-# concurrency (log manager, engine core, epoch manager). CI and pre-commit
-# hooks should run exactly this.
+# suite, build, tests, the nested benchmark module's tests and smoke run,
+# and a short race pass over the packages with real concurrency (log
+# manager, engine core, epoch manager). CI and pre-commit hooks should run
+# exactly this.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,13 +30,21 @@ echo "== allocation budgets (AllocsPerRun, hot-path encode/decode/mvcc) =="
 # the functions whose allocations are intentional (frame read/write,
 # response building, version creation) so they cannot silently grow.
 go test -count=1 -run 'TestAllocBudgets|TestRespPayloadAllocBudget' \
-	./internal/proto/ ./internal/mvcc/ ./internal/server/
+	./internal/proto/ ./internal/mvcc/ ./internal/server/ ./internal/client/
 
 echo "== go build =="
 go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== repository benchmark (nested module: its tests, then every workload at smoke size) =="
+# benchmark/ is its own module (ermia/benchmark, replace ermia => ../), so
+# the build and test above do not reach it: an internal/ API change can
+# break it unnoticed. Its tests and a smoke run of all four workloads,
+# untraced and traced with every correctness check on, close that gap.
+(cd benchmark && go test ./...)
+bash benchmark/run.sh -smoke
 
 echo "== go test -race (core, wal, epoch, engine, server, client, repl, faultconn; -short) =="
 go test -race -short -count=1 ./internal/core/ ./internal/wal/ ./internal/epoch/ \
