@@ -97,6 +97,7 @@ type poolCounters struct {
 	retries    atomic.Uint64
 	connLosses atomic.Uint64
 	rotations  atomic.Uint64
+	dials      atomic.Uint64
 }
 
 // PoolStats is a snapshot of the client pool's own counters (as opposed to
@@ -127,6 +128,12 @@ func (c *Client) Stats() PoolStats {
 		Rotations:  c.counters.rotations.Load(),
 	}
 }
+
+// Dials counts the connections the pool has established, each one's first
+// included. While it stands still, every connection the client holds leads
+// to the server incarnation earlier responses came from; a caller that
+// must notice a server restart compares it before and after.
+func (c *Client) Dials() uint64 { return c.counters.dials.Load() }
 
 // Dial connects to a server. The first connection is dialed eagerly so a
 // bad address fails here rather than on first use.
@@ -181,6 +188,7 @@ func (c *Client) conn(i int) (*conn, error) {
 			} else {
 				c.noteEpoch(ep)
 				c.conns[idx] = cn
+				c.counters.dials.Add(1)
 				if c.opts.KeepaliveInterval > 0 {
 					go c.keepalive(cn)
 				}

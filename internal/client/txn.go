@@ -33,13 +33,16 @@ func (t *clientTxn) fail(err error) error {
 	return err
 }
 
-// rpc sends one frame that names the transaction and awaits its response.
-// The transaction's first frame carries the held MsgBegin ahead of it in
-// the same write; rpc then awaits the Begin response before the frame's
-// own, so a refused Begin surfaces here with the sentinel the server gave
-// (and sticks), not as the StatusUnknownTxn the orphaned frame earns.
-// Transport failures are sticky.
-func (t *clientTxn) rpc(typ byte, payload []byte) (proto.Status, string, *proto.Dec, error) {
+// txnCall is one frame naming the transaction, sent and not yet answered.
+type txnCall struct {
+	w, bw waiter
+	begin bool // the held MsgBegin went out ahead of it; bw awaits its response
+}
+
+// start sends one frame that names the transaction. The transaction's first
+// frame carries the held MsgBegin ahead of it in the same write. Transport
+// failures are sticky.
+func (t *clientTxn) start(typ byte, payload []byte) (txnCall, error) {
 	var begin []byte
 	if !t.begun {
 		t.begun = true
@@ -50,17 +53,36 @@ func (t *clientTxn) rpc(typ byte, payload []byte) (proto.Status, string, *proto.
 		begin = proto.AppendU64(proto.AppendU64(proto.AppendU8(b[:0], t.flags), t.c.epochMax.Load()), t.id)
 	}
 	w, bw, err := t.cn.send(typ, payload, begin)
-	if err == nil && begin != nil {
-		err = t.awaitBegin(bw)
-	}
 	if err != nil {
-		return 0, "", nil, t.fail(err)
+		return txnCall{}, t.fail(err)
 	}
-	st, detail, d, err := t.cn.await(w)
+	return txnCall{w: w, bw: bw, begin: begin != nil}, nil
+}
+
+// finish awaits a started frame's response, after the Begin response when
+// the frame carried one, so a refused Begin surfaces here with the sentinel
+// the server gave (and sticks), not as the StatusUnknownTxn the orphaned
+// frame earns.
+func (t *clientTxn) finish(c txnCall) (proto.Status, string, *proto.Dec, error) {
+	if c.begin {
+		if err := t.awaitBegin(c.bw); err != nil {
+			return 0, "", nil, t.fail(err)
+		}
+	}
+	st, detail, d, err := t.cn.await(c.w)
 	if err != nil {
 		return 0, "", nil, t.fail(err)
 	}
 	return st, detail, d, nil
+}
+
+// rpc is start then finish: one exchange the caller waits out.
+func (t *clientTxn) rpc(typ byte, payload []byte) (proto.Status, string, *proto.Dec, error) {
+	c, err := t.start(typ, payload)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	return t.finish(c)
 }
 
 // awaitBegin consumes the response to the held MsgBegin.

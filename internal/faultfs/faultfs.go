@@ -5,7 +5,8 @@
 // ever visible") are only as credible as their behavior under partial and
 // torn writes, which the paper assumes away.
 //
-// The package offers two decorators and a replay facility:
+// The package offers three decorators and a replay facility (SyncGate, in
+// syncgate.go, lets a test hold, delay, count and kill a storage's syncs):
 //
 //   - Injector wraps a Storage and deterministically injects faults by
 //     operation count: an I/O error on the Nth mutating operation, silently

@@ -92,7 +92,8 @@ func genSchedule(seed uint64, total time.Duration) []event {
 // faults.
 const (
 	actPartition          action = iota + 100 // generic from<->to partition, then heal
-	actShardCrash                             // participant server crash + restart
+	actShardCrash                             // participant crash + restart from its last sync
+	actShardCrashUnsynced                     // the same, with its syncs held until a transfer commits regardless
 	actCoordCrashPrepare                      // coordinator dies post-prepare, recovers after dur
 	actCoordCrashDecision                     // coordinator dies post-decision, recovers after dur
 )
@@ -130,6 +131,10 @@ func genShardSchedule(seed uint64, total time.Duration) []event {
 			ev.act, ev.shard = actShardCrash, rng.Intn(2)
 			ev.dur = time.Duration(40+rng.Intn(160)) * time.Millisecond
 			ev.desc = fmt.Sprintf("crash shard%d, down %v", ev.shard, ev.dur)
+			if p >= 64 {
+				ev.act = actShardCrashUnsynced
+				ev.desc = fmt.Sprintf("crash shard%d holding its syncs, down %v", ev.shard, ev.dur)
+			}
 		case p < 86:
 			ev.act = actCoordCrashPrepare
 			ev.dur = time.Duration(50+rng.Intn(200)) * time.Millisecond

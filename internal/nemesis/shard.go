@@ -2,12 +2,14 @@
 // path of the shard router. One RunShard assembles a two-shard cluster
 // wired through internal/faultconn, points workers running cross-shard
 // balance transfers at the router, and executes a seeded schedule of
-// partitions, mid-frame cuts, participant crashes, and coordinator crashes
-// injected at the two most hostile instants of 2PC — after every prepare
-// has acked but before the decision is logged, and after the decision is
-// durable but before any participant hears it. While the cluster burns,
-// the harness checks the invariants DESIGN.md claims for distributed
-// commit:
+// partitions, mid-frame cuts, participant crashes that lose everything
+// since the last sync — some with the syncs held back until a transfer has
+// committed on an acknowledgment the participant never made durable — and
+// coordinator crashes injected at the two most hostile instants of 2PC:
+// after every prepare has acked but before the decision is logged, and after
+// the decision is durable but before any participant hears it. While the
+// cluster burns, the harness checks the invariants DESIGN.md claims for
+// distributed commit:
 //
 //   - Atomicity: transfers move balance between accounts on different
 //     shards; the grand total is conserved at the end. A torn 2PC (one
@@ -46,6 +48,7 @@ import (
 	"ermia/internal/core"
 	"ermia/internal/engine"
 	"ermia/internal/faultconn"
+	"ermia/internal/faultfs"
 	"ermia/internal/server"
 	"ermia/internal/shard"
 	"ermia/internal/wal"
@@ -89,9 +92,13 @@ type ShardResult struct {
 	Attempts     int      // transaction function invocations (retries included)
 	InDoubt      int      // commits that returned ErrTxnInDoubt to a worker
 	ShardCrashes int      // participant crash+restart cycles
-	CoordCrashes int      // injected coordinator crashes mid-2PC
-	Resolved     int      // in-doubt transactions driven to a decision
-	Violations   []string
+	// UnsyncedCrashes counts the participant crashes that (timing aside)
+	// destroyed a commit some worker had already been told about: the
+	// participant's syncs were held, a transfer committed meanwhile.
+	UnsyncedCrashes int
+	CoordCrashes    int // injected coordinator crashes mid-2PC
+	Resolved        int // in-doubt transactions driven to a decision
+	Violations      []string
 }
 
 // ---- harness ----
@@ -101,9 +108,13 @@ type shardHarness struct {
 	net *faultconn.Network
 	res *ShardResult
 
-	m      *shard.Map
-	dbs    [2]*core.DB
+	m *shard.Map
+	// Each shard's engine logs to memory through a gate on its syncs; a
+	// crash keeps what was synced and recovers a fresh engine from it.
 	srvMu  sync.Mutex
+	mems   [2]*wal.MemStorage
+	gates  [2]*faultfs.SyncGate
+	dbs    [2]*core.DB
 	srvs   [2]*server.Server
 	router *shard.Router
 	tbl    engine.Table
@@ -138,9 +149,16 @@ func (h *shardHarness) violate(format string, args ...any) {
 	h.vios = append(h.vios, fmt.Sprintf(format, args...))
 }
 
+func shardWAL(st wal.Storage) wal.Config {
+	return wal.Config{SegmentSize: 4 << 20, BufferSize: 1 << 20, Storage: st}
+}
+
 func (h *shardHarness) startShard(i int) error {
+	h.srvMu.Lock()
+	db := h.dbs[i]
+	h.srvMu.Unlock()
 	srv, err := server.New(server.Config{
-		DB:              h.dbs[i],
+		DB:              db,
 		ShardID:         uint32(i),
 		ShardMapVersion: h.m.Version,
 		ShardMapBlob:    h.m.EncodeBinary(),
@@ -162,14 +180,49 @@ func (h *shardHarness) startShard(i int) error {
 	return nil
 }
 
+// crashShard kills shard i as a power cut would: what its storage had synced
+// is all that survives, and the engine startShard will serve is recovered
+// from that image.
 func (h *shardHarness) crashShard(i int) {
 	h.srvMu.Lock()
-	srv := h.srvs[i]
+	srv, db, gate := h.srvs[i], h.dbs[i], h.gates[i]
 	h.srvs[i] = nil
 	h.srvMu.Unlock()
-	if srv != nil {
-		srv.Close()
+	if srv == nil {
+		return
 	}
+	gate.Kill() // from here on nothing the dying server acks is durable
+	image := h.mems[i].Crash()
+	srv.Close()
+	db.Close()
+	gate = faultfs.NewSyncGate(image, 0)
+	db, err := core.Recover(core.Config{WAL: shardWAL(gate)})
+	if err != nil {
+		h.violate("harness: shard %d recovery: %v", i, err)
+		return
+	}
+	h.srvMu.Lock()
+	h.mems[i], h.gates[i], h.dbs[i] = image, gate, db
+	h.srvMu.Unlock()
+}
+
+// crashShardUnsynced crashes shard i at the instant the on-apply decide ack
+// makes dangerous: its syncs are held, and the crash waits (briefly) for a
+// transfer to commit anyway — told to a worker on the strength of an
+// acknowledgment whose log records the crash then destroys.
+func (h *shardHarness) crashShardUnsynced(i int) {
+	h.srvMu.Lock()
+	gate := h.gates[i]
+	h.srvMu.Unlock()
+	_, before := h.router.CommitCounts()
+	gate.Hold()
+	for wait := time.Now().Add(50 * time.Millisecond); time.Now().Before(wait); time.Sleep(200 * time.Microsecond) {
+		if _, now := h.router.CommitCounts(); now > before {
+			h.res.UnsyncedCrashes++
+			break
+		}
+	}
+	h.crashShard(i)
 }
 
 // recoverCoordinator models the coordinator process coming back after a
@@ -294,8 +347,12 @@ func (h *shardHarness) executeShard(evs []event) {
 			h.net.SetLatency(ev.from, ev.to, ev.lat, ev.lat/2)
 			time.Sleep(ev.dur)
 			h.net.SetLatency(ev.from, ev.to, 0, 0)
-		case actShardCrash:
-			h.crashShard(ev.shard)
+		case actShardCrash, actShardCrashUnsynced:
+			if ev.act == actShardCrash {
+				h.crashShard(ev.shard)
+			} else {
+				h.crashShardUnsynced(ev.shard)
+			}
 			h.res.ShardCrashes++
 			time.Sleep(ev.dur)
 			if err := h.startShard(ev.shard); err != nil {
@@ -347,26 +404,28 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 			{Addr: epShard1},
 		},
 	}
+	defer func() {
+		for i := 0; i < 2; i++ {
+			if h.srvs[i] != nil {
+				h.srvs[i].Close()
+			}
+			if h.dbs[i] != nil {
+				h.dbs[i].Close()
+			}
+		}
+	}()
 	for i := 0; i < 2; i++ {
-		db, err := core.Open(core.Config{WAL: wal.Config{
-			SegmentSize: 4 << 20,
-			BufferSize:  1 << 20,
-			Storage:     wal.NewMemStorage(),
-		}})
+		h.mems[i] = wal.NewMemStorage()
+		h.gates[i] = faultfs.NewSyncGate(h.mems[i], 0)
+		db, err := core.Open(core.Config{WAL: shardWAL(h.gates[i])})
 		if err != nil {
 			return nil, fmt.Errorf("nemesis: shard %d engine: %w", i, err)
 		}
-		defer db.Close()
 		h.dbs[i] = db
 		if err := h.startShard(i); err != nil {
 			return nil, fmt.Errorf("nemesis: shard %d server: %w", i, err)
 		}
 	}
-	defer func() {
-		for i := 0; i < 2; i++ {
-			h.crashShard(i)
-		}
-	}()
 
 	dlogDir, err := os.MkdirTemp("", "nemesis-dlog")
 	if err != nil {

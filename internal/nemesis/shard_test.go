@@ -7,10 +7,10 @@ import (
 
 // TestShardNemesisSeeds runs the shard-nemesis harness across fixed seeds.
 // Each seed replays a distinct deterministic schedule of partitions, cuts,
-// participant crashes, and coordinator crashes injected between prepare and
-// decision, and must finish with zero invariant violations: balance total
-// conserved (no torn cross-shard commit), no acked transfer lost, and the
-// decision log fully drained after healing.
+// participant crashes back to the last sync, and coordinator crashes
+// injected between prepare and decision, and must finish with zero invariant
+// violations: balance total conserved (no torn cross-shard commit), no acked
+// transfer lost, and the decision log fully drained after healing.
 func TestShardNemesisSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard nemesis seeds skipped in -short")
@@ -81,3 +81,30 @@ func TestShardNemesisCoordinatorCrashes(t *testing.T) {
 // coordCrashSeed is a seed whose generated schedule contains coordinator
 // crashes both after prepare and after the logged decision.
 const coordCrashSeed = 3
+
+// TestShardNemesisUnsyncedApply pins a seed that crashes participants with
+// their syncs held back: a worker has been told "committed" on on-apply
+// decide acks, and the participant then loses the commit. The transfer's
+// marker must still be there at the end and the balances must add up — the
+// router brings the commit back from the prepare record before anyone reads.
+func TestShardNemesisUnsyncedApply(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shard nemesis skipped in -short")
+	}
+	res, err := RunShard(ShardConfig{Seed: unsyncedCrashSeed, Duration: 1500 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("harness: %v", err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("%s", v)
+	}
+	if res.UnsyncedCrashes == 0 {
+		t.Errorf("seed %d: no participant crash caught a commit between its apply-ack and the sync (schedule %q)", unsyncedCrashSeed, res.Schedule)
+	}
+	t.Logf("unsynced-apply run: acked=%d shardcrashes=%d unsynced=%d resolved=%d",
+		res.Acked, res.ShardCrashes, res.UnsyncedCrashes, res.Resolved)
+}
+
+// unsyncedCrashSeed is a seed whose schedule crashes participants with their
+// syncs held three times.
+const unsyncedCrashSeed = 24

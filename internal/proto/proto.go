@@ -145,17 +145,46 @@ const (
 	// transaction — its locks stay held — and acks only once the record is
 	// durable. Appended after MsgQueryEnd to keep existing wire values
 	// stable.
+	//
+	// Optional trailing list (absent from an older router): u32 count, then
+	// per entry gid (bytes), u8 decide flags. These are decisions this
+	// server already acknowledged on apply (ShardDecideOnApply); it applies
+	// any that a restart undid before it writes the prepare record, so the
+	// prepare's durable ack covers them all and the router may forget them.
 	MsgShardPrepare
 	// MsgShardDecide delivers the coordinator's decision for a prepared
-	// transaction: payload gid (bytes), u8 commit flag (1 commit, 0 abort).
-	// Commit decisions ack after the commit is durable; unknown gids answer
-	// OK so retries and presumed-abort cleanup are idempotent.
+	// transaction: payload gid (bytes), u8 flags (ShardDecideCommit,
+	// ShardDecideOnApply). The ack follows the decision's durability unless
+	// ShardDecideOnApply asks for it earlier; unknown gids answer OK (once
+	// the log is durable) so retries and presumed-abort cleanup are
+	// idempotent.
 	MsgShardDecide
 	// MsgShardMap fetches the serving shard's identity: response u32 shard
 	// id, u64 shard-map version, then the server's configured shard-map
 	// blob (bytes, possibly empty). Routers use it at dial time to verify
 	// they are talking to the shard the map says lives at this address.
 	MsgShardMap
+	// MsgShardPrepared lists the gids of this server's prepare records in
+	// the byte range [lo, hi): payload lo (bytes), hi (bytes). Response: u32
+	// count, that many gids (bytes) in order. From the first such request
+	// on, the server also refuses to prepare any gid inside [lo, hi). A
+	// coordinator that lost its memory lists, under its own id prefix and
+	// below its first new sequence number, what it may have left prepared,
+	// knowing nothing older can arrive afterwards.
+	MsgShardPrepared
+)
+
+// MsgShardDecide flag bits.
+const (
+	// ShardDecideCommit marks a commit decision; clear means abort.
+	ShardDecideCommit byte = 1 << 0
+	// ShardDecideOnApply asks for the ack as soon as the decision is
+	// applied in memory, before its log records are durable. The sender
+	// stays responsible for the decision until a later durable ack from the
+	// same server covers it (see MsgShardPrepare's trailing list). Only
+	// ever sent with ShardDecideCommit: a server older than the bit reads
+	// any non-zero flag byte as commit.
+	ShardDecideOnApply byte = 1 << 1
 )
 
 // Begin request flag bits.
@@ -401,6 +430,12 @@ func (d *Dec) Rest() []byte {
 	d.b = nil
 	return p
 }
+
+// More reports whether undecoded payload remains — how a decoder tells an
+// optional trailing field from its absence.
+//
+//ermia:hotpath checked once per decoded message that ends in optional fields
+func (d *Dec) More() bool { return !d.bad && len(d.b) > 0 }
 
 // Err reports whether decoding ran past the payload.
 //

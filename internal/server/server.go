@@ -233,6 +233,11 @@ type Server struct {
 	prepTbl       engine.Table
 	shardPrepares atomic.Uint64
 	shardDecides  atomic.Uint64
+	// fences are the gid ranges recovering coordinators have listed; no
+	// prepare inside one is accepted any more. Prepares hold fenceMu shared
+	// across the check and the record write. See shard.go, fencePrepares.
+	fenceMu sync.RWMutex
+	fences  []gidRange
 
 	// epoch is the primary epoch this server believes it serves in; stamped
 	// into repl batches and Ping responses, checked against the client's

@@ -283,6 +283,8 @@ func (s *session) dispatch(req request) {
 		s.handleShardDecide(req, d)
 	case proto.MsgShardMap:
 		s.handleShardMap(req)
+	case proto.MsgShardPrepared:
+		s.handleShardPrepared(req, d)
 	default:
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 	}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"time"
 
 	"ermia/internal/engine"
@@ -20,12 +22,16 @@ import (
 //     only once the record is durable — from then on the writes can survive
 //     any crash.
 //
-//   - MsgShardDecide resolves it: commit (or abort) the parked transaction,
-//     delete the record, and ack the decide only after both are durable.
-//     The coordinator forgets a transaction only after every participant's
-//     positive decide ack, so an undeleted record can never be orphaned: it
-//     is always either re-locked at startup and resolved by a retried
-//     decide, or resolved through the record-replay path below.
+//   - MsgShardDecide resolves it: commit (or abort) the parked transaction
+//     and delete the record. The ack waits for both to be durable, unless
+//     the coordinator asked for it on apply (proto.ShardDecideOnApply); it
+//     then keeps the decision until a later durable ack of this server
+//     covers it — the next MsgShardPrepare names it in its trailing list,
+//     and applyDecision below re-applies whatever a restart undid first.
+//     Either way the coordinator forgets a transaction only after a durable
+//     confirmation from every participant, so an undeleted record can never
+//     be orphaned: it is always either re-locked at startup and resolved by
+//     a retried decide, or resolved through the record-replay path below.
 //
 //   - At startup, recoverPrepared replays every surviving record into a
 //     fresh transaction (idempotently — the record may belong to a
@@ -200,6 +206,20 @@ func (s *Server) putPrepareRecord(gid []byte, epoch uint64, ops []prepOp) error 
 	return txn.Commit()
 }
 
+// putFencedPrepareRecord is putPrepareRecord behind the coordinator fences:
+// a gid inside a range some coordinator has listed belongs to an incarnation
+// that coordinator has already given up on (see fencePrepares).
+func (s *Server) putFencedPrepareRecord(gid []byte, epoch uint64, ops []prepOp) error {
+	s.fenceMu.RLock()
+	defer s.fenceMu.RUnlock()
+	for _, f := range s.fences {
+		if f.contains(gid) {
+			return fmt.Errorf("%w: gid %x is older than its coordinator's recovery", engine.ErrAborted, gid)
+		}
+	}
+	return s.putPrepareRecord(gid, epoch, ops)
+}
+
 // deletePrepareRecord removes gid's record in its own small transaction.
 // Missing records are fine (already cleaned, or never written under
 // DurabilityNone crash schedules).
@@ -354,6 +374,111 @@ func (s *Server) decideByRecord(gid []byte, commit bool) (bool, error) {
 	return true, nil
 }
 
+// applyDecision resolves gid on this server: through the parked transaction
+// when there is one, else through a surviving prepare record. applied is
+// false when there was nothing left to do (already resolved, or never
+// prepared here).
+func (s *Server) applyDecision(gid []byte, commit bool) (applied bool, err error) {
+	pt := s.takePrepared(gid)
+	if pt == nil {
+		if applied, err = s.decideByRecord(gid, commit); applied {
+			s.shardDecides.Add(1)
+		}
+		return applied, err
+	}
+	if commit {
+		err = pt.txn.Commit()
+	} else {
+		pt.txn.Abort()
+	}
+	s.releaseSlot(pt.slot)
+	if !commit || err != nil {
+		s.aborts.Add(1)
+	}
+	if err != nil {
+		// The locks died with the failed commit but the record survives;
+		// the coordinator's retry resolves through decideByRecord.
+		return false, err
+	}
+	// A failed cleanup refuses the ack, so the coordinator retries; the
+	// retry lands in decideByRecord and finishes the cleanup idempotently.
+	if err := s.deletePrepareRecord(gid); err != nil {
+		return false, err
+	}
+	s.shardDecides.Add(1)
+	return true, nil
+}
+
+// gidRange is a half-open byte range [lo, hi) of gids.
+type gidRange struct{ lo, hi []byte }
+
+func (r gidRange) contains(gid []byte) bool {
+	return bytes.Compare(r.lo, gid) <= 0 && bytes.Compare(gid, r.hi) < 0
+}
+
+// fencePrepares makes every later prepare of a gid in r fail. It waits out
+// prepares that already passed the check, so a listing taken after it
+// returns sees every record the range will ever hold.
+func (s *Server) fencePrepares(r gidRange) {
+	r = gidRange{lo: append([]byte(nil), r.lo...), hi: append([]byte(nil), r.hi...)}
+	s.fenceMu.Lock()
+	defer s.fenceMu.Unlock()
+	for i, f := range s.fences {
+		// One coordinator's successive incarnations fence [id‖0, id‖seq)
+		// with a growing seq: keep the widest.
+		if bytes.Equal(f.lo, r.lo) {
+			if bytes.Compare(f.hi, r.hi) < 0 {
+				s.fences[i] = r
+			}
+			return
+		}
+	}
+	s.fences = append(s.fences, r)
+}
+
+// listPrepared returns the prepare-record gids in r, in order. Parked
+// transactions hold a worker slot each, so the list is short.
+func (s *Server) listPrepared(r gidRange) (gids [][]byte, err error) {
+	tbl := s.db.OpenTable(ShardPrepTable)
+	if tbl == nil {
+		return nil, nil // no record was ever written here
+	}
+	slot, err := s.recordSlot()
+	if err != nil {
+		return nil, err
+	}
+	defer s.releaseSlot(slot)
+	txn := s.db.BeginReadOnly(slot)
+	defer txn.Abort()
+	err = txn.Scan(tbl, r.lo, r.hi, func(k, _ []byte) bool {
+		gids = append(gids, append([]byte(nil), k...))
+		return true
+	})
+	return gids, err
+}
+
+// handleShardPrepared serves a recovering coordinator: fence the range, then
+// list what it holds.
+func (s *session) handleShardPrepared(req request, d *proto.Dec) {
+	r := gidRange{lo: d.Bytes(), hi: d.Bytes()}
+	if d.Err() != nil || len(r.lo) == 0 || bytes.Compare(r.lo, r.hi) >= 0 {
+		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		return
+	}
+	s.srv.fencePrepares(r)
+	gids, err := s.srv.listPrepared(r)
+	if err != nil {
+		st, detail := proto.StatusOf(err)
+		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		return
+	}
+	body := proto.AppendU32(nil, uint32(len(gids)))
+	for _, g := range gids {
+		body = proto.AppendBytes(body, g)
+	}
+	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+}
+
 // handleShardPrepare is phase one: persist the write set, park the
 // transaction, ack when durable. Refusals leave the transaction open and
 // owned by this session — the coordinator aborts it through the normal
@@ -372,6 +497,18 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 		op.key = append([]byte(nil), d.Bytes()...)
 		op.value = append([]byte(nil), d.Bytes()...)
 		ops = append(ops, op)
+	}
+	// Decisions this server acked on apply; see MsgShardPrepare.
+	type decided struct {
+		gid   []byte
+		flags byte
+	}
+	var covered []decided
+	if d.More() {
+		m := d.U32()
+		for i := uint32(0); i < m && d.Err() == nil; i++ {
+			covered = append(covered, decided{gid: d.Bytes(), flags: d.U8()})
+		}
 	}
 	if d.Err() != nil || len(gid) == 0 || uint32(len(ops)) != n {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
@@ -397,7 +534,17 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 		return
 	}
 	ep := s.srv.epoch.Load()
-	if err := s.srv.putPrepareRecord(gid, ep, ops); err != nil {
+	// Applied before the record is written, so their log records precede it
+	// and the durable ack below covers them. Almost always a no-op: the
+	// decision is still in effect unless this server restarted since.
+	for _, c := range covered {
+		if _, err := s.srv.applyDecision(c.gid, c.flags&proto.ShardDecideCommit != 0); err != nil {
+			st, detail := proto.StatusOf(err)
+			s.respond(req.typ, req.id, respPayload(st, detail, nil))
+			return
+		}
+	}
+	if err := s.srv.putFencedPrepareRecord(gid, ep, ops); err != nil {
 		st, detail := proto.StatusOf(err)
 		s.respond(req.typ, req.id, respPayload(st, detail, nil))
 		return
@@ -415,58 +562,36 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 // handleShardDecide applies the coordinator's decision. The ack is released
 // only after the decision's effects — commit or abort, plus record cleanup
 // — are durable, because the coordinator erases its own decision log entry
-// on a positive ack and must never need to re-deliver after that.
+// on a positive ack and must never need to re-deliver after that. That
+// holds for a gid with nothing left to apply too: an earlier delivery may
+// have applied it moments ago, its ack lost and its log records not yet
+// synced. A coordinator that sets proto.ShardDecideOnApply takes the ack
+// before durability and keeps the entry; under SyncRepl the bit is ignored,
+// because a promoted replica does not re-lock surviving prepare records, so
+// a decision the replica never received could not be re-applied safely.
 func (s *session) handleShardDecide(req request, d *proto.Dec) {
 	gid := d.Bytes()
-	flag := d.U8()
+	flags := d.U8()
 	if d.Err() != nil || len(gid) == 0 {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 		return
 	}
-	commit := flag != 0
-	if pt := s.srv.takePrepared(gid); pt != nil {
-		if commit {
-			err := pt.txn.Commit()
-			s.srv.releaseSlot(pt.slot)
-			if err != nil {
-				// The locks died with the failed commit but the record
-				// survives; the coordinator's retry resolves through
-				// decideByRecord.
-				s.srv.aborts.Add(1)
-				st, detail := proto.StatusOf(err)
-				s.respond(req.typ, req.id, respPayload(st, detail, nil))
-				return
-			}
-		} else {
-			pt.txn.Abort()
-			s.srv.releaseSlot(pt.slot)
-			s.srv.aborts.Add(1)
-		}
-		if err := s.srv.deletePrepareRecord(gid); err != nil {
-			// Decision applied but cleanup failed: refuse the ack so the
-			// coordinator retries; the retry lands in decideByRecord and
-			// finishes the cleanup idempotently.
-			st, detail := proto.StatusOf(err)
-			s.respond(req.typ, req.id, respPayload(st, detail, nil))
-			return
-		}
-		s.srv.shardDecides.Add(1)
-		s.ackDurable(req, s.srv.epoch.Load(), commit)
-		return
-	}
-	applied, err := s.srv.decideByRecord(gid, commit)
+	commit := flags&proto.ShardDecideCommit != 0
+	applied, err := s.srv.applyDecision(gid, commit)
 	if err != nil {
 		st, detail := proto.StatusOf(err)
 		s.respond(req.typ, req.id, respPayload(st, detail, nil))
 		return
 	}
-	if !applied {
-		// Nothing to do: already resolved (or never prepared here).
+	ep := s.srv.epoch.Load()
+	if flags&proto.ShardDecideOnApply != 0 && !s.srv.cfg.SyncRepl {
+		if commit && applied {
+			s.srv.noteCommit(ep)
+		}
 		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
 		return
 	}
-	s.srv.shardDecides.Add(1)
-	s.ackDurable(req, s.srv.epoch.Load(), commit)
+	s.ackDurable(req, ep, commit && applied)
 }
 
 // ackDurable releases a 2PC acknowledgment under the server's durability

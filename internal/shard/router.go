@@ -2,15 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ermia/internal/client"
 	"ermia/internal/engine"
-	"ermia/internal/proto"
 )
 
 // Options configures a Router. The zero value is usable with NewRouter —
@@ -41,7 +40,8 @@ type Options struct {
 	// prepare but BEFORE the commit decision is logged. Returning an error
 	// simulates a coordinator crash at the most hostile instant: the
 	// commit call abandons the transaction in-doubt (prepared everywhere,
-	// decided nowhere) and recovery must presume abort. Test/nemesis hook.
+	// decided nowhere, named in no log) and recovery must find it on the
+	// participants and presume abort. Test/nemesis hook.
 	CrashAfterPrepare func(gid []byte) error
 	// CrashAfterDecision runs after the commit decision is durably logged
 	// but before any participant is told. Returning an error abandons the
@@ -62,9 +62,12 @@ type Router struct {
 
 	clients []*client.Client
 	dlog    *decisionLog
-
-	gidPrefix uint64
-	gidSeq    atomic.Uint64
+	// queues[s] holds the commits shard s has acknowledged on apply and
+	// not yet confirmed durable.
+	queues []confirmQueue
+	// listed[s] is set once shard s's prepare records have been searched
+	// for earlier incarnations' orphans.
+	listed []atomic.Bool
 
 	// fastCommits / crossCommits split committed read-write transactions
 	// by path, so benchmarks can report how much traffic paid for 2PC.
@@ -83,9 +86,11 @@ type Router struct {
 	closeErr  error
 }
 
-// NewRouter dials every shard in m and returns a Router over them. Any
-// decision-log entries left by a previous incarnation are re-driven in the
-// background (see ResolveInDoubt for the synchronous form).
+// NewRouter dials every shard in m and returns a Router over them. What a
+// previous incarnation left unfinished — commit decisions in the log, and
+// prepared transactions the log never heard of, found by listing each
+// shard's prepare records — is re-driven in the background (see
+// ResolveInDoubt for the synchronous form).
 func NewRouter(m *Map, opts Options) (*Router, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -98,10 +103,14 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 		m:         m,
 		opts:      opts,
 		dlog:      dlog,
-		gidPrefix: uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32,
+		queues:    make([]confirmQueue, len(m.Shards)),
+		listed:    make([]atomic.Bool, len(m.Shards)),
 		tables:    make(map[string]*routerTable),
 		resolving: make(map[string]bool),
 		stop:      make(chan struct{}),
+	}
+	for i := range r.queues {
+		r.queues[i].stale.Store(math.MaxUint64)
 	}
 	for i, sh := range m.Shards {
 		c, err := client.Dial(client.Options{
@@ -131,10 +140,41 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 		}
 		r.clients = append(r.clients, c)
 	}
-	for _, gid := range dlog.pendingGids() {
-		r.resolveLater(gid)
+	for i := range r.clients {
+		i := i
+		if opts.DecisionLog == "" {
+			// A memory-only log has a fresh id: no predecessor to clean up
+			// after.
+			r.listed[i].Store(true)
+		} else if r.adoptPrepared(i) != nil {
+			r.background(fmt.Sprintf("list/%d", i), func() error { return r.adoptPrepared(i) })
+		}
+	}
+	for _, key := range dlog.inDoubt() {
+		r.resolveLater(key)
 	}
 	return r, nil
+}
+
+// adoptPrepared lists the prepare records earlier incarnations of this
+// coordinator left on shard and takes each gid on as in doubt: to commit if
+// the log holds its C record, to abort otherwise — no participant can have
+// been told to commit a transaction whose C was never forced. The listing
+// also fences the range on the server, so a prepare a dead incarnation
+// still had in flight cannot land after it (proto.MsgShardPrepared). This
+// incarnation's own gids lie above the range and are never touched.
+func (r *Router) adoptPrepared(shard int) error {
+	lo, hi := r.dlog.recoveryRange()
+	gids, err := r.clients[shard].ShardPrepared(lo, hi)
+	if err != nil {
+		return err
+	}
+	for _, gid := range gids {
+		r.dlog.adopt(gid, shard)
+		r.resolveLater(string(gid))
+	}
+	r.listed[shard].Store(true)
+	return nil
 }
 
 // Map returns the routing map the router was built with.
@@ -208,13 +248,22 @@ func (r *Router) BeginReadOnly(worker int) engine.Txn {
 	return &routerTxn{r: r, worker: worker, readOnly: true}
 }
 
-// Close stops the background resolver and closes every shard pool and the
-// decision log. Unresolved in-doubt transactions stay in the log for the
-// next incarnation.
-func (r *Router) Close() error {
+// Close stops the background resolver, asks each shard to durably confirm
+// the commits it has only acknowledged on apply (so the log's last entries
+// can retire), and closes every shard pool and the decision log.
+// Transactions still in doubt stay for the next incarnation: those with a
+// commit decision in the log, the others as prepare records it will list.
+func (r *Router) Close() error { return r.shutdown(true) }
+
+func (r *Router) shutdown(drain bool) error {
 	r.closeOnce.Do(func() {
 		close(r.stop)
 		r.wg.Wait()
+		for shard := 0; drain && shard < len(r.queues); shard++ {
+			// A failure leaves C records without their D; the next
+			// incarnation re-delivers them.
+			_ = r.redeliver(shard, 0)
+		}
 		for _, c := range r.clients {
 			if err := c.Close(); err != nil && r.closeErr == nil {
 				r.closeErr = err
@@ -229,162 +278,295 @@ func (r *Router) Close() error {
 
 var _ engine.DB = (*Router)(nil)
 
-// newGID mints a globally-unique transaction id: an instance prefix (so
-// two router incarnations sharing a decision log cannot collide) plus a
-// sequence number.
-func (r *Router) newGID() []byte {
-	p := proto.AppendU64(nil, r.gidPrefix)
-	return proto.AppendU64(p, r.gidSeq.Add(1))
+// unconfirmed is a commit some shard has acknowledged on apply.
+type unconfirmed struct {
+	e *dlogEntry
+	// dials is the shard pool's client.Dials from before the decide was
+	// sent: while the count still stands there, the shard is running the
+	// incarnation that applied it.
+	dials uint64
+}
+
+// confirmQueue holds, for one shard, the commits it has acknowledged on
+// apply and not yet confirmed durable, in the order they were queued. A
+// decision leaves the queue when a later durable ack from the shard covers
+// it, at no sync and no frame of its own: every MsgShardPrepare to the
+// shard carries the queue as its trailing list, and the shard acks a
+// prepare only once its log is durable up to the prepare record — which
+// lies behind the listed decisions' records, written earlier by the same
+// server incarnation (or, after a restart that lost them, re-applied from
+// the list just before the record). Only Close, ResolveInDoubt and a
+// reconnect pay for a confirmation with durable decides of their own.
+type confirmQueue struct {
+	mu    sync.Mutex
+	items []unconfirmed
+	first uint64 // items[0]'s position in the order decisions were queued
+	// stale is the lowest dials among items, math.MaxUint64 when empty; it
+	// lets routerTxn.child test for a reconnect with two atomic loads.
+	stale atomic.Uint64
+	// redeliver serializes durable re-deliveries of the queue.
+	redeliver sync.Mutex
+}
+
+// maxCovered bounds the trailing list of one prepare.
+const maxCovered = 64
+
+func (q *confirmQueue) push(e *dlogEntry, dials uint64) {
+	q.mu.Lock()
+	q.items = append(q.items, unconfirmed{e: e, dials: dials})
+	if dials < q.stale.Load() {
+		q.stale.Store(dials)
+	}
+	q.mu.Unlock()
+}
+
+// head returns up to max queued decisions, oldest first, and the position
+// of the last one (what pop takes to remove exactly these).
+func (q *confirmQueue) head(max int) (list []client.Decided, upTo uint64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := len(q.items)
+	if n > max {
+		n = max
+	}
+	if n > 0 {
+		list = make([]client.Decided, n)
+		for i := range list {
+			list[i] = client.Decided{GID: q.items[i].e.gid, Commit: true}
+		}
+	}
+	return list, q.first + uint64(n)
+}
+
+// pop removes the decisions queued before position upTo and returns their
+// entries. Positions only grow, so a late pop of an older head is a no-op.
+func (q *confirmQueue) pop(upTo uint64) []unconfirmed {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if upTo <= q.first {
+		return nil
+	}
+	n := int(upTo - q.first)
+	if n > len(q.items) {
+		n = len(q.items)
+	}
+	out := q.items[:n:n]
+	q.items = q.items[n:]
+	q.first += uint64(n)
+	stale := uint64(math.MaxUint64)
+	for _, it := range q.items {
+		if it.dials < stale {
+			stale = it.dials
+		}
+	}
+	q.stale.Store(stale)
+	return out
+}
+
+// confirmed records a durable ack from shard covering every decision queued
+// before upTo; entries whose last participant this was retire.
+func (r *Router) confirmed(shard int, upTo uint64) {
+	for _, it := range r.queues[shard].pop(upTo) {
+		r.dlog.confirm(it.e, shard)
+	}
+}
+
+// redeliver sends shard a plain durable decide for everything in its queue
+// and, if all are acknowledged, confirms them.
+func (r *Router) redeliver(shard, worker int) error {
+	q := &r.queues[shard]
+	q.redeliver.Lock()
+	defer q.redeliver.Unlock()
+	list, upTo := q.head(math.MaxInt)
+	calls := make([]client.DecideCall, len(list))
+	for i, d := range list {
+		calls[i] = r.clients[shard].StartShardDecide(worker, d.GID, true, false)
+	}
+	var first error
+	for _, call := range calls {
+		if err := call.Wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return first
+	}
+	r.confirmed(shard, upTo)
+	return nil
 }
 
 // commitCross is the two-phase commit coordinator, reached only when a
-// transaction wrote on two or more shards.
+// transaction wrote on two or more shards. The caller waits for two forced
+// writes and one plain round trip:
 //
-//	log P (fsync)  →  prepare all (parallel, on each txn's own session)
-//	log C (fsync)  →  decide commit all (parallel, any connection)
-//	log D          →  done
+//	prepare all (parallel, each on its txn's own session; acked durable)
+//	log C (fsync)
+//	decide commit all (parallel, caller's connections; acked on apply)
 //
 // The C fsync is the commit point: before it, recovery presumes abort and
 // every participant can be rolled back; after it, the transaction WILL
 // commit on every shard — participants hold durable prepare records, so
 // crashes on either side only delay the decides, never change the outcome.
-// A decide that cannot be delivered leaves the transaction in-doubt: the
-// caller gets engine.ErrTxnInDoubt (retryable only under idempotent
-// bodies) and a background resolver re-drives the decision until every
-// shard acks.
-func (r *Router) commitCross(writers []*childTxn) error {
-	gid := r.newGID()
+// The decides are acknowledged as soon as the commit is applied, which is
+// all the caller needs: the commit is visible to every later transaction,
+// and should a participant lose it in a crash, its prepare record and this
+// router's entry bring it back before anyone can look (routerTxn.child).
+// The entry retires once each participant has confirmed durably, through
+// confirmQueue. A decide that cannot be delivered leaves the transaction
+// in-doubt: the caller gets engine.ErrTxnInDoubt (retryable only under
+// idempotent bodies) and a background resolver re-drives the decision until
+// every shard acks.
+func (r *Router) commitCross(worker int, writers []*childTxn) error {
 	shards := make([]int, len(writers))
 	for i, c := range writers {
 		shards[i] = c.shard
 	}
-	if err := r.dlog.begin(gid, shards); err != nil {
-		for _, c := range writers {
-			c.txn.Abort()
+	e := r.dlog.begin(shards)
+	// While the entry is owned the resolvers pass it over, so a resolver
+	// for what this attempt leaves undelivered starts only once it is not.
+	undelivered := false
+	defer func() {
+		r.dlog.release(e)
+		if undelivered {
+			r.resolveLater(string(e.gid))
 		}
-		return fmt.Errorf("shard: decision log: %w", err)
-	}
+	}()
 
 	// Phase one. Each prepare rides its transaction's pinned connection
 	// (transaction ids are session-scoped) and acks only once the prepare
-	// record is durable under the shard's commit policy.
-	errs := make([]error, len(writers))
-	var wg sync.WaitGroup
-	for i, c := range writers {
-		wg.Add(1)
-		go func(i int, c *childTxn) {
-			defer wg.Done()
-			errs[i] = r.clients[c.shard].ShardPrepare(c.txn, gid, r.m.Version, c.writes)
-		}(i, c)
+	// record is durable under the shard's commit policy — and with it every
+	// earlier decision the frame lists.
+	type participant struct {
+		call  client.PrepareCall
+		upTo  uint64 // the prepare's trailing list ends here in the shard's queue
+		err   error
+		dials uint64
 	}
-	wg.Wait()
+	parts := make([]participant, len(writers))
+	for i, c := range writers {
+		covered, upTo := r.queues[c.shard].head(maxCovered)
+		parts[i] = participant{upTo: upTo, call: r.clients[c.shard].StartShardPrepare(c.txn, e.gid, r.m.Version, c.writes, covered)}
+	}
 	var prepErr error
-	for _, e := range errs {
-		if e != nil {
-			prepErr = e
-			break
+	for i, c := range writers {
+		p := &parts[i]
+		if p.err = p.call.Wait(); p.err == nil {
+			r.confirmed(c.shard, p.upTo)
+		} else if prepErr == nil {
+			prepErr = p.err
 		}
 	}
 	if prepErr != nil {
-		// Abort decision. Participants whose prepare failed cleanly still
-		// own their transaction (plain abort); every shard additionally
-		// gets a decide-abort, which covers prepares that landed but whose
-		// ack was lost — deciding an unknown gid is an idempotent no-op.
-		_ = r.dlog.decide(gid, false)
-		allAcked := true
+		// Abort decision; nothing is logged. Participants whose prepare
+		// failed cleanly still own their transaction (plain abort); every
+		// shard additionally gets a decide-abort, which covers prepares
+		// that landed but whose ack was lost — deciding an unknown gid is
+		// an idempotent no-op. The acks are durable ones, so the entry can
+		// be dropped: a prepare record that outlived its abort would have
+		// nobody left to resolve it.
 		for i, c := range writers {
-			if errs[i] != nil {
+			if parts[i].err != nil {
 				c.txn.Abort()
 			}
-			if err := r.clients[c.shard].ShardDecide(gid, false); err != nil {
-				allAcked = false
-			}
 		}
-		if allAcked {
-			_ = r.dlog.finish(gid)
-		} else {
-			r.resolveLater(gid)
-		}
+		undelivered = r.deliver(worker, e, false, shards, false) != nil
 		return prepErr
 	}
 
 	if hook := r.opts.CrashAfterPrepare; hook != nil {
-		if err := hook(gid); err != nil {
+		if err := hook(e.gid); err != nil {
 			// Simulated coordinator death before the decision: no decides
-			// go out, no resolver is scheduled. Only recovery (a new
-			// router over the same decision log) can resolve — to abort,
-			// since no C record exists.
-			return fmt.Errorf("%w: coordinator crashed after prepare (gid %x)", engine.ErrTxnInDoubt, gid)
+			// go out, no resolver is scheduled, and no log names the gid.
+			// Only recovery can resolve it — to abort, since no C record
+			// exists.
+			return fmt.Errorf("%w: coordinator crashed after prepare (gid %x)", engine.ErrTxnInDoubt, e.gid)
 		}
 	}
 
-	if err := r.dlog.decide(gid, true); err != nil {
+	if err := r.dlog.decide(e); err != nil {
 		// The commit decision could not be made durable, so it was never
 		// made: presume abort, exactly as recovery would.
-		for _, c := range writers {
-			_ = r.clients[c.shard].ShardDecide(gid, false)
-		}
-		r.resolveLater(gid)
+		undelivered = r.deliver(worker, e, false, shards, false) != nil
 		return fmt.Errorf("shard: decision log: %w", err)
 	}
 
 	if hook := r.opts.CrashAfterDecision; hook != nil {
-		if err := hook(gid); err != nil {
+		if err := hook(e.gid); err != nil {
 			// Simulated death after the commit point: the C record is on
 			// disk, participants are prepared. Recovery must finish the
 			// commit on every shard.
-			return fmt.Errorf("%w: coordinator crashed after decision (gid %x)", engine.ErrTxnInDoubt, gid)
+			return fmt.Errorf("%w: coordinator crashed after decision (gid %x)", engine.ErrTxnInDoubt, e.gid)
 		}
 	}
 
-	// Phase two. Acks are durability acks (they ride each shard's group
-	// committer), so a nil here means the cross-shard transaction is
-	// committed and durable everywhere.
-	acked := make([]bool, len(writers))
-	for i, c := range writers {
-		wg.Add(1)
-		go func(i int, c *childTxn) {
-			defer wg.Done()
-			acked[i] = r.clients[c.shard].ShardDecide(gid, true) == nil
-		}(i, c)
+	// Phase two, acknowledged on apply. The dial counts are read before
+	// the decides go out: should a shard restart at any point after, the
+	// count moves and the queued decision is re-delivered.
+	for i, sh := range shards {
+		parts[i].dials = r.clients[sh].Dials()
 	}
-	wg.Wait()
-	for _, a := range acked {
-		if !a {
-			r.resolveLater(gid)
-			return fmt.Errorf("%w: commit decided but not acknowledged by every shard (gid %x)", engine.ErrTxnInDoubt, gid)
-		}
+	if r.deliver(worker, e, true, shards, true) != nil {
+		undelivered = true
+		return fmt.Errorf("%w: commit decided but not acknowledged by every shard (gid %x)", engine.ErrTxnInDoubt, e.gid)
 	}
-	_ = r.dlog.finish(gid)
+	r.dlog.markApplied(e)
+	for i, sh := range shards {
+		r.queues[sh].push(e, parts[i].dials)
+	}
 	r.crossCommits.Add(1)
 	return nil
 }
 
-// resolveOne re-drives the logged decision for one pending gid to every
-// participant, retiring the entry once all ack. Presumed abort: an entry
-// without a durable commit decision is driven to abort.
+// deliver sends e's decision to shards — every frame from the calling
+// goroutine, on worker's connections, before the first ack is awaited — and
+// returns the first failure. Without onApply the acks are durable ones and
+// each confirms its shard.
+func (r *Router) deliver(worker int, e *dlogEntry, commit bool, shards []int, onApply bool) error {
+	calls := make([]client.DecideCall, len(shards))
+	for i, sh := range shards {
+		if sh >= 0 && sh < len(r.clients) {
+			calls[i] = r.clients[sh].StartShardDecide(worker, e.gid, commit, onApply)
+		}
+	}
+	var first error
+	for i, sh := range shards {
+		if sh < 0 || sh >= len(r.clients) {
+			// A shard this map does not have (a log from another
+			// deployment) has nothing to confirm.
+			r.dlog.confirm(e, sh)
+		} else if err := calls[i].Wait(); err != nil {
+			if first == nil {
+				first = err
+			}
+		} else if !onApply {
+			r.dlog.confirm(e, sh)
+		}
+	}
+	return first
+}
+
+// resolveOne re-drives the decision for one in-doubt gid to every
+// participant that has not confirmed it, retiring the entry once all have.
+// Presumed abort: an entry without a durable commit decision is driven to
+// abort. Entries whose commitCross is still running are not in doubt yet
+// and are left alone.
 func (r *Router) resolveOne(key string) error {
-	e := r.dlog.entry(key)
+	e, commit, todo := r.dlog.undelivered(key)
 	if e == nil {
 		return nil
 	}
-	commit := e.decided && e.commit
-	for _, sh := range e.shards {
-		if sh < 0 || sh >= len(r.clients) {
-			continue
-		}
-		if err := r.clients[sh].ShardDecide(e.gid, commit); err != nil {
-			return err
-		}
-	}
-	return r.dlog.finish(e.gid)
+	return r.deliver(0, e, commit, todo, false)
 }
 
-// resolveLater schedules background resolution for gid, retrying with
-// backoff until it succeeds or the router closes. At most one resolver
-// runs per gid.
-func (r *Router) resolveLater(gid []byte) {
-	key := string(gid)
+// resolveLater schedules background resolution for a gid, retrying with
+// backoff until it succeeds or the router closes.
+func (r *Router) resolveLater(key string) {
+	r.background(key, func() error { return r.resolveOne(key) })
+}
+
+// background runs fn until it succeeds or the router closes, backing off
+// between attempts. At most one runs per key.
+func (r *Router) background(key string, fn func() error) {
 	r.rmu.Lock()
 	if r.resolving[key] {
 		r.rmu.Unlock()
@@ -393,11 +575,11 @@ func (r *Router) resolveLater(gid []byte) {
 	r.resolving[key] = true
 	r.rmu.Unlock()
 	r.wg.Add(1)
-	go r.resolveLoop(key)
+	go r.retryLoop(key, fn)
 }
 
 //ermia:cancellable
-func (r *Router) resolveLoop(key string) {
+func (r *Router) retryLoop(key string, fn func() error) {
 	defer r.wg.Done()
 	defer func() {
 		r.rmu.Lock()
@@ -406,7 +588,7 @@ func (r *Router) resolveLoop(key string) {
 	}()
 	backoff := 10 * time.Millisecond
 	for {
-		if r.resolveOne(key) == nil {
+		if fn() == nil {
 			return
 		}
 		select {
@@ -420,21 +602,40 @@ func (r *Router) resolveLoop(key string) {
 	}
 }
 
-// ResolveInDoubt synchronously re-drives every pending decision-log entry
-// once, returning how many were retired and the first delivery error.
-// Recovery tooling and tests call it after restarting a router over an
-// existing decision log; the background resolver keeps retrying whatever
-// this pass could not reach.
+// ResolveInDoubt synchronously re-drives every in-doubt transaction once —
+// first searching any shard not yet searched for a previous incarnation's
+// orphans — and returns how many it resolved and the first delivery error.
+// In doubt means the decision has not reached every participant; commits
+// that are applied everywhere and only await their durable confirmation
+// are confirmed too (with plain durable decides) but not counted. Recovery
+// tooling and tests call it after restarting a router over an existing
+// decision log; the background resolver keeps retrying whatever this pass
+// could not reach.
 func (r *Router) ResolveInDoubt() (resolved int, err error) {
-	for _, gid := range r.dlog.pendingGids() {
-		if e := r.resolveOne(string(gid)); e != nil {
-			if err == nil {
-				err = e
+	note := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	for shard := range r.listed {
+		if !r.listed[shard].Load() {
+			if e := r.adoptPrepared(shard); e != nil {
+				note(e)
 			}
-			r.resolveLater(gid)
+		}
+	}
+	for _, key := range r.dlog.inDoubt() {
+		if e := r.resolveOne(key); e != nil {
+			note(e)
+			r.resolveLater(key)
 			continue
 		}
 		resolved++
+	}
+	for shard := range r.queues {
+		if e := r.redeliver(shard, 0); e != nil {
+			note(e)
+		}
 	}
 	return resolved, err
 }

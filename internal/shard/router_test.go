@@ -12,22 +12,36 @@ import (
 	"ermia/internal/core"
 	"ermia/internal/engine"
 	"ermia/internal/engine/enginetest"
+	"ermia/internal/faultfs"
 	"ermia/internal/server"
 	"ermia/internal/shard"
 	"ermia/internal/wal"
 )
 
 // cluster is N loopback ermia-server shards plus the map that routes to
-// them. Engines are in-process, so restartShard models a server crash that
-// keeps the durable state (the PR-8 nemesis idiom).
+// them. Engines are in-process over storages whose syncs the test controls:
+// restartShard models a server crash that keeps the engine, crashShard a
+// machine crash that keeps only what was synced.
 type cluster struct {
-	t    *testing.T
-	m    *shard.Map
-	dbs  []*core.DB
-	srvs []*server.Server
+	t     testing.TB
+	m     *shard.Map
+	mems  []*wal.MemStorage
+	gates []*faultfs.SyncGate
+	dbs   []*core.DB
+	srvs  []*server.Server
 }
 
-func startCluster(t *testing.T, n int, rules []shard.TableRule) *cluster {
+func walOver(st wal.Storage) wal.Config {
+	return wal.Config{SegmentSize: 4 << 20, BufferSize: 1 << 20, Storage: st}
+}
+
+func startCluster(t testing.TB, n int, rules []shard.TableRule) *cluster {
+	return startClusterOn(t, n, rules, 0, walOver)
+}
+
+// startClusterOn is startCluster over commit devices that take syncDelay per
+// sync, each under the log configuration logOver builds.
+func startClusterOn(t testing.TB, n int, rules []shard.TableRule, syncDelay time.Duration, logOver func(wal.Storage) wal.Config) *cluster {
 	t.Helper()
 	cl := &cluster{t: t, m: &shard.Map{Version: 1, Rules: rules}}
 	lns := make([]net.Listener, n)
@@ -40,10 +54,14 @@ func startCluster(t *testing.T, n int, rules []shard.TableRule) *cluster {
 		cl.m.Shards = append(cl.m.Shards, shard.ShardInfo{Addr: ln.Addr().String()})
 	}
 	for i, ln := range lns {
-		db, err := core.Open(core.Config{WAL: wal.Config{SegmentSize: 4 << 20, BufferSize: 1 << 20}})
+		mem := wal.NewMemStorage()
+		gate := faultfs.NewSyncGate(mem, syncDelay)
+		db, err := core.Open(core.Config{WAL: logOver(gate)})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cl.mems = append(cl.mems, mem)
+		cl.gates = append(cl.gates, gate)
 		srv, err := server.New(cl.shardConfig(db, i))
 		if err != nil {
 			t.Fatal(err)
@@ -53,11 +71,10 @@ func startCluster(t *testing.T, n int, rules []shard.TableRule) *cluster {
 		cl.srvs = append(cl.srvs, srv)
 	}
 	t.Cleanup(func() {
-		for _, s := range cl.srvs {
-			s.Close()
-		}
-		for _, db := range cl.dbs {
-			db.Close()
+		for i := range cl.srvs {
+			cl.gates[i].Release()
+			cl.srvs[i].Close()
+			cl.dbs[i].Close()
 		}
 	})
 	return cl
@@ -79,6 +96,30 @@ func (cl *cluster) shardConfig(db *core.DB, i int) server.Config {
 func (cl *cluster) restartShard(i int) {
 	cl.t.Helper()
 	cl.srvs[i].Close()
+	cl.serveShard(i)
+}
+
+// crashShard restarts shard i from what its storage had synced (everything
+// written since, or while its gate was held, is lost): a fresh engine
+// recovered from that image, a fresh server on the same address.
+func (cl *cluster) crashShard(i int) {
+	cl.t.Helper()
+	cl.gates[i].Kill()
+	image := cl.mems[i].Crash()
+	cl.srvs[i].Close()
+	cl.dbs[i].Close()
+	cl.mems[i], cl.gates[i] = image, faultfs.NewSyncGate(image, 0)
+	db, err := core.Recover(core.Config{WAL: walOver(cl.gates[i])})
+	if err != nil {
+		cl.t.Fatal(err)
+	}
+	cl.dbs[i] = db
+	cl.serveShard(i)
+}
+
+// serveShard starts a server for shard i's engine on the shard's address.
+func (cl *cluster) serveShard(i int) {
+	cl.t.Helper()
 	srv, err := server.New(cl.shardConfig(cl.dbs[i], i))
 	if err != nil {
 		cl.t.Fatal(err)
@@ -98,7 +139,7 @@ func (cl *cluster) restartShard(i int) {
 	cl.srvs[i] = srv
 }
 
-func (cl *cluster) router(t *testing.T, opts shard.Options) *shard.Router {
+func (cl *cluster) router(t testing.TB, opts shard.Options) *shard.Router {
 	t.Helper()
 	if opts.PoolSize == 0 {
 		opts.PoolSize = 4
@@ -112,7 +153,7 @@ func (cl *cluster) router(t *testing.T, opts shard.Options) *shard.Router {
 }
 
 // shardKey returns a key that hashes to the wanted shard under table's rule.
-func shardKey(t *testing.T, m *shard.Map, table string, want int) []byte {
+func shardKey(t testing.TB, m *shard.Map, table string, want int) []byte {
 	t.Helper()
 	rule := m.RuleFor(table)
 	for i := 0; i < 10000; i++ {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 
 	"ermia/internal/client"
 	"ermia/internal/engine"
@@ -35,10 +36,18 @@ type routerTxn struct {
 
 // child returns (opening if needed) the transaction slice on shard.
 //
+// A commit this router reported may so far be only applied on the shard, not
+// durable (confirmQueue). Should the shard have restarted since, it is back
+// to prepared there, and a snapshot taken now would miss it. The new slice's
+// connection exists by the time Begin returns (it sends nothing yet), so if
+// the pool has dialed since the oldest such commit was sent, the queue is
+// re-delivered first: whoever was told "committed" never reads the state
+// from before.
+//
 //ermia:txn-owner routerTxn.children owns every child handle; Commit/commitCross and Abort walk the map and finish each exactly once
-func (t *routerTxn) child(shard int) *childTxn {
+func (t *routerTxn) child(shard int) (*childTxn, error) {
 	if c, ok := t.children[shard]; ok {
-		return c
+		return c, nil
 	}
 	var tx engine.Txn
 	if t.readOnly {
@@ -46,13 +55,19 @@ func (t *routerTxn) child(shard int) *childTxn {
 	} else {
 		tx = t.r.clients[shard].Begin(t.worker)
 	}
+	if t.r.clients[shard].Dials() > t.r.queues[shard].stale.Load() {
+		if err := t.r.redeliver(shard, t.worker); err != nil {
+			tx.Abort()
+			return nil, fmt.Errorf("shard %d: re-delivering commits after a reconnect: %w", shard, err)
+		}
+	}
 	c := &childTxn{shard: shard, txn: tx}
 	if t.children == nil {
 		t.children = make(map[int]*childTxn, 2)
 	}
 	t.children[shard] = c
 	t.order = append(t.order, shard)
-	return c
+	return c, nil
 }
 
 // readShard picks the shard that serves a read. Hash-partitioned keys have
@@ -76,7 +91,11 @@ func (t *routerTxn) Get(tbl engine.Table, key []byte) ([]byte, error) {
 	}
 	name := tbl.Name()
 	sh := t.readShard(t.r.m.RuleFor(name), key)
-	return t.child(sh).txn.Get(t.r.tableOn(sh, name), key)
+	c, err := t.child(sh)
+	if err != nil {
+		return nil, err
+	}
+	return c.txn.Get(t.r.tableOn(sh, name), key)
 }
 
 // Insert implements engine.Txn.
@@ -106,22 +125,24 @@ func (t *routerTxn) write(op byte, tbl engine.Table, key, value []byte) error {
 	rule := t.r.m.RuleFor(name)
 	if rule.Replicated && !t.readOnly {
 		for i := range t.r.clients {
-			if err := t.applyOp(t.child(i), op, name, key, value); err != nil {
+			if err := t.applyOp(i, op, name, key, value); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	sh := t.readShard(rule, key)
-	return t.applyOp(t.child(sh), op, name, key, value)
+	return t.applyOp(t.readShard(rule, key), op, name, key, value)
 }
 
-// applyOp performs the mutation on the child and, on success, mirrors it
+// applyOp performs the mutation on shard's child and, on success, mirrors it
 // into the child's write set. Key and value are copied: the write set must
 // survive until prepare time, after the caller may have reused its buffers.
-func (t *routerTxn) applyOp(c *childTxn, op byte, name string, key, value []byte) error {
-	tb := t.r.tableOn(c.shard, name)
-	var err error
+func (t *routerTxn) applyOp(shard int, op byte, name string, key, value []byte) error {
+	c, err := t.child(shard)
+	if err != nil {
+		return err
+	}
+	tb := t.r.tableOn(shard, name)
 	switch op {
 	case proto.MsgInsert:
 		err = c.txn.Insert(tb, key, value)
@@ -153,14 +174,19 @@ func (t *routerTxn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []b
 	}
 	name := tbl.Name()
 	rule := t.r.m.RuleFor(name)
+	var sh int
 	if rule.Replicated {
-		sh := t.readShard(rule, lo)
-		return t.child(sh).txn.Scan(t.r.tableOn(sh, name), lo, hi, fn)
+		sh = t.readShard(rule, lo)
+	} else if s, ok := t.r.m.SingleShardRange(rule, lo, hi); ok {
+		sh = s
+	} else {
+		return t.mergeScan(name, lo, hi, fn)
 	}
-	if sh, ok := t.r.m.SingleShardRange(rule, lo, hi); ok {
-		return t.child(sh).txn.Scan(t.r.tableOn(sh, name), lo, hi, fn)
+	c, err := t.child(sh)
+	if err != nil {
+		return err
 	}
-	return t.mergeScan(name, lo, hi, fn)
+	return c.txn.Scan(t.r.tableOn(sh, name), lo, hi, fn)
 }
 
 // scanPage bounds how many rows a merge-scan cursor pulls per round trip.
@@ -216,7 +242,10 @@ func (sc *scanCursor) ensure() (bool, error) {
 func (t *routerTxn) mergeScan(name string, lo, hi []byte, fn func(key, value []byte) bool) error {
 	curs := make([]*scanCursor, len(t.r.clients))
 	for i := range curs {
-		c := t.child(i)
+		c, err := t.child(i)
+		if err != nil {
+			return err
+		}
 		curs[i] = &scanCursor{
 			c:    c,
 			tbl:  t.r.tableOn(i, name),
@@ -290,7 +319,7 @@ func (t *routerTxn) Commit() error {
 		t.r.fastCommits.Add(1)
 		return nil
 	}
-	return t.r.commitCross(writers)
+	return t.r.commitCross(t.worker, writers)
 }
 
 // Abort implements engine.Txn.

@@ -24,13 +24,18 @@ if ! go run ./cmd/ermia-vet ./...; then
 	exit 1
 fi
 
-echo "== allocation budgets (AllocsPerRun, hot-path encode/decode/mvcc) =="
+echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc; syncs and forced waits per cross-shard commit) =="
 # The hotalloc analyzer above gates //ermia:hotpath functions to zero heap
 # escapes at compile time; these tests pin the per-op allocation count of
 # the functions whose allocations are intentional (frame read/write,
 # response building, version creation) so they cannot silently grow.
 go test -count=1 -run 'TestAllocBudgets|TestRespPayloadAllocBudget' \
 	./internal/proto/ ./internal/mvcc/ ./internal/server/ ./internal/client/
+# The same idea one level up: a cross-shard commit over modelled commit
+# devices may cost three syncs (two prepare records, the coordinator's C),
+# keep its caller waiting for two, and allocate within its budget.
+# BenchmarkCommitCross in the same package prints the numbers.
+go test -count=1 -run 'TestCommitCrossBudget' ./internal/shard/
 
 echo "== go build =="
 go build ./...
