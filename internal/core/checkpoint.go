@@ -627,4 +627,10 @@ func (db *DB) applyVersion(t *Table, oid mvcc.OID, key, val []byte, clsn uint64,
 	v.MaxPstamp(clsn)
 	v.SetNext(head)
 	t.arr.Install(oid, v)
+	if head != nil {
+		// An overwrite, queued for RunGC exactly as a commit queues its own.
+		db.applied.mu.Lock()
+		db.applied.entries = append(db.applied.entries, garbageEntry{t.arr, oid, clsn})
+		db.applied.mu.Unlock()
+	}
 }

@@ -103,8 +103,12 @@ func (t *Txn) Commit() error {
 	t.db.tids.SetCommitted(t.tid)
 
 	// Post-commit: replace TID stamps with the commit LSN so readers check
-	// visibility without chasing our context.
+	// visibility without chasing our context, and queue what this commit made
+	// obsolete for RunGC — each entry only after its new version carries the
+	// final stamp, because Prune never cuts behind a TID-stamped version.
 	ps := t.clock()
+	garbage := &t.db.workers[t.worker].garbage
+	garbage.mu.Lock()
 	for i := range t.writes {
 		w := &t.writes[i]
 		w.newV.MaxPstamp(cstamp) // new version: cstamp = pstamp = t.cstamp
@@ -112,7 +116,11 @@ func (t *Txn) Commit() error {
 			w.prev.SetSstamp(t.sstamp) // final π(V) for the overwritten version
 		}
 		w.newV.SetCLSN(cstamp)
+		if w.prev != nil {
+			garbage.entries = append(garbage.entries, garbageEntry{w.tbl.arr, w.oid, cstamp})
+		}
 	}
+	garbage.mu.Unlock()
 	t.accIndirect(ps)
 
 	t.finish(true)
@@ -274,7 +282,9 @@ func (t *Txn) Abort() {
 	t.finish(false)
 }
 
-// finish releases TID-table and epoch resources and clears reader marks.
+// finish releases TID-table and epoch resources, clears reader marks, and
+// hands the scratch arrays back to the worker context; the finished Txn keeps
+// none, so a stale handle can never reach the slot's next transaction.
 func (t *Txn) finish(committed bool) {
 	for _, v := range t.reads {
 		v.ClearReader(t.worker)
@@ -282,6 +292,7 @@ func (t *Txn) finish(committed bool) {
 	t.db.workerTID[t.worker].Store(0)
 	t.db.tids.Release(t.tid)
 	ws := &t.db.workers[t.worker]
+	ws.scratch, t.txnScratch = t.parked(), txnScratch{}
 	ws.slot.Quiesce()
 	ws.slot.Exit()
 	if committed {

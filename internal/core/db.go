@@ -45,9 +45,9 @@ type Config struct {
 	// makes its own round trip to the centralized log buffer instead of
 	// one reservation per transaction (the Figure 10 ablation).
 	LogPerOperation bool
-	// GCInterval is how often the background garbage collector sweeps the
-	// indirection arrays. Zero disables the background sweeper; call RunGC
-	// manually.
+	// GCInterval is how often the background garbage collector drains the
+	// workers' garbage lists. Zero disables the background collector; call
+	// RunGC manually.
 	GCInterval time.Duration
 	// EpochInterval is the timescale of the version-GC epoch manager.
 	// Defaults to 10ms.
@@ -106,7 +106,16 @@ type DB struct {
 	// to live transaction contexts (parallel SSN).
 	workerTID [MaxWorkers]atomic.Uint64
 
+	// workers are the per-slot transaction contexts (see worker.go).
 	workers [MaxWorkers]workerState
+
+	// Garbage collection (see RunGC): applied is the appliers' counterpart of
+	// a worker's garbage list. gcMu guards gcQueue, the entries earlier rounds
+	// kept, and gcSpare, an emptied array for the next round's first drain.
+	applied garbageList
+	gcMu    sync.Mutex
+	gcQueue []garbageEntry
+	gcSpare []garbageEntry
 
 	// Checkpointing (see checkpoint.go). lastCkpt identifies the newest
 	// published checkpoint; ckptMu serializes checkpointers so generation
@@ -114,10 +123,10 @@ type DB struct {
 	lastCkpt atomic.Pointer[CheckpointInfo]
 	ckptMu   sync.Mutex
 
-	gcStop        chan struct{}
-	gcDone        chan struct{}
-	closeOnce     sync.Once
-	closeErr      error
+	gcStop    chan struct{}
+	gcDone    chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 
 	// Fault containment (see health.go). logGate is read-locked by every
 	// log-writing window so Reattach can take it exclusively and rebuild the
@@ -127,15 +136,6 @@ type DB struct {
 	logGate     sync.RWMutex
 
 	stats DBStats
-}
-
-// workerState holds per-worker engine state, padded to avoid false sharing.
-type workerState struct {
-	slot    *epoch.Slot
-	prof    Profile
-	commits atomic.Uint64
-	aborts  atomic.Uint64
-	_       [24]byte
 }
 
 // Profile is the per-worker cycle breakdown of Figure 11, in nanoseconds.
@@ -159,6 +159,7 @@ type DBStats struct {
 	PhantomAborts  atomic.Uint64
 	VersionsPruned atomic.Uint64
 	GCRuns         atomic.Uint64
+	GCPending      atomic.Uint64 // overwrites the newest RunGC left queued above its horizon
 	Checkpoints    atomic.Uint64 // completed checkpoints this run
 	CkptEntries    atomic.Uint64 // entries captured by the newest checkpoint
 	CkptBytes      atomic.Uint64 // blob size of the newest checkpoint
@@ -351,7 +352,7 @@ func (db *DB) tableByID(id uint32) *Table {
 	return db.tableIDs[id]
 }
 
-// Tables returns all tables, for GC and checkpointing.
+// allTables returns all tables, for checkpointing.
 func (db *DB) allTables() []*Table {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -362,28 +363,55 @@ func (db *DB) allTables() []*Table {
 	return out
 }
 
-// RunGC performs one garbage collection sweep over every indirection
-// array, pruning versions no snapshot can reach (§3.2). It returns the
-// number of versions unlinked.
+// RunGC performs one garbage collection round: it drains the garbage lists
+// that commits and appliers fill, prunes the chain of every entry whose
+// overwriting version committed below the horizon (the oldest active
+// snapshot) down to the one version the horizon still sees, and keeps the
+// other entries for the next round — so its cost follows the write rate, not
+// the database size. It returns the number of versions unlinked.
 //
-//ermia:guard-entry the GC thread is the reclaimer side of the protocol: Advance/TryReclaim bracket the sweep, and a pruned version stays allocated until every slot that could have observed it has exited
+//ermia:guard-entry the GC thread is the reclaimer side of the protocol: Advance/TryReclaim bracket the round, and a pruned version stays allocated until every slot that could have observed it has exited
 func (db *DB) RunGC() int {
 	horizon := db.tids.MinActiveBegin()
 	if cur := db.beginStamp(); cur < horizon {
 		horizon = cur
 	}
 	db.gcEpoch.Advance()
-	removed := 0
-	for _, t := range db.allTables() {
-		arr := t.arr
-		arr.Scan(func(oid mvcc.OID, _ *mvcc.Version) bool {
-			removed += arr.Prune(oid, horizon)
-			return true
-		})
+	db.gcMu.Lock()
+	removed, kept := 0, db.gcQueue[:0]
+	collect := func(batch []garbageEntry) {
+		for _, g := range batch {
+			if g.cstamp < horizon {
+				removed += g.arr.Prune(g.oid, horizon)
+			} else {
+				kept = append(kept, g)
+			}
+		}
 	}
+	collect(db.gcQueue) // filters in place: kept never outruns the read position
+	spare := db.gcSpare
+	drain := func(list *garbageList) {
+		list.mu.Lock()
+		batch := list.entries
+		list.entries = spare // an emptied array from an earlier drain: nobody copies
+		list.mu.Unlock()
+		collect(batch)
+		spare = park(batch)
+	}
+	drain(&db.applied)
+	for i := range db.workers {
+		drain(&db.workers[i].garbage)
+	}
+	pending := len(kept)
+	if pending == 0 {
+		kept = park(kept)
+	}
+	db.gcQueue, db.gcSpare = kept, spare
+	db.gcMu.Unlock()
 	db.gcEpoch.TryReclaim()
 	db.stats.VersionsPruned.Add(uint64(removed))
 	db.stats.GCRuns.Add(1)
+	db.stats.GCPending.Store(uint64(pending))
 	return removed
 }
 

@@ -28,16 +28,14 @@ type Txn struct {
 	pstamp uint64
 	sstamp uint64
 
-	reads   []*mvcc.Version
-	rvReads []rvRead
-	writes  []writeEntry
+	// txnScratch is the read, write and node sets and the private log
+	// buffer, on loan from the worker context between begin and finish.
+	txnScratch
 	// lastWrite indexes the write entry touched by the most recent mutating
 	// op. An insert does not always append: re-inserting a key this
 	// transaction already wrote coalesces into the existing entry in place,
 	// so "the last element of writes" is not a valid way to find it.
 	lastWrite int
-	nodeSet   []index.Handle[mvcc.OID]
-	logBuf    []byte
 	opChain   uint64 // offset of the newest overflow/per-op block, or 0
 
 	prof *Profile
@@ -90,6 +88,9 @@ func (db *DB) begin(worker int, readOnly bool) *Txn {
 		sstamp:   mvcc.Infinity,
 	}
 	t.ssn = t.mode == SSN
+	// Take the slot's parked scratch and leave nothing: a second transaction
+	// opened on a busy slot, against the contract, gets its own nil arrays.
+	t.txnScratch, ws.scratch = ws.scratch, txnScratch{}
 	if db.cfg.Profile {
 		t.prof = &ws.prof
 	}
@@ -197,8 +198,11 @@ func (t *Txn) ssnRead(v *mvcc.Version, cstamp uint64) error {
 	if !t.ssn || cstamp == 0 {
 		return nil
 	}
-	v.MarkReader(t.worker)
-	t.reads = append(t.reads, v)
+	// A slot runs one transaction at a time and finish clears every mark, so
+	// a mark already set means v is already in this read set.
+	if v.MarkReader(t.worker) {
+		t.reads = append(t.reads, v)
+	}
 	if cstamp > t.pstamp {
 		t.pstamp = cstamp
 	}
@@ -267,21 +271,21 @@ func (t *Txn) addNode(h index.Handle[mvcc.OID]) {
 	if t.mode == SnapshotIsolation {
 		return
 	}
-	for i := range t.nodeSet {
-		if t.nodeSet[i] == h {
-			return
-		}
+	// Scans and clustered gets keep landing on the leaf they just visited.
+	if n := len(t.nodeSet); n > 0 && t.nodeSet[n-1] == h {
+		return
 	}
-	t.nodeSet = append(t.nodeSet, h)
+	if t.findNode(h) < 0 {
+		t.appendNode(h)
+	}
 }
 
 // refreshNode replaces a tracked handle that the transaction's own index
-// insert superseded.
+// insert superseded. The two handles name the same leaf slot, so the entry
+// keeps its place in the node set's hash table.
 func (t *Txn) refreshNode(before, after index.Handle[mvcc.OID]) {
-	for i := range t.nodeSet {
-		if t.nodeSet[i] == before {
-			t.nodeSet[i] = after
-		}
+	if i := t.findNode(before); i >= 0 {
+		t.nodeSet[i] = after
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // maxKeys is the node fanout. 64 keeps nodes around a few cache lines and
@@ -56,6 +57,11 @@ func (h Handle[V]) Valid() bool { return h.ref != nil && h.ref.ptr.Load() == h.s
 
 // Same reports whether two handles reference the same leaf slot.
 func (h Handle[V]) Same(o Handle[V]) bool { return h.ref == o.ref }
+
+// Slot returns the leaf slot's address as a hash key: equal for handles that
+// are Same, and stable because slots are heap objects that never move. It is
+// not a pointer and keeps nothing alive.
+func (h Handle[V]) Slot() uintptr { return uintptr(unsafe.Pointer(h.ref)) }
 
 // Tree is a concurrent B-link tree from byte-string keys to values of type
 // V. The zero value is not usable; call New.

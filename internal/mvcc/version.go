@@ -104,17 +104,21 @@ func (v *Version) Sstamp() Stamp { return v.sstamp.Load() }
 //ermia:hotpath overwriters publish π(V) once per write-set entry at commit
 func (v *Version) SetSstamp(s Stamp) { v.sstamp.Store(s) }
 
-// MarkReader records worker w as an in-flight reader of v.
+// MarkReader records worker w as an in-flight reader of v and reports
+// whether this call set the mark (false: w had already marked v).
 //
 //ermia:hotpath parallel SSN marks the reader bitmap on every read
-func (v *Version) MarkReader(w int) {
+func (v *Version) MarkReader(w int) bool {
 	w &= MaxReaders - 1
 	word, bit := w/64, uint(w%64)
 	mask := uint64(1) << bit
 	for {
 		old := v.readers[word].Load()
-		if old&mask != 0 || v.readers[word].CompareAndSwap(old, old|mask) {
-			return
+		if old&mask != 0 {
+			return false
+		}
+		if v.readers[word].CompareAndSwap(old, old|mask) {
+			return true
 		}
 	}
 }

@@ -56,7 +56,7 @@ type Config struct {
 	// timeout to several heartbeat intervals) so a quiet-but-alive primary
 	// is never mistaken for a dead one. Zero waits forever.
 	HeartbeatTimeout time.Duration
-	// GCEveryBlocks runs a version-GC sweep from the applier goroutine
+	// GCEveryBlocks runs a version-GC round from the applier goroutine
 	// after this many applied blocks (background GC would race the
 	// applier; see core.OpenReplica). Default 4096.
 	GCEveryBlocks int
@@ -283,9 +283,16 @@ func (r *Replica) seal() {
 	<-r.done
 }
 
+// setConn publishes the live connection so seal can cut it. seal closes stop
+// before it takes connMu, so a connection dialed while seal ran — too late
+// for seal's closeConn to see — finds stop closed here and is cut at once
+// instead of parking its reader forever.
 func (r *Replica) setConn(c net.Conn) {
 	r.connMu.Lock()
 	r.conn = c
+	if r.stopped() {
+		c.Close()
+	}
 	r.connMu.Unlock()
 }
 
@@ -718,8 +725,9 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 		r.blocks.Add(1)
 		r.bytes.Add(uint64(blk.Size))
 		if r.sinceGC++; r.sinceGC >= r.cfg.GCEveryBlocks {
-			// GC runs only here, on the applier goroutine, so a sweep can
-			// never race an install (see core.Applier).
+			// GC runs only here, on the applier goroutine, so a round can
+			// never race an install (see core.Applier). It drains what the
+			// applier queued: one entry per version installed over another.
 			r.db.RunGC()
 			r.sinceGC = 0
 		}

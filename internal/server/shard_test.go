@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
@@ -223,5 +224,54 @@ func TestShardPreparedListsAndFences(t *testing.T) {
 	}
 	if n := p.parked(); n != 0 {
 		t.Errorf("%d transactions still parked", n)
+	}
+}
+
+// TestShardPreparedKeepsItsWriteSet parks a prepared transaction across other
+// transactions' traffic. The engine lends every transaction its worker
+// slot's scratch arrays and takes them back when it finishes; a parked
+// transaction keeps its slot, so nothing the other slots run in the meantime
+// may reach its write set or its log records.
+func TestShardPreparedKeepsItsWriteSet(t *testing.T) {
+	p := newParticipant(t)
+	if err := p.prepare("g-parked", "k-parked", nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		txn := p.c.Begin(0)
+		key := []byte("other-" + strconv.Itoa(i))
+		if err := txn.Insert(p.tbl, key, []byte("o")); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := txn.Update(p.tbl, []byte("other-"+strconv.Itoa(i-1)), []byte("o2")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.has("k-parked") || p.parked() != 1 {
+		t.Fatalf("before the decision: k-parked visible=%v parked=%d", p.has("k-parked"), p.parked())
+	}
+	if err := p.c.ShardDecide(0, []byte("g-parked"), true); err != nil {
+		t.Fatal(err)
+	}
+	value := func() string {
+		ro := p.c.BeginReadOnly(1)
+		defer ro.Abort()
+		v, err := ro.Get(p.tbl, []byte("k-parked"))
+		if err != nil {
+			t.Fatalf("k-parked after the commit decision: %v", err)
+		}
+		return string(v)
+	}
+	if v := value(); v != "v" {
+		t.Fatalf("k-parked = %q, want the prepared insert's value", v)
+	}
+	p.crash() // the plain decide was acked durable: its log record must hold the same write
+	if v := value(); v != "v" || p.parked() != 0 {
+		t.Fatalf("after a crash: k-parked = %q, parked=%d", v, p.parked())
 	}
 }

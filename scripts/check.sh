@@ -24,13 +24,18 @@ if ! go run ./cmd/ermia-vet ./...; then
 	exit 1
 fi
 
-echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc; syncs and forced waits per cross-shard commit) =="
+echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc and whole transactions; syncs and forced waits per cross-shard commit) =="
 # The hotalloc analyzer above gates //ermia:hotpath functions to zero heap
 # escapes at compile time; these tests pin the per-op allocation count of
 # the functions whose allocations are intentional (frame read/write,
 # response building, version creation) so they cannot silently grow.
 go test -count=1 -run 'TestAllocBudgets|TestRespPayloadAllocBudget' \
 	./internal/proto/ ./internal/mvcc/ ./internal/server/ ./internal/client/
+# A whole engine transaction on a warm worker allocates only what outlives
+# it (the Txn, a Version per write, the insert's key and leaf copy); its
+# read, write and node sets and its log buffer come from the worker context.
+# BenchmarkTxnLifecycle and BenchmarkRunGC in the same package print B/op.
+go test -count=1 -run 'TestTxnAllocBudget' ./internal/core/
 # The same idea one level up: a cross-shard commit over modelled commit
 # devices may cost three syncs (two prepare records, the coordinator's C),
 # keep its caller waiting for two, and allocate within its budget.
@@ -52,6 +57,10 @@ echo "== repository benchmark (nested module: its tests, then every workload at 
 bash benchmark/run.sh -smoke
 
 echo "== go test -race (core, wal, epoch, engine, server, client, repl, faultconn; -short) =="
+# Includes the worker-context reuse tests (TestTxnUseAfterFinish,
+# TestTxnTwoLiveOnOneSlot, TestShardPreparedKeepsItsWriteSet) and the GC
+# equivalence tests (TestGCEquivalence*, TestReplicaGCFollowsTheApplier),
+# whose point is that recycled arrays and list-driven pruning stay race-free.
 go test -race -short -count=1 ./internal/core/ ./internal/wal/ ./internal/epoch/ \
 	./internal/engine/ ./internal/server/ ./internal/client/ ./internal/repl/ \
 	./internal/faultconn/ ./internal/query/ ./internal/shard/
