@@ -18,7 +18,7 @@ ermia-vet:
 	$(GO) run ./cmd/ermia-vet ./...
 
 race:
-	$(GO) test -race -short -count=1 ./internal/core/ ./internal/wal/ ./internal/epoch/
+	$(GO) test -race -short -count=1 ./internal/core/ ./internal/index/ ./internal/mvcc/ ./internal/wal/ ./internal/epoch/
 
 # The full local gate: vet + ermia-vet + build + test + short race pass.
 check:

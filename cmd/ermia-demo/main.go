@@ -243,10 +243,10 @@ func main() {
 				continue
 			}
 			s := db.Stats()
-			fmt.Printf("commits=%d aborts=%d ww-aborts=%d ssn-aborts=%d phantom=%d pruned=%d gc-pending=%d durable-lsn=%d\n",
+			fmt.Printf("commits=%d aborts=%d ww-aborts=%d ssn-aborts=%d phantom=%d pruned=%d gc-pending=%d idx-reclaimed=%d durable-lsn=%d\n",
 				s.Commits.Load(), s.Aborts.Load(), s.WWAborts.Load(),
 				s.SerialAborts.Load(), s.PhantomAborts.Load(),
-				s.VersionsPruned.Load(), s.GCPending.Load(), db.Log().DurableOffset())
+				s.VersionsPruned.Load(), s.GCPending.Load(), s.IndexEntriesReclaimed.Load(), db.Log().DurableOffset())
 		case "quit", "exit":
 			return
 		default:

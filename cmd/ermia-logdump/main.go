@@ -160,12 +160,24 @@ func dumpRecords(p []byte) {
 			}
 			fmt.Printf("      update table=%d oid=%d vlen=%d\n", table, oid, vlen)
 			p = p[vlen:]
-		case 4: // delete
+		case 4: // delete (keyless, older logs)
 			if len(p) < 12 {
 				return
 			}
 			fmt.Printf("      delete table=%d oid=%d\n", le(p), le64(p[4:]))
 			p = p[12:]
+		case 5: // delete carrying the key
+			if len(p) < 16 {
+				return
+			}
+			table, oid := le(p), le64(p[4:])
+			klen := int(le(p[12:]))
+			p = p[16:]
+			if len(p) < klen {
+				return
+			}
+			fmt.Printf("      delete table=%d oid=%d key=%x\n", table, oid, p[:klen])
+			p = p[klen:]
 		case 16: // create index
 			if len(p) < 10 {
 				return

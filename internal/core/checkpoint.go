@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"ermia/internal/engine"
+	"ermia/internal/index"
 	"ermia/internal/mvcc"
 	"ermia/internal/txnid"
 	"ermia/internal/wal"
@@ -20,10 +21,11 @@ import (
 //
 // Protocol:
 //
-//  1. Pin the GC horizon by allocating a TID whose begin stamp is the current
-//     log offset: MinActiveBegin now holds the horizon at or below the
+//  1. Pin the GC horizon by publishing the current log offset as a begin
+//     stamp (DB.ckptPin): the collector's horizon now stays at or below the
 //     snapshot for the whole scan, so Prune can never unlink the newest
-//     version below the cut while the scan walks a chain.
+//     version below the cut while the scan walks a chain, and a record the
+//     collector reclaims meanwhile was deleted below the cut either way.
 //  2. Log the checkpoint-begin record under the exclusive side of logGate.
 //     Every commit window (Reserve → SetCommitting → Commit) runs under the
 //     read side, so when the write lock is granted every transaction whose
@@ -113,12 +115,11 @@ func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
-	// Step 1: pin the GC horizon below the (upcoming) snapshot.
-	pin, err := db.tids.Allocate(db.beginStamp)
-	if err != nil {
-		return err
-	}
-	defer db.tids.Release(pin)
+	// Step 1: pin the GC horizon below the (upcoming) snapshot; zero holds it
+	// while the clock is read, as in Txn begin.
+	db.ckptPin.Store(0)
+	db.ckptPin.Store(db.beginStamp())
+	defer db.ckptPin.Store(stampIdle)
 
 	// Step 2: begin record under the exclusive gate — the commit-status
 	// barrier that makes the cut clean.
@@ -321,7 +322,7 @@ func (db *DB) CheckpointChunk(off uint64, max int) (CheckpointChunk, error) {
 // recovers from the seed instead of an empty mirror — and returns its begin
 // offset. The caller — the replica bootstrap path — must have quiesced the
 // applier: loading shares applyVersion's single-applier contract. Loading
-// over existing state is safe; see loadCheckpoint.
+// over existing state is safe; see loadCheckpoint and dropUnseeded.
 func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
 	if len(image) < 4 {
 		return 0, fmt.Errorf("core: checkpoint image truncated")
@@ -341,12 +342,53 @@ func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
 	if err := db.writeCheckpointBlob(name, image); err != nil {
 		return 0, err
 	}
-	if err := db.loadCheckpoint(payload); err != nil {
+	// A re-seed lands on the state an earlier stream left behind, and skips
+	// the log in between: note which records the image holds, so the ones it
+	// no longer holds can be dropped.
+	var seeded map[tableOID]bool
+	for _, t := range db.allTables() {
+		if t.idx.Len() > 0 {
+			seeded = make(map[tableOID]bool)
+			break
+		}
+	}
+	if err := db.loadCheckpoint(payload, seeded); err != nil {
 		return 0, err
+	}
+	if seeded != nil {
+		db.dropUnseeded(seeded, begin)
 	}
 	db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin})
 	db.PublishWatermark(begin)
 	return begin, nil
+}
+
+// tableOID names one record across tables.
+type tableOID struct {
+	t   *Table
+	oid mvcc.OID
+}
+
+// dropUnseeded deletes what a re-seed found standing that the image, cut at
+// begin, does not hold: records the primary deleted and reclaimed in the
+// stretch of log this replica never saw. Each gets the tombstone the skipped
+// delete record would have installed — stamped just below the cut, above
+// everything the replica had applied — and leaves through RunGC like any
+// other deleted record, so snapshots still open keep what they could see.
+//
+//ermia:guard-entry runs on the quiesced applier goroutine, which also owns GC on a replica
+func (db *DB) dropUnseeded(seeded map[tableOID]bool, begin uint64) {
+	for _, t := range db.allTables() {
+		t.idx.Scan(nil, nil, nil, func(key []byte, oid mvcc.OID) bool {
+			if seeded[tableOID{t, oid}] {
+				return true
+			}
+			if head := t.arr.Head(oid); head != nil && !head.Tombstone && head.CLSN() < begin {
+				db.applyVersion(t, oid, nil, key, begin-1, true, false)
+			}
+			return true
+		})
+	}
 }
 
 // TruncateLog frees log segments the newest checkpoint made redundant:
@@ -422,7 +464,7 @@ func (db *DB) ckptVisible(v *mvcc.Version, cut uint64) (bool, uint64) {
 // the cut, and every secondary index's bindings. Returns the extended buffer
 // and the number of main-table entries captured.
 //
-//ermia:guard-entry the scan holds a pinned TID whose begin stamp lower-bounds the GC horizon for its whole duration, so Prune can never unlink the newest version below the cut; versions unlinked above the cut stay reachable through held pointers
+//ermia:guard-entry the scan holds a pinned begin stamp (DB.ckptPin) that lower-bounds the GC horizon for its whole duration, so Prune can never unlink the newest version below the cut; versions unlinked above the cut stay reachable through held pointers
 func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
 	tables := db.allTables()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))
@@ -461,12 +503,12 @@ func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
 				}
 				v = v.Next()
 			}
-			if v == nil {
+			if v == nil || v.Absent() {
 				return true // created after the cut, or an aborted insert
 			}
-			flags := uint8(0)
+			flags, val := uint8(0), v.Data
 			if v.Tombstone {
-				flags = 1
+				flags, val = 1, nil // a tombstone's value is the key, already in the entry
 			}
 			buf = binary.LittleEndian.AppendUint32(buf, t.id)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
@@ -474,8 +516,8 @@ func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
 			buf = binary.LittleEndian.AppendUint64(buf, clsn)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 			buf = append(buf, key...)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Data)))
-			buf = append(buf, v.Data...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
+			buf = append(buf, val...)
 			nEntries++
 			return true
 		})
@@ -499,7 +541,9 @@ func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
 // applyVersion's apply-if-newer rule makes it idempotent, and tombstones are
 // first-class entries, so a replica re-seeding from a newer checkpoint
 // converges on the checkpoint state rather than resurrecting deleted keys.
-func (db *DB) loadCheckpoint(buf []byte) error {
+// A non-nil seeded collects the records loaded, for the sake of the keys the
+// primary's collector took out before the cut (dropUnseeded).
+func (db *DB) loadCheckpoint(buf []byte, seeded map[tableOID]bool) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("core: checkpoint truncated")
 	}
@@ -576,6 +620,12 @@ func (db *DB) loadCheckpoint(buf []byte) error {
 		if t == nil {
 			return fmt.Errorf("core: checkpoint entry for unknown table %d", id)
 		}
+		if flags == 1 {
+			val = key // a tombstone's value is its key
+		}
+		if seeded != nil {
+			seeded[tableOID{t, oid}] = true
+		}
 		db.applyVersion(t, oid, key, val, clsn, flags == 1, true)
 	}
 	// Secondary bindings run to the end of the blob.
@@ -597,40 +647,85 @@ func (db *DB) loadCheckpoint(buf []byte) error {
 		if si == nil {
 			return fmt.Errorf("core: checkpoint binding for unknown index %d", id)
 		}
-		si.idx.InsertIfAbsent(append([]byte(nil), buf[:sklen]...), oid)
+		// The image is the primary's index as of the cut: on a re-seed it
+		// overrides whatever binding an earlier stream left.
+		rebind(si.idx, append([]byte(nil), buf[:sklen]...), oid)
+		// A binding can outlive its record (the key reclaimed, the OID
+		// sealed), so the record itself may be missing above: never hand the
+		// OID out again, or the stale binding would resolve to a stranger.
+		si.tbl.arr.EnsureAllocated(oid)
 		buf = buf[sklen:]
 	}
 	return nil
 }
 
+// rebind makes key name oid in idx, whatever it named before, and returns the
+// OID it took the key from (InvalidOID if the key was free or already oid's).
+// It is replay's one way of binding a key, primary or secondary: the log and
+// the checkpoint image say what the primary's index held, and the primary may
+// have reclaimed a deleted record — and handed its key to a new one, under a
+// new OID — before this engine's own collector got to the old record. Only
+// the single applier calls it, so the two steps need not be atomic.
+func rebind(idx *index.Tree[mvcc.OID], key []byte, oid mvcc.OID) mvcc.OID {
+	bound, inserted := idx.InsertIfAbsent(key, oid)
+	if inserted || bound == oid {
+		return mvcc.InvalidOID
+	}
+	idx.Replace(key, bound, oid)
+	return bound
+}
+
 // applyVersion installs a recovered or replicated version at oid if it is
-// newer than what the slot already holds; withKey also (re)binds key → oid
-// in the index.
+// newer than what the slot already holds; withKey also binds key → oid in
+// the index. A tombstone's val is the record's key (empty when the log did
+// not carry it).
+//
+// The primary's collector and this engine's run at their own pace, so replay
+// meets both orders. Where this engine reclaimed a deleted record first and
+// the primary then re-inserted over the tombstone, the record arrives for a
+// sealed OID: the install stores over the seal, exactly as the primary kept
+// using that OID. Where the primary reclaimed first, a re-insert arrives
+// under a fresh OID while key still names the old record (rebind): the old
+// chain stays linked behind the new version, so a replica snapshot older than
+// the delete still finds what it could see. If the old record is not deleted
+// yet — a re-seed skipped the delete record along with the rest of that
+// stretch of log — it is deleted now, just below the insert, and collected
+// like any other. (Both chains are pruned through their own garbage entries;
+// whichever cut comes first serves both, since it only drops what no snapshot
+// can see.)
 //
 // There is never more than one applier: recovery is single-threaded, and a
 // replica has exactly one applier goroutine. Concurrent replica readers are
 // safe against the Install publication (the version is fully built first),
 // and the replica runs GC only from the applier goroutine itself, so an
-// installed version can never race a concurrent prune.
+// installed version can never race a concurrent prune or seal.
 //
 //ermia:guard-entry single-threaded applier: recovery runs before Open returns, and the replica applier is one goroutine that also owns GC, so no concurrent sweep can reclaim under it
 func (db *DB) applyVersion(t *Table, oid mvcc.OID, key, val []byte, clsn uint64, tombstone, withKey bool) {
 	t.arr.EnsureAllocated(oid)
+	var older *mvcc.Version
 	if withKey && len(key) > 0 {
-		t.idx.InsertIfAbsent(key, oid)
+		if old := rebind(t.idx, key, oid); old != mvcc.InvalidOID {
+			if older = t.arr.Head(old); older != nil && !older.Tombstone && clsn > 0 {
+				db.applyVersion(t, old, nil, key, clsn-1, true, false)
+				older = t.arr.Head(old)
+			}
+		}
 	}
 	head := t.arr.Head(oid)
 	if head != nil && head.CLSN() >= clsn {
 		return // checkpoint or earlier replay already delivered it
 	}
+	if head == nil {
+		head = older
+	}
 	v := mvcc.NewVersion(val, clsn, tombstone)
 	v.MaxPstamp(clsn)
 	v.SetNext(head)
 	t.arr.Install(oid, v)
-	if head != nil {
-		// An overwrite, queued for RunGC exactly as a commit queues its own.
-		db.applied.mu.Lock()
-		db.applied.entries = append(db.applied.entries, garbageEntry{t.arr, oid, clsn})
-		db.applied.mu.Unlock()
+	if head != nil || tombstone {
+		// An overwrite or a delete, queued for RunGC exactly as a commit
+		// queues its own.
+		db.applied.add(garbageEntry{t, oid, clsn})
 	}
 }

@@ -65,6 +65,10 @@ func (t *Txn) Commit() error {
 	// so a concurrent Reattach never observes a half-filled claim.
 	ls := t.clock()
 	t.db.logGate.RLock()
+	// Committing first, stamp second: anyone who still finds this transaction
+	// active may conclude that its stamp will be later than any offset they
+	// have seen, and anyone who finds it committing waits for the stamp.
+	t.db.tids.SetCommitting(t.tid, 0)
 	res, err := t.db.logMgr().Reserve(len(t.logBuf), wal.BlockCommit)
 	t.accLog(ls)
 	if err != nil {
@@ -104,8 +108,9 @@ func (t *Txn) Commit() error {
 
 	// Post-commit: replace TID stamps with the commit LSN so readers check
 	// visibility without chasing our context, and queue what this commit made
-	// obsolete for RunGC — each entry only after its new version carries the
-	// final stamp, because Prune never cuts behind a TID-stamped version.
+	// obsolete for RunGC — the versions it overwrote, the records it deleted —
+	// each entry only after its new version carries the final stamp, because
+	// neither Prune nor Seal acts on a TID-stamped version.
 	ps := t.clock()
 	garbage := &t.db.workers[t.worker].garbage
 	garbage.mu.Lock()
@@ -116,8 +121,8 @@ func (t *Txn) Commit() error {
 			w.prev.SetSstamp(t.sstamp) // final π(V) for the overwritten version
 		}
 		w.newV.SetCLSN(cstamp)
-		if w.prev != nil {
-			garbage.entries = append(garbage.entries, garbageEntry{w.tbl.arr, w.oid, cstamp})
+		if w.prev != nil || w.newV.Tombstone {
+			garbage.entries = append(garbage.entries, garbageEntry{w.tbl, w.oid, cstamp})
 		}
 	}
 	garbage.mu.Unlock()
@@ -133,20 +138,13 @@ func (t *Txn) Commit() error {
 // readers with smaller commit stamps are waited out so their η updates are
 // seen.
 func (t *Txn) ssnCommit(cstamp uint64) error {
-	// Phantom protection: validate the node set after entering pre-commit.
-	for _, h := range t.nodeSet {
-		if !h.Valid() {
-			t.db.stats.PhantomAborts.Add(1)
-			return engine.ErrPhantom
-		}
+	if err := t.validateNodes(cstamp); err != nil {
+		return err
 	}
 
-	// Tag overwritten versions so concurrent readers account the edge.
-	for i := range t.writes {
-		if p := t.writes[i].prev; p != nil {
-			p.SetSstamp(mvcc.TIDStamp(t.tid))
-		}
-	}
+	// (The versions this transaction overwrote have carried its TID as their
+	// successor stamp since the overwrite — see ssnWrite — so a committing
+	// reader of one of them finds us here, or found us active.)
 
 	// Finalize η(T): latest committed reader/creator among overwritten
 	// versions. Readers still committing with smaller stamps must finish
@@ -186,6 +184,40 @@ func (t *Txn) ssnCommit(cstamp uint64) error {
 	return nil
 }
 
+// validateNodes is phantom protection, in two halves that meet in the leaf.
+// An insert that lands in a tracked leaf before this point changes the leaf's
+// version, and the transaction aborts: it may have missed a key it should
+// have seen. An insert that lands later finds cstamp on every leaf where the
+// transaction relied on a key being absent, and takes it as a predecessor
+// stamp (ssnInsert), which orders the inserter after this transaction as the
+// tombstone's η(V) would have, had the key been deleted and not reclaimed.
+// Publishing before validating is what leaves no window between the two; an
+// abort further on leaves the stamps raised, which is only conservative. In
+// the other direction a gap may be a reclaimed delete, whose stamp the
+// transaction takes from DB.deleteFloor (see reclaim).
+func (t *Txn) validateNodes(cstamp uint64) error {
+	gaps := false
+	for i := range t.nodeSet {
+		if n := &t.nodeSet[i]; n.gap {
+			n.h.RaiseStamp(cstamp)
+			gaps = true
+		}
+	}
+	if gaps {
+		// What was read there may be a delete the collector has reclaimed.
+		if f := t.db.deleteFloor.Load(); f > t.pstamp {
+			t.pstamp = f
+		}
+	}
+	for i := range t.nodeSet {
+		if !t.nodeSet[i].h.Valid() {
+			t.db.stats.PhantomAborts.Add(1)
+			return engine.ErrPhantom
+		}
+	}
+	return nil
+}
+
 // ssnReadOnlyCommit runs the exclusion test for a transaction with no
 // writes; η(T) came entirely from forward processing. The pseudo commit
 // stamp sits just below the begin-stamp clock (the log's current offset, or
@@ -194,7 +226,20 @@ func (t *Txn) ssnCommit(cstamp uint64) error {
 // reader genuinely serializes before it (it cannot have seen that writer's
 // versions).
 func (t *Txn) ssnReadOnlyCommit() error {
+	// Committing before the stamp is read, as in Commit: an overwriter of
+	// something we read either still finds us active — then its own stamp is
+	// already taken and ours comes out later, so we wait for its outcome
+	// below — or waits for our η(V) updates before it finalizes its own η.
+	t.db.tids.SetCommitting(t.tid, 0)
 	cstamp := t.db.beginStamp() - 1
+	t.db.tids.SetCommitting(t.tid, cstamp)
+	// A replica's index changes only under its applier, which replays
+	// transactions the primary already certified against each other.
+	if !t.db.replica.Load() {
+		if err := t.validateNodes(cstamp); err != nil {
+			return err
+		}
+	}
 	if cstamp < t.sstamp {
 		t.sstamp = cstamp
 	}
@@ -255,9 +300,10 @@ func (t *Txn) spillOverflow() error {
 }
 
 // Abort rolls back: the write set is unlinked from the version chains,
-// overwritten versions get their successor stamps restored, and resources
-// return to their epoch managers. Safe to call on a transaction whose
-// Commit already failed (Commit aborts internally first).
+// overwritten versions get their successor stamps restored, keys this
+// transaction brought into the index leave it again, and resources return to
+// their epoch managers. Safe to call on a transaction whose Commit already
+// failed (Commit aborts internally first).
 //
 //ermia:guard-entry the worker's epoch slot was entered in begin and is held until finish, which runs at the end of this call
 func (t *Txn) Abort() {
@@ -268,13 +314,30 @@ func (t *Txn) Abort() {
 	for i := range t.writes {
 		w := &t.writes[i]
 		if w.prev != nil {
-			w.prev.SetSstamp(mvcc.Infinity) // undo any pre-commit tag
+			w.prev.SetSstamp(mvcc.Infinity) // undo ssnWrite's tag
 		}
 		next := w.newV.Next()
+		if next == nil || next.Absent() {
+			// Nothing (but our own absent version) lies behind ours: the
+			// record never existed, so retire the OID and take the key back
+			// out of the index, in that order (see reclaim). A racing insert
+			// of the same key waits out our TID stamp, meets the seal and goes
+			// back to the index.
+			if w.tbl.arr.Seal(w.oid, w.newV) {
+				t.db.unlink(w.tbl, w.key, w.oid)
+			}
+			continue
+		}
 		if !w.tbl.arr.CASHead(w.oid, w.newV, next) {
 			// Only this transaction may unlink its own uncommitted head;
 			// a failure means it already did (duplicate entry), fine.
 			continue
+		}
+		if s := next.CLSN(); next.Tombstone && !mvcc.IsTID(s) {
+			// We were re-inserting over a tombstone, which is the chain's
+			// head again. Its garbage entry may have been spent while ours
+			// stood in the way; queue another.
+			t.db.workers[t.worker].garbage.add(garbageEntry{w.tbl, w.oid, s})
 		}
 	}
 	// In per-op mode the already-shipped chain blocks are simply never
@@ -293,6 +356,9 @@ func (t *Txn) finish(committed bool) {
 	t.db.tids.Release(t.tid)
 	ws := &t.db.workers[t.worker]
 	ws.scratch, t.txnScratch = t.parked(), txnScratch{}
+	if ws.live--; ws.live == 0 {
+		ws.begin.Store(stampIdle)
+	}
 	ws.slot.Quiesce()
 	ws.slot.Exit()
 	if committed {

@@ -112,10 +112,17 @@ type DB struct {
 	// Garbage collection (see RunGC): applied is the appliers' counterpart of
 	// a worker's garbage list. gcMu guards gcQueue, the entries earlier rounds
 	// kept, and gcSpare, an emptied array for the next round's first drain.
+	// ckptPin is a running checkpoint's hold on the horizon, published like a
+	// worker's begin stamp.
 	applied garbageList
+	ckptPin atomic.Uint64
 	gcMu    sync.Mutex
 	gcQueue []garbageEntry
 	gcSpare []garbageEntry
+	// deleteFloor is the largest commit stamp among the deletes whose
+	// tombstones the collector has reclaimed: what a transaction that finds
+	// such a key absent has read, as far as SSN goes (see reclaim).
+	deleteFloor atomic.Uint64
 
 	// Checkpointing (see checkpoint.go). lastCkpt identifies the newest
 	// published checkpoint; ckptMu serializes checkpointers so generation
@@ -160,10 +167,13 @@ type DBStats struct {
 	VersionsPruned atomic.Uint64
 	GCRuns         atomic.Uint64
 	GCPending      atomic.Uint64 // overwrites the newest RunGC left queued above its horizon
-	Checkpoints    atomic.Uint64 // completed checkpoints this run
-	CkptEntries    atomic.Uint64 // entries captured by the newest checkpoint
-	CkptBytes      atomic.Uint64 // blob size of the newest checkpoint
-	SegmentsFreed  atomic.Uint64 // log segment files removed by truncation
+	// IndexEntriesReclaimed counts keys taken out of a primary index: deleted
+	// records once no snapshot could see them alive, and aborted inserts.
+	IndexEntriesReclaimed atomic.Uint64
+	Checkpoints           atomic.Uint64 // completed checkpoints this run
+	CkptEntries           atomic.Uint64 // entries captured by the newest checkpoint
+	CkptBytes             atomic.Uint64 // blob size of the newest checkpoint
+	SegmentsFreed         atomic.Uint64 // log segment files removed by truncation
 }
 
 // Open creates a DB. Pass a wal.RecoverResult-driven flow via Recover to
@@ -196,6 +206,10 @@ func newDB(cfg Config, log *wal.Manager) *DB {
 	}
 	if log != nil {
 		db.log.Store(log)
+	}
+	db.ckptPin.Store(stampIdle)
+	for i := range db.workers {
+		db.workers[i].begin.Store(stampIdle)
 	}
 	return db
 }
@@ -363,26 +377,44 @@ func (db *DB) allTables() []*Table {
 	return out
 }
 
+// horizon returns the collector's reclamation horizon: the oldest snapshot
+// any open transaction or running checkpoint holds, and at most the
+// begin-stamp clock. Versions overwritten, and records deleted, below it can
+// no longer be seen by any snapshot. The clock is read first: a transaction
+// this pass finds idle publishes its zero and reads its own stamp after that,
+// so its snapshot is no older than the value read here.
+func (db *DB) horizon() uint64 {
+	h := db.beginStamp()
+	if b := db.ckptPin.Load(); b < h {
+		h = b
+	}
+	for i := range db.workers {
+		if b := db.workers[i].begin.Load(); b < h {
+			h = b // a zero stamp (still initializing) blocks GC entirely
+		}
+	}
+	return h
+}
+
 // RunGC performs one garbage collection round: it drains the garbage lists
 // that commits and appliers fill, prunes the chain of every entry whose
-// overwriting version committed below the horizon (the oldest active
-// snapshot) down to the one version the horizon still sees, and keeps the
-// other entries for the next round — so its cost follows the write rate, not
-// the database size. It returns the number of versions unlinked.
+// version committed below the horizon (the oldest active snapshot) down to
+// the one version the horizon still sees, reclaims the record if that
+// version is a tombstone, and keeps the other entries for the next round — so
+// its cost follows the write rate, not the database size. It returns the
+// number of versions unlinked.
 //
 //ermia:guard-entry the GC thread is the reclaimer side of the protocol: Advance/TryReclaim bracket the round, and a pruned version stays allocated until every slot that could have observed it has exited
 func (db *DB) RunGC() int {
-	horizon := db.tids.MinActiveBegin()
-	if cur := db.beginStamp(); cur < horizon {
-		horizon = cur
-	}
+	horizon := db.horizon()
 	db.gcEpoch.Advance()
 	db.gcMu.Lock()
 	removed, kept := 0, db.gcQueue[:0]
 	collect := func(batch []garbageEntry) {
 		for _, g := range batch {
 			if g.cstamp < horizon {
-				removed += g.arr.Prune(g.oid, horizon)
+				removed += g.tbl.arr.Prune(g.oid, horizon)
+				db.reclaim(g.tbl, g.oid, horizon)
 			} else {
 				kept = append(kept, g)
 			}
@@ -413,6 +445,49 @@ func (db *DB) RunGC() int {
 	db.stats.GCRuns.Add(1)
 	db.stats.GCPending.Store(uint64(pending))
 	return removed
+}
+
+// reclaim finishes a delete: when oid's chain is down to one committed
+// tombstone older than horizon, no snapshot can see the record alive, and it
+// leaves the table. Seal first, unlink second: once the slot is sealed no
+// transaction can install a version on it (a re-insert that already found the
+// OID through the index loses its CAS, sees the seal and goes back to the
+// index), so there is never a version on an OID the index no longer reaches.
+// The tombstone names the key; one replayed from a log that predates keyed
+// delete records does not, and stays.
+//
+// A transaction that finds the key absent afterwards still depends on the
+// delete, which may have anti-dependencies of its own, but has no tombstone
+// to take the delete's stamp from. The stamp goes to deleteFloor before the
+// seal, and every transaction that relies on a key being absent takes the
+// floor as a predecessor stamp (validateNodes, ssnInsert). That is coarse —
+// one word for the engine — and costs little: the floor is below the horizon,
+// so below the begin stamp of whoever reads it, like the stamp of any version
+// that transaction could have read instead.
+//
+//ermia:guarded
+func (db *DB) reclaim(tbl *Table, oid mvcc.OID, horizon uint64) {
+	tomb := tbl.arr.DeadTombstone(oid, horizon)
+	if tomb == nil || len(tomb.Data) == 0 {
+		return
+	}
+	for s := tomb.CLSN(); ; {
+		if f := db.deleteFloor.Load(); f >= s || db.deleteFloor.CompareAndSwap(f, s) {
+			break
+		}
+	}
+	if tbl.arr.Seal(oid, tomb) {
+		db.unlink(tbl, tomb.Data, oid)
+	}
+}
+
+// unlink removes key from tbl's index while it still maps to the sealed oid.
+// Conditional, because anyone who meets the seal helps: the key may already
+// be gone, or bound again to a new record.
+func (db *DB) unlink(tbl *Table, key []byte, oid mvcc.OID) {
+	if tbl.idx.DeleteIf(key, oid) {
+		db.stats.IndexEntriesReclaimed.Add(1)
+	}
 }
 
 // WaitDurable blocks until every transaction committed so far is durable

@@ -22,6 +22,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(appendInsert(nil, 1, 42, []byte("key-1"), []byte("value-1")))
 	f.Add(appendUpdate(nil, 1, 42, []byte("value-2")))
 	f.Add(appendDelete(nil, 1, 42))
+	f.Add(appendDeleteKey(nil, 1, 42, []byte("key-1")))
 	f.Add(appendInsertSec(nil, 1, 43, []byte("key-2"), []byte("value-3"),
 		[]loggedSecondary{{index: 2, key: []byte("sk-2")}}))
 	// A whole commit-block payload: several records back to back, as the
@@ -30,6 +31,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	multi = appendInsert(multi, 3, 7, []byte("s1"), []byte("qty=10"))
 	multi = appendUpdate(multi, 3, 7, []byte("qty=9"))
 	multi = appendDelete(multi, 3, 7)
+	multi = appendDeleteKey(multi, 3, 8, []byte("s2"))
 	f.Add(multi)
 	// Known-hostile shapes: truncated header, huge declared lengths, an
 	// unknown kind, a secondary count with no entries behind it.
@@ -48,7 +50,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				_ = len(s.key)
 			}
 			switch r.kind {
-			case recCreateTable, recInsert, recUpdate, recDelete, recCreateIndex, recInsertSec:
+			case recCreateTable, recInsert, recUpdate, recDelete, recDeleteKey, recCreateIndex, recInsertSec:
 			default:
 				t.Fatalf("parser surfaced unknown kind %d", r.kind)
 			}
@@ -74,6 +76,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			[]loggedSecondary{{index: 9, key: skey}})
 		buf = appendUpdate(buf, table, oid, val)
 		buf = appendDelete(buf, table, oid)
+		buf = appendDeleteKey(buf, table, oid, key)
 
 		var got []logRecord
 		if err := decodeRecords(buf, func(r logRecord) error {
@@ -86,8 +89,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}); err != nil {
 			t.Fatalf("decode of freshly encoded records failed: %v", err)
 		}
-		if len(got) != 3 {
-			t.Fatalf("decoded %d records, want 3", len(got))
+		if len(got) != 4 {
+			t.Fatalf("decoded %d records, want 4", len(got))
 		}
 		ins := got[0]
 		if ins.kind != recInsertSec || ins.table != table || ins.oid != oid ||
@@ -102,6 +105,9 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		if del := got[2]; del.kind != recDelete || del.table != table || del.oid != oid {
 			t.Fatalf("delete did not round-trip: %+v", del)
+		}
+		if del := got[3]; del.kind != recDeleteKey || del.table != table || del.oid != oid || string(del.key) != string(key) {
+			t.Fatalf("keyed delete did not round-trip: %+v", del)
 		}
 	})
 }
@@ -260,9 +266,9 @@ func FuzzCheckpointBlob(f *testing.F) {
 	img, blobName, blob, want := fuzzCkptWorkload(f)
 
 	f.Add(blob)
-	f.Add(blob[:len(blob)/2])                  // truncated: checksum fails
-	f.Add(blob[:checkpointHeaderSize])         // header only, no trailer
-	flip := append([]byte(nil), blob...)       // body bit-flip: checksum fails
+	f.Add(blob[:len(blob)/2])            // truncated: checksum fails
+	f.Add(blob[:checkpointHeaderSize])   // header only, no trailer
+	flip := append([]byte(nil), blob...) // body bit-flip: checksum fails
 	flip[len(flip)/2] ^= 0x10
 	f.Add(flip)
 	tail := append([]byte(nil), blob...) // trailer bit-flip: checksum fails

@@ -117,9 +117,39 @@ func (w *gcWorkload) checkState(label string, txn engine.Txn, want map[string]st
 	}
 }
 
+// checkIndex asserts that every table's primary index holds exactly the
+// model's keys: nothing deleted is still there, nothing live has left.
+func (w *gcWorkload) checkIndex(label string) {
+	w.t.Helper()
+	for ti, tbl := range w.tbls {
+		got := tbl.(*Table).indexEntries()
+		want := 0
+		for mk := range w.model {
+			var mt int
+			var key string
+			fmt.Sscanf(mk, "%d/%s", &mt, &key)
+			if mt != ti {
+				continue
+			}
+			want++
+			if _, ok := got[key]; !ok {
+				w.t.Fatalf("%s: live key %s has left table %d's index", label, key, ti)
+			}
+		}
+		if len(got) != want || tbl.(*Table).Len() != want {
+			w.t.Fatalf("%s: table %d's index holds %d entries (Len %d) for %d live rows",
+				label, ti, len(got), tbl.(*Table).Len(), want)
+		}
+		if n := tbl.(*Table).unreachableChains(); n != 0 {
+			w.t.Fatalf("%s: table %d has %d version chains its index does not reach", label, ti, n)
+		}
+	}
+}
+
 // checkCollected runs a GC round with no transaction open and asserts the
-// fully collected state: the sweep agrees, nothing is queued anywhere, and
-// every chain is down to its one committed version.
+// fully collected state: the sweep agrees, nothing is queued anywhere, every
+// chain is down to its one committed version, and every index is down to
+// the live keys.
 func (w *gcWorkload) checkCollected(label string) {
 	w.t.Helper()
 	w.db.RunGC()
@@ -132,6 +162,7 @@ func (w *gcWorkload) checkCollected(label string) {
 	if n := w.db.longestChain(); n != 1 {
 		w.t.Fatalf("%s: longest chain has %d versions, want 1", label, n)
 	}
+	w.checkIndex(label)
 	txn := w.db.BeginReadOnly(0)
 	w.checkState(label, txn, w.model)
 	txn.Abort()
@@ -175,6 +206,15 @@ func runGCEquivalence(t *testing.T, seed uint64) {
 			pending, db.queuedGarbage())
 	}
 	w.checkState("reader's snapshot after GC", reader, snapshot)
+	for ti, tbl := range w.tbls {
+		idx := tbl.(*Table).indexEntries()
+		for k := 0; k < gcKeys; k++ {
+			key := fmt.Sprintf("k%02d", k)
+			if _, live := snapshot[fmt.Sprintf("%d/%s", ti, key)]; live && idx[key] == 0 {
+				t.Fatalf("reader open: key %d/%s, live in its snapshot, has left the index", ti, key)
+			}
+		}
+	}
 	// A retained entry is retried, not lost: more rounds change nothing.
 	if n := db.RunGC(); n != 0 || db.Stats().GCPending.Load() != pending {
 		t.Fatalf("reader open: second round pruned %d, GCPending %d → %d", n, pending, db.Stats().GCPending.Load())
@@ -233,6 +273,7 @@ func TestGCAbortEnqueuesNothing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		put(t, db, tbl, fmt.Sprintf("k%d", i), "v0")
 	}
+	db.RunGC() // the inserts' absent versions
 	txn := db.Begin(1)
 	for i := 0; i < 10; i++ {
 		if err := txn.Update(tbl, []byte(fmt.Sprintf("k%d", i)), []byte("v1")); err != nil {
@@ -300,5 +341,60 @@ func TestGCEquivalenceConcurrent(t *testing.T) {
 	}
 	if db.Stats().VersionsPruned.Load() == 0 {
 		t.Fatal("nothing was ever pruned")
+	}
+}
+
+// The collector's horizon is the oldest begin stamp a worker slot or a
+// checkpoint publishes, capped by the clock; a transaction keeps its hold
+// through pre-commit, and a stamp still being initialised blocks GC
+// altogether.
+func TestHorizon(t *testing.T) {
+	db := testDB(t, true)
+	tbl := db.CreateTable("t")
+	put(t, db, tbl, "k", "v0")
+	db.RunGC() // the insert's absent version
+	clock := db.beginStamp()
+	if h := db.horizon(); h != clock {
+		t.Fatalf("idle horizon %d, want the clock %d", h, clock)
+	}
+	a := db.BeginTxn(3)
+	put(t, db, tbl, "k2", "v") // moves the clock past a's snapshot
+	b := db.BeginTxn(4)
+	if a.begin >= b.begin || db.horizon() != a.begin {
+		t.Fatalf("horizon %d with snapshots at %d and %d", db.horizon(), a.begin, b.begin)
+	}
+	// A second transaction on a busy slot, against the contract, must not
+	// raise the slot's stamp; the slot holds until its last one finishes.
+	a2 := db.BeginTxn(3)
+	if db.horizon() != a.begin {
+		t.Fatalf("a second transaction on the slot moved the horizon to %d", db.horizon())
+	}
+	a.Abort()
+	if db.horizon() != a.begin {
+		t.Fatalf("horizon %d released while the slot still runs a transaction", db.horizon())
+	}
+	a2.Abort()
+	if db.horizon() != b.begin {
+		t.Fatalf("horizon %d after the older slot finished, want %d", db.horizon(), b.begin)
+	}
+	if err := b.Update(tbl, []byte("k"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, b)
+	if h := db.horizon(); h != db.beginStamp() {
+		t.Fatalf("horizon %d with nothing open, want the clock %d", h, db.beginStamp())
+	}
+	db.workers[9].begin.Store(0) // a begin caught between publishing and reading the clock
+	if db.horizon() != 0 || db.RunGC() != 0 {
+		t.Fatal("an initialising stamp must hold the horizon at zero")
+	}
+	db.workers[9].begin.Store(stampIdle)
+	db.ckptPin.Store(clock)
+	if db.horizon() != clock {
+		t.Fatalf("horizon %d under a checkpoint pinned at %d", db.horizon(), clock)
+	}
+	db.ckptPin.Store(stampIdle)
+	if n := db.RunGC(); n != 2 {
+		t.Fatalf("released horizon pruned %d versions, want the overwrite of k and what k2's insert overwrote", n)
 	}
 }

@@ -12,7 +12,8 @@ const (
 	recCreateTable uint8 = iota + 1
 	recInsert
 	recUpdate
-	recDelete
+	recDelete // keyless delete, from logs that predate recDeleteKey; decoded, never written
+	recDeleteKey
 )
 
 func encodeCreateTable(id uint32, name string) []byte {
@@ -47,10 +48,15 @@ func appendUpdate(buf []byte, table uint32, oid uint64, val []byte) []byte {
 	return buf
 }
 
-func appendDelete(buf []byte, table uint32, oid uint64) []byte {
-	buf = append(buf, recDelete)
+// appendDeleteKey encodes a delete record. The OID locates the record; the
+// key is what lets whoever replays the tombstone reclaim the index entry
+// once no snapshot needs it (see DB.reclaim).
+func appendDeleteKey(buf []byte, table uint32, oid uint64, key []byte) []byte {
+	buf = append(buf, recDeleteKey)
 	buf = binary.LittleEndian.AppendUint32(buf, table)
 	buf = binary.LittleEndian.AppendUint64(buf, oid)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = append(buf, key...)
 	return buf
 }
 
@@ -59,7 +65,7 @@ type logRecord struct {
 	kind  uint8
 	table uint32
 	oid   uint64
-	key   []byte // insert, createTable (name), createIndex (name)
+	key   []byte // insert, deleteKey, createTable (name), createIndex (name)
 	val   []byte // insert, update
 	index uint32 // createIndex: the new index id
 	sec   []secRef
@@ -158,6 +164,21 @@ func decodeRecords(p []byte, fn func(logRecord) error) error {
 			if err := fn(logRecord{kind: kind, table: table, oid: oid}); err != nil {
 				return err
 			}
+		case recDeleteKey:
+			if len(p) < 16 {
+				return fmt.Errorf("core: truncated delete record")
+			}
+			table := binary.LittleEndian.Uint32(p)
+			oid := binary.LittleEndian.Uint64(p[4:])
+			klen := int(binary.LittleEndian.Uint32(p[12:]))
+			p = p[16:]
+			if len(p) < klen {
+				return fmt.Errorf("core: truncated delete key")
+			}
+			if err := fn(logRecord{kind: kind, table: table, oid: oid, key: p[:klen]}); err != nil {
+				return err
+			}
+			p = p[klen:]
 		case recCreateIndex:
 			if len(p) < 10 {
 				return fmt.Errorf("core: truncated create-index record")

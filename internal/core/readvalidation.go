@@ -63,8 +63,8 @@ func (t *Txn) rvTrack(arr *mvcc.OIDArray, oid mvcc.OID, v *mvcc.Version, cstamp 
 //
 //ermia:guarded
 func (t *Txn) rvCommit() error {
-	for _, h := range t.nodeSet {
-		if !h.Valid() {
+	for _, n := range t.nodeSet {
+		if !n.h.Valid() {
 			t.db.stats.PhantomAborts.Add(1)
 			return engine.ErrPhantom
 		}
@@ -73,6 +73,12 @@ func (t *Txn) rvCommit() error {
 		r := &t.rvReads[i]
 		head := r.arr.Head(r.oid)
 		if head == r.v {
+			continue
+		}
+		// A tombstone we read and the collector has reclaimed since: the
+		// record is as absent as it was, and a re-insert (a new OID) would
+		// have failed the node set above.
+		if head == nil && r.v.Tombstone {
 			continue
 		}
 		// Our own write over the version we read is fine.

@@ -131,7 +131,7 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 		if !v2 {
 			gen, begin = c.gen, c.begin
 		}
-		if err := db.loadCheckpoint(payload); err != nil {
+		if err := db.loadCheckpoint(payload, nil); err != nil {
 			return nil, nil, 0, err
 		}
 		ckptBegin = begin
@@ -239,12 +239,13 @@ func (db *DB) applyRecords(payload []byte, cstamp uint64) error {
 				if si == nil {
 					return fmt.Errorf("core: record for unknown secondary index %d", s.index)
 				}
-				si.idx.InsertIfAbsent(cloneKey(s.key), oidOf(r))
+				bindSecondary(si, cloneKey(s.key), oidOf(r), r.key)
 			}
 		case recUpdate:
 			db.applyVersion(t, oidOf(r), nil, cloneKey(r.val), cstamp, false, false)
-		case recDelete:
-			db.applyVersion(t, oidOf(r), nil, nil, cstamp, true, false)
+		case recDelete, recDeleteKey:
+			// The tombstone's value is the record's key, when the log has it.
+			db.applyVersion(t, oidOf(r), nil, cloneKey(r.key), cstamp, true, false)
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -148,26 +149,54 @@ func (t *Txn) InsertWithSecondary(tbl engine.Table, key, value []byte, secondary
 	// coalesces into its existing write entry instead of appending.
 	w := &t.writes[t.lastWrite]
 	for _, se := range secondary {
-		is := t.clock()
-		existing, inserted, before, after := se.Index.idx.InsertH(se.Key, w.oid)
-		t.accIndex(is)
-		if t.ssn {
-			t.refreshNode(before, after)
-		}
-		if !inserted && existing != w.oid {
+		for {
+			is := t.clock()
+			existing, inserted, before, after := se.Index.idx.InsertH(se.Key, w.oid)
+			t.accIndex(is)
+			if t.ssn {
+				t.refreshNode(before, after)
+			}
+			if inserted || existing == w.oid {
+				break
+			}
 			// The secondary key is already bound to a different record.
+			if tab.arr.Sealed(existing) {
+				// A reclaimed record (or an aborted insert): nobody can see
+				// anything through the binding any more. Drop it and bind again.
+				se.Index.idx.DeleteIf(se.Key, existing)
+				continue
+			}
 			// Reject if that record is visibly alive.
 			if v, _ := t.readVisible(tab.arr, existing); v != nil && !v.Tombstone {
 				return engine.ErrDuplicate
 			}
-			// Dead binding: secondary keys are expected unique per live
-			// record; rebind by leaving both entries — readers resolve
-			// through visibility. (GC of stale entries is future work, as
-			// in the paper.)
+			// Dead but not yet reclaimed: secondary keys are expected unique
+			// per live record, and an older snapshot may still read the dead
+			// one through this binding, so it stays and ours is not made.
+			// (Multi-versioned index entries are future work, as in the paper.)
+			break
 		}
 		w.sec = append(w.sec, loggedSecondary{index: se.Index.id, key: cloneKey(se.Key)})
 	}
 	return nil
+}
+
+// bindSecondary is replay's half of the above: bind skey → oid for the record
+// whose primary key is pk. A binding to another OID is taken over (rebind)
+// when that OID holds nothing, or a tombstone for the same primary key — the
+// record was deleted and the primary, which would otherwise have reused the
+// OID, had reclaimed it. The old chain is linked behind the new record's (see
+// applyVersion), so a replica snapshot older than the delete reads the same
+// through either binding.
+//
+//ermia:guard-entry called only next to applyVersion, under the same single-applier contract
+func bindSecondary(si *SecondaryIndex, skey []byte, oid mvcc.OID, pk []byte) {
+	if bound, ok := si.idx.Get(skey); ok && bound != oid {
+		if old := si.tbl.arr.Head(bound); old != nil && !(old.Tombstone && bytes.Equal(old.Data, pk)) {
+			return
+		}
+	}
+	rebind(si.idx, skey, oid)
 }
 
 // GetBySecondary reads the record bound to skey through the secondary
@@ -182,22 +211,7 @@ func (t *Txn) GetBySecondary(si *SecondaryIndex, skey []byte) ([]byte, error) {
 	is := t.clock()
 	oid, ok, h := si.idx.GetH(skey)
 	t.accIndex(is)
-	t.addNode(h)
-	if !ok {
-		return nil, engine.ErrNotFound
-	}
-	v, cstamp := t.readVisible(si.tbl.arr, oid)
-	if v == nil {
-		return nil, engine.ErrNotFound
-	}
-	if err := t.ssnRead(v, cstamp); err != nil {
-		return nil, err
-	}
-	t.rvTrack(si.tbl.arr, oid, v, cstamp)
-	if v.Tombstone {
-		return nil, engine.ErrNotFound
-	}
-	return v.Data, nil
+	return t.readRecord(si.tbl.arr, oid, ok, h)
 }
 
 // ScanSecondary visits records with secondary keys in [lo, hi) in secondary
@@ -209,7 +223,7 @@ func (t *Txn) ScanSecondary(si *SecondaryIndex, lo, hi []byte, fn func(skey, val
 		return engine.ErrAborted
 	}
 	var err error
-	onLeaf := func(h index.Handle[mvcc.OID]) { t.addNode(h) }
+	onLeaf := func(h index.Handle[mvcc.OID]) { t.addNode(h, true) }
 	if t.mode == SnapshotIsolation {
 		onLeaf = nil
 	}

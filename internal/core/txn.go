@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"time"
 
@@ -14,6 +15,11 @@ import (
 // Txn is an ERMIA transaction. It is single-goroutine; Commit or Abort must
 // be called exactly once.
 type Txn struct {
+	// absent is the version linked behind this transaction's inserts under
+	// SSN (see absentPrev). First, so that it keeps the alignment its atomic
+	// words need on every platform.
+	absent mvcc.Version
+
 	db       *DB
 	worker   int
 	tid      txnid.TID
@@ -51,6 +57,12 @@ type writeEntry struct {
 	sec  []loggedSecondary
 }
 
+// errSealed is installOver's answer to an insert that reached an OID the
+// collector (or an aborting insert) has retired; it never leaves the package.
+//
+//ermia:classify local internal to Txn.Insert, which retries through the index
+var errSealed = errors.New("core: OID sealed")
+
 // Begin starts a read-write transaction on the given worker slot: the
 // transaction joins the epoch managers, acquires a TID and a begin
 // timestamp (the current LSN), and is ready for forward processing (§3.1).
@@ -70,6 +82,13 @@ func (db *DB) begin(worker int, readOnly bool) *Txn {
 		ws.slot = db.gcEpoch.Register()
 	}
 	ws.slot.Enter()
+	// Publish the snapshot for the collector's horizon: zero until the stamp
+	// is known, so a round that runs in between reclaims nothing. A second
+	// transaction opened on a busy slot, against the contract, leaves the
+	// older (lower) stamp standing.
+	if ws.live++; ws.live == 1 {
+		ws.begin.Store(0)
+	}
 	tid, err := db.tids.Allocate(db.beginStamp)
 	if err != nil {
 		// 64K slots with far fewer in-flight transactions: exhaustion means
@@ -78,6 +97,9 @@ func (db *DB) begin(worker int, readOnly bool) *Txn {
 	}
 	db.workerTID[w].Store(uint64(tid))
 	begin, _ := db.tids.Begin(tid)
+	if ws.live == 1 {
+		ws.begin.Store(begin)
+	}
 	t := &Txn{
 		db:       db,
 		worker:   w,
@@ -250,11 +272,18 @@ func (t *Txn) resolveSstamp(v *mvcc.Version, myCstamp uint64) uint64 {
 	}
 }
 
-// ssnWrite applies SSN's write rules for an overwritten version.
+// ssnWrite applies SSN's write rules for a version this transaction has just
+// overwritten (its install CAS won). The version is tagged with our TID as
+// its successor from now on, not from pre-commit: a reader that reaches its
+// own pre-commit must be able to tell "overwritten by a transaction still
+// active", whose commit stamp will be later than the reader's, from "not
+// overwritten" — and must never take an overwriter that already holds an
+// earlier stamp for the latter.
 func (t *Txn) ssnWrite(prev *mvcc.Version) error {
 	if !t.ssn || prev == nil {
 		return nil
 	}
+	prev.SetSstamp(mvcc.TIDStamp(t.tid))
 	if p := prev.Pstamp(); p > t.pstamp {
 		t.pstamp = p
 	}
@@ -266,17 +295,21 @@ func (t *Txn) ssnWrite(prev *mvcc.Version) error {
 }
 
 // addNode tracks an index leaf handle for phantom validation (any
-// serializable mode).
-func (t *Txn) addNode(h index.Handle[mvcc.OID]) {
+// serializable mode). gap says the transaction relied on a key being absent
+// from the leaf (see trackedNode).
+func (t *Txn) addNode(h index.Handle[mvcc.OID], gap bool) {
 	if t.mode == SnapshotIsolation {
 		return
 	}
 	// Scans and clustered gets keep landing on the leaf they just visited.
-	if n := len(t.nodeSet); n > 0 && t.nodeSet[n-1] == h {
-		return
+	i := len(t.nodeSet) - 1
+	if i < 0 || t.nodeSet[i].h != h {
+		i = t.findNode(h)
 	}
-	if t.findNode(h) < 0 {
-		t.appendNode(h)
+	if i < 0 {
+		t.appendNode(h, gap)
+	} else if gap {
+		t.nodeSet[i].gap = true
 	}
 }
 
@@ -285,7 +318,7 @@ func (t *Txn) addNode(h index.Handle[mvcc.OID]) {
 // keeps its place in the node set's hash table.
 func (t *Txn) refreshNode(before, after index.Handle[mvcc.OID]) {
 	if i := t.findNode(before); i >= 0 {
-		t.nodeSet[i] = after
+		t.nodeSet[i].h = after
 	}
 }
 
@@ -302,18 +335,29 @@ func (t *Txn) Get(tbl engine.Table, key []byte) ([]byte, error) {
 	is := t.clock()
 	oid, ok, h := tab.idx.GetH(key)
 	t.accIndex(is)
-	t.addNode(h)
-	if !ok {
-		return nil, engine.ErrNotFound
+	return t.readRecord(tab.arr, oid, ok, h)
+}
+
+// readRecord finishes a point read that reached oid (if found) through leaf
+// h. Every way of finding no record — no key, nothing on the OID, nothing
+// visible, a tombstone — also marks the leaf as a gap: the tombstone carries
+// stamps of its own, but only until the collector reclaims it.
+//
+//ermia:guarded
+func (t *Txn) readRecord(arr *mvcc.OIDArray, oid mvcc.OID, found bool, h index.Handle[mvcc.OID]) ([]byte, error) {
+	var v *mvcc.Version
+	var cstamp uint64
+	if found {
+		v, cstamp = t.readVisible(arr, oid)
 	}
-	v, cstamp := t.readVisible(tab.arr, oid)
+	t.addNode(h, v == nil || v.Tombstone)
 	if v == nil {
 		return nil, engine.ErrNotFound
 	}
 	if err := t.ssnRead(v, cstamp); err != nil {
 		return nil, err
 	}
-	t.rvTrack(tab.arr, oid, v, cstamp)
+	t.rvTrack(arr, oid, v, cstamp)
 	if v.Tombstone {
 		return nil, engine.ErrNotFound
 	}
@@ -329,7 +373,7 @@ func (t *Txn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []byte) b
 	}
 	tab := t.table(tbl)
 	var err error
-	onLeaf := func(h index.Handle[mvcc.OID]) { t.addNode(h) }
+	onLeaf := func(h index.Handle[mvcc.OID]) { t.addNode(h, true) }
 	if t.mode == SnapshotIsolation {
 		onLeaf = nil
 	}
@@ -370,30 +414,84 @@ func (t *Txn) Insert(tbl engine.Table, key, value []byte) error {
 		return err
 	}
 	tab := t.table(tbl)
+	absent := t.absentPrev()
 	newV := mvcc.NewVersion(value, mvcc.TIDStamp(t.tid), false)
+	newV.SetNext(absent)
 
 	vs := t.clock()
 	oid := tab.arr.Alloc()
 	tab.arr.Install(oid, newV)
 	t.accIndirect(vs)
 
-	is := t.clock()
-	existing, inserted, before, after := tab.idx.InsertH(key, oid)
-	t.accIndex(is)
+	for {
+		is := t.clock()
+		existing, inserted, before, after := tab.idx.InsertH(key, oid)
+		t.accIndex(is)
 
-	if inserted {
-		if t.ssn {
-			t.refreshNode(before, after)
+		if inserted {
+			if t.ssn {
+				t.refreshNode(before, after)
+			}
+			t.recordWrite(writeEntry{tbl: tab, oid: oid, newV: newV, prev: absent, key: cloneKey(key), kind: recInsert})
+			if err := t.ssnInsert(after); err != nil {
+				return err
+			}
+			return t.perOpLog()
 		}
-		t.recordWrite(writeEntry{tbl: tab, oid: oid, newV: newV, key: cloneKey(key), kind: recInsert})
-		return t.perOpLog()
-	}
 
-	// The key exists in the index: either a live duplicate, or a deleted /
-	// dangling record whose OID we can repopulate. Clear the orphan slot we
-	// provisioned so no TID-stamped version outlives this transaction.
-	tab.arr.Install(oid, nil)
-	return t.installOver(tab, existing, value, false, true, cloneKey(key))
+		// The key exists in the index: a live duplicate, a deleted or dangling
+		// record whose OID we can repopulate, or a sealed OID whose key is on
+		// its way out. Only the last leaves our provisioned slot in use.
+		err := t.installOver(tab, existing, value, false, true, cloneKey(key))
+		if err != errSealed {
+			// Clear the orphan slot so no TID-stamped version outlives this
+			// transaction.
+			tab.arr.Install(oid, nil)
+			if err == nil {
+				err = t.ssnInsert(after)
+			}
+			return err
+		}
+		// Nothing can be installed on a sealed OID. Whoever sealed it removes
+		// the key next; help, so the retry finds the key absent or rebound.
+		t.db.unlink(tab, key, existing)
+	}
+}
+
+// absentPrev returns what a version this transaction creates on an empty
+// chain is linked in front of: under SSN the transaction's absent version
+// (one serves all its inserts: they share η(T) and π(T) anyway), else nil.
+// It lives in the Txn, so it costs no allocation, and a chain that still
+// links it keeps the finished Txn alive until the collector prunes it.
+func (t *Txn) absentPrev() *mvcc.Version {
+	if !t.ssn {
+		return nil
+	}
+	if !t.absent.Tombstone {
+		t.absent.InitAbsent()
+		t.absent.SetSstamp(mvcc.TIDStamp(t.tid)) // overwritten from the start: see ssnWrite
+	}
+	return &t.absent
+}
+
+// ssnInsert orders an insert behind every committed transaction that saw its
+// key missing: readers publish their commit stamp on the leaf (ssnCommit),
+// and the insert, already in the leaf h, takes it as a predecessor — the
+// absent key's η(V) — along with the stamp of the delete that made the key
+// absent, if the collector has taken the tombstone (DB.reclaim). The
+// overwrite rules for the absent version itself ran with the install.
+func (t *Txn) ssnInsert(h index.Handle[mvcc.OID]) error {
+	if !t.ssn {
+		return nil
+	}
+	if s := max(h.Stamp(), t.db.deleteFloor.Load()); s > t.pstamp {
+		t.pstamp = s
+	}
+	if t.sstamp <= t.pstamp {
+		t.db.stats.SerialAborts.Add(1)
+		return engine.ErrSerialization
+	}
+	return nil
 }
 
 // Update implements engine.Txn.
@@ -413,15 +511,25 @@ func (t *Txn) Update(tbl engine.Table, key, value []byte) error {
 	is := t.clock()
 	oid, ok, h := tab.idx.GetH(key)
 	t.accIndex(is)
-	t.addNode(h)
+	t.addNode(h, !ok)
 	if !ok {
 		return engine.ErrNotFound
 	}
-	return t.installOver(tab, oid, value, false, false, nil)
+	return t.missed(h, t.installOver(tab, oid, value, false, false, nil))
 }
 
-// Delete implements engine.Txn: a tombstone update (§3.2). The index entry
-// stays; the garbage collector reclaims dead versions later.
+// missed marks leaf h as a gap when an update or delete found its record
+// gone, and passes err through.
+func (t *Txn) missed(h index.Handle[mvcc.OID], err error) error {
+	if err == engine.ErrNotFound {
+		t.addNode(h, true)
+	}
+	return err
+}
+
+// Delete implements engine.Txn: a tombstone update (§3.2). The tombstone
+// carries the key, so that once no snapshot can see the record alive the
+// garbage collector can take the key out of the index too (see reclaim).
 //
 //ermia:guard-entry the worker's epoch slot was entered in begin and is held until finish; every Txn method runs inside that window
 func (t *Txn) Delete(tbl engine.Table, key []byte) error {
@@ -438,11 +546,11 @@ func (t *Txn) Delete(tbl engine.Table, key []byte) error {
 	is := t.clock()
 	oid, ok, h := tab.idx.GetH(key)
 	t.accIndex(is)
-	t.addNode(h)
+	t.addNode(h, !ok)
 	if !ok {
 		return engine.ErrNotFound
 	}
-	return t.installOver(tab, oid, nil, true, false, nil)
+	return t.missed(h, t.installOver(tab, oid, cloneKey(key), true, false, nil))
 }
 
 // installOver installs a new version at oid's chain head under the
@@ -450,7 +558,9 @@ func (t *Txn) Delete(tbl engine.Table, key []byte) error {
 // early write-write detection the paper credits for minimizing wasted
 // work), a committed head newer than our snapshot aborts us, and a racing
 // CAS aborts us. asInsert permits writing over a tombstone (reinsert) and
-// reports ErrDuplicate instead of overwriting live records.
+// reports ErrDuplicate instead of overwriting live records; on a sealed OID
+// it returns errSealed, and the insert goes back to the index. A tombstone's
+// value is its record's key.
 //
 //ermia:guarded
 func (t *Txn) installOver(tab *Table, oid mvcc.OID, value []byte, tombstone, asInsert bool, insKey []byte) error {
@@ -459,19 +569,25 @@ func (t *Txn) installOver(tab *Table, oid mvcc.OID, value []byte, tombstone, asI
 	for {
 		head := tab.arr.Head(oid)
 		if head == nil {
-			// Dangling OID from an aborted insert: claim it.
 			if !asInsert {
 				return engine.ErrNotFound
 			}
+			if tab.arr.Sealed(oid) {
+				return errSealed
+			}
+			// Empty but not sealed: a dangling OID, as aborted inserts left
+			// behind before Abort sealed theirs. Claim it.
+			absent := t.absentPrev()
 			newV := mvcc.NewVersion(value, mvcc.TIDStamp(t.tid), tombstone)
+			newV.SetNext(absent)
 			if !tab.arr.CASHead(oid, nil, newV) {
 				continue // racing claimer; re-examine
 			}
-			t.recordWrite(writeEntry{tbl: tab, oid: oid, newV: newV, key: insKey, kind: recInsert})
+			t.recordWrite(writeEntry{tbl: tab, oid: oid, newV: newV, prev: absent, key: insKey, kind: recInsert})
 			return t.perOpLog()
 		}
 
-		s := head.CLSN()
+		s := head.CLSN() // becomes head's commit stamp below
 		if mvcc.IsTID(s) {
 			owner := mvcc.AsTID(s)
 			if owner == t.tid {
@@ -513,6 +629,7 @@ func (t *Txn) installOver(tab *Table, oid mvcc.OID, value []byte, tombstone, asI
 				}
 				// Committed inside our snapshot, mid post-commit: treat the
 				// head as the committed version and fall through.
+				s = cstamp
 			case txnid.StatusAborted:
 				runtime.Gosched() // abort cleanup will unlink it
 				continue
@@ -529,6 +646,11 @@ func (t *Txn) installOver(tab *Table, oid mvcc.OID, value []byte, tombstone, asI
 
 		if head.Tombstone {
 			if !asInsert {
+				// Reporting a delete is reading it: the caller may act on the
+				// absence, and a re-insert over this tombstone must see that.
+				if err := t.ssnRead(head, s); err != nil {
+					return err
+				}
 				return engine.ErrNotFound
 			}
 		} else if asInsert {
@@ -538,6 +660,9 @@ func (t *Txn) installOver(tab *Table, oid mvcc.OID, value []byte, tombstone, asI
 		newV := mvcc.NewVersion(value, mvcc.TIDStamp(t.tid), tombstone)
 		newV.SetNext(head)
 		if !tab.arr.CASHead(oid, head, newV) {
+			if asInsert && tab.arr.Sealed(oid) {
+				return errSealed // the collector retired the tombstone first
+			}
 			// Another writer installed first: write-write conflict.
 			t.db.stats.WWAborts.Add(1)
 			t.db.stats.WWCASRace.Add(1)
@@ -637,7 +762,7 @@ func (t *Txn) encodeWrite(buf []byte, w *writeEntry) []byte {
 			// delete-reinsert-delete chain), the net effect is that delete;
 			// otherwise the net effect on recovered state is nothing.
 			if w.prev != nil && !w.prev.Tombstone {
-				return appendDelete(buf, w.tbl.id, uint64(w.oid))
+				return appendDeleteKey(buf, w.tbl.id, uint64(w.oid), w.newV.Data)
 			}
 			return buf
 		}
@@ -646,7 +771,7 @@ func (t *Txn) encodeWrite(buf []byte, w *writeEntry) []byte {
 		}
 		return appendInsert(buf, w.tbl.id, uint64(w.oid), w.key, w.newV.Data)
 	case recDelete:
-		return appendDelete(buf, w.tbl.id, uint64(w.oid))
+		return appendDeleteKey(buf, w.tbl.id, uint64(w.oid), w.newV.Data)
 	default:
 		return appendUpdate(buf, w.tbl.id, uint64(w.oid), w.newV.Data)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -26,13 +27,23 @@ type workerState struct {
 	// garbage is what this worker's commits have overwritten since the last
 	// RunGC.
 	garbage garbageList
-	_       [24]byte
+	// begin is the begin stamp of the slot's live transaction, published for
+	// the collector's horizon: stampIdle with none, zero while begin is still
+	// reading the clock (which blocks GC entirely, as it must — the stamp
+	// about to land may be older than anything the collector can see). live
+	// counts the slot's open transactions; only the owner touches it.
+	begin atomic.Uint64
+	live  int
+	_     [8]byte
 }
+
+// stampIdle is a published begin stamp that holds no horizon.
+const stampIdle = math.MaxUint64
 
 // scratchKeepBytes bounds each array a worker context or the collector
 // retains between uses: one that grew past it is dropped rather than parked,
 // so a single huge transaction (a 100 %-size Q2*) does not pin its footprint
-// on the slot forever. 64 KB holds 8 192 reads or 4 096 leaf handles, a few
+// on the slot forever. 64 KB holds 8 192 reads or 2 730 tracked leaves, a few
 // times what the largest TPC-C-hybrid transaction needs.
 const scratchKeepBytes = 64 << 10
 
@@ -55,12 +66,23 @@ type txnScratch struct {
 	reads   []*mvcc.Version
 	rvReads []rvRead
 	writes  []writeEntry
-	nodeSet []index.Handle[mvcc.OID]
+	nodeSet []trackedNode
 	// nodeTab is an open-addressed set over nodeSet, keyed by leaf slot: an
 	// entry is a position in nodeSet plus one, zero is empty. Everything
 	// past its length is zero, so it can be resliced without clearing.
 	nodeTab []uint32
 	logBuf  []byte
+}
+
+// trackedNode is one node-set entry: a leaf at the version the transaction
+// saw it. gap is set once the transaction relied on a key being absent from
+// the leaf — a lookup that found no record, or a scan, which reads the spaces
+// between the keys it visits. Only those leaves get the transaction's commit
+// stamp (see ssnCommit); a lookup that hit read a version, which carries the
+// stamps itself.
+type trackedNode struct {
+	h   index.Handle[mvcc.OID]
+	gap bool
 }
 
 // parked returns s ready for the next transaction.
@@ -85,7 +107,7 @@ func (s *txnScratch) findNode(h index.Handle[mvcc.OID]) int {
 		return -1
 	}
 	for p := s.nodeSlot(h); s.nodeTab[p] != 0; p = (p + 1) & uint32(len(s.nodeTab)-1) {
-		if i := int(s.nodeTab[p] - 1); s.nodeSet[i] == h {
+		if i := int(s.nodeTab[p] - 1); s.nodeSet[i].h == h {
 			return i
 		}
 	}
@@ -93,8 +115,8 @@ func (s *txnScratch) findNode(h index.Handle[mvcc.OID]) int {
 }
 
 // appendNode adds h, which findNode did not find, to nodeSet.
-func (s *txnScratch) appendNode(h index.Handle[mvcc.OID]) {
-	s.nodeSet = append(s.nodeSet, h)
+func (s *txnScratch) appendNode(h index.Handle[mvcc.OID], gap bool) {
+	s.nodeSet = append(s.nodeSet, trackedNode{h, gap})
 	n := len(s.nodeSet)
 	first := n - 1
 	if 2*n > len(s.nodeTab) {
@@ -109,7 +131,7 @@ func (s *txnScratch) appendNode(h index.Handle[mvcc.OID]) {
 		first = 0
 	}
 	for i := first; i < n; i++ {
-		p := s.nodeSlot(s.nodeSet[i])
+		p := s.nodeSlot(s.nodeSet[i].h)
 		for s.nodeTab[p] != 0 {
 			p = (p + 1) & uint32(len(s.nodeTab)-1)
 		}
@@ -118,10 +140,11 @@ func (s *txnScratch) appendNode(h index.Handle[mvcc.OID]) {
 }
 
 // garbageEntry records that the version committed at cstamp overwrote an
-// older one at oid: once no snapshot begins at or below cstamp, everything
-// behind that version is unreachable.
+// older one at oid, or is a tombstone: once no snapshot begins at or below
+// cstamp, everything behind that version is unreachable, and if that version
+// is a tombstone so is the record.
 type garbageEntry struct {
-	arr    *mvcc.OIDArray
+	tbl    *Table
 	oid    mvcc.OID
 	cstamp uint64
 }
@@ -132,4 +155,10 @@ type garbageEntry struct {
 type garbageList struct {
 	mu      sync.Mutex
 	entries []garbageEntry
+}
+
+func (g *garbageList) add(e garbageEntry) {
+	g.mu.Lock()
+	g.entries = append(g.entries, e)
+	g.mu.Unlock()
 }

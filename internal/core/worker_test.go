@@ -230,7 +230,8 @@ func TestNodeSetDedup(t *testing.T) {
 			}
 		}
 		seen := map[index.Handle[mvcc.OID]]bool{}
-		for i, h := range txn.nodeSet {
+		for i, n := range txn.nodeSet {
+			h := n.h
 			if seen[h] {
 				t.Fatalf("round %d: node set holds handle %d twice", round, i)
 			}

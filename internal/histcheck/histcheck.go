@@ -61,6 +61,16 @@ func (h *History) Record(ops []Op) int {
 	return id
 }
 
+// Ops returns the footprint recorded under id, for failure messages.
+func (h *History) Ops(id int) []Op {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if id < 0 || id >= len(h.txns) {
+		return nil
+	}
+	return h.txns[id].Ops
+}
+
 // Len returns the number of committed transactions recorded.
 func (h *History) Len() int {
 	h.mu.Lock()

@@ -9,9 +9,17 @@
 // key and right-sibling pointer, so a reader that raced a split simply
 // follows the link.
 //
-// The snapshot pointer doubles as the node version Silo-style phantom
-// protection needs: a Handle captures (node slot, snapshot) and stays valid
-// exactly until any insert, delete, or split touches that leaf.
+// Every snapshot carries its slot's version word, which is what Silo-style
+// phantom protection needs: a Handle captures (node slot, version) and stays
+// valid until an insert or a split touches that leaf. Removing a dead key
+// (DeleteIf) and rebinding one (Replace) carry the version over unchanged:
+// neither changes what any reader is entitled to see.
+//
+// Every leaf slot also carries a stamp, a monotone word the tree only keeps
+// and hands on to the halves of a split. The engine's serializability
+// certifier stores in it the commit stamp of the latest transaction that saw
+// a key missing from the leaf, so that whoever inserts into the leaf later is
+// ordered after that reader (see Handle.Stamp).
 package index
 
 import (
@@ -28,32 +36,65 @@ const maxKeys = 64
 // node is an immutable tree node snapshot. Leaf nodes fill vals; inner
 // nodes fill children (len(children) == len(keys)+1). highKey bounds the
 // node's key range from above (nil in the rightmost node of a level), and
-// next points to the right sibling's slot.
-type node[V any] struct {
+// next points to the right sibling's slot. ver counts the inserts and splits
+// the node's slot has seen; it never decreases within a slot.
+type node[V comparable] struct {
 	keys     [][]byte
 	vals     []V
 	children []*nodeRef[V]
 	highKey  []byte
 	next     *nodeRef[V]
+	ver      uint64
 	leaf     bool
 }
 
 // nodeRef is a stable slot holding the current snapshot of one logical
 // node. Readers load ptr; writers lock mu, copy, and store.
-type nodeRef[V any] struct {
-	ptr atomic.Pointer[node[V]]
-	mu  sync.Mutex
+type nodeRef[V comparable] struct {
+	ptr   atomic.Pointer[node[V]]
+	mu    sync.Mutex
+	stamp atomic.Uint64
 }
 
-// Handle identifies a leaf snapshot for phantom validation: it is valid
-// while the leaf's slot still holds the same snapshot.
-type Handle[V any] struct {
-	ref  *nodeRef[V]
-	snap *node[V]
+// raise lifts the slot's stamp to at least s.
+func (r *nodeRef[V]) raise(s uint64) {
+	for {
+		old := r.stamp.Load()
+		if old >= s || r.stamp.CompareAndSwap(old, s) {
+			return
+		}
+	}
 }
 
-// Valid reports whether the leaf is unchanged since the handle was taken.
-func (h Handle[V]) Valid() bool { return h.ref != nil && h.ref.ptr.Load() == h.snap }
+// Handle identifies a leaf at one version for phantom validation: it is
+// valid while no insert or split has touched the leaf's slot since.
+type Handle[V comparable] struct {
+	ref *nodeRef[V]
+	ver uint64
+}
+
+func handleOf[V comparable](ref *nodeRef[V], n *node[V]) Handle[V] {
+	return Handle[V]{ref: ref, ver: n.ver}
+}
+
+// Valid reports whether no key has entered the leaf since the handle was
+// taken.
+func (h Handle[V]) Valid() bool { return h.ref != nil && h.ref.ptr.Load().ver == h.ver }
+
+// Stamp returns the leaf slot's stamp: the largest value RaiseStamp has
+// published on this leaf, or on a leaf this one was split from.
+//
+// The protocol the stamp supports is a store-then-load pair on each side. A
+// reader that relies on a key's absence calls RaiseStamp and then Valid; a
+// writer inserts its key (which ends Valid for older handles) and then calls
+// Stamp on the handle the insert returned. Whatever the interleaving, either
+// the reader's validation fails or the writer sees the reader's stamp — also
+// across a split, which installs the new version word before it copies the
+// stamp to the new sibling.
+func (h Handle[V]) Stamp() uint64 { return h.ref.stamp.Load() }
+
+// RaiseStamp lifts the leaf slot's stamp to at least s.
+func (h Handle[V]) RaiseStamp(s uint64) { h.ref.raise(s) }
 
 // Same reports whether two handles reference the same leaf slot.
 func (h Handle[V]) Same(o Handle[V]) bool { return h.ref == o.ref }
@@ -65,13 +106,13 @@ func (h Handle[V]) Slot() uintptr { return uintptr(unsafe.Pointer(h.ref)) }
 
 // Tree is a concurrent B-link tree from byte-string keys to values of type
 // V. The zero value is not usable; call New.
-type Tree[V any] struct {
+type Tree[V comparable] struct {
 	root *nodeRef[V]
 	size atomic.Int64
 }
 
 // New returns an empty tree.
-func New[V any]() *Tree[V] {
+func New[V comparable]() *Tree[V] {
 	t := &Tree[V]{root: &nodeRef[V]{}}
 	t.root.ptr.Store(&node[V]{leaf: true})
 	return t
@@ -146,7 +187,7 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 func (t *Tree[V]) GetH(key []byte) (V, bool, Handle[V]) {
 	ref, n := t.descendLeaf(key)
 	i, found := n.search(key)
-	h := Handle[V]{ref: ref, snap: n}
+	h := handleOf(ref, n)
 	if !found {
 		var zero V
 		return zero, false, h
@@ -163,7 +204,7 @@ func (t *Tree[V]) Scan(lo, hi []byte, onLeaf func(Handle[V]), fn func(key []byte
 	ref, n := t.descendLeaf(lo)
 	for {
 		if onLeaf != nil {
-			onLeaf(Handle[V]{ref: ref, snap: n})
+			onLeaf(handleOf(ref, n))
 		}
 		start, _ := n.search(lo)
 		for i := start; i < len(n.keys); i++ {
@@ -214,8 +255,13 @@ func (t *Tree[V]) InsertH(key []byte, v V) (existing V, inserted bool, before, a
 		newRoot := &node[V]{
 			keys:     [][]byte{sep},
 			children: []*nodeRef[V]{leftRef, rightRef},
+			ver:      n.ver + 1, // a handle on the root as a leaf dies here
 		}
 		cur.ptr.Store(newRoot)
+		if s := cur.stamp.Load(); s != 0 { // after the store: see Handle.Stamp
+			leftRef.raise(s)
+			rightRef.raise(s)
+		}
 		n = newRoot
 	}
 
@@ -245,7 +291,7 @@ func (t *Tree[V]) InsertH(key []byte, v V) (existing V, inserted bool, before, a
 	if found {
 		existing = n.vals[i]
 		cur.mu.Unlock()
-		h := Handle[V]{ref: cur, snap: n}
+		h := handleOf(cur, n)
 		return existing, false, h, h
 	}
 	leaf := &node[V]{
@@ -253,53 +299,94 @@ func (t *Tree[V]) InsertH(key []byte, v V) (existing V, inserted bool, before, a
 		vals:    insertAt(n.vals, i, v),
 		highKey: n.highKey,
 		next:    n.next,
+		ver:     n.ver + 1,
 		leaf:    true,
 	}
 	cur.ptr.Store(leaf)
 	cur.mu.Unlock()
 	t.size.Add(1)
-	return v, true, Handle[V]{ref: cur, snap: n}, Handle[V]{ref: cur, snap: leaf}
+	return v, true, handleOf(cur, n), handleOf(cur, leaf)
 }
 
-// Delete removes key, reporting whether it was present. Emptied leaves are
-// kept (no merging), as in most production latch-free indexes.
-func (t *Tree[V]) Delete(key []byte) bool {
-	cur := t.root
-	cur.mu.Lock()
-	n := cur.ptr.Load()
-	for !n.leaf {
-		childRef := n.children[n.childIndex(key)]
-		childRef.mu.Lock()
-		cur.mu.Unlock()
-		cur = childRef
-		n = cur.ptr.Load()
+// lockLeaf returns the leaf covering key with its slot locked. Changing one
+// entry of a leaf needs no other lock: the descent is the readers' lock-free
+// one, and a split that moved key right in the meantime is followed through
+// the B-link under the lock.
+func (t *Tree[V]) lockLeaf(key []byte) (*nodeRef[V], *node[V]) {
+	ref, _ := t.descendLeaf(key)
+	for {
+		ref.mu.Lock()
+		n := ref.ptr.Load()
+		switch {
+		case n.past(key):
+			ref.mu.Unlock()
+			ref = n.next
+		case !n.leaf: // the root grew between the descent and the lock
+			ref.mu.Unlock()
+			ref, _ = t.descendLeaf(key)
+		default:
+			return ref, n
+		}
 	}
+}
+
+// DeleteIf removes key while it still maps to v, reporting whether it did.
+// It is for entries no reader can see any more (a reclaimed tombstone, an
+// aborted insert): the leaf keeps its version, so the handles transactions
+// hold on it stay valid. Emptied leaves are kept (no merging), as in most
+// production latch-free indexes.
+func (t *Tree[V]) DeleteIf(key []byte, v V) bool {
+	ref, n := t.lockLeaf(key)
+	defer ref.mu.Unlock()
 	i, found := n.search(key)
-	if !found {
-		cur.mu.Unlock()
+	if !found || n.vals[i] != v {
 		return false
 	}
-	leaf := &node[V]{
+	ref.ptr.Store(&node[V]{
 		keys:    removeAt(n.keys, i),
 		vals:    removeAt(n.vals, i),
 		highKey: n.highKey,
 		next:    n.next,
+		ver:     n.ver,
 		leaf:    true,
-	}
-	cur.ptr.Store(leaf)
-	cur.mu.Unlock()
+	})
 	t.size.Add(-1)
+	return true
+}
+
+// Replace rebinds key from old to v, reporting whether key still mapped to
+// old. The key set does not change, so the leaf keeps its version.
+func (t *Tree[V]) Replace(key []byte, old, v V) bool {
+	ref, n := t.lockLeaf(key)
+	defer ref.mu.Unlock()
+	i, found := n.search(key)
+	if !found || n.vals[i] != old {
+		return false
+	}
+	vals := append([]V(nil), n.vals...)
+	vals[i] = v
+	ref.ptr.Store(&node[V]{
+		keys:    n.keys,
+		vals:    vals,
+		highKey: n.highKey,
+		next:    n.next,
+		ver:     n.ver,
+		leaf:    true,
+	})
 	return true
 }
 
 // splitChild splits a full child in place: the child's slot keeps the left
 // half and a fresh slot gets the right half. Caller holds the child's lock.
-func splitChild[V any](childRef *nodeRef[V], child *node[V]) (*nodeRef[V], []byte) {
+func splitChild[V comparable](childRef *nodeRef[V], child *node[V]) (*nodeRef[V], []byte) {
 	left, right, sep := splitNode(child)
 	rightRef := &nodeRef[V]{}
 	rightRef.ptr.Store(right)
 	left.next = rightRef
 	childRef.ptr.Store(left)
+	if s := childRef.stamp.Load(); s != 0 { // after the store: see Handle.Stamp
+		rightRef.raise(s)
+	}
 	return rightRef, sep
 }
 
@@ -317,19 +404,19 @@ func (t *Tree[V]) splitInto(n *node[V]) (*nodeRef[V], *nodeRef[V], []byte) {
 // splitNode builds the two immutable halves of n. For a leaf the separator
 // is the right half's first key (and stays in it); for an inner node the
 // separator moves up.
-func splitNode[V any](n *node[V]) (left, right *node[V], sep []byte) {
+func splitNode[V comparable](n *node[V]) (left, right *node[V], sep []byte) {
 	mid := len(n.keys) / 2
 	if n.leaf {
 		sep = n.keys[mid]
 		left = &node[V]{
 			keys:    append([][]byte(nil), n.keys[:mid]...),
 			vals:    append([]V(nil), n.vals[:mid]...),
-			highKey: sep, next: n.next, leaf: true,
+			highKey: sep, next: n.next, ver: n.ver + 1, leaf: true,
 		}
 		right = &node[V]{
 			keys:    append([][]byte(nil), n.keys[mid:]...),
 			vals:    append([]V(nil), n.vals[mid:]...),
-			highKey: n.highKey, next: n.next, leaf: true,
+			highKey: n.highKey, next: n.next, ver: n.ver + 1, leaf: true,
 		}
 		return left, right, sep
 	}
@@ -337,12 +424,12 @@ func splitNode[V any](n *node[V]) (left, right *node[V], sep []byte) {
 	left = &node[V]{
 		keys:     append([][]byte(nil), n.keys[:mid]...),
 		children: append([]*nodeRef[V](nil), n.children[:mid+1]...),
-		highKey:  sep, next: n.next,
+		highKey:  sep, next: n.next, ver: n.ver,
 	}
 	right = &node[V]{
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),
 		children: append([]*nodeRef[V](nil), n.children[mid+1:]...),
-		highKey:  n.highKey, next: n.next,
+		highKey:  n.highKey, next: n.next, ver: n.ver,
 	}
 	return left, right, sep
 }
@@ -355,6 +442,7 @@ func (n *node[V]) withChildSplit(idx int, sep []byte, rightRef *nodeRef[V]) *nod
 		children: insertAt(n.children, idx+1, rightRef),
 		highKey:  n.highKey,
 		next:     n.next,
+		ver:      n.ver,
 	}
 }
 

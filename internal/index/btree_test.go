@@ -56,11 +56,14 @@ func TestDelete(t *testing.T) {
 		tr.Insert(key(i), i)
 	}
 	for i := 0; i < n; i += 2 {
-		if !tr.Delete(key(i)) {
+		if tr.DeleteIf(key(i), i+1) {
+			t.Fatalf("delete %d succeeded against the wrong value", i)
+		}
+		if !tr.DeleteIf(key(i), i) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
-	if tr.Delete(key(0)) {
+	if tr.DeleteIf(key(0), 0) {
 		t.Fatal("double delete succeeded")
 	}
 	if tr.Len() != n/2 {
@@ -80,7 +83,7 @@ func TestRandomAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for op := 0; op < 20000; op++ {
 		k := key(rng.Intn(2000))
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			_, inserted := tr.InsertIfAbsent(k, op)
 			_, exists := model[string(k)]
@@ -91,12 +94,27 @@ func TestRandomAgainstModel(t *testing.T) {
 				model[string(k)] = op
 			}
 		case 1:
-			deleted := tr.Delete(k)
-			_, exists := model[string(k)]
-			if deleted != exists {
-				t.Fatalf("op %d: deleted=%v exists=%v", op, deleted, exists)
+			// Half the conditional deletes name the bound value, half a stale one.
+			mv, exists := model[string(k)]
+			stale := rng.Intn(2) == 0
+			if stale {
+				mv = -1
 			}
-			delete(model, string(k))
+			if deleted := tr.DeleteIf(k, mv); deleted != (exists && !stale) {
+				t.Fatalf("op %d: deleted=%v exists=%v stale=%v", op, deleted, exists, stale)
+			} else if deleted {
+				delete(model, string(k))
+			}
+		case 2:
+			mv, exists := model[string(k)]
+			if tr.Replace(k, -1, op) {
+				t.Fatalf("op %d: replace against a stale value succeeded", op)
+			}
+			if replaced := tr.Replace(k, mv, op); replaced != exists {
+				t.Fatalf("op %d: replaced=%v exists=%v", op, replaced, exists)
+			} else if replaced {
+				model[string(k)] = op
+			}
 		default:
 			v, ok := tr.Get(k)
 			mv, exists := model[string(k)]
@@ -172,10 +190,39 @@ func TestHandleInvalidation(t *testing.T) {
 	// An unrelated faraway key may share the leaf in a small tree; use a
 	// direct neighbour to guarantee same-leaf invalidation.
 	tr.Insert(key(5000), 5000)
+	if h.Valid() {
+		t.Fatal("handle survived an insert into its leaf")
+	}
+	// Removing a dead key or rebinding one changes nothing a reader may see:
+	// the handle stays valid, until the next insert.
 	_, _, h2 := tr.GetH(key(5))
-	tr.Delete(key(5))
+	if !tr.DeleteIf(key(5), 5) || !tr.Replace(key(6), 6, 60) {
+		t.Fatal("conditional delete or replace failed")
+	}
+	if !h2.Valid() {
+		t.Fatal("handle invalidated by a dead-key removal")
+	}
+	tr.Insert(key(5), 55)
 	if h2.Valid() {
-		t.Fatal("handle survived delete of its key")
+		t.Fatal("handle survived the re-insert of the removed key")
+	}
+}
+
+// A handle must stay invalid however the leaf changes afterwards: versions
+// only grow, through leaf splits and the root turning into an inner node.
+func TestHandleNeverRevalidates(t *testing.T) {
+	tr := New[int]()
+	tr.Insert(key(0), 0)
+	_, _, h := tr.GetH(key(0)) // the root, as a leaf
+	tr.Insert(key(1), 1)
+	for i := 2; i < 1000; i++ {
+		if h.Valid() {
+			t.Fatalf("stale handle valid again after %d inserts", i)
+		}
+		tr.Insert(key(i), i)
+		if i%3 == 0 {
+			tr.DeleteIf(key(i-1), i-1)
+		}
 	}
 }
 
@@ -417,5 +464,160 @@ func BenchmarkScan100(b *testing.B) {
 			cnt++
 			return cnt < 100
 		})
+	}
+}
+
+// Conditional deletes and rebinds racing inserts, splits and lock-free
+// readers: every key a writer owns ends where its last operation left it,
+// readers never see a torn leaf, and a reader's handle on a leaf survives
+// exactly the operations that let no key in.
+func TestConcurrentDeleteIfReplace(t *testing.T) {
+	tr := New[int]()
+	const writers, perWriter, rounds = 4, 400, 6
+	stop := make(chan struct{})
+	var readerErr atomic.Value
+	var rg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		rg.Add(1)
+		go func(seed int64) {
+			defer rg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var last []byte
+				n := 0
+				tr.Scan(key(rng.Intn(writers*perWriter)), nil, func(h Handle[int]) { h.Valid() },
+					func(k []byte, _ int) bool {
+						if last != nil && bytes.Compare(k, last) <= 0 {
+							readerErr.Store(fmt.Sprintf("scan out of order: %q after %q", k, last))
+							return false
+						}
+						last = append(last[:0], k...)
+						n++
+						return n < 100
+					})
+			}
+		}(int64(r))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			// Writers interleave key ranges, so they share leaves.
+			for round := 0; round < rounds; round++ {
+				for i := 0; i < perWriter; i++ {
+					k, v := key(i*writers+id), round*1000+id
+					if !tr.Insert(k, v) {
+						t.Errorf("writer %d round %d: key %d still present", id, round, i)
+						return
+					}
+					if tr.DeleteIf(k, v+1) || tr.Replace(k, v+1, 0) {
+						t.Errorf("writer %d: conditional op matched a value never bound", id)
+						return
+					}
+					if !tr.Replace(k, v, v+1) {
+						t.Errorf("writer %d: replace of own binding failed", id)
+						return
+					}
+				}
+				if round == rounds-1 {
+					break
+				}
+				for i := 0; i < perWriter; i++ {
+					if !tr.DeleteIf(key(i*writers+id), round*1000+id+1) {
+						t.Errorf("writer %d round %d: delete of own binding %d failed", id, round, i)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	if e := readerErr.Load(); e != nil {
+		t.Fatal(e)
+	}
+	if tr.Len() != writers*perWriter {
+		t.Fatalf("len = %d, want %d", tr.Len(), writers*perWriter)
+	}
+	for id := 0; id < writers; id++ {
+		for i := 0; i < perWriter; i++ {
+			if v, ok := tr.Get(key(i*writers + id)); !ok || v != (rounds-1)*1000+id+1 {
+				t.Fatalf("key %d of writer %d = %d, %v", i, id, v, ok)
+			}
+		}
+	}
+	assertOrdered(t, tr)
+}
+
+// A leaf's stamp follows its keys through splits: whatever leaf a key ends up
+// in carries at least every stamp raised on a leaf that covered the key.
+func TestStampSurvivesSplits(t *testing.T) {
+	tr := New[int]()
+	for i := 0; i < 10; i++ {
+		tr.Insert(key(i*1000), i)
+	}
+	_, _, h := tr.GetH(key(4500)) // a miss, on the root while it is a leaf
+	h.RaiseStamp(7)
+	h.RaiseStamp(5) // never lowers
+	// A root split, then many leaf splits.
+	for i := 0; i < 10000; i++ {
+		tr.Insert(key(i), i)
+	}
+	if h.Valid() {
+		t.Fatal("handle survived inserts into its leaf")
+	}
+	for i := 0; i < 10000; i += 37 {
+		if _, _, g := tr.GetH(key(i)); g.Stamp() != 7 {
+			t.Fatalf("leaf of key %d carries stamp %d, want 7", i, g.Stamp())
+		}
+	}
+	// DeleteIf and Replace leave it alone.
+	_, _, g := tr.GetH(key(77))
+	tr.DeleteIf(key(77), 77)
+	tr.Replace(key(78), 78, -78)
+	if !g.Valid() || g.Stamp() != 7 {
+		t.Fatalf("after DeleteIf/Replace: valid=%v stamp=%d", g.Valid(), g.Stamp())
+	}
+}
+
+// The stamp protocol (Handle.Stamp): a reader that saw a key missing raises
+// the leaf's stamp and then validates; a writer inserts the key and then
+// reads the stamp of the leaf it landed in. Never may the reader validate and
+// the writer miss the reader's stamp, splits included.
+func TestStampOrInvalidate(t *testing.T) {
+	tr := New[int]()
+	const rounds = 20000
+	for i := 0; i < rounds; i++ {
+		k := key(i)
+		_, found, h := tr.GetH(k)
+		if found {
+			t.Fatal("key present before its insert")
+		}
+		stamp := uint64(i + 1)
+		var valid bool
+		var seen uint64
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			h.RaiseStamp(stamp)
+			valid = h.Valid()
+		}()
+		go func() {
+			defer wg.Done()
+			_, _, _, after := tr.InsertH(k, i)
+			seen = after.Stamp()
+		}()
+		wg.Wait()
+		if valid && seen < stamp {
+			t.Fatalf("round %d: the reader validated and the writer read stamp %d < %d", i, seen, stamp)
+		}
 	}
 }

@@ -101,8 +101,9 @@ func TestQuickRangeScanBounds(t *testing.T) {
 	}
 }
 
-// TestQuickDeleteRemovesExactlyOne: deleting a key removes it and nothing
-// else.
+// TestQuickDeleteRemovesExactlyOne: a conditional delete naming the bound
+// value removes that key and nothing else; one naming another value removes
+// nothing.
 func TestQuickDeleteRemovesExactlyOne(t *testing.T) {
 	if err := quick.Check(func(keys [][]byte, victim uint8) bool {
 		tr := New[int]()
@@ -112,7 +113,7 @@ func TestQuickDeleteRemovesExactlyOne(t *testing.T) {
 			set[string(k)] = true
 		}
 		if len(set) == 0 {
-			return true
+			return !tr.DeleteIf(nil, 0)
 		}
 		var names []string
 		for k := range set {
@@ -120,7 +121,11 @@ func TestQuickDeleteRemovesExactlyOne(t *testing.T) {
 		}
 		sort.Strings(names)
 		target := names[int(victim)%len(names)]
-		if !tr.Delete([]byte(target)) {
+		bound, _ := tr.Get([]byte(target))
+		if tr.DeleteIf([]byte(target), bound+1) || tr.Len() != len(set) {
+			return false
+		}
+		if !tr.DeleteIf([]byte(target), bound) {
 			return false
 		}
 		if _, ok := tr.Get([]byte(target)); ok {

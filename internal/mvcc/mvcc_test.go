@@ -403,3 +403,84 @@ func BenchmarkChainTraverse(b *testing.B) {
 	}
 	_ = sink
 }
+
+func TestSealRetiresALoneVersion(t *testing.T) {
+	a := NewOIDArray()
+	oid := a.Alloc()
+	live := NewVersion([]byte("v"), 10, false)
+	a.Install(oid, live)
+	tomb := NewVersion([]byte("key"), 20, true)
+	tomb.SetNext(live)
+	if !a.CASHead(oid, live, tomb) {
+		t.Fatal("install failed")
+	}
+
+	// Not dead while an older version is behind it, while its stamp is not
+	// below the horizon, or while the stamp is a TID.
+	if a.DeadTombstone(oid, 30) != nil {
+		t.Fatal("tombstone with a version behind it reported dead")
+	}
+	if n := a.Prune(oid, 30); n != 1 {
+		t.Fatalf("pruned %d, want 1", n)
+	}
+	if a.DeadTombstone(oid, 20) != nil || a.DeadTombstone(oid, 30) != tomb {
+		t.Fatal("DeadTombstone must hold exactly for horizons above the stamp")
+	}
+	inflight := NewVersion([]byte("key"), TIDStamp(7), true)
+	other := a.Alloc()
+	a.Install(other, inflight)
+	if a.DeadTombstone(other, 1<<40) != nil {
+		t.Fatal("TID-stamped tombstone reported dead")
+	}
+
+	// A writer that installs first makes the seal fail; after a seal no CAS
+	// against any head a writer could have read succeeds.
+	newer := NewVersion([]byte("v2"), TIDStamp(9), false)
+	newer.SetNext(tomb)
+	if !a.CASHead(oid, tomb, newer) || a.Seal(oid, tomb) || a.Sealed(oid) {
+		t.Fatal("seal succeeded over a newer head")
+	}
+	if !a.CASHead(oid, newer, tomb) { // the writer aborts
+		t.Fatal("unlink failed")
+	}
+	if !a.Seal(oid, tomb) || !a.Sealed(oid) {
+		t.Fatal("seal of a lone tombstone failed")
+	}
+	if a.Head(oid) != nil || a.Prune(oid, 100) != 0 {
+		t.Fatal("a sealed slot must read as empty")
+	}
+	if a.CASHead(oid, tomb, newer) || a.CASHead(oid, nil, newer) || a.Seal(oid, tomb) || a.Seal(oid, nil) {
+		t.Fatal("a sealed slot accepted a version")
+	}
+	seen := 0
+	a.Scan(func(OID, *Version) bool { seen++; return true })
+	if seen != 1 { // only the in-flight one
+		t.Fatalf("scan visited %d heads, want 1", seen)
+	}
+	if a.Sealed(other) || a.Sealed(a.Alloc()+chunkSize) {
+		t.Fatal("unsealed or unallocated slot reported sealed")
+	}
+}
+
+func TestAbsentVersion(t *testing.T) {
+	var v Version
+	v.InitAbsent()
+	if !v.Tombstone || !v.Absent() || IsTID(v.CLSN()) || v.CLSN() == 0 || v.Sstamp() != Infinity {
+		t.Fatalf("absent version: tombstone=%v absent=%v clsn=%d sstamp=%d", v.Tombstone, v.Absent(), v.CLSN(), v.Sstamp())
+	}
+	if tomb := NewVersion([]byte("k"), 4096, true); tomb.Absent() {
+		t.Fatal("a delete's tombstone reads as an absent version")
+	}
+	// Prune treats it as the oldest committed version it is.
+	a := NewOIDArray()
+	oid := a.Alloc()
+	first := NewVersion([]byte("x"), 4096, false)
+	first.SetNext(&v)
+	a.Install(oid, first)
+	if n := a.Prune(oid, 4096); n != 0 {
+		t.Fatalf("pruned %d versions under a horizon that does not see the insert", n)
+	}
+	if n := a.Prune(oid, 4097); n != 1 || first.Next() != nil {
+		t.Fatalf("pruned %d, next=%v; want the absent version cut", n, first.Next())
+	}
+}

@@ -21,6 +21,14 @@ const (
 
 type chunk [chunkSize]atomic.Pointer[Version]
 
+// sealed is the dead marker: a slot holding it belongs to a record whose key
+// has left (or is about to leave) the index. Readers see such a slot as
+// empty, and no transaction can install a version on it: every install is a
+// CAS against the head the writer read, and sealed is never handed out as
+// one. OIDs are not recycled, so the slot stays sealed; only a replaying
+// applier, repeating what the primary did to the same OID, stores over it.
+var sealed = new(Version)
+
 // OIDArray is a latch-free indirection array mapping OIDs to version chain
 // heads. The array grows by installing fixed-size chunks into a static
 // directory with CAS, so readers never take a lock and existing slots never
@@ -105,11 +113,46 @@ func (a *OIDArray) Head(oid OID) *Version {
 	if s == nil {
 		return nil
 	}
-	return s.Load()
+	if v := s.Load(); v != sealed {
+		return v
+	}
+	return nil
+}
+
+// Seal retires oid if its chain is still exactly only, a version with
+// nothing behind it: the slot swings from only to the dead marker in one
+// CAS, so a writer that read only as the head loses its install and a writer
+// that installed first makes Seal fail. The caller then removes the key from
+// the index; Sealed tells a writer that it must go back there.
+func (a *OIDArray) Seal(oid OID, only *Version) bool {
+	return only != nil && a.slot(oid, true).CompareAndSwap(only, sealed)
+}
+
+// Sealed reports whether oid has been retired by Seal.
+func (a *OIDArray) Sealed(oid OID) bool {
+	s := a.slot(oid, false)
+	return s != nil && s.Load() == sealed
+}
+
+// DeadTombstone returns oid's chain if it has shrunk to one committed
+// tombstone older than horizon — a deleted record no current or future
+// snapshot can see alive, ready for Seal — and nil otherwise.
+//
+//ermia:guarded
+func (a *OIDArray) DeadTombstone(oid OID, horizon uint64) *Version {
+	v := a.Head(oid)
+	if v == nil || !v.Tombstone || v.Next() != nil {
+		return nil
+	}
+	if s := v.CLSN(); IsTID(s) || s >= horizon {
+		return nil
+	}
+	return v
 }
 
 // Install writes v into a freshly allocated slot. The slot must not be
-// shared with another writer yet (a new OID is private to its allocator).
+// shared with another writer yet (a new OID is private to its allocator, and
+// replay has one applier).
 func (a *OIDArray) Install(oid OID, v *Version) {
 	a.slot(oid, true).Store(v)
 }
@@ -135,7 +178,7 @@ func (a *OIDArray) Scan(fn func(oid OID, head *Version) bool) {
 		}
 		base := ci * chunkSize
 		for i := 0; i < chunkSize && base+uint64(i) < max; i++ {
-			if v := c[i].Load(); v != nil {
+			if v := c[i].Load(); v != nil && v != sealed {
 				if !fn(OID(base+uint64(i)), v) {
 					return
 				}

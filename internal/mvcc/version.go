@@ -52,6 +52,26 @@ func NewVersion(data []byte, clsn Stamp, tombstone bool) *Version {
 	return v
 }
 
+// absentStamp is the creation stamp of an absent version: below every begin
+// stamp (log offsets start above it), so every snapshot sees it.
+const absentStamp Stamp = 1
+
+// InitAbsent makes the zero Version v an absent version: the tombstone a
+// serializable transaction links behind the first version of every record it
+// creates, standing for "no such record" in every snapshot that cannot see
+// the insert yet. It gives SSN a version to track such a snapshot's read on —
+// reader marks, η, and the inserter's π once it commits — exactly as for a
+// read of a version someone is overwriting.
+func (v *Version) InitAbsent() {
+	v.Tombstone = true
+	v.clsn.Store(absentStamp)
+	v.sstamp.Store(Infinity)
+}
+
+// Absent reports whether v is an absent version rather than a delete's
+// tombstone.
+func (v *Version) Absent() bool { return v.clsn.Load() == absentStamp }
+
 // CLSN returns the creation stamp.
 //
 //ermia:hotpath visibility checks read the creation stamp on every version-chain hop

@@ -28,6 +28,48 @@ func overwrite(t *testing.T, db engine.DB, tbl engine.Table, n, rounds int, tag 
 	return uint64(n * rounds)
 }
 
+// remove deletes keys prefix0..prefix(n-1), one per transaction, and returns
+// the number of versions that made obsolete (each key's one live version;
+// the tombstones go with their index entries and are not counted as pruned).
+func remove(t *testing.T, db engine.DB, tbl engine.Table, prefix string, n int) uint64 {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		tx := db.Begin(0)
+		if err := tx.Delete(tbl, []byte(prefix+strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return uint64(n)
+}
+
+// auditIndex asserts that the table's index holds exactly k0..k(keys-1):
+// every deleted key has left it, on whatever path its delete arrived.
+func auditIndex(t *testing.T, label string, db *core.DB, keys int, reclaimed uint64) {
+	t.Helper()
+	tbl := db.OpenTable("kv")
+	tx := db.BeginReadOnly(1)
+	defer tx.Abort()
+	n := 0
+	if err := tx.Scan(tbl, nil, nil, func(k, _ []byte) bool {
+		if len(k) < 2 || k[0] != 'k' {
+			t.Errorf("%s: scan sees %q", label, k)
+		}
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if entries := tbl.(*core.Table).Len(); n != keys || entries != keys {
+		t.Fatalf("%s: %d rows, %d index entries; want %d of each", label, n, entries, keys)
+	}
+	if got := db.Stats().IndexEntriesReclaimed.Load(); got != reclaimed {
+		t.Fatalf("%s: IndexEntriesReclaimed = %d, want %d", label, got, reclaimed)
+	}
+}
+
 // waitPruned polls until db has pruned exactly want versions and nothing is
 // left queued, failing if it prunes more (a version some snapshot could
 // still need) or never gets there.
@@ -54,12 +96,14 @@ func waitPruned(t *testing.T, label string, db *core.DB, want uint64) {
 // overwrites its applier installs, drained on the applier's own cadence, and
 // a promoted replica from its workers' commits like any primary. With no
 // reader open, every overwritten version — no more, no fewer — is pruned,
-// which is what a sweep of every chain would have removed.
+// which is what a sweep of every chain would have removed, and every deleted
+// key leaves the index on the same cadence.
 func TestReplicaGCFollowsTheApplier(t *testing.T) {
 	db, _, addr := startPrimary(t)
 	tbl := db.CreateTable("kv")
-	const keys = 40
+	const keys, doomed = 40, 12
 	fill(t, db, tbl, "k", keys)
+	fill(t, db, tbl, "x", doomed)
 
 	r, err := repl.Start(repl.Config{
 		PrimaryAddr:    addr,
@@ -72,7 +116,8 @@ func TestReplicaGCFollowsTheApplier(t *testing.T) {
 	}
 	t.Cleanup(func() { r.Close() })
 
-	garbage := overwrite(t, db, tbl, keys, 5, "a")
+	garbage := remove(t, db, tbl, "x", doomed)
+	garbage += overwrite(t, db, tbl, keys, 5, "a")
 	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +139,16 @@ func TestReplicaGCFollowsTheApplier(t *testing.T) {
 		}
 	}
 	audit("replica", r.DB(), "a4")
+	auditIndex(t, "replica", r.DB(), keys, doomed)
 
 	if err := r.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	waitPruned(t, "promoted, applier's backlog", r.DB(), garbage)
 	garbage += overwrite(t, r.DB(), r.DB().OpenTable("kv"), keys, 3, "b")
+	fill(t, r.DB(), r.DB().OpenTable("kv"), "x", doomed) // new OIDs: the old ones are sealed
+	garbage += remove(t, r.DB(), r.DB().OpenTable("kv"), "x", doomed)
 	waitPruned(t, "promoted, own commits", r.DB(), garbage)
 	audit("promoted", r.DB(), "b2")
+	auditIndex(t, "promoted", r.DB(), keys, 2*doomed)
 }

@@ -17,7 +17,6 @@ package txnid
 
 import (
 	"errors"
-	"math"
 	"sync/atomic"
 )
 
@@ -49,9 +48,10 @@ const (
 	// than the log's current offset.
 	StatusActive
 	// StatusCommitting means the transaction entered pre-commit: its commit
-	// stamp is fixed, but the outcome (commit or abort) is not. Readers
-	// whose begin stamp postdates the commit stamp must wait for
-	// resolution to keep their snapshot consistent.
+	// stamp is fixed (or, while it reads zero, about to be), but the outcome
+	// (commit or abort) is not. Readers whose begin stamp postdates the
+	// commit stamp must wait for resolution to keep their snapshot
+	// consistent.
 	StatusCommitting
 	// StatusCommitted means the transaction committed; it may still be
 	// replacing TID stamps with its commit stamp (post-commit).
@@ -103,9 +103,9 @@ func NewManager() *Manager {
 
 // Allocate claims a TID for a new transaction. beginFn is called after the
 // slot is visible as active to produce the begin stamp (typically the log
-// manager's current offset); this ordering keeps MinActiveBegin
-// conservative, so the garbage collector can never reclaim versions a
-// starting transaction is about to need.
+// manager's current offset), which Begin then reports. (The garbage
+// collector's horizon comes from the stamps the engine's worker slots
+// publish, not from this table.)
 func (m *Manager) Allocate(beginFn func() uint64) (TID, error) {
 	start := m.hint.Add(1)
 	for i := uint64(0); i < NumSlots; i++ {
@@ -116,8 +116,6 @@ func (m *Manager) Allocate(beginFn func() uint64) (TID, error) {
 		}
 		gen := e.gen.Load() + 1
 		tid := TID(gen<<16 | slot)
-		// Prepare fields before publishing the claim: a begin of zero
-		// blocks garbage collection until the real stamp lands.
 		if !e.tid.CompareAndSwap(0, uint64(tid)) {
 			continue
 		}
@@ -134,7 +132,11 @@ func (m *Manager) Allocate(beginFn func() uint64) (TID, error) {
 func (m *Manager) entryOf(t TID) *entry { return &m.entries[t.Slot()] }
 
 // SetCommitting publishes the transaction's commit stamp and moves it to
-// the committing state. Must be called by the owner.
+// the committing state. Must be called by the owner, and twice: with a zero
+// stamp before it obtains the stamp, then with the stamp. The first call ends
+// StatusActive's promise before the stamp exists; in between, inquirers see a
+// committing transaction with stamp zero, which every one of them treats as
+// "wait": zero is below any stamp they compare it with.
 func (m *Manager) SetCommitting(t TID, cstamp uint64) {
 	e := m.entryOf(t)
 	e.cstamp.Store(cstamp)
@@ -190,29 +192,6 @@ func (m *Manager) Begin(t TID) (uint64, bool) {
 		return 0, false
 	}
 	return b, true
-}
-
-// MinActiveBegin returns the smallest begin stamp among in-flight
-// transactions, or math.MaxUint64 when none are running. The garbage
-// collector uses this as its reclamation horizon: versions overwritten
-// before it can no longer be seen by any snapshot.
-func (m *Manager) MinActiveBegin() uint64 {
-	min := uint64(math.MaxUint64)
-	for i := range m.entries {
-		e := &m.entries[i]
-		s := Status(e.status.Load())
-		if s != StatusActive && s != StatusCommitting {
-			continue
-		}
-		b := e.begin.Load()
-		if e.tid.Load() == 0 {
-			continue // released between loads
-		}
-		if b < min {
-			min = b // a zero begin (still initializing) blocks GC entirely
-		}
-	}
-	return min
 }
 
 // ActiveCount returns the number of in-flight transactions, for stats.

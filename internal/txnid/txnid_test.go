@@ -1,7 +1,6 @@
 package txnid
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
@@ -82,33 +81,6 @@ func TestTIDFields(t *testing.T) {
 	tid := TID(5<<16 | 1234)
 	if tid.Slot() != 1234 || tid.Generation() != 5 {
 		t.Errorf("slot=%d gen=%d", tid.Slot(), tid.Generation())
-	}
-}
-
-func TestMinActiveBegin(t *testing.T) {
-	m := NewManager()
-	if got := m.MinActiveBegin(); got != math.MaxUint64 {
-		t.Fatalf("empty table min = %d", got)
-	}
-	a, _ := m.Allocate(begin(50))
-	b, _ := m.Allocate(begin(30))
-	c, _ := m.Allocate(begin(70))
-	if got := m.MinActiveBegin(); got != 30 {
-		t.Fatalf("min = %d, want 30", got)
-	}
-	m.SetCommitting(b, 99) // committing still pins the horizon
-	if got := m.MinActiveBegin(); got != 30 {
-		t.Fatalf("min with committing = %d, want 30", got)
-	}
-	m.SetCommitted(b)
-	m.Release(b)
-	if got := m.MinActiveBegin(); got != 50 {
-		t.Fatalf("min after release = %d, want 50", got)
-	}
-	m.Release(a)
-	m.Release(c)
-	if got := m.MinActiveBegin(); got != math.MaxUint64 {
-		t.Fatalf("min after all released = %d", got)
 	}
 }
 

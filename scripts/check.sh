@@ -2,8 +2,8 @@
 # check.sh — the full local gate: vet, the repo-specific static-analysis
 # suite, build, tests, the nested benchmark module's tests and smoke run,
 # and a short race pass over the packages with real concurrency (log
-# manager, engine core, epoch manager). CI and pre-commit hooks should run
-# exactly this.
+# manager, engine core, the lock-free index and indirection arrays, epoch
+# manager). CI and pre-commit hooks should run exactly this.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,7 +34,8 @@ go test -count=1 -run 'TestAllocBudgets|TestRespPayloadAllocBudget' \
 # A whole engine transaction on a warm worker allocates only what outlives
 # it (the Txn, a Version per write, the insert's key and leaf copy); its
 # read, write and node sets and its log buffer come from the worker context.
-# BenchmarkTxnLifecycle and BenchmarkRunGC in the same package print B/op.
+# BenchmarkTxnLifecycle, BenchmarkRunGC and BenchmarkScanPastDeleted in the
+# same package print B/op.
 go test -count=1 -run 'TestTxnAllocBudget' ./internal/core/
 # The same idea one level up: a cross-shard commit over modelled commit
 # devices may cost three syncs (two prepare records, the coordinator's C),
@@ -56,14 +57,23 @@ echo "== repository benchmark (nested module: its tests, then every workload at 
 (cd benchmark && go test ./...)
 bash benchmark/run.sh -smoke
 
-echo "== go test -race (core, wal, epoch, engine, server, client, repl, faultconn; -short) =="
+echo "== go test -race (core, index, mvcc, wal, epoch, engine, server, client, repl, faultconn; -short) =="
 # Includes the worker-context reuse tests (TestTxnUseAfterFinish,
 # TestTxnTwoLiveOnOneSlot, TestShardPreparedKeepsItsWriteSet) and the GC
 # equivalence tests (TestGCEquivalence*, TestReplicaGCFollowsTheApplier),
-# whose point is that recycled arrays and list-driven pruning stay race-free.
-go test -race -short -count=1 ./internal/core/ ./internal/wal/ ./internal/epoch/ \
+# whose point is that recycled arrays and list-driven pruning stay race-free;
+# and the index-entry reclamation races — the collector sealing an OID under a
+# re-insert (TestReclaimRacesReinsert), an aborting insert under a committing
+# one (TestAbortedInsertNeverLosesACommittedOne), the SSN history property
+# with the collector running beside it (TestSSNHistoryWithReclamation), and
+# the index's conditional delete and rebind under lock-free readers
+# (index.TestConcurrentDeleteIfReplace).
+go test -race -short -count=1 ./internal/core/ ./internal/index/ ./internal/mvcc/ \
+	./internal/wal/ ./internal/epoch/ \
 	./internal/engine/ ./internal/server/ ./internal/client/ ./internal/repl/ \
 	./internal/faultconn/ ./internal/query/ ./internal/shard/
+# Not -short: the Delivery-heavy run that keeps the NEW-ORDER index flat.
+go test -race -count=1 -run TestIndexLenFlatUnderDelivery ./internal/tpcc/
 
 echo "== nemesis smoke (fixed seeds, -race) =="
 # A bounded chaos sweep: every seed replays a deterministic fault schedule
