@@ -259,6 +259,10 @@ func (t *Txn) resolveSstamp(v *mvcc.Version, myCstamp uint64) uint64 {
 			continue // finishing post-commit; the tag is being replaced
 		}
 		switch status {
+		case txnid.StatusActive:
+			// Its commit stamp, if it ever gets one, postdates every stamp
+			// taken so far, the caller's included.
+			return mvcc.Infinity
 		case txnid.StatusCommitting:
 			if myCstamp != 0 && cstamp > myCstamp {
 				return mvcc.Infinity // serializes after me
@@ -266,8 +270,12 @@ func (t *Txn) resolveSstamp(v *mvcc.Version, myCstamp uint64) uint64 {
 			runtime.Gosched()
 		case txnid.StatusCommitted:
 			runtime.Gosched() // final stamp lands during its post-commit
-		default: // aborted, or tag already recycled: not overwritten
-			return mvcc.Infinity
+		case txnid.StatusAborted:
+			return mvcc.Infinity // not overwritten
+		default:
+			// An answer this loop does not understand is never "not
+			// overwritten": re-read.
+			runtime.Gosched()
 		}
 	}
 }

@@ -1,9 +1,16 @@
 // Package index implements the concurrent ordered index ERMIA and the Silo
-// baseline use for tables (the paper uses Masstree; see DESIGN.md for why
-// this reproduction substitutes a copy-on-write B-link tree).
+// baseline use for tables (the paper uses Masstree; see DESIGN.md for how
+// this reproduction's B-link tree stands in for it).
 //
-// Readers are lock-free: every node is an immutable snapshot behind an
-// atomic pointer, so a reader never observes a torn node and never blocks.
+// Readers are lock-free and never retry: every node version is an immutable
+// snapshot behind an atomic pointer, so a reader never observes a torn node
+// and never blocks. Inner nodes are copied on write. A leaf snapshot is a
+// view, a permutation listing live slots in key order, over an array of
+// (key, value) slots the leaf's views share. An insert writes the next free
+// slot before it publishes the view that covers it, and no slot is written
+// twice in one array, so a reader that reads only its view's slots sees
+// exactly that view (DESIGN.md has the argument).
+//
 // Writers use per-node mutexes with top-down lock coupling and preemptive
 // splits. Splits only move keys right, and every node carries a B-link high
 // key and right-sibling pointer, so a reader that raced a split simply
@@ -12,8 +19,8 @@
 // Every snapshot carries its slot's version word, which is what Silo-style
 // phantom protection needs: a Handle captures (node slot, version) and stays
 // valid until an insert or a split touches that leaf. Removing a dead key
-// (DeleteIf) and rebinding one (Replace) carry the version over unchanged:
-// neither changes what any reader is entitled to see.
+// (DeleteIf), rebinding one (Replace) and copying the slots carry the
+// version over unchanged: none changes what any reader is entitled to see.
 //
 // Every leaf slot also carries a stamp, a monotone word the tree only keeps
 // and hands on to the halves of a split. The engine's serializability
@@ -29,27 +36,40 @@ import (
 	"unsafe"
 )
 
-// maxKeys is the node fanout. 64 keeps nodes around a few cache lines and
-// splits rare.
+// maxKeys is the node fanout and a leaf's slot count. 64 keeps nodes around a
+// few cache lines and splits rare, and lets a slot number fit a byte.
 const maxKeys = 64
 
-// node is an immutable tree node snapshot. Leaf nodes fill vals; inner
-// nodes fill children (len(children) == len(keys)+1). highKey bounds the
-// node's key range from above (nil in the rightmost node of a level), and
-// next points to the right sibling's slot. ver counts the inserts and splits
-// the node's slot has seen; it never decreases within a slot.
+// node is an immutable tree node snapshot. A leaf's slots (at most maxKeys)
+// are shared with the leaf's other views, and perm[:live] are the slots of
+// its live keys in key order. Inner nodes fill keys (sorted separators) and
+// children (len(children) == len(keys)+1). highKey bounds the node's key
+// range from above (nil in the rightmost node of a level), and next points to
+// the right sibling's slot. ver counts the inserts and splits the node's slot
+// has seen; it never decreases within a slot.
+//
+// The field order is a cache layout: what a leaf lookup reads besides perm
+// fills the first 64 bytes, and perm most of the next.
 type node[V comparable] struct {
-	keys     [][]byte
-	vals     []V
-	children []*nodeRef[V]
+	slots    []entry[V]
 	highKey  []byte
-	next     *nodeRef[V]
 	ver      uint64
+	live     uint8
 	leaf     bool
+	perm     [maxKeys]uint8
+	next     *nodeRef[V]
+	keys     [][]byte
+	children []*nodeRef[V]
+}
+
+// entry is what a leaf slot holds; a key and its value share a cache line.
+type entry[V comparable] struct {
+	key []byte
+	val V
 }
 
 // nodeRef is a stable slot holding the current snapshot of one logical
-// node. Readers load ptr; writers lock mu, copy, and store.
+// node. Readers load ptr; writers lock mu, build a new snapshot, and store.
 type nodeRef[V comparable] struct {
 	ptr   atomic.Pointer[node[V]]
 	mu    sync.Mutex
@@ -127,18 +147,29 @@ func (n *node[V]) past(key []byte) bool {
 	return n.highKey != nil && bytes.Compare(key, n.highKey) >= 0
 }
 
-// search finds the insertion position of key in n.keys.
+// full reports whether n must split before it can take another key.
+func (n *node[V]) full() bool {
+	if n.leaf {
+		return n.live == maxKeys
+	}
+	return len(n.keys) == maxKeys
+}
+
+// at returns a leaf's i-th live entry in key order.
+func (n *node[V]) at(i int) *entry[V] { return &n.slots[n.perm[i]] }
+
+// search finds the insertion position of key among a leaf's live entries.
 func (n *node[V]) search(key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, int(n.live)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) < 0 {
+		if bytes.Compare(n.at(mid).key, key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	found := lo < len(n.keys) && bytes.Equal(n.keys[lo], key)
+	found := lo < int(n.live) && bytes.Equal(n.at(lo).key, key)
 	return lo, found
 }
 
@@ -192,26 +223,29 @@ func (t *Tree[V]) GetH(key []byte) (V, bool, Handle[V]) {
 		var zero V
 		return zero, false, h
 	}
-	return n.vals[i], true, h
+	return n.at(i).val, true, h
 }
 
 // Scan visits keys in [lo, hi) in ascending order (hi nil means unbounded),
 // calling fn for each; fn returning false stops the scan. If onLeaf is
 // non-nil it receives a handle for every leaf whose range overlaps the
 // scan, including the final partially-scanned one — the node set for
-// phantom protection.
+// phantom protection. Within a leaf the scan yields exactly the view it
+// loaded, however long fn takes.
 func (t *Tree[V]) Scan(lo, hi []byte, onLeaf func(Handle[V]), fn func(key []byte, v V) bool) {
 	ref, n := t.descendLeaf(lo)
+	start, _ := n.search(lo)
 	for {
 		if onLeaf != nil {
 			onLeaf(handleOf(ref, n))
 		}
-		start, _ := n.search(lo)
-		for i := start; i < len(n.keys); i++ {
-			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
+		slots := n.slots
+		for _, s := range n.perm[start:n.live] {
+			e := &slots[s]
+			if hi != nil && bytes.Compare(e.key, hi) >= 0 {
 				return
 			}
-			if !fn(n.keys[i], n.vals[i]) {
+			if !fn(e.key, e.val) {
 				return
 			}
 		}
@@ -223,6 +257,7 @@ func (t *Tree[V]) Scan(lo, hi []byte, onLeaf func(Handle[V]), fn func(key []byte
 		}
 		ref = n.next
 		n = ref.ptr.Load()
+		start = 0 // a right sibling's keys are at or past highKey, above lo
 	}
 }
 
@@ -250,7 +285,7 @@ func (t *Tree[V]) InsertH(key []byte, v V) (existing V, inserted bool, before, a
 	n := cur.ptr.Load()
 
 	// Grow the tree if the root is full.
-	if len(n.keys) == maxKeys {
+	if n.full() {
 		leftRef, rightRef, sep := t.splitInto(n)
 		newRoot := &node[V]{
 			keys:     [][]byte{sep},
@@ -270,7 +305,7 @@ func (t *Tree[V]) InsertH(key []byte, v V) (existing V, inserted bool, before, a
 		childRef := n.children[idx]
 		childRef.mu.Lock()
 		child := childRef.ptr.Load()
-		if len(child.keys) == maxKeys {
+		if child.full() {
 			// Preemptive split: we hold the parent, so the parent copy and
 			// child halves install atomically with respect to writers.
 			rightRef, sep := splitChild(childRef, child)
@@ -289,23 +324,26 @@ func (t *Tree[V]) InsertH(key []byte, v V) (existing V, inserted bool, before, a
 
 	i, found := n.search(key)
 	if found {
-		existing = n.vals[i]
+		existing = n.at(i).val
 		cur.mu.Unlock()
 		h := handleOf(cur, n)
 		return existing, false, h, h
 	}
-	leaf := &node[V]{
-		keys:    insertAt(n.keys, i, key),
-		vals:    insertAt(n.vals, i, v),
-		highKey: n.highKey,
-		next:    n.next,
-		ver:     n.ver + 1,
-		leaf:    true,
+	leaf := *n
+	if len(n.slots) == cap(n.slots) {
+		// No free slot: copy the live entries into a fresh array of maxKeys
+		// slots. Order is kept, so i still holds.
+		leaf = n.liveCopy(0, int(n.live), maxKeys)
 	}
-	cur.ptr.Store(leaf)
+	copy(leaf.perm[i+1:leaf.live+1], leaf.perm[i:leaf.live])
+	leaf.perm[i] = uint8(len(leaf.slots))
+	leaf.slots = append(leaf.slots, entry[V]{key, v}) // below cap: never written
+	leaf.live++
+	leaf.ver++
+	cur.ptr.Store(&leaf)
 	cur.mu.Unlock()
 	t.size.Add(1)
-	return v, true, handleOf(cur, n), handleOf(cur, leaf)
+	return v, true, handleOf(cur, n), handleOf(cur, &leaf)
 }
 
 // lockLeaf returns the leaf covering key with its slot locked. Changing one
@@ -333,47 +371,55 @@ func (t *Tree[V]) lockLeaf(key []byte) (*nodeRef[V], *node[V]) {
 // DeleteIf removes key while it still maps to v, reporting whether it did.
 // It is for entries no reader can see any more (a reclaimed tombstone, an
 // aborted insert): the leaf keeps its version, so the handles transactions
-// hold on it stay valid. Emptied leaves are kept (no merging), as in most
+// hold on it stay valid. The key's slot stays used until the leaf's slots
+// are next copied. Emptied leaves are kept (no merging), as in most
 // production latch-free indexes.
 func (t *Tree[V]) DeleteIf(key []byte, v V) bool {
 	ref, n := t.lockLeaf(key)
 	defer ref.mu.Unlock()
 	i, found := n.search(key)
-	if !found || n.vals[i] != v {
+	if !found || n.at(i).val != v {
 		return false
 	}
-	ref.ptr.Store(&node[V]{
-		keys:    removeAt(n.keys, i),
-		vals:    removeAt(n.vals, i),
-		highKey: n.highKey,
-		next:    n.next,
-		ver:     n.ver,
-		leaf:    true,
-	})
+	leaf := *n
+	copy(leaf.perm[i:], leaf.perm[i+1:leaf.live])
+	leaf.live--
+	ref.ptr.Store(&leaf)
 	t.size.Add(-1)
 	return true
 }
 
 // Replace rebinds key from old to v, reporting whether key still mapped to
-// old. The key set does not change, so the leaf keeps its version.
+// old. The key set does not change, so the leaf keeps its version. The slot
+// array is copied rather than a slot taken, so a leaf with no free slot can
+// be rebound too. Rebinding is rare: only replay and checkpoint seeding do
+// it, for a key the primary reclaimed and gave a new OID.
 func (t *Tree[V]) Replace(key []byte, old, v V) bool {
 	ref, n := t.lockLeaf(key)
 	defer ref.mu.Unlock()
 	i, found := n.search(key)
-	if !found || n.vals[i] != old {
+	if !found || n.at(i).val != old {
 		return false
 	}
-	vals := append([]V(nil), n.vals...)
-	vals[i] = v
-	ref.ptr.Store(&node[V]{
-		keys:    n.keys,
-		vals:    vals,
-		highKey: n.highKey,
-		next:    n.next,
-		ver:     n.ver,
-		leaf:    true,
-	})
+	leaf := *n
+	leaf.slots = append(make([]entry[V], 0, cap(n.slots)), n.slots...)
+	leaf.slots[n.perm[i]].val = v
+	ref.ptr.Store(&leaf)
 	return true
+}
+
+// liveCopy returns a view of leaf n holding only its live entries [from, to),
+// in key order, in a fresh slot array of capacity slots. The rest of the
+// view is n's.
+func (n *node[V]) liveCopy(from, to, slots int) node[V] {
+	c := *n
+	c.slots = make([]entry[V], to-from, slots)
+	c.live = uint8(to - from)
+	for i := from; i < to; i++ {
+		c.slots[i-from] = *n.at(i)
+		c.perm[i-from] = uint8(i - from)
+	}
+	return c
 }
 
 // splitChild splits a full child in place: the child's slot keeps the left
@@ -402,24 +448,20 @@ func (t *Tree[V]) splitInto(n *node[V]) (*nodeRef[V], *nodeRef[V], []byte) {
 }
 
 // splitNode builds the two immutable halves of n. For a leaf the separator
-// is the right half's first key (and stays in it); for an inner node the
-// separator moves up.
+// is the right half's first key (and stays in it), and each half gets a fresh
+// slot array of its exact size: a half that takes no more inserts stays dense,
+// and the first insert into one moves it to a full-size array. For an inner
+// node the separator moves up.
 func splitNode[V comparable](n *node[V]) (left, right *node[V], sep []byte) {
-	mid := len(n.keys) / 2
 	if n.leaf {
-		sep = n.keys[mid]
-		left = &node[V]{
-			keys:    append([][]byte(nil), n.keys[:mid]...),
-			vals:    append([]V(nil), n.vals[:mid]...),
-			highKey: sep, next: n.next, ver: n.ver + 1, leaf: true,
-		}
-		right = &node[V]{
-			keys:    append([][]byte(nil), n.keys[mid:]...),
-			vals:    append([]V(nil), n.vals[mid:]...),
-			highKey: n.highKey, next: n.next, ver: n.ver + 1, leaf: true,
-		}
-		return left, right, sep
+		mid := int(n.live) / 2
+		l, r := n.liveCopy(0, mid, mid), n.liveCopy(mid, int(n.live), int(n.live)-mid)
+		sep = r.slots[0].key
+		l.highKey = sep
+		l.ver, r.ver = n.ver+1, n.ver+1
+		return &l, &r, sep
 	}
+	mid := len(n.keys) / 2
 	sep = n.keys[mid]
 	left = &node[V]{
 		keys:     append([][]byte(nil), n.keys[:mid]...),
@@ -451,12 +493,5 @@ func insertAt[T any](s []T, i int, v T) []T {
 	copy(out, s[:i])
 	out[i] = v
 	copy(out[i+1:], s[i:])
-	return out
-}
-
-func removeAt[T any](s []T, i int) []T {
-	out := make([]T, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
 	return out
 }

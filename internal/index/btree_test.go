@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,6 +81,33 @@ func TestDelete(t *testing.T) {
 func TestRandomAgainstModel(t *testing.T) {
 	tr := New[int]()
 	model := map[string]int{}
+	// First a leaf with no free slot: 64 live keys in 64 used slots, as the
+	// root before its first split. Rebinding must work there, and must not
+	// take a slot.
+	for i := 0; i < maxKeys; i++ {
+		tr.Insert(key(i*31), i)
+		model[string(key(i*31))] = i
+	}
+	if root := tr.root.ptr.Load(); !root.leaf || root.live != maxKeys || len(root.slots) != maxKeys {
+		t.Fatalf("setup: leaf=%v live=%d slots=%d, want a full leaf", root.leaf, root.live, len(root.slots))
+	}
+	for i := 0; i < maxKeys; i++ {
+		if !tr.Replace(key(i*31), i, 100000+i) {
+			t.Fatalf("replace of key %d in a full leaf failed", i*31)
+		}
+		model[string(key(i*31))] = 100000 + i
+	}
+	if root := tr.root.ptr.Load(); root.live != maxKeys || len(root.slots) != maxKeys {
+		t.Fatalf("replace changed the leaf's shape: live=%d slots=%d", root.live, len(root.slots))
+	}
+	// A removal leaves the slots used up: the next insert compacts, carrying
+	// the rebound values with it.
+	if !tr.DeleteIf(key(0), 100000) || !tr.Insert(key(1), 1) {
+		t.Fatal("delete or insert in the rebound leaf failed")
+	}
+	delete(model, string(key(0)))
+	model[string(key(1))] = 1
+	assertModel(t, tr, model)
 	rng := rand.New(rand.NewSource(7))
 	for op := 0; op < 20000; op++ {
 		k := key(rng.Intn(2000))
@@ -123,8 +151,20 @@ func TestRandomAgainstModel(t *testing.T) {
 			}
 		}
 	}
+	assertModel(t, tr, model)
+}
+
+// assertModel checks that tr holds exactly model, by Len, Get and a full
+// scan in key order.
+func assertModel(t *testing.T, tr *Tree[int], model map[string]int) {
+	t.Helper()
 	if tr.Len() != len(model) {
 		t.Fatalf("len %d vs model %d", tr.Len(), len(model))
+	}
+	for k, mv := range model {
+		if v, ok := tr.Get([]byte(k)); !ok || v != mv {
+			t.Fatalf("get %q = (%d, %v), model %d", k, v, ok, mv)
+		}
 	}
 	// Full scan must agree with the sorted model.
 	var wantKeys []string
@@ -620,4 +660,228 @@ func TestStampOrInvalidate(t *testing.T) {
 			t.Fatalf("round %d: the reader validated and the writer read stamp %d < %d", i, seen, stamp)
 		}
 	}
+}
+
+// A scan that pauses mid-leaf yields, when it resumes, exactly the view of
+// the leaf it loaded, whatever happened to the leaf in between: an insert into
+// the part not yet yielded, a removal, a rebind, a compaction of the leaf's
+// slots and a split.
+func TestScanYieldsItsView(t *testing.T) {
+	tr := New[int]()
+	for i := 0; i < 1000; i++ {
+		tr.Insert(key(i*10), i*10)
+	}
+	ref, view := tr.descendLeaf(key(5000))
+	type pair struct {
+		k string
+		v int
+	}
+	var want []pair
+	for i := 0; i < int(view.live); i++ {
+		want = append(want, pair{string(view.at(i).key), view.at(i).val})
+	}
+	if len(want) < 16 {
+		t.Fatalf("setup: leaf holds only %d keys", len(want))
+	}
+	lo, hi := view.at(0).key, view.highKey
+	first, last := want[0].v, want[len(want)-1].v
+
+	paused, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var got []pair
+	go func() {
+		defer close(done)
+		tr.Scan(lo, hi, func(h Handle[int]) {
+			if h.ref != ref {
+				t.Errorf("scan left the leaf")
+			}
+		}, func(k []byte, v int) bool {
+			got = append(got, pair{string(k), v})
+			if len(got) == 3 {
+				close(paused)
+				<-resume
+			}
+			return true
+		})
+	}()
+	<-paused
+
+	// Rebind and remove keys the scan has not reached yet.
+	if !tr.Replace(key(want[5].v), want[5].v, -1) || !tr.DeleteIf(key(want[6].v), want[6].v) {
+		t.Fatal("replace or delete failed")
+	}
+	// New keys between the leaf's own, never multiples of ten.
+	fresh := []int{}
+	for x := first + 1; x < last; x++ {
+		if x%10 != 0 {
+			fresh = append(fresh, x)
+		}
+	}
+	// Insert and remove until the used-up slots force a compaction.
+	compacted := false
+	for _, x := range fresh {
+		slots := len(ref.ptr.Load().slots)
+		if !tr.Insert(key(x), x) || !tr.DeleteIf(key(x), x) {
+			t.Fatalf("churn of key %d failed", x)
+		}
+		if len(ref.ptr.Load().slots) < slots {
+			compacted = true
+			break
+		}
+	}
+	if !compacted {
+		t.Fatal("no compaction")
+	}
+	// Fill the leaf until it splits.
+	split := false
+	for _, x := range fresh {
+		tr.Insert(key(x), x)
+		if !bytes.Equal(ref.ptr.Load().highKey, hi) {
+			split = true
+			break
+		}
+	}
+	if !split {
+		t.Fatal("no split")
+	}
+
+	close(resume)
+	<-done
+	if len(got) != len(want) {
+		t.Fatalf("scan yielded %d entries, its view held %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d: scan yielded %q=%d, its view held %q=%d", i, got[i].k, got[i].v, want[i].k, want[i].v)
+		}
+	}
+	assertOrdered(t, tr)
+}
+
+// NEW-ORDER's shape: each district inserts orders at its tail and removes them
+// from its head, so a leaf fills at one end and empties at the other while
+// scanners walk the district from its prefix. Every scan yields keys in
+// order, every key present for the whole scan, and no key removed before it
+// began or inserted after it ended; Len stays within what the writers allow.
+func TestNewOrderChurn(t *testing.T) {
+	const districts, window = 4, 100
+	orders := 20000
+	if testing.Short() {
+		orders = 4000
+	}
+	okey := func(d, o int) []byte { return []byte(fmt.Sprintf("d%02d-o%08d", d, o)) }
+	tr := New[int]()
+	// Per district: inserts begun and done, deletes begun and done; each the
+	// count of orders, which go in and out in order.
+	var insBegun, insDone, delBegun, delDone [districts]atomic.Int64
+	sum := func(c *[districts]atomic.Int64) (s int64) {
+		for d := range c {
+			s += c[d].Load()
+		}
+		return s
+	}
+
+	var writers sync.WaitGroup
+	for d := 0; d < districts; d++ {
+		writers.Add(2)
+		go func() {
+			defer writers.Done()
+			for o := 0; o < orders; o++ {
+				insBegun[d].Store(int64(o + 1))
+				if !tr.Insert(okey(d, o), o) {
+					t.Errorf("district %d: insert of order %d failed", d, o)
+					return
+				}
+				insDone[d].Store(int64(o + 1))
+			}
+		}()
+		go func() {
+			defer writers.Done()
+			for o := 0; o < orders-window; o++ {
+				for insDone[d].Load() <= int64(o+window) {
+					runtime.Gosched()
+				}
+				delBegun[d].Store(int64(o + 1))
+				if !tr.DeleteIf(okey(d, o), o) {
+					t.Errorf("district %d: delete of order %d failed", d, o)
+					return
+				}
+				delDone[d].Store(int64(o + 1))
+			}
+		}()
+	}
+
+	stop := make(chan struct{})
+	var scanErr atomic.Value
+	var scanners sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		scanners.Add(1)
+		go func(seed int64) {
+			defer scanners.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d := rng.Intn(districts)
+				// Counters that only grow bound Len from below when read before
+				// it, from above when read after it (and the reverse for the
+				// ones subtracted).
+				insDoneSum, delDoneSum := sum(&insDone), sum(&delDone)
+				n := int64(tr.Len())
+				if low, high := insDoneSum-sum(&delBegun), sum(&insBegun)-delDoneSum; n < low || n > high {
+					scanErr.Store(fmt.Sprintf("Len %d outside [%d, %d]", n, low, high))
+					return
+				}
+				insLow, delLow := insDone[d].Load(), delDone[d].Load()
+				var orders []int64
+				tr.Scan([]byte(fmt.Sprintf("d%02d-", d)), []byte(fmt.Sprintf("d%02d.", d)), nil, func(k []byte, v int) bool {
+					if !bytes.Equal(k, okey(d, v)) {
+						scanErr.Store(fmt.Sprintf("key %q bound to %d", k, v))
+						return false
+					}
+					orders = append(orders, int64(v))
+					return true
+				})
+				insHigh, delHigh := insBegun[d].Load(), delBegun[d].Load()
+				kept := int64(0)
+				for i, o := range orders {
+					switch {
+					case i > 0 && o <= orders[i-1]:
+						scanErr.Store(fmt.Sprintf("district %d: order %d after %d", d, o, orders[i-1]))
+					case o < delLow:
+						scanErr.Store(fmt.Sprintf("district %d: order %d yielded, removed before the scan", d, o))
+					case o >= insHigh:
+						scanErr.Store(fmt.Sprintf("district %d: order %d yielded, inserted after the scan", d, o))
+					case o >= delHigh && o < insLow:
+						kept++
+					}
+				}
+				if want := insLow - delHigh; want > 0 && kept != want {
+					scanErr.Store(fmt.Sprintf("district %d: %d of the %d orders present throughout yielded", d, kept, want))
+				}
+				if scanErr.Load() != nil {
+					return
+				}
+			}
+		}(int64(s))
+	}
+	writers.Wait()
+	close(stop)
+	scanners.Wait()
+	if e := scanErr.Load(); e != nil {
+		t.Fatal(e)
+	}
+	if tr.Len() != districts*window {
+		t.Fatalf("len = %d, want %d", tr.Len(), districts*window)
+	}
+	for d := 0; d < districts; d++ {
+		for o := orders - window; o < orders; o++ {
+			if v, ok := tr.Get(okey(d, o)); !ok || v != o {
+				t.Fatalf("district %d order %d = (%d, %v)", d, o, v, ok)
+			}
+		}
+	}
+	assertOrdered(t, tr)
 }

@@ -166,6 +166,7 @@ func (m *Manager) Release(t TID) {
 // Inquire reports the state of the transaction identified by t. ok is false
 // when t belongs to a previous generation: the caller should re-read the
 // location that produced the TID, which now holds a proper commit stamp.
+// With ok true the status is never StatusFree.
 func (m *Manager) Inquire(t TID) (status Status, cstamp uint64, ok bool) {
 	e := m.entryOf(t)
 	if e.tid.Load() != uint64(t) {
@@ -174,7 +175,10 @@ func (m *Manager) Inquire(t TID) (status Status, cstamp uint64, ok bool) {
 	status = Status(e.status.Load())
 	cstamp = e.cstamp.Load()
 	// The slot may have been recycled between the loads; verify ownership.
-	if e.tid.Load() != uint64(t) {
+	// Release stores StatusFree before it clears tid (the other order would
+	// let a late StatusFree overwrite the next owner's StatusActive), so a
+	// free status read under a still-matching tid is t releasing: gone too.
+	if status == StatusFree || e.tid.Load() != uint64(t) {
 		return StatusFree, 0, false
 	}
 	return status, cstamp, true

@@ -28,24 +28,35 @@ func recoverCommits(t *testing.T, st *wal.MemStorage) []byte {
 	return got
 }
 
+// openDoomedLog opens a log whose device fails its first sync, which is held
+// until the returned release is called. Op 1 is the first segment create, op
+// 2 the flusher's first WriteAt, op 3 its Sync. Whenever the flusher runs, the
+// device dies only once the test has set up the ring and released the gate.
+func openDoomedLog(t *testing.T) (m *wal.Manager, inner *wal.MemStorage, inj *faultfs.Injector, release func()) {
+	t.Helper()
+	inner = wal.NewMemStorage()
+	inj = faultfs.NewInjector(inner, faultfs.Plan{FailOp: 3})
+	gate := faultfs.NewSyncGate(inj, 0)
+	gate.Hold()
+	m, err := wal.Open(wal.Config{
+		SegmentSize: 1 << 16,
+		BufferSize:  1 << 12,
+		Storage:     gate,
+		IdleSleep:   time.Hour, // flusher acts only when kicked
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, inner, inj, gate.Release
+}
+
 // TestReattachReplaysBufferedCommits: the device fails while committed work
 // sits in the ring buffer. After the device heals, Reattach must replay that
 // work to the log — transactions that committed in memory during the fault
 // window lose nothing — and a claim abandoned mid-fault becomes a skip
 // record, not a hole that stops recovery.
 func TestReattachReplaysBufferedCommits(t *testing.T) {
-	inner := wal.NewMemStorage()
-	// Op 1 is the first segment create; op 2 is the flusher's first WriteAt.
-	inj := faultfs.NewInjector(inner, faultfs.Plan{FailOp: 2})
-	m, err := wal.Open(wal.Config{
-		SegmentSize: 1 << 16,
-		BufferSize:  1 << 12,
-		Storage:     inj,
-		IdleSleep:   time.Hour, // flusher acts only when kicked
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, inner, inj, release := openDoomedLog(t)
 
 	offA := commitBlock(t, m, []byte{'a'})
 	// An unfinished reservation between two commits: its owner will never
@@ -55,6 +66,7 @@ func TestReattachReplaysBufferedCommits(t *testing.T) {
 	}
 	commitBlock(t, m, []byte{'c'})
 
+	release()
 	if err := m.WaitDurable(offA); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("WaitDurable = %v, want ErrInjected", err)
 	}
@@ -188,19 +200,10 @@ func TestReattachNotDegraded(t *testing.T) {
 // from the survivors). Reattach must adopt it and replay buffered work onto
 // it.
 func TestReattachReplacementStorage(t *testing.T) {
-	inner := wal.NewMemStorage()
-	inj := faultfs.NewInjector(inner, faultfs.Plan{FailOp: 2})
-	m, err := wal.Open(wal.Config{
-		SegmentSize: 1 << 16,
-		BufferSize:  1 << 12,
-		Storage:     inj,
-		IdleSleep:   time.Hour,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, inner, _, release := openDoomedLog(t)
 	offA := commitBlock(t, m, []byte{'a'})
 	commitBlock(t, m, []byte{'b'})
+	release()
 	if err := m.WaitDurable(offA); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("WaitDurable = %v", err)
 	}

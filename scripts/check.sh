@@ -32,7 +32,7 @@ echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc and whole transact
 go test -count=1 -run 'TestAllocBudgets|TestRespPayloadAllocBudget' \
 	./internal/proto/ ./internal/mvcc/ ./internal/server/ ./internal/client/
 # A whole engine transaction on a warm worker allocates only what outlives
-# it (the Txn, a Version per write, the insert's key and leaf copy); its
+# it (the Txn, a Version per write, the insert's key and leaf view); its
 # read, write and node sets and its log buffer come from the worker context.
 # BenchmarkTxnLifecycle, BenchmarkRunGC and BenchmarkScanPastDeleted in the
 # same package print B/op.
@@ -42,6 +42,11 @@ go test -count=1 -run 'TestTxnAllocBudget' ./internal/core/
 # keep its caller waiting for two, and allocate within its budget.
 # BenchmarkCommitCross in the same package prints the numbers.
 go test -count=1 -run 'TestCommitCrossBudget' ./internal/shard/
+
+echo "== txnid x50 (the TID table's inquiry races, repeated) =="
+# TestConcurrentInquire races Inquire against allocate/release on one slot;
+# its window is a few instructions wide, so one pass proves little.
+go test -count=50 ./internal/txnid/
 
 echo "== go build =="
 go build ./...
@@ -67,7 +72,9 @@ echo "== go test -race (core, index, mvcc, wal, epoch, engine, server, client, r
 # one (TestAbortedInsertNeverLosesACommittedOne), the SSN history property
 # with the collector running beside it (TestSSNHistoryWithReclamation), and
 # the index's conditional delete and rebind under lock-free readers
-# (index.TestConcurrentDeleteIfReplace).
+# (index.TestConcurrentDeleteIfReplace); and the index's shared leaf slots: a
+# paused scan against every leaf change (index.TestScanYieldsItsView) and
+# NEW-ORDER-shaped tail-insert/head-delete churn (index.TestNewOrderChurn).
 go test -race -short -count=1 ./internal/core/ ./internal/index/ ./internal/mvcc/ \
 	./internal/wal/ ./internal/epoch/ \
 	./internal/engine/ ./internal/server/ ./internal/client/ ./internal/repl/ \
