@@ -61,7 +61,7 @@ func main() {
 		addr         = flag.String("addr", ":7244", "TCP listen address")
 		dir          = flag.String("dir", "", "data directory (empty: in-memory, nothing survives restart)")
 		serializable = flag.Bool("serializable", false, "enable SSN serializability")
-		durability   = flag.String("durability", "group", "commit acknowledgment policy: group, percommit, or none")
+		durability   = flag.String("durability", "group", "commit acknowledgment policy: group (ack once durable) or none (ack on apply)")
 		maxConns     = flag.Int("max-conns", 256, "connection cap (excess dials wait in the listen backlog)")
 		workers      = flag.Int("workers", 128, "worker-slot pool size (bounds in-flight transactions)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before force-close")
@@ -84,8 +84,6 @@ func main() {
 	switch *durability {
 	case "group":
 		mode = ermia.DurabilityGroup
-	case "percommit":
-		mode = ermia.DurabilityPerCommit
 	case "none":
 		mode = ermia.DurabilityNone
 	default:

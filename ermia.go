@@ -303,9 +303,6 @@ const (
 	// committer: one log-durability wakeup covers every commit that arrived
 	// during the previous device sync. The default.
 	DurabilityGroup = server.DurabilityGroup
-	// DurabilityPerCommit pays one uncoordinated device sync per commit —
-	// the naive synchronous-commit baseline.
-	DurabilityPerCommit = server.DurabilityPerCommit
 	// DurabilityNone acknowledges once the commit is logically applied.
 	DurabilityNone = server.DurabilityNone
 )

@@ -31,7 +31,7 @@ type DegradeTarget struct {
 	Name string
 	// Open creates a fresh DB on the injected storage.
 	Open func(st wal.Storage) (engine.DB, error)
-	// Sync forces group commit (core WaitDurable, silo SyncLog).
+	// Sync forces group commit (the engine's WaitDurable).
 	Sync func(db engine.DB) error
 	// Health reports DB health.
 	Health func(db engine.DB) engine.HealthStatus
@@ -69,7 +69,7 @@ func CoreDegradeTarget() DegradeTarget {
 }
 
 // SiloDegradeTarget adapts the Silo engine (long epoch interval, so group
-// commit is driver-paced via SyncLog).
+// commit is driver-paced via WaitDurable).
 func SiloDegradeTarget() DegradeTarget {
 	cfg := func(st wal.Storage) silo.Config {
 		return silo.Config{Storage: st, EpochInterval: time.Hour}
@@ -77,7 +77,7 @@ func SiloDegradeTarget() DegradeTarget {
 	return DegradeTarget{
 		Name:   EngSilo,
 		Open:   func(st wal.Storage) (engine.DB, error) { return silo.Open(cfg(st)) },
-		Sync:   func(db engine.DB) error { return db.(*silo.DB).SyncLog() },
+		Sync:   func(db engine.DB) error { return db.(*silo.DB).WaitDurable() },
 		Health: func(db engine.DB) engine.HealthStatus { return db.(*silo.DB).Health() },
 		Reattach: func(db engine.DB) error {
 			_, err := db.(*silo.DB).Reattach(nil)

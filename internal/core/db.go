@@ -503,19 +503,6 @@ func (db *DB) WaitDurable() error {
 	return db.noteLogErr(log.Flush())
 }
 
-// SyncCommit is the per-commit durability wait of a traditional
-// synchronous-commit server: everything reserved so far becomes durable and
-// the caller additionally pays its own device sync, even when another
-// committer's sync already covered it. The network server's naive
-// durability mode uses it as the baseline group commit is measured against.
-func (db *DB) SyncCommit() error {
-	log := db.logMgr()
-	if log == nil {
-		return nil
-	}
-	return db.noteLogErr(log.SyncCommit(log.CurrentOffset()))
-}
-
 // Close stops background work and shuts down the log.
 func (db *DB) Close() error {
 	db.closeOnce.Do(func() {

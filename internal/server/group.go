@@ -12,10 +12,9 @@ type commitAck struct {
 	sess  *session
 	reqID uint64
 
-	// typ is the request type the released acknowledgment answers; zero
-	// means MsgCommit. Shard prepare/decide acks ride the same committer —
-	// that is the "piggybacked on the group committer" design — and must be
-	// released under their own frame type.
+	// typ is the request type the released acknowledgment answers: commit,
+	// or a shard prepare/decide riding the same committer — that is the
+	// "piggybacked on the group committer" design.
 	typ byte
 
 	// count marks acknowledgments that represent an acked write commit and
@@ -172,11 +171,7 @@ func (g *groupCommitter) awaitReplicated(batch []commitAck) {
 // respondOne releases a single commit acknowledgment with the given status,
 // counting successful commits against their epoch.
 func (g *groupCommitter) respondOne(a commitAck, st proto.Status, detail string) {
-	typ := a.typ
-	if typ == 0 {
-		typ = proto.MsgCommit
-	}
-	a.sess.respond(typ, a.reqID, respPayload(st, detail, nil))
+	a.sess.respond(a.typ, a.reqID, respPayload(st, detail, nil))
 	if st == proto.StatusOK && a.count {
 		g.srv.noteCommit(a.epoch)
 	}

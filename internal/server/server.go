@@ -49,10 +49,6 @@ const (
 	// cross-connection group committer: one WaitDurable covers every commit
 	// that arrived while the previous device sync was in flight.
 	DurabilityGroup Durability = iota
-	// DurabilityPerCommit is the naive synchronous-commit baseline: every
-	// commit pays its own device sync before the acknowledgment, with no
-	// cross-connection coordination.
-	DurabilityPerCommit
 	// DurabilityNone acknowledges as soon as the commit is logically
 	// applied; durability rides behind on the engine's background flusher.
 	DurabilityNone
@@ -62,8 +58,6 @@ func (d Durability) String() string {
 	switch d {
 	case DurabilityGroup:
 		return "group"
-	case DurabilityPerCommit:
-		return "percommit"
 	case DurabilityNone:
 		return "none"
 	default:
@@ -187,10 +181,9 @@ type Server struct {
 	cfg Config
 	db  engine.DB
 
-	// waitDurable is the group-commit action; syncCommit the per-commit
-	// baseline. Resolved from the engine's capabilities at New.
+	// waitDurable is the group committer's device wait and logOf the durable
+	// horizon. Resolved from the engine's capabilities at New.
 	waitDurable func() error
-	syncCommit  func() error
 	logOf       func() uint64
 
 	ln       net.Listener
@@ -309,26 +302,18 @@ func New(cfg Config) (*Server, error) {
 }
 
 // resolveDurability binds the durability actions to whatever the engine
-// offers: the ERMIA core exposes WaitDurable/SyncCommit, the Silo baseline
-// SyncLog; an engine with neither degrades every mode to DurabilityNone.
+// offers: both the ERMIA core and the Silo baseline expose WaitDurable; an
+// engine without it degrades group mode to DurabilityNone.
 func (s *Server) resolveDurability() {
 	s.waitDurable = func() error { return nil }
 	s.logOf = func() uint64 { return 0 }
 	if w, ok := s.db.(interface{ WaitDurable() error }); ok {
 		s.waitDurable = w.WaitDurable
-	} else if l, ok := s.db.(interface{ SyncLog() error }); ok {
-		s.waitDurable = l.SyncLog
-	}
-	s.syncCommit = s.waitDurable
-	if p, ok := s.db.(interface{ SyncCommit() error }); ok {
-		s.syncCommit = p.SyncCommit
 	}
 	if dp, ok := s.db.(interface{ DurableOffset() uint64 }); ok {
 		// Works in replica mode too, where Log() is nil: the replay
 		// watermark stands in for the durable horizon.
 		s.logOf = dp.DurableOffset
-	} else if lp, ok := s.db.(interface{ Log() *wal.Manager }); ok {
-		s.logOf = func() uint64 { return lp.Log().DurableOffset() }
 	}
 }
 

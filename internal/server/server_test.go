@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,10 +16,11 @@ import (
 	"ermia/internal/engine"
 	"ermia/internal/faultfs"
 	"ermia/internal/server"
+	"ermia/internal/silo"
 	"ermia/internal/wal"
 )
 
-func openCore(t *testing.T, cfg core.Config) *core.DB {
+func openCore(t testing.TB, cfg core.Config) *core.DB {
 	t.Helper()
 	if cfg.WAL.SegmentSize == 0 {
 		cfg.WAL = wal.Config{SegmentSize: 4 << 20, BufferSize: 1 << 20, Storage: cfg.WAL.Storage}
@@ -31,7 +33,7 @@ func openCore(t *testing.T, cfg core.Config) *core.DB {
 	return db
 }
 
-func serve(t *testing.T, db engine.DB, cfg server.Config) (*server.Server, string) {
+func serve(t testing.TB, db engine.DB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	cfg.DB = db
 	srv, err := server.New(cfg)
@@ -47,7 +49,7 @@ func serve(t *testing.T, db engine.DB, cfg server.Config) (*server.Server, strin
 	return srv, ln.Addr().String()
 }
 
-func dial(t *testing.T, addr string, pool int) *client.Client {
+func dial(t testing.TB, addr string, pool int) *client.Client {
 	t.Helper()
 	c, err := client.Dial(client.Options{Addr: addr, PoolSize: pool})
 	if err != nil {
@@ -484,4 +486,56 @@ func TestGroupCommitBatches(t *testing.T) {
 	t.Logf("group commit: %d commits in %d batches (%.1f/batch), durable=%d",
 		stats.GroupCommits, stats.GroupBatches,
 		float64(stats.GroupCommits)/float64(stats.GroupBatches), stats.DurableOffset)
+}
+
+// TestServeSiloGroupDurability serves the Silo baseline in group mode. Its
+// WaitDurable is the committer's device wait, so a write commit is acked
+// through a group batch and a failed value-log sync comes back as that
+// commit's error; a read-only commit waits for nothing and still gets OK.
+func TestServeSiloGroupDurability(t *testing.T) {
+	inj := faultfs.NewInjector(wal.NewMemStorage(), faultfs.Plan{})
+	// A long epoch keeps the ticker's own sync out of the way: every sync
+	// is the group committer's.
+	db, err := silo.Open(silo.Config{EpochInterval: time.Hour, Storage: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	_, addr := serve(t, db, server.Config{})
+	c := dial(t, addr, 1)
+
+	tbl := c.CreateTable("t")
+	put := func(key string) error {
+		txn := c.Begin(0)
+		if err := txn.Insert(tbl, []byte(key), []byte("v")); err != nil {
+			txn.Abort()
+			return err
+		}
+		return txn.Commit()
+	}
+	if err := put("before"); err != nil {
+		t.Fatalf("write commit: %v", err)
+	}
+	stats, err := c.ServerStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GroupBatches == 0 || stats.GroupCommits == 0 {
+		t.Fatalf("write commit bypassed the group committer: %+v", stats)
+	}
+
+	// The next commit's log append is the next operation and the
+	// committer's sync the one after it: fail the sync.
+	inj.SetFailOp(inj.OpCount() + 2)
+	if err := put("unsynced"); err == nil || !strings.Contains(err.Error(), faultfs.ErrInjected.Error()) {
+		t.Fatalf("commit over a failed sync = %v, want the injected error", err)
+	}
+
+	ro := c.BeginReadOnly(0)
+	if _, err := ro.Get(tbl, []byte("before")); err != nil {
+		t.Fatalf("read after failed sync: %v", err)
+	}
+	if err := ro.Commit(); err != nil {
+		t.Fatalf("read-only commit after failed sync: %v", err)
+	}
 }

@@ -42,9 +42,9 @@ type request struct {
 // bounded queue, a handler goroutine executes them in arrival order against
 // the engine, and a writer goroutine streams out response frames (batched
 // into one flush whenever the queue empties). Commit acknowledgments may be
-// produced asynchronously by the group committer or a per-commit sync
-// goroutine; wg tracks those so teardown never closes the response channel
-// under a pending acknowledgment.
+// produced asynchronously by the group committer; wg tracks those so
+// teardown never closes the response channel under a pending
+// acknowledgment.
 type session struct {
 	srv *Server
 	nc  net.Conn
@@ -497,7 +497,7 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 }
 
 // handleCommit runs the engine commit synchronously (it is the CC protocol,
-// cheap and in-memory) and routes the durability wait by mode. The
+// cheap and in-memory) and hands the acknowledgment to ackDurable. The
 // transaction's slot is released as soon as the engine is done with it —
 // the durability wait holds no engine resources.
 func (s *session) handleCommit(req request, d *proto.Dec) {
@@ -526,39 +526,38 @@ func (s *session) handleCommit(req request, d *proto.Dec) {
 		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
 		return
 	}
-	ep := s.srv.epoch.Load()
-	switch s.srv.cfg.Durability {
-	case DurabilityNone:
-		s.srv.noteCommit(ep)
-		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
-	case DurabilityPerCommit:
-		s.wg.Add(1)
-		go func(reqID uint64) {
-			defer s.wg.Done()
-			st, detail := proto.StatusOf(s.srv.syncCommit())
-			if st == proto.StatusOK {
-				s.srv.noteCommit(ep)
-			}
-			s.respond(proto.MsgCommit, reqID, respPayload(st, detail, nil))
-		}(req.id)
-	default: // DurabilityGroup
-		ack := commitAck{sess: s, reqID: req.id, epoch: ep, deadline: req.deadline, count: true}
-		if s.srv.cfg.SyncRepl {
-			// The replica must acknowledge applying the log through this
-			// commit's bytes before the client hears OK. Deadline-less
-			// commits get the server-side cap so a dead or fenced-off
-			// subscriber cannot park the committer forever.
-			if log := s.srv.shipLog(); log != nil {
-				ack.target = log.CurrentOffset()
-			}
-			replCap := time.Now().Add(s.srv.cfg.SyncReplWait)
-			if ack.deadline.IsZero() || replCap.Before(ack.deadline) {
-				ack.deadline = replCap
-			}
+	s.ackDurable(req, s.srv.epoch.Load(), true)
+}
+
+// ackDurable releases the acknowledgment of a write commit, a shard prepare
+// or a shard decide under the server's durability policy: none acks at
+// once, group acks ride the shared committer (one WaitDurable covers every
+// ack gathered behind the in-flight sync). isCommit marks acks that
+// represent an acked write commit for the per-epoch single-writer audit.
+func (s *session) ackDurable(req request, epoch uint64, isCommit bool) {
+	if s.srv.cfg.Durability == DurabilityNone {
+		if isCommit {
+			s.srv.noteCommit(epoch)
 		}
-		s.wg.Add(1)
-		s.srv.gc.enqueue(ack)
+		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+		return
 	}
+	ack := commitAck{sess: s, reqID: req.id, typ: req.typ, epoch: epoch, deadline: req.deadline, count: isCommit}
+	if s.srv.cfg.SyncRepl {
+		// The replica must acknowledge applying the log through this ack's
+		// bytes before the client hears OK. Deadline-less requests get the
+		// server-side cap so a dead or fenced-off subscriber cannot park the
+		// committer forever.
+		if log := s.srv.shipLog(); log != nil {
+			ack.target = log.CurrentOffset()
+		}
+		replCap := time.Now().Add(s.srv.cfg.SyncReplWait)
+		if ack.deadline.IsZero() || replCap.Before(ack.deadline) {
+			ack.deadline = replCap
+		}
+	}
+	s.wg.Add(1)
+	s.srv.gc.enqueue(ack)
 }
 
 func (s *session) handleAbort(req request, d *proto.Dec) {

@@ -594,45 +594,6 @@ func (s *session) handleShardDecide(req request, d *proto.Dec) {
 	s.ackDurable(req, ep, commit && applied)
 }
 
-// ackDurable releases a 2PC acknowledgment under the server's durability
-// policy, exactly as handleCommit does for ordinary commits: group acks
-// ride the shared committer (one WaitDurable covers every ack gathered
-// behind the in-flight sync), per-commit pays its own sync, none acks
-// immediately. isCommit marks acks that represent an acked write commit
-// for the per-epoch single-writer audit.
-func (s *session) ackDurable(req request, epoch uint64, isCommit bool) {
-	switch s.srv.cfg.Durability {
-	case DurabilityNone:
-		if isCommit {
-			s.srv.noteCommit(epoch)
-		}
-		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
-	case DurabilityPerCommit:
-		s.wg.Add(1)
-		go func(typ byte, reqID uint64) {
-			defer s.wg.Done()
-			st, detail := proto.StatusOf(s.srv.syncCommit())
-			if st == proto.StatusOK && isCommit {
-				s.srv.noteCommit(epoch)
-			}
-			s.respond(typ, reqID, respPayload(st, detail, nil))
-		}(req.typ, req.id)
-	default: // DurabilityGroup
-		ack := commitAck{sess: s, reqID: req.id, typ: req.typ, epoch: epoch, deadline: req.deadline, count: isCommit}
-		if s.srv.cfg.SyncRepl {
-			if log := s.srv.shipLog(); log != nil {
-				ack.target = log.CurrentOffset()
-			}
-			replCap := time.Now().Add(s.srv.cfg.SyncReplWait)
-			if ack.deadline.IsZero() || replCap.Before(ack.deadline) {
-				ack.deadline = replCap
-			}
-		}
-		s.wg.Add(1)
-		s.srv.gc.enqueue(ack)
-	}
-}
-
 // handleShardMap serves this server's sharding identity: shard id, map
 // version, and the operator-supplied map blob.
 func (s *session) handleShardMap(req request) {

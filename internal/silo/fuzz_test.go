@@ -37,7 +37,7 @@ func fuzzSeedLog(f *testing.F) []byte {
 	if err := txn.Commit(); err != nil {
 		f.Fatal(err)
 	}
-	if err := db.SyncLog(); err != nil {
+	if err := db.WaitDurable(); err != nil {
 		f.Fatal(err)
 	}
 	db.Close()

@@ -65,9 +65,10 @@ func (t *Txn) checkWritable() error {
 	}
 }
 
-// SyncLog forces the value log to disk — the epoch ticker's group-commit
-// action on demand (tests and benchmarks run with long epochs).
-func (db *DB) SyncLog() error {
+// WaitDurable forces the value log to disk — the epoch ticker's group-commit
+// action on demand (tests and benchmarks run with long epochs, and a server
+// over Silo calls it as its group committer's device wait).
+func (db *DB) WaitDurable() error {
 	if db.logFile == nil {
 		return nil
 	}

@@ -30,7 +30,7 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	}
 	db.AdvanceEpoch() // expose the inserts to snapshot readers
 	db.AdvanceEpoch()
-	if err := db.SyncLog(); err != nil {
+	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
 	}
 	if h := db.Health(); h.State != engine.Healthy {
@@ -52,8 +52,8 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	if h := db.Health(); h.State != engine.Degraded || !errors.Is(h.Cause, faultfs.ErrInjected) {
 		t.Fatalf("health = %v, want degraded with injected cause", h)
 	}
-	if err := db.SyncLog(); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("SyncLog while degraded = %v, want sticky cause", err)
+	if err := db.WaitDurable(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("WaitDurable while degraded = %v, want sticky cause", err)
 	}
 
 	// The pre-fault writer is refused at commit, before installing anything.
@@ -103,7 +103,7 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 		t.Fatalf("health after reattach = %v, want healthy", h)
 	}
 	put(t, db, tbl, "post", "heal")
-	if err := db.SyncLog(); err != nil {
+	if err := db.WaitDurable(); err != nil {
 		t.Fatalf("durability after reattach: %v", err)
 	}
 
@@ -147,7 +147,7 @@ func TestReattachReplacementStorage(t *testing.T) {
 	tbl := db.CreateTable("t")
 	put(t, db, tbl, "a", "1")
 	put(t, db, tbl, "b", "2")
-	if err := db.SyncLog(); err != nil {
+	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +166,7 @@ func TestReattachReplacementStorage(t *testing.T) {
 		t.Fatalf("reattach report = %+v, want new device with 1 rewrite", rep)
 	}
 	put(t, db, tbl, "d", "4")
-	if err := db.SyncLog(); err != nil {
+	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
 	}
 

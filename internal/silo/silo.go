@@ -188,7 +188,7 @@ func (db *DB) ticker() {
 		case <-t.C:
 			db.epoch.Add(1)
 			db.recomputeSnapFloor()
-			db.SyncLog() // a Sync failure degrades the DB (health.go)
+			db.WaitDurable() // a Sync failure degrades the DB (health.go)
 		}
 	}
 }

@@ -693,28 +693,6 @@ func (m *Manager) Flush() error {
 	return m.WaitDurable(m.offset.Load())
 }
 
-// SyncCommit makes every offset below off durable and then issues one
-// additional sync of the tail segment on the caller's behalf. This is the
-// uncoordinated synchronous-commit discipline — every committer pays its own
-// device round trip even when a concurrent committer's sync already covered
-// its offset — kept as the measured baseline the network server's
-// cross-connection group commit is compared against.
-func (m *Manager) SyncCommit(off uint64) error {
-	if err := m.WaitDurable(off); err != nil {
-		return err
-	}
-	seg := m.cur.Load()
-	if seg == nil {
-		return nil
-	}
-	if err := seg.file.Sync(); err != nil {
-		err = fmt.Errorf("wal: sync: %w", err)
-		m.setErr(err)
-		return err
-	}
-	return nil
-}
-
 // Close drains completed log data and stops the flusher. Unfinished
 // reservations are abandoned.
 func (m *Manager) Close() error {
