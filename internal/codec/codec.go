@@ -11,6 +11,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // KeyEncoder builds a composite, order-preserving binary key.
@@ -278,7 +279,12 @@ func (d *TupleDecoder) Int64() int64 {
 // Float decodes a float64 field.
 func (d *TupleDecoder) Float() float64 { return floatFromBits(d.Uint64()) }
 
-// String decodes a length-prefixed string field.
+// String decodes a length-prefixed string field. The string aliases the
+// tuple's bytes rather than copying them, so the tuple must not change while
+// the string is in use: decode a buffer the caller will overwrite only after
+// cloning it (strings.Clone on the result, or a copy of the tuple). The
+// payloads an engine.Txn returns and the frames proto.ReadFrameD returns are
+// never overwritten.
 func (d *TupleDecoder) String() string {
 	n := d.Uint64()
 	if d.err != nil {
@@ -288,7 +294,7 @@ func (d *TupleDecoder) String() string {
 		d.err = fmt.Errorf("codec: string field truncated: need %d bytes, have %d", n, len(d.buf))
 		return ""
 	}
-	s := string(d.buf[:n])
+	s := unsafe.String(unsafe.SliceData(d.buf), int(n))
 	d.buf = d.buf[n:]
 	return s
 }

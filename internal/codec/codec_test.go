@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"ermia/internal/alloctest"
 )
 
 func TestKeyRoundTrip(t *testing.T) {
@@ -186,6 +188,24 @@ func TestTupleQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// A decoded string field aliases the tuple, so decoding a row allocates
+// nothing.
+func TestTupleDecodeInPlace(t *testing.T) {
+	tu := NewTuple(64).String("district-info").Uint64(42).String("").Int64(-7).String("stock data").Clone()
+	var a, b, c string
+	alloctest.Budget(t, 0, func() {
+		d := DecodeTuple(tu)
+		a = d.String()
+		d.Uint64()
+		b = d.String()
+		d.Int64()
+		c = d.String()
+	})
+	if a != "district-info" || b != "" || c != "stock data" {
+		t.Fatalf("decoded %q %q %q", a, b, c)
+	}
+}
+
 func TestTupleDecodeErrors(t *testing.T) {
 	d := DecodeTuple(nil)
 	d.Uint64()
@@ -227,5 +247,23 @@ func BenchmarkTupleEncode(b *testing.B) {
 	e := NewTuple(64)
 	for i := 0; i < b.N; i++ {
 		e.Reset().Uint64(uint64(i)).Int64(-int64(i)).String("abcdefgh")
+	}
+}
+
+var sinkString string
+
+// BenchmarkTupleDecode decodes a row shaped like a TPC-C stock row: three
+// string fields and two integers.
+func BenchmarkTupleDecode(b *testing.B) {
+	tu := NewTuple(96).Int64(-42).String("dist-info-0123456789-abcd").Uint64(1 << 20).
+		String("stock-data-padding").String("original").Clone()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := DecodeTuple(tu)
+		d.Int64()
+		sinkString = d.String()
+		d.Uint64()
+		sinkString = d.String()
+		sinkString = d.String()
 	}
 }

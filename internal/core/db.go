@@ -110,15 +110,13 @@ type DB struct {
 	workers [MaxWorkers]workerState
 
 	// Garbage collection (see RunGC): applied is the appliers' counterpart of
-	// a worker's garbage list. gcMu guards gcQueue, the entries earlier rounds
-	// kept, and gcSpare, an emptied array for the next round's first drain.
-	// ckptPin is a running checkpoint's hold on the horizon, published like a
-	// worker's begin stamp.
+	// a worker's garbage list. gcMu serializes rounds and guards gcQueue, the
+	// entries earlier rounds kept. ckptPin is a running checkpoint's hold on
+	// the horizon, published like a worker's begin stamp.
 	applied garbageList
 	ckptPin atomic.Uint64
 	gcMu    sync.Mutex
 	gcQueue []garbageEntry
-	gcSpare []garbageEntry
 	// deleteFloor is the largest commit stamp among the deletes whose
 	// tombstones the collector has reclaimed: what a transaction that finds
 	// such a key absent has read, as far as SSN goes (see reclaim).
@@ -421,14 +419,14 @@ func (db *DB) RunGC() int {
 		}
 	}
 	collect(db.gcQueue) // filters in place: kept never outruns the read position
-	spare := db.gcSpare
 	drain := func(list *garbageList) {
 		list.mu.Lock()
 		batch := list.entries
-		list.entries = spare // an emptied array from an earlier drain: nobody copies
+		list.entries = list.drained // nobody copies
 		list.mu.Unlock()
 		collect(batch)
-		spare = park(batch)
+		clear(batch)
+		list.drained = batch[:0]
 	}
 	drain(&db.applied)
 	for i := range db.workers {
@@ -438,7 +436,7 @@ func (db *DB) RunGC() int {
 	if pending == 0 {
 		kept = park(kept)
 	}
-	db.gcQueue, db.gcSpare = kept, spare
+	db.gcQueue = kept
 	db.gcMu.Unlock()
 	db.gcEpoch.TryReclaim()
 	db.stats.VersionsPruned.Add(uint64(removed))

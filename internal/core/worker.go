@@ -151,10 +151,16 @@ type garbageEntry struct {
 
 // garbageList collects overwrites between RunGC rounds. Its owner (one
 // worker, or the applier) appends under the lock once per commit; only the
-// collector ever contends for it.
+// collector ever contends for it. A drain swaps entries for drained, the
+// array the previous drain emptied, so the list's two arrays take turns and
+// settle at the size one round's writes need; they are not bounded by
+// scratchKeepBytes, because the write rate, not one transaction, sets that
+// size.
 type garbageList struct {
 	mu      sync.Mutex
 	entries []garbageEntry
+	// drained is touched only by the collector, under DB.gcMu.
+	drained []garbageEntry
 }
 
 func (g *garbageList) add(e garbageEntry) {

@@ -186,6 +186,46 @@ func TestTxnScratchBound(t *testing.T) {
 	mustCommit(t, mixedTxn(t, db, tbl, worker, 1))
 }
 
+// A garbage list keeps the array a drain emptied, cleared, and gets it back on
+// the next drain, however large one round's writes made it — worker 0's
+// included, whose list used to take the appliers' empty one and regrow from
+// nil every round.
+func TestGarbageListKeepsItsArray(t *testing.T) {
+	db := testDB(t, false)
+	tbl := db.CreateTable("t")
+	const rows = 4096 // 96 KB of entries, past scratchKeepBytes
+	loadKeys(t, db, tbl, rows)
+	overwrite := func() {
+		for i := 0; i < rows; i += 256 {
+			txn := db.Begin(0)
+			for j := i; j < i+256; j++ {
+				if err := txn.Update(tbl, wkey(j), []byte("v1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, txn)
+		}
+	}
+	g := &db.workers[0].garbage
+	overwrite()
+	before := cap(g.entries)
+	if db.RunGC() != rows {
+		t.Fatal("the round did not prune every overwrite")
+	}
+	if g.drained == nil || cap(g.drained) != before {
+		t.Fatalf("after the drain the list keeps cap %d, want the drained array's %d", cap(g.drained), before)
+	}
+	if g.drained[:1][0].tbl != nil {
+		t.Fatal("the kept array still references a table")
+	}
+	kept := &g.drained[:1][0]
+	overwrite()
+	db.RunGC()
+	if cap(g.entries) == 0 || &g.entries[:1][0] != kept {
+		t.Fatal("the next drain did not hand the kept array back")
+	}
+}
+
 // The SSN read set holds each version once however often it is read.
 func TestSSNReadSetDedup(t *testing.T) {
 	db := testDB(t, true)

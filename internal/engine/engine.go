@@ -125,19 +125,27 @@ type Table interface {
 
 // Txn is one transaction. A Txn is single-goroutine; it ends with exactly
 // one Commit or Abort call.
+//
+// Payloads are immutable once written. The keys and values Get and Scan
+// return are the stored bytes; the engine never modifies them while anyone
+// holds them, before or after the transaction ends, so callers may keep and
+// decode them in place (codec's tuple strings alias them) but must not
+// modify them. Insert keeps the caller's key and value slices and Update the
+// value slice as stored bytes, so the caller must not reuse them afterwards.
 type Txn interface {
-	// Get returns the visible value for key. The returned slice is the
-	// stored payload; callers must not modify it.
+	// Get returns the visible value for key: the stored payload.
 	Get(t Table, key []byte) ([]byte, error)
-	// Insert adds a new record.
+	// Insert adds a new record. The engine keeps key and value.
 	Insert(t Table, key, value []byte) error
-	// Update replaces the record's value. It fails with ErrNotFound if no
-	// visible record exists and ErrWriteConflict on write-write conflicts.
+	// Update replaces the record's value; the engine keeps value. It fails
+	// with ErrNotFound if no visible record exists and ErrWriteConflict on
+	// write-write conflicts.
 	Update(t Table, key, value []byte) error
 	// Delete removes the record (a tombstone update).
 	Delete(t Table, key []byte) error
 	// Scan visits visible records with keys in [lo, hi) in order (hi nil
-	// means unbounded); fn returning false stops the scan.
+	// means unbounded); fn returning false stops the scan. Keys and values
+	// passed to fn follow the same rule as Get's result.
 	Scan(t Table, lo, hi []byte, fn func(key, value []byte) bool) error
 	// Commit runs the engine's commit protocol. On a conflict error the
 	// transaction has already been aborted and cleaned up.

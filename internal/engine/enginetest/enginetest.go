@@ -39,6 +39,7 @@ func Run(t *testing.T, open Factory) {
 	t.Run("OpenTable", func(t *testing.T) { testOpenTable(t, open(t)) })
 	t.Run("LargeValues", func(t *testing.T) { testLargeValues(t, open(t)) })
 	t.Run("EmptyAndBinaryKeys", func(t *testing.T) { testEmptyAndBinaryKeys(t, open(t)) })
+	t.Run("ReadValuesStayPut", func(t *testing.T) { testReadValuesStayPut(t, open(t)) })
 }
 
 func commit(t *testing.T, txn engine.Txn) {
@@ -416,6 +417,58 @@ func testLargeValues(t *testing.T, db engine.DB) {
 	for i := range big {
 		if v[i] != big[i] {
 			t.Fatalf("large value corrupted at %d", i)
+		}
+	}
+}
+
+// testReadValuesStayPut holds the values a Get and a Scan returned while the
+// same keys are overwritten twice with values of the same length: the engine
+// must never write into a payload it has handed out (codec's decoders alias
+// it). An engine with an on-demand collector runs a round before the check,
+// so the held values belong to pruned versions.
+func testReadValuesStayPut(t *testing.T, db engine.DB) {
+	tbl := db.CreateTable("t")
+	keys := []string{"a", "b", "c"}
+	txn := db.Begin(0)
+	for _, k := range keys {
+		if err := txn.Insert(tbl, []byte(k), []byte("value-0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, txn)
+
+	txn = db.Begin(1)
+	got, err := txn.Get(tbl, []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := [][]byte{got}
+	if err := txn.Scan(tbl, nil, nil, func(_, v []byte) bool {
+		held = append(held, v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, txn)
+	if len(held) != 1+len(keys) {
+		t.Fatalf("held %d values, want %d", len(held), 1+len(keys))
+	}
+
+	for round := 1; round <= 2; round++ {
+		txn = db.Begin(0)
+		for _, k := range keys {
+			if err := txn.Update(tbl, []byte(k), []byte(fmt.Sprintf("value-%d", round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(t, txn)
+	}
+	if gc, ok := db.(interface{ RunGC() int }); ok {
+		gc.RunGC()
+	}
+	for i, v := range held {
+		if string(v) != "value-0" {
+			t.Errorf("held value %d changed to %q after later commits", i, v)
 		}
 	}
 }

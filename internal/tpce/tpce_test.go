@@ -1,10 +1,12 @@
 package tpce
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"ermia/internal/codec"
 	"ermia/internal/core"
 	"ermia/internal/engine"
 	"ermia/internal/silo"
@@ -143,6 +145,84 @@ func TestTradeLifecycle(t *testing.T) {
 		}
 	}
 	t.Fatal("trade never completed")
+}
+
+// racingDB lets another transaction insert a holding summary, and commit, just
+// after a TradeResult's read found none: the race two TradeResults on the same
+// account and security run.
+type racingDB struct {
+	engine.DB
+	holdingSum engine.Table
+	fired      bool
+}
+
+func (r *racingDB) Begin(worker int) engine.Txn { return &racingTxn{r.DB.Begin(worker), r} }
+
+type racingTxn struct {
+	engine.Txn
+	r *racingDB
+}
+
+func (t *racingTxn) Get(tbl engine.Table, key []byte) ([]byte, error) {
+	v, err := t.Txn.Get(tbl, key)
+	if r := t.r; r.holdingSum != nil && tbl == r.holdingSum && errors.Is(err, engine.ErrNotFound) && !r.fired {
+		r.fired = true
+		other := r.DB.Begin(7)
+		if ierr := other.Insert(tbl, key, (&HoldingSummary{Quantity: 1}).Encode(codec.NewTuple(8))); ierr != nil {
+			panic(ierr)
+		}
+		if cerr := other.Commit(); cerr != nil {
+			panic(cerr)
+		}
+	}
+	return v, err
+}
+
+// A TradeResult that loses the race to insert a holding summary reports a
+// conflict its caller retries, not a duplicate-key error that stops the run.
+func TestTradeResultSummaryRaceIsAConflict(t *testing.T) {
+	for name, open := range map[string]func(testing.TB) engine.DB{
+		"ermia-si": func(tb testing.TB) engine.DB { return openERMIA(tb, false) },
+		"silo":     func(tb testing.TB) engine.DB { return openSilo(tb) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := &racingDB{DB: open(t)}
+			d := loadDriver(t, db)
+			rng := xrand.New(16)
+			for i := 0; i < 200; i++ {
+				if err := d.Run(TradeOrder, 0, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// No summary exists any more, so every pending trade's result
+			// inserts one.
+			txn := db.Begin(0)
+			var keys [][]byte
+			txn.Scan(d.holdingSum, nil, nil, func(k, _ []byte) bool {
+				keys = append(keys, append([]byte(nil), k...))
+				return true
+			})
+			for _, k := range keys {
+				if err := txn.Delete(d.holdingSum, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			db.holdingSum = d.holdingSum
+			for i := 0; i < 20000 && !db.fired; i++ {
+				err := d.Run(TradeResult, 0, rng)
+				if db.fired && !engine.IsRetryable(err) {
+					t.Fatalf("TradeResult that lost the summary race: %v, want a retryable conflict", err)
+				}
+			}
+			if !db.fired {
+				t.Fatal("no TradeResult reached a pending trade")
+			}
+		})
+	}
 }
 
 func TestAssetEvalInsertsHistory(t *testing.T) {

@@ -304,6 +304,13 @@ func (d *Driver) runTradeResult(worker int, rng *xrand.Rand) error {
 		hs := HoldingSummary{Quantity: delta}
 		if err := txn.Insert(d.holdingSum, hsKey, hs.Encode(enc)); err != nil {
 			txn.Abort()
+			if errors.Is(err, engine.ErrDuplicate) {
+				// Another TradeResult on the same account and security
+				// inserted the summary after our read found none. Silo
+				// reports that as a duplicate; it is a conflict, and a retry
+				// reads the summary.
+				err = engine.ErrWriteConflict
+			}
 			return err
 		}
 	} else {
