@@ -23,14 +23,13 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "experiment to run (fig1..fig12, table1, repl, ckpt, chaos, query, all)")
+		experiment = flag.String("experiment", "", "experiment to run (fig1..fig12, table1, all)")
 		threads    = flag.Int("threads", 0, "worker goroutines (default: 4, or 24 with -full)")
 		duration   = flag.Duration("duration", 0, "measurement time per point (default 2s, 30s with -full)")
-		items      = flag.Int("items", 0, "TPC-C ITEM cardinality (default 2000, 100000 with -full)")
+		items      = flag.Int("items", 0, "TPC-C ITEM cardinality (default 10000, 100000 with -full)")
 		customers  = flag.Int("customers", 0, "TPC-E customers (default 300, 5000 with -full)")
-		microRows  = flag.Int("micro-rows", 0, "microbenchmark rows (default 20000, 100000 with -full)")
+		microRows  = flag.Int("micro-rows", 0, "microbenchmark rows (default 200000, 2400000 with -full)")
 		full       = flag.Bool("full", false, "approximate the paper's scale (24 threads, 30s, full tables)")
-		jsonPath   = flag.String("json", "", "write the experiment's machine-readable report here (repl, ckpt, chaos, query)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -59,7 +58,6 @@ func main() {
 		MicroRows: *microRows,
 		Full:      *full,
 		Out:       os.Stdout,
-		JSONPath:  *jsonPath,
 	}
 
 	run := func(name string) {

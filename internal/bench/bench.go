@@ -6,10 +6,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,10 +24,6 @@ type Options struct {
 	// IsUserAbort classifies intentional benchmark rollbacks (e.g. TPC-C's
 	// 1% NewOrder abort); they count as neither commit nor conflict.
 	IsUserAbort func(error) bool
-	// Seed perturbs worker RNGs so repeated runs differ.
-	Seed uint64
-	// WarmupFraction of Duration runs before counters reset. Default 0.
-	WarmupFraction float64
 }
 
 // KindStats aggregates outcomes for one transaction type.
@@ -45,8 +37,6 @@ type KindStats struct {
 	latMin   time.Duration
 	latMax   time.Duration
 	latCount uint64
-	// buckets[i] counts latencies in [2^i, 2^(i+1)) microseconds.
-	buckets [40]uint64
 }
 
 // AbortRatio returns conflict aborts / attempts (excluding user aborts).
@@ -72,23 +62,6 @@ func (k *KindStats) MinLatency() time.Duration { return k.latMin }
 // MaxLatency returns the slowest committed execution.
 func (k *KindStats) MaxLatency() time.Duration { return k.latMax }
 
-// Percentile returns an approximate latency percentile (0 < p <= 1) from
-// the log-scale histogram.
-func (k *KindStats) Percentile(p float64) time.Duration {
-	if k.latCount == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p * float64(k.latCount)))
-	var cum uint64
-	for i, c := range k.buckets {
-		cum += c
-		if cum >= target {
-			return time.Duration(1<<uint(i)) * time.Microsecond
-		}
-	}
-	return k.latMax
-}
-
 func (k *KindStats) record(lat time.Duration, outcome int) {
 	k.Attempts++
 	switch outcome {
@@ -102,15 +75,6 @@ func (k *KindStats) record(lat time.Duration, outcome int) {
 		if lat > k.latMax {
 			k.latMax = lat
 		}
-		us := lat.Microseconds()
-		idx := 0
-		if us > 0 {
-			idx = bits.Len64(uint64(us)) - 1
-		}
-		if idx >= len(k.buckets) {
-			idx = len(k.buckets) - 1
-		}
-		k.buckets[idx]++
 	case outcomeAbort:
 		k.Aborts++
 	case outcomeUser:
@@ -131,9 +95,6 @@ func (k *KindStats) merge(o *KindStats) {
 	if o.latMax > k.latMax {
 		k.latMax = o.latMax
 	}
-	for i := range k.buckets {
-		k.buckets[i] += o.buckets[i]
-	}
 }
 
 const (
@@ -145,7 +106,6 @@ const (
 // Result summarizes a harness run.
 type Result struct {
 	Duration time.Duration
-	Workers  int
 	Kinds    map[string]*KindStats
 	Err      error // first non-retryable workload error, if any
 }
@@ -165,15 +125,6 @@ func (r *Result) Throughput() float64 {
 		return 0
 	}
 	return float64(r.TotalCommits()) / r.Duration.Seconds()
-}
-
-// KindThroughput returns one type's committed transactions per second.
-func (r *Result) KindThroughput(kind string) float64 {
-	k, ok := r.Kinds[kind]
-	if !ok || r.Duration <= 0 {
-		return 0
-	}
-	return float64(k.Commits) / r.Duration.Seconds()
 }
 
 // Run drives Options.Workers goroutines until the deadline.
@@ -196,26 +147,19 @@ func Run(opts Options) Result {
 	results := make([]workerResult, opts.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	warmupUntil := start.Add(time.Duration(opts.WarmupFraction * float64(opts.Duration)))
 	deadline := start.Add(opts.Duration)
 
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			rng := xrand.New2(uint64(id)+1, opts.Seed+0xBEEF)
+			rng := xrand.New2(uint64(id)+1, 0xBEEF)
 			kinds := map[string]*KindStats{}
-			warm := opts.WarmupFraction > 0
 			for {
-				now := time.Now()
-				if now.After(deadline) {
+				t0 := time.Now()
+				if t0.After(deadline) {
 					break
 				}
-				if warm && now.After(warmupUntil) {
-					kinds = map[string]*KindStats{}
-					warm = false
-				}
-				t0 := time.Now()
 				kind, err := opts.Exec(id, rng)
 				lat := time.Since(t0)
 				ks := kinds[kind]
@@ -240,12 +184,7 @@ func Run(opts Options) Result {
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	if opts.WarmupFraction > 0 {
-		elapsed = deadline.Sub(warmupUntil)
-	}
-
-	out := Result{Duration: elapsed, Workers: opts.Workers, Kinds: map[string]*KindStats{}}
+	out := Result{Duration: time.Since(start), Kinds: map[string]*KindStats{}}
 	for _, wr := range results {
 		if wr.err != nil && out.Err == nil {
 			out.Err = wr.err
@@ -260,25 +199,4 @@ func Run(opts Options) Result {
 		}
 	}
 	return out
-}
-
-// Table renders the result as an aligned text table, one row per kind.
-func (r *Result) Table() string {
-	names := make([]string, 0, len(r.Kinds))
-	for n := range r.Kinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %12s %12s %10s %10s %12s %12s\n",
-		"txn", "commits", "commits/s", "aborts", "abort%", "mean-lat", "p99-lat")
-	for _, n := range names {
-		k := r.Kinds[n]
-		fmt.Fprintf(&b, "%-16s %12d %12.0f %10d %9.1f%% %12v %12v\n",
-			n, k.Commits, float64(k.Commits)/r.Duration.Seconds(), k.Aborts,
-			k.AbortRatio()*100, k.MeanLatency().Round(time.Microsecond),
-			k.Percentile(0.99).Round(time.Microsecond))
-	}
-	fmt.Fprintf(&b, "%-16s %12d %12.0f\n", "TOTAL", r.TotalCommits(), r.Throughput())
-	return b.String()
 }

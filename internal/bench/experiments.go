@@ -36,10 +36,6 @@ type Params struct {
 	Customers int           // TPC-E customers
 	Full      bool          // use paper-scale parameters
 	Out       io.Writer
-	// JSONPath, when non-empty, is where experiments that produce
-	// machine-readable reports ("repl", "ckpt", "chaos", "query") write
-	// their JSON.
-	JSONPath string
 }
 
 func (p *Params) setDefaults() {
@@ -743,13 +739,11 @@ func maxInt(s []int) int {
 var Experiments = map[string]func(Params) error{
 	"fig1": Fig1, "fig2": Fig2, "fig5": Fig5, "fig6": Fig6, "fig7": Fig7,
 	"fig8": Fig8, "fig9": Fig9, "fig10": Fig10, "fig11": Fig11,
-	"fig12": Fig12, "table1": Table1, "repl": ReplBench,
-	"ckpt": CkptBench, "chaos": ChaosBench, "query": QueryBench,
+	"fig12": Fig12, "table1": Table1,
 }
 
-// ExperimentOrder lists experiments in paper order for "all"; "repl",
-// "ckpt", "chaos" and "query" (not from the paper's evaluation) come last.
+// ExperimentOrder lists experiments in paper order for "all".
 var ExperimentOrder = []string{
 	"fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "table1", "repl", "ckpt", "chaos", "query",
+	"fig11", "fig12", "table1",
 }

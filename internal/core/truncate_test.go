@@ -8,8 +8,9 @@ import (
 	"ermia/internal/wal"
 )
 
-// TestTruncateLogAfterCheckpoint: segments before the checkpoint go away
-// and the database still recovers completely.
+// TestTruncateLogAfterCheckpoint: segments before the checkpoint go away,
+// what survives is bounded by the data rather than the history that
+// overwrote it, and the database still recovers completely.
 func TestTruncateLogAfterCheckpoint(t *testing.T) {
 	st := wal.NewMemStorage()
 	cfg := Config{WAL: wal.Config{SegmentSize: 8 << 10, BufferSize: 4 << 10, Storage: st}}
@@ -19,16 +20,32 @@ func TestTruncateLogAfterCheckpoint(t *testing.T) {
 	}
 	tbl := db.CreateTable("t")
 	want := map[string]string{}
-	val := strings.Repeat("x", 300)
-	// Fill several 8KiB segments.
-	for i := 0; i < 150; i++ {
-		k := fmt.Sprintf("k%04d", i)
-		put(t, db, tbl, k, val)
-		want[k] = val
+	// Three rounds over the same rows, each filling several 8KiB segments:
+	// the data stays constant while the log history triples.
+	var roundOne int64
+	for round := 0; round < 3; round++ {
+		val := fmt.Sprintf("round%d-", round) + strings.Repeat("x", 300)
+		for i := 0; i < 150; i++ {
+			k := fmt.Sprintf("k%04d", i)
+			if round == 0 {
+				put(t, db, tbl, k, val)
+			} else {
+				txn := db.Begin(0)
+				if err := txn.Update(tbl, []byte(k), []byte(val)); err != nil {
+					t.Fatalf("update %s: %v", k, err)
+				}
+				mustCommit(t, txn)
+			}
+			want[k] = val
+		}
+		if round == 0 {
+			roundOne = durableLogBytes(t, db, st)
+		}
 	}
 	if db.Log().Stats().SegmentOpens < 4 {
 		t.Fatalf("only %d segment opens", db.Log().Stats().SegmentOpens)
 	}
+	history := durableLogBytes(t, db, st)
 	before, _ := st.List()
 
 	if err := db.Checkpoint(); err != nil {
@@ -44,6 +61,11 @@ func TestTruncateLogAfterCheckpoint(t *testing.T) {
 	after, _ := st.List()
 	if len(after) >= len(before)+2 { // +ckpt blob, -removed segments
 		t.Fatalf("file count did not shrink: %d -> %d", len(before), len(after))
+	}
+	tail := durableLogBytes(t, db, st)
+	t.Logf("log bytes: round one %d, three rounds %d, after truncation %d", roundOne, history, tail)
+	if tail >= roundOne {
+		t.Fatalf("truncated log holds %d bytes, not below the %d one round of the data wrote", tail, roundOne)
 	}
 
 	// Post-checkpoint writes land in the surviving tail.
@@ -124,4 +146,34 @@ func TestTruncateKeepsTail(t *testing.T) {
 	if n != 80 {
 		t.Fatalf("recovered %d of 80 after truncation", n)
 	}
+}
+
+// durableLogBytes waits for the log to be durable and sums the sizes of
+// the segment files in st.
+func durableLogBytes(t *testing.T, db *DB, st wal.Storage) int64 {
+	t.Helper()
+	if err := db.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, n := range names {
+		if !strings.HasPrefix(n, "log-") {
+			continue
+		}
+		f, err := st.Open(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += size
+	}
+	return total
 }

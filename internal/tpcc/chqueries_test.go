@@ -35,7 +35,7 @@ func itemKeyOf(k []byte) uint32 { return codec.DecodeKey(k).Uint32() }
 
 // chDriver loads a small hybrid database and churns it with a short TPC-C
 // mix so orders exist in every state (undelivered, delivered, new).
-func chDriver(t *testing.T) (*Driver, engine.DB) {
+func chDriver(t testing.TB) (*Driver, engine.DB) {
 	t.Helper()
 	db := openERMIA(t, false)
 	d := NewDriver(db, Config{Warehouses: 2, Items: 500, CustomersPerDistrict: 40})
@@ -400,5 +400,25 @@ func TestCHQueriesValidateAndRoundTrip(t *testing.T) {
 		if string(enc) != string(enc2) {
 			t.Errorf("%s: encoding not deterministic", q.Name)
 		}
+	}
+}
+
+// BenchmarkCHQueries times each CH-style plan on the chDriver database with
+// no concurrent writers: one fresh snapshot per run, as ermia.RunQuery
+// takes. rows/op is the result cardinality.
+func BenchmarkCHQueries(b *testing.B) {
+	_, db := chDriver(b)
+	for _, q := range CHQueries() {
+		b.Run(q.Name, func(b *testing.B) {
+			var rows int
+			for i := 0; i < b.N; i++ {
+				out, err := query.RunReadOnly(db, 0, q.Plan, query.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(out)
+			}
+			b.ReportMetric(float64(rows), "rows/op")
+		})
 	}
 }
