@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"ermia/internal/core"
+	"ermia/internal/wal"
+)
+
+// TestDumpPrintsEveryRecordKind writes each record kind the engine logs into
+// a real directory and checks that the dump prints one line per record.
+func TestDumpPrintsEveryRecordKind(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := core.Open(core.Config{WAL: wal.Config{SegmentSize: 1 << 20, BufferSize: 1 << 16, Storage: st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("t")
+	si := db.CreateSecondaryIndex(tbl, "t-by-sk")
+	step := func(f func(txn *core.Txn) error) {
+		t.Helper()
+		txn := db.BeginTxn(0)
+		if err := f(txn); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(func(txn *core.Txn) error {
+		return txn.InsertWithSecondary(tbl, []byte("a"), []byte("1"), []core.SecondaryEntry{{Index: si, Key: []byte("sk-a")}})
+	})
+	step(func(txn *core.Txn) error { return txn.Insert(tbl, []byte("b"), []byte("2")) })
+	step(func(txn *core.Txn) error { return txn.Update(tbl, []byte("b"), []byte("3")) })
+	step(func(txn *core.Txn) error { return txn.Delete(tbl, []byte("a")) })
+	if err := db.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	var out bytes.Buffer
+	if err := run(&out, dir, true); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{
+		"create-table": 1, "create-index": 1, "insert": 2, "secondary": 1, "update": 1, "delete": 1,
+	}
+	got := map[string]int{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(line, "    ") {
+			if _, ok := want[f[0]]; ok {
+				got[f[0]]++
+			}
+		}
+	}
+	for kind, n := range want {
+		if got[kind] != n {
+			t.Errorf("%d %q lines, want %d\n%s", got[kind], kind, n, out.String())
+		}
+	}
+}

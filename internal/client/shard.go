@@ -47,7 +47,7 @@ type PrepareCall struct {
 // goroutine and then waits for each. The server makes the transaction's
 // write set durable in a prepare record (through the same group committer
 // that acks commits), parks the transaction with its locks held, and acks.
-// covered rides along as the frame's trailing list.
+// covered rides along as the frame's decision list.
 //
 // The request rides the transaction's own pinned connection because server
 // transaction ids are session-scoped. It carries the client's observed
@@ -75,11 +75,9 @@ func (c *Client) StartShardPrepare(txn engine.Txn, gid []byte, mapVersion uint64
 		p = proto.AppendBytes(p, op.Key)
 		p = proto.AppendBytes(p, op.Value)
 	}
-	if len(covered) > 0 {
-		p = proto.AppendU32(p, uint32(len(covered)))
-		for _, d := range covered {
-			p = proto.AppendU8(proto.AppendBytes(p, d.GID), decideFlags(d.Commit))
-		}
+	p = proto.AppendU32(p, uint32(len(covered)))
+	for _, d := range covered {
+		p = proto.AppendU8(proto.AppendBytes(p, d.GID), decideFlags(d.Commit))
 	}
 	call, err := t.start(proto.MsgShardPrepare, p)
 	return PrepareCall{t: t, call: call, err: err}
@@ -119,15 +117,14 @@ type DecideCall struct {
 // transaction on worker's pool connection — the one the caller's own
 // transactions use, so concurrent callers do not queue on one session — and
 // returns without waiting. onApply asks for the ack before the decision is
-// durable (proto.ShardDecideOnApply) and is honoured for commits only: a
-// server older than the bit would read it as a commit.
+// durable (proto.ShardDecideOnApply).
 func (c *Client) StartShardDecide(worker int, gid []byte, commit, onApply bool) DecideCall {
 	cn, err := c.conn(worker)
 	if err != nil {
 		return DecideCall{err: err}
 	}
 	flags := decideFlags(commit)
-	if onApply && commit {
+	if onApply {
 		flags |= proto.ShardDecideOnApply
 	}
 	w, _, err := cn.send(proto.MsgShardDecide, proto.AppendU8(proto.AppendBytes(nil, gid), flags), nil)

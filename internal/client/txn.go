@@ -98,9 +98,8 @@ func (t *clientTxn) awaitBegin(bw waiter) error {
 		return err
 	}
 	if id := d.U64(); d.Err() != nil || id != t.id {
-		// A server that predates client handles assigned an id of its own;
-		// every frame sent under the handle would miss. Servers upgrade
-		// before clients (DESIGN.md, wire section).
+		// The server must echo the handle; every frame sent under it would
+		// miss a transaction registered under anything else.
 		err := fmt.Errorf("%w: server registered transaction %#x, not the client handle %#x", proto.ErrBadFrame, id, t.id)
 		t.cn.fail(err)
 		return connLost(err)

@@ -40,16 +40,16 @@ import (
 //  4. Publish atomically: write the blob to name+".tmp", sync, then rename.
 //     A crash anywhere in the window leaves either no blob or a complete
 //     one, never a torn file under a live name.
-//  5. Log the checkpoint-end record naming the blob. The blob header also
-//     makes it self-describing, so recovery can adopt a published blob even
-//     when the crash ate the end record.
+//  5. Log the checkpoint-end record naming the blob, for readers of the log.
+//     Recovery finds blobs by listing the storage, and the blob header makes
+//     each self-describing, so a published blob counts even when the crash
+//     ate the end record.
 //
 // Writers never stall for the scan: the write lock is held only for the
 // zero-payload begin reservation (microseconds), and the scan itself runs
 // concurrently with commits.
 
-// checkpointMagic opens a v2 checkpoint blob. A v1 blob starts with its
-// table count, which can never reach this value in practice.
+// checkpointMagic opens every checkpoint blob.
 var checkpointMagic = [4]byte{'E', 'C', 'K', 'P'}
 
 const (
@@ -67,19 +67,11 @@ func checkpointName(begin, gen uint64) string {
 	return fmt.Sprintf("ckpt-%016x-g%04x", begin, gen)
 }
 
-// parseCheckpointName recovers (begin, gen) from a blob name, accepting the
-// pre-generation format ckpt-%016x from earlier logs (gen 0). The name must
+// parseCheckpointName recovers (begin, gen) from a blob name. The name must
 // round-trip exactly, so a trailing ".tmp" never parses.
 func parseCheckpointName(name string) (begin, gen uint64, ok bool) {
-	if _, err := fmt.Sscanf(name, "ckpt-%016x-g%04x", &begin, &gen); err == nil &&
-		checkpointName(begin, gen) == name {
-		return begin, gen, true
-	}
-	if _, err := fmt.Sscanf(name, "ckpt-%016x", &begin); err == nil &&
-		fmt.Sprintf("ckpt-%016x", begin) == name {
-		return begin, 0, true
-	}
-	return 0, 0, false
+	_, err := fmt.Sscanf(name, "ckpt-%016x-g%04x", &begin, &gen)
+	return begin, gen, err == nil && checkpointName(begin, gen) == name
 }
 
 // CheckpointInfo identifies a published checkpoint.
@@ -147,7 +139,7 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 
-	// Step 5: end record locates the durable snapshot.
+	// Step 5: the end record names the blob in the log.
 	db.logGate.RLock()
 	end, err := db.logMgr().Reserve(len(name), wal.BlockCheckpointEnd)
 	if err != nil {
@@ -174,7 +166,7 @@ func (db *DB) lastCkptGen() uint64 {
 	return 0
 }
 
-// appendCheckpointHeader appends the v2 blob header.
+// appendCheckpointHeader appends the blob header.
 func appendCheckpointHeader(buf []byte, gen, begin uint64) []byte {
 	buf = append(buf, checkpointMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, checkpointVersion)
@@ -184,22 +176,25 @@ func appendCheckpointHeader(buf []byte, gen, begin uint64) []byte {
 	return buf
 }
 
-// parseCheckpointHeader splits a verified blob body into its metadata and
-// v1-format payload. A body that does not open with the magic is a v1 blob:
-// headerless, its begin offset known only from its name.
-func parseCheckpointHeader(body []byte) (gen, begin uint64, payload []byte, v2 bool, err error) {
-	if len(body) < 4 || string(body[:4]) != string(checkpointMagic[:]) {
-		return 0, 0, body, false, nil
+// verifyCheckpointImage checks a blob image as published — header, payload,
+// FNV-1a trailer — and splits it into its metadata and payload.
+func verifyCheckpointImage(image []byte) (gen, begin uint64, payload []byte, err error) {
+	if len(image) < checkpointHeaderSize+4 {
+		return 0, 0, nil, fmt.Errorf("core: checkpoint image truncated")
 	}
-	if len(body) < checkpointHeaderSize {
-		return 0, 0, nil, false, fmt.Errorf("core: checkpoint header truncated")
+	body := image[:len(image)-4]
+	if got, want := wal.Checksum(body), binary.LittleEndian.Uint32(image[len(body):]); got != want {
+		return 0, 0, nil, fmt.Errorf("core: checkpoint checksum mismatch: %#x != %#x", got, want)
+	}
+	if string(body[:4]) != string(checkpointMagic[:]) {
+		return 0, 0, nil, fmt.Errorf("core: checkpoint image has no header")
 	}
 	if v := binary.LittleEndian.Uint16(body[4:]); v != checkpointVersion {
-		return 0, 0, nil, false, fmt.Errorf("core: checkpoint version %d not supported", v)
+		return 0, 0, nil, fmt.Errorf("core: checkpoint version %d not supported", v)
 	}
 	gen = binary.LittleEndian.Uint64(body[8:])
 	begin = binary.LittleEndian.Uint64(body[16:])
-	return gen, begin, body[checkpointHeaderSize:], true, nil
+	return gen, begin, body[checkpointHeaderSize:], nil
 }
 
 // writeCheckpointBlob persists a checkpoint blob (content plus trailer)
@@ -247,9 +242,8 @@ func (db *DB) cleanupCheckpoints(newest string) {
 			published = append(published, n)
 		}
 	}
-	// List is sorted and the name format orders by begin offset, except that
-	// legacy names (no -g suffix) sort before same-begin generational names —
-	// close enough for retention.
+	// List is sorted and the name format orders by begin offset, then
+	// generation.
 	for len(published) > checkpointKeep {
 		if published[0] == newest {
 			break
@@ -324,19 +318,9 @@ func (db *DB) CheckpointChunk(off uint64, max int) (CheckpointChunk, error) {
 // applier: loading shares applyVersion's single-applier contract. Loading
 // over existing state is safe; see loadCheckpoint and dropUnseeded.
 func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
-	if len(image) < 4 {
-		return 0, fmt.Errorf("core: checkpoint image truncated")
-	}
-	body := image[:len(image)-4]
-	if got, want := wal.Checksum(body), binary.LittleEndian.Uint32(image[len(image)-4:]); got != want {
-		return 0, fmt.Errorf("core: checkpoint image checksum mismatch: %#x != %#x", got, want)
-	}
-	gen, begin, payload, v2, err := parseCheckpointHeader(body)
+	gen, begin, payload, err := verifyCheckpointImage(image)
 	if err != nil {
 		return 0, err
-	}
-	if !v2 {
-		return 0, fmt.Errorf("core: checkpoint image has no header; cannot seed from a v1 blob")
 	}
 	name := checkpointName(begin, gen)
 	if err := db.writeCheckpointBlob(name, image); err != nil {
@@ -393,10 +377,10 @@ func (db *DB) dropUnseeded(seeded map[tableOID]bool, begin uint64) {
 
 // TruncateLog frees log segments the newest checkpoint made redundant:
 // recovery replays only blocks after the checkpoint-begin offset, so
-// segments wholly before it carry no needed state. The checkpoint-end
-// record is forced durable first — otherwise a crash between truncation and
-// the end record's flush would leave neither the checkpoint nor the log
-// prefix. Returns the removed segment file names.
+// segments wholly before it carry no needed state. The log is forced durable
+// first — recovery adopts a blob only when its begin record is durable, so a
+// crash after truncation would otherwise leave neither the checkpoint nor the
+// log prefix. Returns the removed segment file names.
 func (db *DB) TruncateLog() ([]string, error) {
 	ci, ok := db.LastCheckpoint()
 	if !ok {
@@ -536,8 +520,8 @@ func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
 	return buf, nEntries
 }
 
-// loadCheckpoint restores a checkpoint blob body (header already stripped by
-// the caller for v2 blobs) into a DB. Loading into a non-empty DB is legal:
+// loadCheckpoint restores a checkpoint blob's payload (verifyCheckpointImage
+// strips header and trailer) into a DB. Loading into a non-empty DB is legal:
 // applyVersion's apply-if-newer rule makes it idempotent, and tombstones are
 // first-class entries, so a replica re-seeding from a newer checkpoint
 // converges on the checkpoint state rather than resurrecting deleted keys.
@@ -677,8 +661,7 @@ func rebind(idx *index.Tree[mvcc.OID], key []byte, oid mvcc.OID) mvcc.OID {
 
 // applyVersion installs a recovered or replicated version at oid if it is
 // newer than what the slot already holds; withKey also binds key → oid in
-// the index. A tombstone's val is the record's key (empty when the log did
-// not carry it).
+// the index. A tombstone's val is the record's key.
 //
 // The primary's collector and this engine's run at their own pace, so replay
 // meets both orders. Where this engine reclaimed a deleted record first and

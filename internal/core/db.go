@@ -451,8 +451,7 @@ func (db *DB) RunGC() int {
 // transaction can install a version on it (a re-insert that already found the
 // OID through the index loses its CAS, sees the seal and goes back to the
 // index), so there is never a version on an OID the index no longer reaches.
-// The tombstone names the key; one replayed from a log that predates keyed
-// delete records does not, and stays.
+// The tombstone names the key; one that names none stays.
 //
 // A transaction that finds the key absent afterwards still depends on the
 // delete, which may have anti-dependencies of its own, but has no tombstone

@@ -1,19 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"ermia/internal/mvcc"
 )
-
-// appendDelete encodes the keyless delete record logs written before
-// recDeleteKey hold; the engine still decodes it and no longer writes it.
-func appendDelete(buf []byte, table uint32, oid uint64) []byte {
-	buf = append(buf, recDelete)
-	buf = binary.LittleEndian.AppendUint32(buf, table)
-	buf = binary.LittleEndian.AppendUint64(buf, oid)
-	return buf
-}
 
 // sweepGC is the collector RunGC replaced: visit every OID of every table
 // and prune its chain at the current horizon. Tests keep it as the

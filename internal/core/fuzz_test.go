@@ -21,7 +21,6 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(encodeCreateIndex(2, 1, "orders-by-customer"))
 	f.Add(appendInsert(nil, 1, 42, []byte("key-1"), []byte("value-1")))
 	f.Add(appendUpdate(nil, 1, 42, []byte("value-2")))
-	f.Add(appendDelete(nil, 1, 42))
 	f.Add(appendDeleteKey(nil, 1, 42, []byte("key-1")))
 	f.Add(appendInsertSec(nil, 1, 43, []byte("key-2"), []byte("value-3"),
 		[]loggedSecondary{{index: 2, key: []byte("sk-2")}}))
@@ -30,14 +29,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	multi := encodeCreateTable(3, "stock")
 	multi = appendInsert(multi, 3, 7, []byte("s1"), []byte("qty=10"))
 	multi = appendUpdate(multi, 3, 7, []byte("qty=9"))
-	multi = appendDelete(multi, 3, 7)
 	multi = appendDeleteKey(multi, 3, 8, []byte("s2"))
 	f.Add(multi)
 	// Known-hostile shapes: truncated header, huge declared lengths, an
-	// unknown kind, a secondary count with no entries behind it.
+	// unknown kind, the retired kind 4 (a keyless delete of table 1, OID 42),
+	// a secondary count with no entries behind it.
 	f.Add([]byte{recInsert, 0xFF, 0xFF})
 	f.Add([]byte{recUpdate, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{0x7F})
+	f.Add([]byte{4, 1, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{recInsertSec, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seen := 0
@@ -50,7 +50,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				_ = len(s.key)
 			}
 			switch r.kind {
-			case recCreateTable, recInsert, recUpdate, recDelete, recDeleteKey, recCreateIndex, recInsertSec:
+			case recCreateTable, recInsert, recUpdate, recDeleteKey, recCreateIndex, recInsertSec:
 			default:
 				t.Fatalf("parser surfaced unknown kind %d", r.kind)
 			}
@@ -75,7 +75,6 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		buf := appendInsertSec(nil, table, oid, key, val,
 			[]loggedSecondary{{index: 9, key: skey}})
 		buf = appendUpdate(buf, table, oid, val)
-		buf = appendDelete(buf, table, oid)
 		buf = appendDeleteKey(buf, table, oid, key)
 
 		var got []logRecord
@@ -89,8 +88,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}); err != nil {
 			t.Fatalf("decode of freshly encoded records failed: %v", err)
 		}
-		if len(got) != 4 {
-			t.Fatalf("decoded %d records, want 4", len(got))
+		if len(got) != 3 {
+			t.Fatalf("decoded %d records, want 3", len(got))
 		}
 		ins := got[0]
 		if ins.kind != recInsertSec || ins.table != table || ins.oid != oid ||
@@ -103,10 +102,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if up := got[1]; up.kind != recUpdate || up.table != table || up.oid != oid || string(up.val) != string(val) {
 			t.Fatalf("update did not round-trip: %+v", up)
 		}
-		if del := got[2]; del.kind != recDelete || del.table != table || del.oid != oid {
-			t.Fatalf("delete did not round-trip: %+v", del)
-		}
-		if del := got[3]; del.kind != recDeleteKey || del.table != table || del.oid != oid || string(del.key) != string(key) {
+		if del := got[2]; del.kind != recDeleteKey || del.table != table || del.oid != oid || string(del.key) != string(key) {
 			t.Fatalf("keyed delete did not round-trip: %+v", del)
 		}
 	})
@@ -256,10 +252,10 @@ func blobChecksumOK(data []byte) bool {
 }
 
 // FuzzCheckpointBlob throws mutated checkpoint images at both blob
-// consumers. Recovery: a blob failing its checksum must be skipped — with
-// the log intact, recovery then MUST succeed with the exact full-replay
-// state, never adopt corrupt bytes. A checksum-valid mutant may recover or
-// fail with a clean decode error, never panic. Replica seeding
+// consumers. Recovery: a blob failing its checksum or lacking its header must
+// be skipped — with the log intact, recovery then MUST succeed with the exact
+// full-replay state, never adopt corrupt bytes. A checksum-valid mutant may
+// recover or fail with a clean decode error, never panic. Replica seeding
 // (SeedCheckpoint): a checksum-invalid or headerless image must be
 // rejected; the pristine image must load the exact checkpoint state.
 func FuzzCheckpointBlob(f *testing.F) {
@@ -287,11 +283,13 @@ func FuzzCheckpointBlob(f *testing.F) {
 	huge = binary.LittleEndian.AppendUint64(huge, ^uint64(0))
 	huge = binary.LittleEndian.AppendUint32(huge, wal.Checksum(huge))
 	f.Add(huge)
-	v1 := append([]byte(nil), blob[checkpointHeaderSize:len(blob)-4]...) // headerless v1 shape
-	v1 = binary.LittleEndian.AppendUint32(v1, wal.Checksum(v1))
-	f.Add(v1)
+	// A well-checksummed payload with no header: not a blob at all.
+	headerless := append([]byte(nil), blob[checkpointHeaderSize:len(blob)-4]...)
+	headerless = binary.LittleEndian.AppendUint32(headerless, wal.Checksum(headerless))
+	f.Add(headerless)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		noHeader := !bytes.HasPrefix(data, checkpointMagic[:])
 		// Recovery path: pristine log, mutated blob under the live name.
 		st := img.Crash()
 		if err := st.Remove(blobName); err != nil {
@@ -309,11 +307,15 @@ func FuzzCheckpointBlob(f *testing.F) {
 			fl.Close()
 		}
 		db, err := Recover(sweepConfig(st))
-		if !blobChecksumOK(data) {
-			// The trailer check must route recovery around the bad blob and
-			// full-log replay must reconstruct the exact committed state.
+		if !blobChecksumOK(data) || noHeader {
+			// The trailer and header checks must route recovery around the
+			// bad blob and full-log replay must reconstruct the exact
+			// committed state.
 			if err != nil {
-				t.Fatalf("recovery failed instead of ignoring a checksum-invalid blob: %v", err)
+				t.Fatalf("recovery failed instead of ignoring an invalid blob: %v", err)
+			}
+			if ci, ok := db.LastCheckpoint(); ok {
+				t.Fatalf("recovery adopted an invalid blob: %+v", ci)
 			}
 			checkFuzzState(t, db, want)
 		}
@@ -328,8 +330,8 @@ func FuzzCheckpointBlob(f *testing.F) {
 			t.Fatal(err)
 		}
 		_, serr := db2.SeedCheckpoint(data)
-		if serr == nil && !blobChecksumOK(data) {
-			t.Fatal("SeedCheckpoint accepted a checksum-invalid image")
+		if serr == nil && (!blobChecksumOK(data) || noHeader) {
+			t.Fatal("SeedCheckpoint accepted an image failing its checksum or without a header")
 		}
 		if serr == nil && bytes.Equal(data, blob) {
 			checkFuzzState(t, db2, map[string]string{"a": "1", "b": "2"})

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 )
 
 // Log record kinds inside commit blocks. Transactions accumulate these in a
@@ -12,7 +13,7 @@ const (
 	recCreateTable uint8 = iota + 1
 	recInsert
 	recUpdate
-	recDelete // keyless delete, from logs that predate recDeleteKey; decoded, never written
+	_ // 4: retired; never reuse
 	recDeleteKey
 )
 
@@ -154,16 +155,6 @@ func decodeRecords(p []byte, fn func(logRecord) error) error {
 				return err
 			}
 			p = p[vlen:]
-		case recDelete:
-			if len(p) < 12 {
-				return fmt.Errorf("core: truncated delete record")
-			}
-			table := binary.LittleEndian.Uint32(p)
-			oid := binary.LittleEndian.Uint64(p[4:])
-			p = p[12:]
-			if err := fn(logRecord{kind: kind, table: table, oid: oid}); err != nil {
-				return err
-			}
 		case recDeleteKey:
 			if len(p) < 16 {
 				return fmt.Errorf("core: truncated delete record")
@@ -199,4 +190,28 @@ func decodeRecords(p []byte, fn func(logRecord) error) error {
 		}
 	}
 	return nil
+}
+
+// DumpRecords writes one text line per record in a commit or overflow block
+// payload, each line starting with indent, and a line per secondary binding
+// under its insert. It stops at the first malformed record and returns why.
+func DumpRecords(w io.Writer, indent string, payload []byte) error {
+	return decodeRecords(payload, func(r logRecord) error {
+		switch r.kind {
+		case recCreateTable:
+			fmt.Fprintf(w, "%screate-table id=%d name=%q\n", indent, r.table, r.key)
+		case recCreateIndex:
+			fmt.Fprintf(w, "%screate-index id=%d table=%d name=%q\n", indent, r.index, r.table, r.key)
+		case recInsert, recInsertSec:
+			fmt.Fprintf(w, "%sinsert table=%d oid=%d key=%x vlen=%d\n", indent, r.table, r.oid, r.key, len(r.val))
+			for _, s := range r.sec {
+				fmt.Fprintf(w, "%s  secondary idx=%d key=%x\n", indent, s.index, s.key)
+			}
+		case recUpdate:
+			fmt.Fprintf(w, "%supdate table=%d oid=%d vlen=%d\n", indent, r.table, r.oid, len(r.val))
+		case recDeleteKey:
+			fmt.Fprintf(w, "%sdelete table=%d oid=%d key=%x\n", indent, r.table, r.oid, r.key)
+		}
+		return nil
+	})
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -566,10 +568,10 @@ func runReclaimRace(t *testing.T, seed uint64) {
 	}
 }
 
-// A log written before delete records carried the key still recovers: its
-// tombstones name no key, so nothing of theirs is reclaimed, and their OIDs
-// are reused by re-inserts as they always were.
-func TestRecoverOldFormatDeleteRecords(t *testing.T) {
+// Record kind 4, the retired keyless delete, is no record at all: a commit
+// block holding one fails recovery with a decode error, like any other
+// unknown kind, and the blocks before it are no excuse to accept it.
+func TestRecoverRefusesRetiredRecordKind(t *testing.T) {
 	st := wal.NewMemStorage()
 	db, err := Open(gcTestConfig(st))
 	if err != nil {
@@ -585,42 +587,24 @@ func TestRecoverOldFormatDeleteRecords(t *testing.T) {
 		res.Append(rec)
 		res.Commit()
 	}
+	if recDeleteKey != 5 {
+		t.Fatalf("recDeleteKey is kind %d; kinds are never renumbered", recDeleteKey)
+	}
 	commit(appendInsert(nil, tbl.id, 1, []byte("a"), []byte("v1")))
 	commit(appendInsert(nil, tbl.id, 2, []byte("b"), []byte("v1")))
-	commit(appendDelete(nil, tbl.id, 1)) // the keyless record
+	// Kind 4's old layout: table, OID.
+	commit(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32([]byte{4}, tbl.id), 1))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	rdb, err := Recover(gcTestConfig(st))
-	if err != nil {
-		t.Fatalf("recovering a log with old-format delete records: %v", err)
+	if err == nil {
+		rdb.Close()
+		t.Fatal("recovery accepted a commit block holding the retired record kind 4")
 	}
-	defer rdb.Close()
-	rtbl := rdb.OpenTable("t")
-	rdb.RunGC()
-	if n := rtbl.(*Table).Len(); n != 2 || rdb.Stats().IndexEntriesReclaimed.Load() != 0 {
-		t.Fatalf("%d index entries, %d reclaimed; a keyless tombstone must stay", n, rdb.Stats().IndexEntriesReclaimed.Load())
-	}
-	txn := rdb.Begin(0)
-	if _, ok := get(txn, rtbl, "a"); ok {
-		t.Fatal("deleted key visible after recovery")
-	}
-	if v, ok := get(txn, rtbl, "b"); !ok || v != "v1" {
-		t.Fatalf("b reads %q, %v", v, ok)
-	}
-	if err := txn.Insert(rtbl, []byte("a"), []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, txn)
-	if oid := rtbl.(*Table).indexEntries()["a"]; oid != 1 {
-		t.Fatalf("re-insert over a keyless tombstone got OID %d, want the old OID 1", oid)
-	}
-	// From here on deletes carry the key, and are reclaimed.
-	del(t, rdb, rtbl, "a")
-	rdb.RunGC()
-	if n := rtbl.(*Table).Len(); n != 1 {
-		t.Fatalf("%d index entries after a keyed delete and GC, want 1", n)
+	if !strings.Contains(err.Error(), "unknown log record kind 4") {
+		t.Fatalf("recovery failed with %v, want an unknown-kind decode error", err)
 	}
 }
 

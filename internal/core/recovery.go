@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"ermia/internal/mvcc"
@@ -52,63 +50,35 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 	}
 	st := cfg.WAL.Storage
 
-	// Pass 1: locate segments and every checkpoint-end record, oldest first.
-	var ckptNames []string
+	// Pass 1: locate segments and the durable end of the log.
 	var ckptBegin uint64
-	pass1, err := wal.Recover(st, func(b wal.Block) error {
-		if b.Type == wal.BlockCheckpointEnd {
-			ckptNames = append(ckptNames, string(b.Payload))
-		}
-		return nil
-	})
+	pass1, err := wal.Recover(st, nil)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("core: log scan: %w", err)
+	}
+	names, err := st.List()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: list checkpoints: %w", err)
 	}
 
 	db := newDB(cfg, nil)
 
-	// Restore the newest checkpoint whose blob verifies. Candidates come
-	// from two places: the storage listing (a published v2 blob is
-	// self-describing, so it counts even when the crash ate its
-	// checkpoint-end record — rename made it complete before the end record
-	// existed) and the end-record names from pass 1 (how pre-generation
-	// blobs are located). A torn or bit-flipped blob (checksum trailer
-	// mismatch) or a missing file falls back to the previous checkpoint —
-	// recovery then replays a longer log suffix, trading time for
-	// correctness. A blob that verifies but fails to decode is a software
-	// bug, not device damage, and surfaces as an error.
-	type ckptCand struct {
-		name       string
-		begin, gen uint64
-	}
-	seen := make(map[string]bool)
-	var cands []ckptCand
-	addCand := func(name string) {
-		if seen[name] {
-			return
+	// Restore the newest checkpoint whose blob verifies, walking the sorted
+	// listing backwards: blob names order by begin offset, then generation.
+	// A published blob counts even when the crash ate its checkpoint-end
+	// record — rename made it complete before the end record existed. A torn
+	// or bit-flipped blob (checksum trailer mismatch), a damaged header or a
+	// missing file falls back to the previous checkpoint — recovery then
+	// replays a longer log suffix, trading time for correctness. A blob that
+	// verifies but fails to decode is a software bug, not device damage, and
+	// surfaces as an error.
+	for i := len(names) - 1; i >= 0; i-- {
+		name := names[i]
+		nameBegin, _, ok := parseCheckpointName(name)
+		if !ok {
+			continue
 		}
-		seen[name] = true
-		if begin, gen, ok := parseCheckpointName(name); ok {
-			cands = append(cands, ckptCand{name, begin, gen})
-		}
-	}
-	if names, lerr := st.List(); lerr == nil {
-		for _, n := range names {
-			addCand(n)
-		}
-	}
-	for _, n := range ckptNames {
-		addCand(n)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].begin != cands[j].begin {
-			return cands[i].begin < cands[j].begin
-		}
-		return cands[i].gen < cands[j].gen
-	})
-	for i := len(cands) - 1; i >= 0; i-- {
-		c := cands[i]
-		if !replica && c.begin > pass1.NextOffset {
+		if !replica && nameBegin > pass1.NextOffset {
 			// The blob's begin record is past the durable log: the crash ate
 			// log blocks the scan had already covered. Its extra commits were
 			// never acknowledged (their blocks were not durable), and adopting
@@ -120,22 +90,19 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 			// offset, and the missing suffix is re-shipped by the stream.)
 			continue
 		}
-		body, rerr := readCheckpointBlob(st, c.name)
+		image, rerr := readCheckpointBlob(st, name)
 		if rerr != nil {
 			continue
 		}
-		gen, begin, payload, v2, herr := parseCheckpointHeader(body)
-		if herr != nil || (v2 && begin != c.begin) {
-			continue // damaged or future-format header: fall back
-		}
-		if !v2 {
-			gen, begin = c.gen, c.begin
+		gen, begin, payload, verr := verifyCheckpointImage(image)
+		if verr != nil || begin != nameBegin {
+			continue // damaged blob or header: fall back
 		}
 		if err := db.loadCheckpoint(payload, nil); err != nil {
 			return nil, nil, 0, err
 		}
 		ckptBegin = begin
-		db.setLastCheckpoint(CheckpointInfo{Name: c.name, Gen: gen, Begin: begin})
+		db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin})
 		break
 	}
 
@@ -150,8 +117,8 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 	return db, pass1, ckptBegin, nil
 }
 
-// readCheckpointBlob reads and verifies a checkpoint blob, returning its
-// content without the FNV-1a trailer.
+// readCheckpointBlob reads a checkpoint blob's raw image, for
+// verifyCheckpointImage.
 func readCheckpointBlob(st wal.Storage, name string) ([]byte, error) {
 	f, err := st.Open(name)
 	if err != nil {
@@ -162,18 +129,11 @@ func readCheckpointBlob(st wal.Storage, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if size < 4 {
-		return nil, fmt.Errorf("core: checkpoint %s truncated", name)
-	}
 	buf := make([]byte, size)
 	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
-	body := buf[:size-4]
-	if got, want := wal.Checksum(body), binary.LittleEndian.Uint32(buf[size-4:]); got != want {
-		return nil, fmt.Errorf("core: checkpoint %s checksum mismatch: %#x != %#x", name, got, want)
-	}
-	return body, nil
+	return buf, nil
 }
 
 // applyCommitBlock replays one committed transaction: its overflow chain
@@ -243,8 +203,8 @@ func (db *DB) applyRecords(payload []byte, cstamp uint64) error {
 			}
 		case recUpdate:
 			db.applyVersion(t, oidOf(r), nil, cloneKey(r.val), cstamp, false, false)
-		case recDelete, recDeleteKey:
-			// The tombstone's value is the record's key, when the log has it.
+		case recDeleteKey:
+			// The tombstone's value is the record's key.
 			db.applyVersion(t, oidOf(r), nil, cloneKey(r.key), cstamp, true, false)
 		}
 		return nil

@@ -53,7 +53,7 @@ type writeEntry struct {
 	newV *mvcc.Version
 	prev *mvcc.Version // overwritten version; nil for a fresh insert
 	key  []byte        // logged for inserts so recovery can rebuild the index
-	kind uint8         // recInsert, recUpdate, recDelete
+	kind uint8         // recInsert, recUpdate, recDeleteKey
 	sec  []loggedSecondary
 }
 
@@ -678,7 +678,7 @@ func (t *Txn) installOver(tab *Table, oid mvcc.OID, value []byte, tombstone, asI
 		}
 		kind := recUpdate
 		if tombstone {
-			kind = recDelete
+			kind = recDeleteKey
 		}
 		if asInsert {
 			kind = recInsert
@@ -712,13 +712,13 @@ func (t *Txn) replaceWrite(tab *Table, oid mvcc.OID, newV *mvcc.Version, tombsto
 				// Reinsert over our own tombstone. The entry must log as an
 				// insert: an update record carries neither the key nor the
 				// secondary bindings InsertWithSecondary is about to attach,
-				// so leaving it as recUpdate/recDelete would recover the
+				// so leaving it as recUpdate/recDeleteKey would recover the
 				// value but silently drop the new secondary keys.
 				w.kind = recInsert
 				w.key = insKey
 			case w.kind != recInsert:
 				if tombstone {
-					w.kind = recDelete
+					w.kind = recDeleteKey
 				} else {
 					w.kind = recUpdate
 				}
@@ -778,7 +778,7 @@ func (t *Txn) encodeWrite(buf []byte, w *writeEntry) []byte {
 			return appendInsertSec(buf, w.tbl.id, uint64(w.oid), w.key, w.newV.Data, w.sec)
 		}
 		return appendInsert(buf, w.tbl.id, uint64(w.oid), w.key, w.newV.Data)
-	case recDelete:
+	case recDeleteKey:
 		return appendDeleteKey(buf, w.tbl.id, uint64(w.oid), w.newV.Data)
 	default:
 		return appendUpdate(buf, w.tbl.id, uint64(w.oid), w.newV.Data)

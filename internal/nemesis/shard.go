@@ -206,23 +206,26 @@ func (h *shardHarness) crashShard(i int) {
 	h.srvMu.Unlock()
 }
 
-// crashShardUnsynced crashes shard i at the instant the on-apply decide ack
-// makes dangerous: its syncs are held, and the crash waits (briefly) for a
-// transfer to commit anyway — told to a worker on the strength of an
-// acknowledgment whose log records the crash then destroys.
-func (h *shardHarness) crashShardUnsynced(i int) {
+// holdSyncsUntilCommit holds shard i's syncs until a transfer commits behind
+// them, on an on-apply ack whose log records the crash that follows destroys.
+// Only a transfer already prepared can commit under the hold, so a hold that
+// catches none is released — long enough for held syncs to drain and new
+// prepares to land — and taken again, for up to a second.
+func (h *shardHarness) holdSyncsUntilCommit(i int) {
 	h.srvMu.Lock()
 	gate := h.gates[i]
 	h.srvMu.Unlock()
-	_, before := h.router.CommitCounts()
-	gate.Hold()
-	for wait := time.Now().Add(50 * time.Millisecond); time.Now().Before(wait); time.Sleep(200 * time.Microsecond) {
-		if _, now := h.router.CommitCounts(); now > before {
-			h.res.UnsyncedCrashes++
-			break
+	for end := time.Now().Add(time.Second); time.Now().Before(end); gate.Release() {
+		time.Sleep(5 * time.Millisecond)
+		_, before := h.router.CommitCounts()
+		gate.Hold()
+		for wait := time.Now().Add(20 * time.Millisecond); time.Now().Before(wait); time.Sleep(200 * time.Microsecond) {
+			if _, now := h.router.CommitCounts(); now > before {
+				h.res.UnsyncedCrashes++
+				return
+			}
 		}
 	}
-	h.crashShard(i)
 }
 
 // recoverCoordinator models the coordinator process coming back after a
@@ -348,11 +351,10 @@ func (h *shardHarness) executeShard(evs []event) {
 			time.Sleep(ev.dur)
 			h.net.SetLatency(ev.from, ev.to, 0, 0)
 		case actShardCrash, actShardCrashUnsynced:
-			if ev.act == actShardCrash {
-				h.crashShard(ev.shard)
-			} else {
-				h.crashShardUnsynced(ev.shard)
+			if ev.act == actShardCrashUnsynced {
+				h.holdSyncsUntilCommit(ev.shard)
 			}
+			h.crashShard(ev.shard)
 			h.res.ShardCrashes++
 			time.Sleep(ev.dur)
 			if err := h.startShard(ev.shard); err != nil {

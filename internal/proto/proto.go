@@ -18,7 +18,7 @@
 // it needs no clock synchronization: the server starts the countdown when it
 // reads the frame. A request still queued past its budget is answered with
 // StatusDeadlineExceeded instead of occupying the pipeline; 0 means the
-// request waits forever (the version-1 behaviour). Responses carry 0.
+// request waits forever. Responses carry 0.
 //
 // Responses to a request of type T carry type T|RespFlag and a payload that
 // begins with a 2-byte status code; the rest of the payload is
@@ -53,18 +53,15 @@ const (
 
 // Message types. A response frame uses the request's type with RespFlag set.
 const (
-	// MsgBegin opens a transaction. Request: u8 flags (BeginReadOnly), then
-	// — each field optional, in this order, so a shorter payload is an older
-	// client — u64 highest primary epoch the client has observed (a server
-	// behind it is a deposed primary and answers StatusStaleEpoch), u64
-	// client-assigned transaction handle. Response: u64 transaction id, the
-	// number every later frame of the transaction names. With a handle the
-	// server registers the transaction under it and echoes it, which lets
-	// the client write Begin and the transaction's first frame back to back
-	// without waiting; the handle must carry ClientTxnBit and name no
-	// transaction still open on the connection (StatusBadRequest otherwise).
-	// Without one the server assigns the id, and its ids never carry
-	// ClientTxnBit, so the two namespaces cannot collide.
+	// MsgBegin opens a transaction. Request: u8 flags (BeginReadOnly), u64
+	// highest primary epoch the client has observed (a server behind it is a
+	// deposed primary and answers StatusStaleEpoch), u64 client-assigned
+	// transaction handle, the number every later frame of the transaction
+	// names. Response: u64 the handle, echoed. The server registers the
+	// transaction under the handle, which lets the client write Begin and
+	// the transaction's first frame back to back without waiting; the handle
+	// must carry ClientTxnBit and name no transaction still open on the
+	// connection (StatusBadRequest otherwise, as for a short payload).
 	MsgBegin byte = iota + 1
 	MsgGet
 	MsgInsert
@@ -146,10 +143,10 @@ const (
 	// durable. Appended after MsgQueryEnd to keep existing wire values
 	// stable.
 	//
-	// Optional trailing list (absent from an older router): u32 count, then
-	// per entry gid (bytes), u8 decide flags. These are decisions this
-	// server already acknowledged on apply (ShardDecideOnApply); it applies
-	// any that a restart undid before it writes the prepare record, so the
+	// The payload ends with a list, possibly empty: u32 count, then per
+	// entry gid (bytes), u8 decide flags. These are decisions this server
+	// already acknowledged on apply (ShardDecideOnApply); it applies any
+	// that a restart undid before it writes the prepare record, so the
 	// prepare's durable ack covers them all and the router may forget them.
 	MsgShardPrepare
 	// MsgShardDecide delivers the coordinator's decision for a prepared
@@ -181,9 +178,7 @@ const (
 	// ShardDecideOnApply asks for the ack as soon as the decision is
 	// applied in memory, before its log records are durable. The sender
 	// stays responsible for the decision until a later durable ack from the
-	// same server covers it (see MsgShardPrepare's trailing list). Only
-	// ever sent with ShardDecideCommit: a server older than the bit reads
-	// any non-zero flag byte as commit.
+	// same server covers it (see MsgShardPrepare's decision list).
 	ShardDecideOnApply byte = 1 << 1
 )
 
@@ -192,9 +187,9 @@ const (
 	BeginReadOnly byte = 1 << 0
 )
 
-// ClientTxnBit is set in every client-assigned transaction handle and in no
-// server-assigned transaction id. Handles are scoped to their connection:
-// two connections may use the same one at the same time.
+// ClientTxnBit is set in every transaction handle; a Begin naming a handle
+// without it is refused. Handles are scoped to their connection: two
+// connections may use the same one at the same time.
 const ClientTxnBit uint64 = 1 << 63
 
 // Checkpoint request flag bits.
@@ -430,12 +425,6 @@ func (d *Dec) Rest() []byte {
 	d.b = nil
 	return p
 }
-
-// More reports whether undecoded payload remains — how a decoder tells an
-// optional trailing field from its absence.
-//
-//ermia:hotpath checked once per decoded message that ends in optional fields
-func (d *Dec) More() bool { return !d.bad && len(d.b) > 0 }
 
 // Err reports whether decoding ran past the payload.
 //

@@ -130,7 +130,7 @@ func TestDeadlineExpiryAbortsTxn(t *testing.T) {
 	if st != proto.StatusOK {
 		t.Fatalf("create table: %v", st)
 	}
-	st, _, d := rc.call(proto.MsgBegin, 0, proto.AppendU8(nil, 0))
+	st, _, d := rc.call(proto.MsgBegin, 0, beginPayload(0, proto.ClientTxnBit|1))
 	if st != proto.StatusOK {
 		t.Fatalf("begin: %v", st)
 	}
@@ -177,9 +177,8 @@ func TestBeginRefusesFutureEpoch(t *testing.T) {
 	_, addr := serve(t, db, server.Config{Epoch: 3})
 	rc := rawDial(t, addr)
 
-	p := proto.AppendU8(nil, 0)
-	p = proto.AppendU64(p, 9) // client saw epoch 9; this server is at 3
-	st, _, _ := rc.call(proto.MsgBegin, 0, p)
+	// The client saw epoch 9; this server is at 3.
+	st, _, _ := rc.call(proto.MsgBegin, 0, beginPayload(9, proto.ClientTxnBit|1))
 	if st != proto.StatusStaleEpoch {
 		t.Fatalf("begin from the future: %v, want StatusStaleEpoch", st)
 	}
@@ -189,20 +188,21 @@ func TestBeginRefusesFutureEpoch(t *testing.T) {
 	}
 
 	// At or below the server's epoch is fine.
-	p = proto.AppendU8(nil, 0)
-	p = proto.AppendU64(p, 3)
-	st, _, _ = rc.call(proto.MsgBegin, 0, p)
+	st, _, _ = rc.call(proto.MsgBegin, 0, beginPayload(3, proto.ClientTxnBit|1))
 	if st != proto.StatusOK {
 		t.Fatalf("begin at current epoch: %v", st)
 	}
 }
 
-// TestBeginHandles pins the two ways a transaction gets its wire id. A
-// Begin without a handle (any client older than handles) is given a
-// server-assigned id, outside the client namespace, and runs to commit. A
-// Begin with a handle is registered under it and echoes it; a handle that
-// names a live transaction, or that lies outside the client namespace, is
-// refused without touching what is already open.
+// beginPayload is a MsgBegin request with no flags: epoch, handle.
+func beginPayload(epoch, handle uint64) []byte {
+	return proto.AppendU64(proto.AppendU64(proto.AppendU8(nil, 0), epoch), handle)
+}
+
+// TestBeginHandles pins how a transaction gets its wire id: a Begin is
+// registered under the client's handle and echoes it; a handle that names a
+// live transaction, or that lacks the client bit, is refused without
+// touching what is already open.
 func TestBeginHandles(t *testing.T) {
 	db := openCore(t, core.Config{})
 	srv, addr := serve(t, db, server.Config{})
@@ -210,12 +210,8 @@ func TestBeginHandles(t *testing.T) {
 	if st, _, _ := rc.call(proto.MsgCreateTable, 0, proto.AppendBytes(nil, []byte("t"))); st != proto.StatusOK {
 		t.Fatalf("create table: %v", st)
 	}
-	begin := func(handle ...uint64) (proto.Status, uint64) {
-		p := proto.AppendU64(proto.AppendU8(nil, 0), 0) // flags, epoch
-		for _, h := range handle {
-			p = proto.AppendU64(p, h)
-		}
-		st, _, d := rc.call(proto.MsgBegin, 0, p)
+	begin := func(handle uint64) (proto.Status, uint64) {
+		st, _, d := rc.call(proto.MsgBegin, 0, beginPayload(0, handle))
 		return st, d.U64()
 	}
 	insert := func(txnID uint64, key string) proto.Status {
@@ -231,10 +227,6 @@ func TestBeginHandles(t *testing.T) {
 		return st
 	}
 
-	st, old := begin()
-	if st != proto.StatusOK || old == 0 || old&proto.ClientTxnBit != 0 {
-		t.Fatalf("old-style begin: %v, id %#x; want OK and a server id", st, old)
-	}
 	const handle = proto.ClientTxnBit | 1
 	if st, id := begin(handle); st != proto.StatusOK || id != handle {
 		t.Fatalf("begin with a handle: %v, id %#x; want OK echoing %#x", st, id, uint64(handle))
@@ -248,26 +240,59 @@ func TestBeginHandles(t *testing.T) {
 	if st, _ := begin(7); st != proto.StatusBadRequest {
 		t.Fatalf("handle without the client bit: %v, want StatusBadRequest", st)
 	}
-	if got := srv.Stats().OpenTxns; got != 2 {
-		t.Fatalf("%d transactions open after the refusals, want 2", got)
-	}
-	if st := insert(old, "theirs"); st != proto.StatusOK {
-		t.Fatalf("insert under the server id: %v", st)
+	if got := srv.Stats().OpenTxns; got != 1 {
+		t.Fatalf("%d transactions open after the refusals, want 1", got)
 	}
 	// The refused duplicate must not have replaced the first transaction:
 	// its write is still there to commit.
 	if st := commit(handle); st != proto.StatusOK {
 		t.Fatalf("commit under the handle: %v", st)
 	}
-	if st := commit(old); st != proto.StatusOK {
-		t.Fatalf("commit under the server id: %v", st)
-	}
 	txn := db.BeginReadOnly(0)
 	defer txn.Abort()
-	for _, key := range []string{"mine", "theirs"} {
-		if _, err := txn.Get(db.OpenTable("t"), []byte(key)); err != nil {
-			t.Fatalf("row %q: %v", key, err)
+	if _, err := txn.Get(db.OpenTable("t"), []byte("mine")); err != nil {
+		t.Fatalf("row %q: %v", "mine", err)
+	}
+}
+
+// TestShortFramesAreRefused: a Begin without its epoch or handle, and a
+// ShardPrepare without its decision list, are malformed. Each is refused
+// with StatusBadRequest, opens no transaction and takes no worker slot.
+func TestShortFramesAreRefused(t *testing.T) {
+	db := openCore(t, core.Config{})
+	srv, addr := serve(t, db, server.Config{Workers: 2})
+	rc := rawDial(t, addr)
+	if st, _, _ := rc.call(proto.MsgCreateTable, 0, proto.AppendBytes(nil, []byte("t"))); st != proto.StatusOK {
+		t.Fatalf("create table: %v", st)
+	}
+	const open = proto.ClientTxnBit | 1
+	if st, _, _ := rc.call(proto.MsgBegin, 0, beginPayload(0, open)); st != proto.StatusOK {
+		t.Fatalf("begin: %v", st)
+	}
+	prepare := proto.AppendU64(nil, open)
+	prepare = proto.AppendU64(prepare, 0) // epoch
+	prepare = proto.AppendU64(prepare, 0) // map version
+	prepare = proto.AppendBytes(prepare, []byte("gid"))
+	prepare = proto.AppendU32(prepare, 0) // no ops, and no decision list after them
+	for _, c := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"begin of 1 byte", proto.MsgBegin, []byte{0}},
+		{"begin of 9 bytes", proto.MsgBegin, proto.AppendU64([]byte{0}, 0)},
+		{"shard prepare without a list", proto.MsgShardPrepare, prepare},
+	} {
+		if st, _, _ := rc.call(c.typ, 0, c.payload); st != proto.StatusBadRequest {
+			t.Errorf("%s: %v, want StatusBadRequest", c.name, st)
 		}
+		if got := srv.Stats().OpenTxns; got != 1 {
+			t.Errorf("%s: %d transactions open, want 1", c.name, got)
+		}
+	}
+	// The second worker slot is still free.
+	if st, _, _ := rc.call(proto.MsgBegin, 0, beginPayload(0, proto.ClientTxnBit|2)); st != proto.StatusOK {
+		t.Fatalf("begin after the refusals: %v", st)
 	}
 }
 

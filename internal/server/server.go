@@ -196,7 +196,6 @@ type Server struct {
 	sessMu   sync.Mutex
 	sessions map[*session]struct{}
 
-	nextTxnID   atomic.Uint64
 	nextQueryID atomic.Uint64
 
 	conns    atomic.Int32

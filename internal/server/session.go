@@ -336,29 +336,19 @@ func (s *session) handlePing(req request) {
 }
 
 // handleBegin opens a transaction and parks it in the session's registry
-// keyed by wire txn id — the client's handle when the request carries one,
-// a server-assigned id otherwise; Commit/Abort requests finish it and
-// teardown aborts whatever the client left open.
+// under the client's handle; Commit/Abort requests finish it and teardown
+// aborts whatever the client left open.
 //
 //ermia:txn-owner session txn registry owns the handle; handleCommit/handleAbort finish it and teardown aborts leftovers
 func (s *session) handleBegin(req request, d *proto.Dec) {
 	flags := d.U8()
-	// The fields after the flag byte are optional, oldest first: the highest
-	// primary epoch the client has observed (a server behind that epoch is a
-	// deposed primary that must fence itself rather than accept the work),
-	// then the handle the client wants the transaction registered under.
-	var cliEpoch, handle uint64
-	if len(req.payload) > 1 {
-		cliEpoch = d.U64()
-	}
-	hasHandle := len(req.payload) > 9
-	if hasHandle {
-		handle = d.U64()
-	}
-	// A handle outside the client namespace could shadow a server id; a live
-	// one names another transaction, which must not be clobbered.
+	// The highest primary epoch the client has observed: a server behind it
+	// is a deposed primary that must fence itself rather than accept the work.
+	cliEpoch := d.U64()
+	handle := d.U64()
+	// A live handle names another transaction, which must not be clobbered.
 	_, live := s.txns[handle]
-	if d.Err() != nil || hasHandle && (live || handle&proto.ClientTxnBit == 0) {
+	if d.Err() != nil || live || handle&proto.ClientTxnBit == 0 {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 		return
 	}
@@ -382,14 +372,10 @@ func (s *session) handleBegin(req request, d *proto.Dec) {
 	} else {
 		txn = s.srv.db.Begin(slot)
 	}
-	id := handle
-	if !hasHandle {
-		id = s.srv.nextTxnID.Add(1)
-	}
-	s.txns[id] = openTxn{txn: txn, slot: slot, readOnly: readOnly}
+	s.txns[handle] = openTxn{txn: txn, slot: slot, readOnly: readOnly}
 	s.openTxns.Add(1)
 	s.srv.openTxns.Add(1)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", proto.AppendU64(nil, id)))
+	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", proto.AppendU64(nil, handle)))
 }
 
 // lookupTable resolves a table name through the session cache.
@@ -630,13 +616,10 @@ func (s *session) handleStats(req request) {
 	body = proto.AppendU64(body, st.ReplShippedOffset)
 	body = proto.AppendU64(body, st.ReplAckedOffset)
 	body = proto.AppendU64(body, st.Checkpoints)
-	// Query counters append at the end so older decoders still parse the
-	// prefix they know about.
 	body = proto.AppendU32(body, st.ActiveQueries)
 	body = proto.AppendU64(body, st.Queries)
 	body = proto.AppendU64(body, st.QueryRows)
 	body = proto.AppendU64(body, st.QueriesCancelled)
-	// Sharding counters append after the query block, same reasoning.
 	body = proto.AppendU32(body, st.PreparedTxns)
 	body = proto.AppendU64(body, st.ShardPrepares)
 	body = proto.AppendU64(body, st.ShardDecides)

@@ -26,7 +26,7 @@ import (
 //     and delete the record. The ack waits for both to be durable, unless
 //     the coordinator asked for it on apply (proto.ShardDecideOnApply); it
 //     then keeps the decision until a later durable ack of this server
-//     covers it — the next MsgShardPrepare names it in its trailing list,
+//     covers it — the next MsgShardPrepare names it in its decision list,
 //     and applyDecision below re-applies whatever a restart undid first.
 //     Either way the coordinator forgets a transaction only after a durable
 //     confirmation from every participant, so an undeleted record can never
@@ -83,6 +83,17 @@ func encodePrepRecord(epoch uint64, ops []prepOp) []byte {
 func decodePrepRecord(v []byte) ([]prepOp, error) {
 	d := proto.NewDec(v)
 	d.U64() // epoch, informational
+	ops := decodePrepOps(d)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return ops, nil
+}
+
+// decodePrepOps decodes a write set as prepare records and MsgShardPrepare
+// both lay it out: u32 count, then per op code, table, key, value. A short
+// payload leaves d's error set.
+func decodePrepOps(d *proto.Dec) []prepOp {
 	n := d.U32()
 	var ops []prepOp
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
@@ -91,10 +102,7 @@ func decodePrepRecord(v []byte) ([]prepOp, error) {
 		op.value = append([]byte(nil), d.Bytes()...)
 		ops = append(ops, op)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
+	return ops
 }
 
 // prepTable lazily creates/opens the prepare-record system table. Nil when
@@ -490,27 +498,17 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 	cliEpoch := d.U64()
 	mapVersion := d.U64()
 	gid := d.Bytes()
-	n := d.U32()
-	var ops []prepOp
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		op := prepOp{op: d.U8(), table: string(d.Bytes())}
-		op.key = append([]byte(nil), d.Bytes()...)
-		op.value = append([]byte(nil), d.Bytes()...)
-		ops = append(ops, op)
-	}
+	ops := decodePrepOps(d)
 	// Decisions this server acked on apply; see MsgShardPrepare.
 	type decided struct {
 		gid   []byte
 		flags byte
 	}
 	var covered []decided
-	if d.More() {
-		m := d.U32()
-		for i := uint32(0); i < m && d.Err() == nil; i++ {
-			covered = append(covered, decided{gid: d.Bytes(), flags: d.U8()})
-		}
+	for m := d.U32(); m > 0 && d.Err() == nil; m-- {
+		covered = append(covered, decided{gid: d.Bytes(), flags: d.U8()})
 	}
-	if d.Err() != nil || len(gid) == 0 || uint32(len(ops)) != n {
+	if d.Err() != nil || len(gid) == 0 {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 		return
 	}

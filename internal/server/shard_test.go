@@ -121,8 +121,7 @@ func (p *participant) returnsWhileHeld(fn func() error) bool {
 }
 
 // TestShardDecideAckModes pins when a decide is acknowledged: a plain one
-// (flag byte 0 or 1, all an older router sends) only once the decision is
-// durable; one carrying proto.ShardDecideOnApply at once; and a plain
+// (without ShardDecideOnApply) only once the decision is durable; one carrying proto.ShardDecideOnApply at once; and a plain
 // re-delivery of an already applied decision — the coordinator's retry after
 // a lost ack, or its confirmation of an on-apply ack — again only once the
 // first delivery's log records are durable, though it has nothing to apply.

@@ -53,9 +53,6 @@ type dlogEntry struct {
 //	C <gid> <s0,s1,..>  commit decision and its participants (forced)
 //	D <gid>             retired
 //
-// and, from routers older than this format, still replayed: P <gid>
-// <shards> (intent), C <gid> and A <gid> (decisions for a P).
-//
 // A gid is id ‖ sequence, both big-endian, so one coordinator's gids sort by
 // age. Incarnation n numbers from n<<seqShift, above anything an earlier one
 // can have used; that is what lets recovery tell its predecessors' orphans
@@ -165,22 +162,16 @@ func (l *decisionLog) replay(path string) (incarnation uint64, err error) {
 			if n > incarnation {
 				incarnation = n
 			}
-		case "P", "C":
-			e := l.pending[key]
-			if e == nil && len(fields) >= 3 {
-				if shards, ok := parseShards(fields[2]); ok {
-					e = &dlogEntry{gid: raw, shards: shards, todo: append([]int(nil), shards...), logged: true}
-					l.pending[key] = e
-				}
+		case "C":
+			if len(fields) < 3 {
+				continue
 			}
-			if e != nil && fields[0] == "C" {
-				e.commit = true
+			if shards, ok := parseShards(fields[2]); ok {
+				l.pending[key] = &dlogEntry{gid: raw, shards: shards, todo: append([]int(nil), shards...), commit: true, logged: true}
 			}
 		case "D":
 			delete(l.pending, key)
 		}
-		// "A" (an explicit abort from an older router) changes nothing: its
-		// P entry stays pending, undecided, and resolves to abort.
 	}
 	return incarnation, sc.Err()
 }
