@@ -114,85 +114,6 @@ func BenchmarkAblationEpochQuiesce(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSerializableSchemes compares the two serializable CC
-// schemes the physical layer supports — SSN and commit-time read-set
-// validation — on a heterogeneous mix: 90% short writers, 10% long
-// read-mostly transactions. It reproduces in miniature the paper's central
-// claim: validation (writer-wins) starves the long readers that SSN
-// commits. The reported commit% is for the long readers only.
-func BenchmarkAblationSerializableSchemes(b *testing.B) {
-	const rows = 20000
-	key := func(i int) []byte { return []byte(fmt.Sprintf("r%08d", i%rows)) }
-	for _, mode := range []core.Isolation{core.SSN, core.ReadValidation} {
-		b.Run(mode.String(), func(b *testing.B) {
-			db, err := core.Open(core.Config{
-				WAL:       wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20},
-				Isolation: mode,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			tbl := db.CreateTable("t")
-			for base := 0; base < rows; base += 1000 {
-				txn := db.Begin(0)
-				for i := base; i < base+1000; i++ {
-					txn.Insert(tbl, key(i), []byte("payload"))
-				}
-				if err := txn.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-
-			// A background short-writer keeps overwriting random rows.
-			stop := make(chan struct{})
-			go func() {
-				i := 0
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					txn := db.Begin(1)
-					txn.Update(tbl, key(i*37), []byte("overwrite"))
-					txn.Commit()
-					i++
-				}
-			}()
-
-			commits, aborts := 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// The long read-mostly transaction: 500 reads, one write.
-				txn := db.Begin(2)
-				ok := true
-				for j := 0; j < 500 && ok; j++ {
-					if _, err := txn.Get(tbl, key(i*13+j*41)); err != nil {
-						ok = false
-					}
-				}
-				if ok {
-					if err := txn.Update(tbl, key(i*13), []byte("reader-write")); err != nil {
-						ok = false
-					}
-				}
-				if ok && txn.Commit() == nil {
-					commits++
-				} else {
-					txn.Abort()
-					aborts++
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			if n := commits + aborts; n > 0 {
-				b.ReportMetric(float64(commits)/float64(n)*100, "reader-commit%")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGroupCommit measures the cost a transaction pays to wait
 // for durability versus ERMIA's default asynchronous group commit.
 func BenchmarkAblationGroupCommit(b *testing.B) {

@@ -105,16 +105,7 @@ func main() {
 		defer db.Close()
 		eng = db
 		if *serve != "" {
-			srv, err := ermia.NewServer(ermia.ServerConfig{
-				DB: db,
-				ReattachFn: func() (string, error) {
-					rep, err := db.Reattach(nil)
-					if err != nil {
-						return "", err
-					}
-					return fmt.Sprintf("replayed=%dB holes=%d", rep.Replayed, rep.HolesFilled), nil
-				},
-			})
+			srv, err := ermia.NewServer(ermia.ServerConfig{DB: db})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "serve:", err)
 				os.Exit(1)

@@ -234,18 +234,10 @@ func startCheckpointLoop(db *ermia.DB, every time.Duration) func() {
 	return func() { close(stop) }
 }
 
-// newServer wires the admin hooks onto the flag-built config: Reattach
-// always, Promote only when the engine is a replica.
+// newServer serves db with the flag-built config, wiring the admin Promote
+// hook when the engine is a replica.
 func newServer(db *ermia.DB, cfg ermia.ServerConfig, rep *ermia.LogReplica) *ermia.Server {
 	cfg.DB = db
-	cfg.ReattachFn = func() (string, error) {
-		r, err := db.Reattach(nil)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("reattached: replayed=%dB holes=%d lost=%dB",
-			r.Replayed, r.HolesFilled, r.Lost), nil
-	}
 	if rep != nil {
 		cfg.PromoteFn = func() (string, error) {
 			if err := rep.Promote(); err != nil {

@@ -114,7 +114,8 @@ func Classify(err error) Outcome { return engine.Classify(err) }
 // HealthState is the fault-containment state machine both engines share:
 // Healthy → Degraded (log device failed; reads keep committing, writes fail
 // fast with ErrReadOnlyDegraded) → Healthy again after Reattach, or Failed
-// (terminal). See DB.Health, DB.Reattach, SiloDB.Health, SiloDB.Reattach.
+// (terminal). DB and SiloDB both expose Health and Reattach; a Server
+// serves them over the wire with no wiring of its own.
 type HealthState = engine.HealthState
 
 // Health states.
@@ -128,6 +129,10 @@ const (
 // HealthStatus is a health snapshot: the state plus the causing fault.
 type HealthStatus = engine.HealthStatus
 
+// ReattachReport is what a successful Reattach did with the committed work
+// the dead device had not yet made durable, on either engine.
+type ReattachReport = engine.ReattachReport
+
 // RetryPolicy bounds a retry loop: attempt cap, exponential backoff with
 // jitter, and (via context) wall-clock deadlines.
 type RetryPolicy = engine.RetryPolicy
@@ -140,32 +145,13 @@ func RunWithRetry(ctx context.Context, db Engine, worker int, fn func(Txn) error
 	return engine.RunWithRetry(ctx, db, worker, fn)
 }
 
-// Isolation selects the concurrency-control scheme (re-exported from
-// internal/core): SnapshotIsolation, SSN, or ReadValidation.
-type Isolation = core.Isolation
-
-// Isolation levels.
-const (
-	// SnapshotIsolation is plain SI: readers never block or abort writers
-	// and vice versa, but write skew is possible (ERMIA-SI).
-	SnapshotIsolation = core.SnapshotIsolation
-	// SSN is serializable SI via the Serial Safety Net (ERMIA-SSN).
-	SSN = core.SSN
-	// ReadValidation is serializable multi-version OCC: commit-time
-	// read-set validation on the same physical layer (ERMIA-RV). Writers
-	// win over readers, reproducing lightweight-OCC behaviour.
-	ReadValidation = core.ReadValidation
-)
-
 // Options configures an ERMIA engine.
 type Options struct {
 	// Serializable overlays the SSN certifier on snapshot isolation
-	// (ERMIA-SSN). Off, transactions run under plain SI (ERMIA-SI).
-	// Shorthand for Isolation: SSN.
+	// (ERMIA-SSN). Off, transactions run under plain SI (ERMIA-SI): readers
+	// never block or abort writers and vice versa, but write skew is
+	// possible.
 	Serializable bool
-	// Isolation selects the CC scheme explicitly; it wins over
-	// Serializable when set.
-	Isolation Isolation
 	// Dir, when non-empty, stores the log and checkpoints in that
 	// directory; otherwise everything stays on the heap (the paper logs to
 	// tmpfs).
@@ -202,7 +188,6 @@ func (o Options) coreConfig() (core.Config, error) {
 			Storage:     st,
 		},
 		Serializable:    o.Serializable,
-		Isolation:       o.Isolation,
 		LogPerOperation: o.LogPerOperation,
 		GCInterval:      o.GCInterval,
 		Profile:         o.Profile,
@@ -270,7 +255,7 @@ func WithRetry(db Engine, worker int, fn func(Txn) error) error {
 
 // ---- Network service layer ----
 //
-// The same Engine interface runs over TCP: put any engine behind a Server
+// The same Engine interface runs over TCP: put either engine behind a Server
 // and application code — including WithRetry — works unchanged against a
 // Client. See DESIGN.md ("Network service layer") for the wire protocol,
 // session lifetime rules, and the cross-connection group-commit path.
@@ -287,7 +272,7 @@ func WithRetry(db Engine, worker int, fn func(Txn) error) error {
 type Server = server.Server
 
 // ServerConfig configures a Server: the engine, connection and worker-slot
-// limits, the commit durability mode, and the admin reattach hook.
+// limits, the commit durability mode, and the admin promote hook.
 type ServerConfig = server.Config
 
 // ServerStats is the server's counter snapshot (also served remotely via

@@ -40,23 +40,6 @@ func TestOpenSerializable(t *testing.T) {
 	}
 }
 
-func TestOpenReadValidation(t *testing.T) {
-	db, err := Open(Options{Isolation: ReadValidation})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.IsolationLevel() != ReadValidation {
-		t.Fatalf("isolation = %v", db.IsolationLevel())
-	}
-	tbl := db.CreateTable("t")
-	if err := WithRetry(db, 0, func(txn Txn) error {
-		return txn.Insert(tbl, []byte("k"), []byte("v"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecoverSiloViaFacade(t *testing.T) {
 	st := NewMemStorage()
 	db, err := OpenSilo(SiloOptions{Storage: st})

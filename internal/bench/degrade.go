@@ -25,20 +25,13 @@ import (
 // crash-point sweep: instead of killing the process at every I/O, it kills
 // the device under a live engine and demands read service continue.
 
-// DegradeTarget adapts one engine to the sweep. The closures absorb the
-// engines' different config and report types.
+// DegradeTarget adapts one engine to the sweep: how to open it and how to
+// recover it, since the engines' configs differ. Everything else goes
+// through engine.DB and engine.Durable.
 type DegradeTarget struct {
 	Name string
 	// Open creates a fresh DB on the injected storage.
 	Open func(st wal.Storage) (engine.DB, error)
-	// Sync forces group commit (the engine's WaitDurable).
-	Sync func(db engine.DB) error
-	// Health reports DB health.
-	Health func(db engine.DB) engine.HealthStatus
-	// Reattach re-attaches the log after the device heals.
-	Reattach func(db engine.DB) error
-	// Close shuts the DB down.
-	Close func(db engine.DB) error
 	// Recover reopens a DB from the durable crash image for the audit.
 	Recover func(st wal.Storage) (engine.DB, error)
 }
@@ -52,18 +45,8 @@ func CoreDegradeTarget() DegradeTarget {
 		}}
 	}
 	return DegradeTarget{
-		Name:   EngERMIASI,
-		Open:   func(st wal.Storage) (engine.DB, error) { return core.Open(cfg(st)) },
-		Sync:   func(db engine.DB) error { return db.(*core.DB).WaitDurable() },
-		Health: func(db engine.DB) engine.HealthStatus { return db.(*core.DB).Health() },
-		Reattach: func(db engine.DB) error {
-			rep, err := db.(*core.DB).Reattach(nil)
-			if err == nil && rep.Lost != 0 {
-				err = fmt.Errorf("reattach lost %d bytes from the durable window", rep.Lost)
-			}
-			return err
-		},
-		Close:   func(db engine.DB) error { return db.(*core.DB).Close() },
+		Name:    EngERMIASI,
+		Open:    func(st wal.Storage) (engine.DB, error) { return core.Open(cfg(st)) },
 		Recover: func(st wal.Storage) (engine.DB, error) { return core.Recover(cfg(st)) },
 	}
 }
@@ -75,15 +58,8 @@ func SiloDegradeTarget() DegradeTarget {
 		return silo.Config{Storage: st, EpochInterval: time.Hour}
 	}
 	return DegradeTarget{
-		Name:   EngSilo,
-		Open:   func(st wal.Storage) (engine.DB, error) { return silo.Open(cfg(st)) },
-		Sync:   func(db engine.DB) error { return db.(*silo.DB).WaitDurable() },
-		Health: func(db engine.DB) engine.HealthStatus { return db.(*silo.DB).Health() },
-		Reattach: func(db engine.DB) error {
-			_, err := db.(*silo.DB).Reattach(nil)
-			return err
-		},
-		Close:   func(db engine.DB) error { return db.(*silo.DB).Close() },
+		Name:    EngSilo,
+		Open:    func(st wal.Storage) (engine.DB, error) { return silo.Open(cfg(st)) },
 		Recover: func(st wal.Storage) (engine.DB, error) { return silo.Recover(cfg(st)) },
 	}
 }
@@ -141,7 +117,11 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 	if err != nil {
 		return res, fmt.Errorf("%s: open: %w", tgt.Name, err)
 	}
-	defer tgt.Close(db)
+	defer db.Close()
+	dur, ok := db.(engine.Durable)
+	if !ok {
+		return res, fmt.Errorf("%s: engine %T does not implement engine.Durable", tgt.Name, db)
+	}
 	tbl := db.CreateTable("kv")
 
 	// model holds every acknowledged committed write; keys orders it so the
@@ -198,10 +178,10 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 				return res, fmt.Errorf("%s: cycle %d healthy write: %w", tgt.Name, cycle, err)
 			}
 		}
-		if err := tgt.Sync(db); err != nil {
+		if err := dur.WaitDurable(); err != nil {
 			return res, fmt.Errorf("%s: cycle %d sync: %w", tgt.Name, cycle, err)
 		}
-		if h := tgt.Health(db); h.State != engine.Healthy {
+		if h := dur.Health(); h.State != engine.Healthy {
 			return res, fmt.Errorf("%s: cycle %d health = %v, want healthy", tgt.Name, cycle, h)
 		}
 
@@ -219,11 +199,11 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 			default:
 				return res, fmt.Errorf("%s: cycle %d write on dying device: %w", tgt.Name, cycle, err)
 			}
-			if tgt.Health(db).State == engine.Degraded {
+			if dur.Health().State == engine.Degraded {
 				degraded = true
 			} else if !degraded {
-				if err := tgt.Sync(db); err != nil {
-					if h := tgt.Health(db); h.State != engine.Degraded {
+				if err := dur.WaitDurable(); err != nil {
+					if h := dur.Health(); h.State != engine.Degraded {
 						return res, fmt.Errorf("%s: cycle %d sync failed (%v) without degrading: %v", tgt.Name, cycle, err, h)
 					}
 					degraded = true
@@ -262,10 +242,14 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 
 		// Heal and re-attach: full service returns.
 		inj.Heal()
-		if err := tgt.Reattach(db); err != nil {
+		rep, err := dur.Reattach(nil)
+		if err == nil && rep.Lost != 0 {
+			err = fmt.Errorf("reattach lost %d bytes from the durable window", rep.Lost)
+		}
+		if err != nil {
 			return res, fmt.Errorf("%s: cycle %d reattach: %w", tgt.Name, cycle, err)
 		}
-		if h := tgt.Health(db); h.State != engine.Healthy {
+		if h := dur.Health(); h.State != engine.Healthy {
 			return res, fmt.Errorf("%s: cycle %d health after reattach = %v", tgt.Name, cycle, h)
 		}
 		for i := 0; i < opts.WritesPerPhase; i++ {
@@ -273,21 +257,21 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 				return res, fmt.Errorf("%s: cycle %d healed write: %w", tgt.Name, cycle, err)
 			}
 		}
-		if err := tgt.Sync(db); err != nil {
+		if err := dur.WaitDurable(); err != nil {
 			return res, fmt.Errorf("%s: cycle %d healed sync: %w", tgt.Name, cycle, err)
 		}
 	}
 
 	// Audit: crash, recover from the durable image, and demand every
 	// acknowledged commit — the committed prefix — be present and current.
-	if err := tgt.Close(db); err != nil {
+	if err := db.Close(); err != nil {
 		return res, fmt.Errorf("%s: close: %w", tgt.Name, err)
 	}
 	rdb, err := tgt.Recover(inner.Crash())
 	if err != nil {
 		return res, fmt.Errorf("%s: audit recovery: %w", tgt.Name, err)
 	}
-	defer tgt.Close(rdb)
+	defer rdb.Close()
 	rtbl := rdb.OpenTable("kv")
 	if rtbl == nil {
 		return res, fmt.Errorf("%s: audit: table missing after recovery", tgt.Name)

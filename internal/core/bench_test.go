@@ -7,11 +7,11 @@ import (
 	"ermia/internal/wal"
 )
 
-func benchDB(b *testing.B, iso Isolation) *DB {
+func benchDB(b *testing.B, serializable bool) *DB {
 	b.Helper()
 	db, err := Open(Config{
-		WAL:       wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20},
-		Isolation: iso,
+		WAL:          wal.Config{SegmentSize: 64 << 20, BufferSize: 8 << 20},
+		Serializable: serializable,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -32,7 +32,7 @@ func BenchmarkTxnLifecycle(b *testing.B) {
 	val := []byte("0123456789abcdef0123456789abcdef")
 
 	b.Run("ShortReadWrite", func(b *testing.B) {
-		db := benchDB(b, SSN)
+		db := benchDB(b, true)
 		tbl := db.CreateTable("t")
 		loadKeys(b, db, tbl, rows)
 		newKeys := make([][]byte, b.N) // the index keeps the caller's key
@@ -64,9 +64,12 @@ func BenchmarkTxnLifecycle(b *testing.B) {
 			}
 		}
 	})
-	for _, iso := range []Isolation{SSN, SnapshotIsolation} {
-		b.Run("Read1000/"+iso.String(), func(b *testing.B) {
-			db := benchDB(b, iso)
+	for _, mode := range []struct {
+		name         string
+		serializable bool
+	}{{"ssn", true}, {"si", false}} {
+		b.Run("Read1000/"+mode.name, func(b *testing.B) {
+			db := benchDB(b, mode.serializable)
 			tbl := db.CreateTable("t")
 			loadKeys(b, db, tbl, rows)
 			b.ReportAllocs()
@@ -93,7 +96,7 @@ func BenchmarkTxnLifecycle(b *testing.B) {
 // table.
 func BenchmarkRunGC(b *testing.B) {
 	const rows = 200000
-	db := benchDB(b, SnapshotIsolation)
+	db := benchDB(b, false)
 	tbl := db.CreateTable("t")
 	loadKeys(b, db, tbl, rows)
 	keys := make([][]byte, rows)
@@ -137,7 +140,7 @@ func BenchmarkScanPastDeleted(b *testing.B) {
 	for _, deleted := range []int{0, 1000, 100000} {
 		for _, gc := range []bool{false, true} {
 			b.Run(fmt.Sprintf("deleted=%d/gc=%v", deleted, gc), func(b *testing.B) {
-				db := benchDB(b, SSN)
+				db := benchDB(b, true)
 				tbl := db.CreateTable("t")
 				loadKeys(b, db, tbl, deleted+100)
 				for i := 0; i < deleted; {

@@ -119,7 +119,7 @@ func (db *DB) Checkpoint() error {
 	res, err := db.logMgr().Reserve(0, wal.BlockCheckpointBegin)
 	if err != nil {
 		db.logGate.Unlock()
-		return db.noteLogErr(err)
+		return db.health.Note(err)
 	}
 	res.Commit()
 	db.logGate.Unlock()
@@ -144,7 +144,7 @@ func (db *DB) Checkpoint() error {
 	end, err := db.logMgr().Reserve(len(name), wal.BlockCheckpointEnd)
 	if err != nil {
 		db.logGate.RUnlock()
-		return db.noteLogErr(err)
+		return db.health.Note(err)
 	}
 	end.Append([]byte(name))
 	end.Commit()

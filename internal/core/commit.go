@@ -25,14 +25,11 @@ func (t *Txn) Commit() error {
 		return engine.ErrAborted
 	}
 	if len(t.writes) == 0 {
-		// Read-only: nothing to log or install. Serializable modes still
-		// validate — a read-only transaction can close a cycle.
+		// Read-only: nothing to log or install. SSN still validates — a
+		// read-only transaction can close a cycle.
 		var err error
-		switch t.mode {
-		case SSN:
+		if t.ssn {
 			err = t.ssnReadOnlyCommit()
-		case ReadValidation:
-			err = t.rvCommit()
 		}
 		if err != nil {
 			t.Abort()
@@ -74,22 +71,14 @@ func (t *Txn) Commit() error {
 	if err != nil {
 		t.db.logGate.RUnlock()
 		t.Abort()
-		return t.db.updateUnavailable(err)
+		return t.db.health.Unavailable(err)
 	}
 	cstamp := res.Offset()
 	t.db.tids.SetCommitting(t.tid, cstamp)
 
-	switch t.mode {
-	case SSN:
+	if t.ssn {
 		if err := t.ssnCommit(cstamp); err != nil {
 			res.Abort() // the claimed space becomes a skip record
-			t.db.logGate.RUnlock()
-			t.Abort()
-			return err
-		}
-	case ReadValidation:
-		if err := t.rvCommit(); err != nil {
-			res.Abort()
 			t.db.logGate.RUnlock()
 			t.Abort()
 			return err
@@ -289,7 +278,7 @@ func (t *Txn) spillOverflow() error {
 	defer t.db.logGate.RUnlock()
 	res, err := t.db.logMgr().Reserve(len(t.logBuf), wal.BlockOverflow)
 	if err != nil {
-		return t.db.updateUnavailable(err)
+		return t.db.health.Unavailable(err)
 	}
 	res.SetPrev(t.opChain)
 	res.Append(t.logBuf)

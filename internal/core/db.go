@@ -35,12 +35,8 @@ type Config struct {
 	// WAL configures the log manager.
 	WAL wal.Config
 	// Serializable overlays the SSN certifier on snapshot isolation
-	// (ERMIA-SSN). Off, the engine runs plain SI (ERMIA-SI). Shorthand
-	// for Isolation: SSN.
+	// (ERMIA-SSN). Off, the engine runs plain SI (ERMIA-SI).
 	Serializable bool
-	// Isolation selects the CC scheme explicitly; it wins over
-	// Serializable when set.
-	Isolation Isolation
 	// LogPerOperation emulates traditional WAL: every update operation
 	// makes its own round trip to the centralized log buffer instead of
 	// one reservation per transaction (the Figure 10 ablation).
@@ -136,9 +132,8 @@ type DB struct {
 	// Fault containment (see health.go). logGate is read-locked by every
 	// log-writing window so Reattach can take it exclusively and rebuild the
 	// log with no reservation in flight.
-	health      atomic.Int32 // engine.HealthState
-	healthCause atomic.Pointer[error]
-	logGate     sync.RWMutex
+	health  engine.Health
+	logGate sync.RWMutex
 
 	stats DBStats
 }
@@ -160,7 +155,6 @@ type DBStats struct {
 	WWInFlight     atomic.Uint64 // ...lost to an uncommitted head version
 	WWNewer        atomic.Uint64 // ...head committed after our snapshot
 	WWCASRace      atomic.Uint64 // ...lost the install CAS
-	RVAborts       atomic.Uint64 // read-set validation failures (ERMIA-RV)
 	PhantomAborts  atomic.Uint64
 	VersionsPruned atomic.Uint64
 	GCRuns         atomic.Uint64
@@ -179,9 +173,6 @@ type DBStats struct {
 func Open(cfg Config) (*DB, error) {
 	if cfg.EpochInterval == 0 {
 		cfg.EpochInterval = 10 * time.Millisecond
-	}
-	if cfg.Serializable && cfg.Isolation == SnapshotIsolation {
-		cfg.Isolation = SSN
 	}
 	log, err := wal.Open(cfg.WAL, nil)
 	if err != nil {
@@ -249,11 +240,8 @@ func (db *DB) startGC() {
 	}()
 }
 
-// Serializable reports whether a serializable CC scheme is active.
-func (db *DB) Serializable() bool { return db.cfg.Isolation != SnapshotIsolation }
-
-// IsolationLevel returns the active CC scheme.
-func (db *DB) IsolationLevel() Isolation { return db.cfg.Isolation }
+// Serializable reports whether the SSN certifier is active.
+func (db *DB) Serializable() bool { return db.cfg.Serializable }
 
 // Log exposes the log manager (for durability waits and stats). It is nil
 // on a replica that has not been promoted; DurableOffset abstracts over the
@@ -326,7 +314,7 @@ func (db *DB) CreateTable(name string) engine.Table {
 		res.Append(rec)
 		res.Commit()
 	} else {
-		db.noteLogErr(err)
+		db.health.Note(err)
 	}
 	db.logGate.RUnlock()
 	return t
@@ -497,7 +485,7 @@ func (db *DB) WaitDurable() error {
 	if log == nil {
 		return nil
 	}
-	return db.noteLogErr(log.Flush())
+	return db.health.Note(log.Flush())
 }
 
 // Close stops background work and shuts down the log.
@@ -508,7 +496,7 @@ func (db *DB) Close() error {
 			<-db.gcDone
 		}
 		db.gcEpoch.Close()
-		db.health.Store(int32(engine.Failed))
+		db.health.Fail()
 		if log := db.logMgr(); log != nil {
 			db.closeErr = log.Close()
 		}
@@ -516,7 +504,11 @@ func (db *DB) Close() error {
 	return db.closeErr
 }
 
-var _ engine.DB = (*DB)(nil)
+var (
+	_ engine.DB           = (*DB)(nil)
+	_ engine.Durable      = (*DB)(nil)
+	_ engine.Checkpointer = (*DB)(nil)
+)
 
 func init() {
 	// The engine assumes the TID flag bit is outside the table ID space.

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"ermia/internal/engine"
 	"ermia/internal/wal"
 )
@@ -15,61 +12,8 @@ import (
 // in-memory state while updates (which must reach the log to commit) are
 // refused with engine.ErrReadOnlyDegraded until Reattach heals the log.
 
-// Health implements engine.HealthReporter.
-func (db *DB) Health() engine.HealthStatus {
-	s := engine.HealthState(db.health.Load())
-	var cause error
-	if p := db.healthCause.Load(); p != nil {
-		cause = *p
-	}
-	return engine.HealthStatus{State: s, Cause: cause}
-}
-
-// noteLogErr records a log-layer failure in the health state machine and
-// returns err unchanged. Device faults take Healthy to Degraded; a closed
-// log means shutdown, which is Failed; ErrTooLarge is the caller's problem
-// and moves nothing.
-func (db *DB) noteLogErr(err error) error {
-	switch {
-	case err == nil, errors.Is(err, wal.ErrTooLarge):
-		return err
-	case errors.Is(err, wal.ErrClosed):
-		db.health.CompareAndSwap(int32(engine.Healthy), int32(engine.Failed))
-		db.health.CompareAndSwap(int32(engine.Degraded), int32(engine.Failed))
-		return err
-	}
-	e := err
-	db.healthCause.CompareAndSwap(nil, &e)
-	db.health.CompareAndSwap(int32(engine.Healthy), int32(engine.Degraded))
-	return err
-}
-
-// updateUnavailable converts a log failure into the typed availability error
-// an update transaction surfaces: the transaction is not retryable against a
-// degraded DB, and the caller should observe Health and Reattach.
-func (db *DB) updateUnavailable(err error) error {
-	db.noteLogErr(err)
-	if engine.HealthState(db.health.Load()) == engine.Degraded {
-		return fmt.Errorf("%w (cause: %v)", engine.ErrReadOnlyDegraded, err)
-	}
-	return err
-}
-
-// checkWritable refuses mutating operations unless the DB is Healthy. Reads
-// never come here: SI reads stay serviceable in every state that leaves the
-// process alive.
-func (t *Txn) checkWritable() error {
-	switch engine.HealthState(t.db.health.Load()) {
-	case engine.Healthy:
-		return nil
-	case engine.Degraded:
-		return engine.ErrReadOnlyDegraded
-	case engine.Replica:
-		return engine.ErrReplicaReadOnly
-	default:
-		return wal.ErrClosed
-	}
-}
+// Health implements engine.Durable.
+func (db *DB) Health() engine.HealthStatus { return db.health.Status() }
 
 // Reattach heals a Degraded DB once the log device works again, or has been
 // replaced by st (nil keeps the current device; a non-nil replacement must
@@ -80,34 +24,26 @@ func (t *Txn) checkWritable() error {
 //
 // If the repair itself fails the DB moves to Failed: the instance must be
 // replaced via Recover.
-func (db *DB) Reattach(st wal.Storage) (*wal.ReattachReport, error) {
+func (db *DB) Reattach(st wal.Storage) (engine.ReattachReport, error) {
 	// Writers hold the gate read-locked across their log windows; taking it
 	// exclusively guarantees no reservation is in flight while the log
 	// rebuilds its horizons.
 	db.logGate.Lock()
 	defer db.logGate.Unlock()
-	switch engine.HealthState(db.health.Load()) {
-	case engine.Failed:
-		return nil, fmt.Errorf("core: reattach failed instance: %w", wal.ErrClosed)
-	case engine.Healthy:
-		return nil, wal.ErrNotDegraded
-	case engine.Replica:
-		// A replica has no log of its own to heal; Promote is the only way
-		// out of the Replica state.
-		return nil, wal.ErrNotDegraded
+	if err := db.health.CanReattach(); err != nil {
+		return engine.ReattachReport{}, err
 	}
 	rep, err := db.logMgr().Reattach(st)
 	if err != nil {
-		db.health.Store(int32(engine.Failed))
-		return nil, err
+		db.health.Fail()
+		return engine.ReattachReport{}, err
 	}
 	if st != nil {
 		// Checkpoints write their blobs to the same device.
 		db.cfg.WAL.Storage = st
 	}
-	db.healthCause.Store(nil)
-	db.health.Store(int32(engine.Healthy))
-	return rep, nil
+	db.health.Heal()
+	return engine.ReattachReport{
+		Replayed: rep.Replayed, HolesFilled: rep.HolesFilled, Lost: rep.Lost, NewDevice: st != nil,
+	}, nil
 }
-
-var _ engine.HealthReporter = (*DB)(nil)

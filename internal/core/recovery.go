@@ -45,9 +45,6 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 	if cfg.EpochInterval == 0 {
 		cfg.EpochInterval = 10 * time.Millisecond
 	}
-	if cfg.Serializable && cfg.Isolation == SnapshotIsolation {
-		cfg.Isolation = SSN
-	}
 	st := cfg.WAL.Storage
 
 	// Pass 1: locate segments and the durable end of the log.

@@ -45,7 +45,7 @@ func OpenReplica(cfg Config) (*DB, *Applier, *wal.RecoverResult, error) {
 		wm = ckptBegin
 	}
 	db.watermark.Store(wm)
-	db.health.Store(int32(engine.Replica))
+	db.health.SetReplica()
 	return db, db.NewApplier(cfg.WAL.Storage, pass1.Segments, ckptBegin), pass1, nil
 }
 
@@ -57,19 +57,18 @@ func OpenReplica(cfg Config) (*DB, *Applier, *wal.RecoverResult, error) {
 //
 // Ordering matters: the log is installed before the replica flag drops so
 // beginStamp never sees a primary without a clock, and the flag drops
-// before health flips so checkWritable can only admit writers that will
+// before health flips so the write gate can only admit writers that will
 // find a working log.
 func (db *DB) Promote(log *wal.Manager) error {
 	if log == nil {
 		return fmt.Errorf("core: promote requires a log manager")
 	}
-	if engine.HealthState(db.health.Load()) != engine.Replica {
+	if db.health.State() != engine.Replica {
 		return fmt.Errorf("core: promote: not a replica (%v)", db.Health())
 	}
 	db.log.Store(log)
 	db.replica.Store(false)
-	db.healthCause.Store(nil)
-	db.health.Store(int32(engine.Healthy))
+	db.health.Heal()
 	db.startGC()
 	return nil
 }

@@ -224,7 +224,7 @@ func (t *Txn) ScanSecondary(si *SecondaryIndex, lo, hi []byte, fn func(skey, val
 	}
 	var err error
 	onLeaf := func(h index.Handle[mvcc.OID]) { t.addNode(h, true) }
-	if t.mode == SnapshotIsolation {
+	if !t.ssn {
 		onLeaf = nil
 	}
 	si.idx.Scan(lo, hi, onLeaf, func(skey []byte, oid mvcc.OID) bool {
@@ -235,7 +235,6 @@ func (t *Txn) ScanSecondary(si *SecondaryIndex, lo, hi []byte, fn func(skey, val
 		if err = t.ssnRead(v, cstamp); err != nil {
 			return false
 		}
-		t.rvTrack(si.tbl.arr, oid, v, cstamp)
 		if v.Tombstone {
 			return true
 		}

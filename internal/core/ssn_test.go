@@ -38,6 +38,32 @@ func TestSSNReaderThenOverwriterCommits(t *testing.T) {
 	}
 }
 
+// A reader whose read a writer overwrote and committed still commits when no
+// cycle closes: it serializes before the writer. Writer-wins validation
+// (Silo's) aborts the same reader; SSN treats the two fairly.
+func TestSSNOverwrittenReaderCommits(t *testing.T) {
+	db := testDB(t, true)
+	tbl := db.CreateTable("t")
+	put(t, db, tbl, "x", "base")
+	put(t, db, tbl, "y", "base")
+
+	reader := db.Begin(0)
+	if _, err := reader.Get(tbl, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	writer := db.Begin(1)
+	if err := writer.Update(tbl, []byte("x"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, writer)
+	if err := reader.Update(tbl, []byte("y"), []byte("touch")); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatalf("SSN aborted a cycle-free reader: %v", err)
+	}
+}
+
 // A read-only transaction can close a dependency cycle; SSN must abort it.
 // History: T2 writes y then commits between T_ro's reads such that
 // T_ro -rw-> T2 (T_ro read old y) and T2 -wr-> ... -> T_ro would require

@@ -24,8 +24,7 @@ type Txn struct {
 	worker   int
 	tid      txnid.TID
 	begin    uint64
-	mode     Isolation
-	ssn      bool // mode == SSN, cached for the hot paths
+	ssn      bool // the DB is serializable: SSN certifies this transaction
 	readOnly bool
 	done     bool
 
@@ -105,11 +104,10 @@ func (db *DB) begin(worker int, readOnly bool) *Txn {
 		worker:   w,
 		tid:      tid,
 		begin:    begin,
-		mode:     db.cfg.Isolation,
+		ssn:      db.cfg.Serializable,
 		readOnly: readOnly,
 		sstamp:   mvcc.Infinity,
 	}
-	t.ssn = t.mode == SSN
 	// Take the slot's parked scratch and leave nothing: a second transaction
 	// opened on a busy slot, against the contract, gets its own nil arrays.
 	t.txnScratch, ws.scratch = ws.scratch, txnScratch{}
@@ -306,7 +304,7 @@ func (t *Txn) ssnWrite(prev *mvcc.Version) error {
 // serializable mode). gap says the transaction relied on a key being absent
 // from the leaf (see trackedNode).
 func (t *Txn) addNode(h index.Handle[mvcc.OID], gap bool) {
-	if t.mode == SnapshotIsolation {
+	if !t.ssn {
 		return
 	}
 	// Scans and clustered gets keep landing on the leaf they just visited.
@@ -365,7 +363,6 @@ func (t *Txn) readRecord(arr *mvcc.OIDArray, oid mvcc.OID, found bool, h index.H
 	if err := t.ssnRead(v, cstamp); err != nil {
 		return nil, err
 	}
-	t.rvTrack(arr, oid, v, cstamp)
 	if v.Tombstone {
 		return nil, engine.ErrNotFound
 	}
@@ -382,7 +379,7 @@ func (t *Txn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []byte) b
 	tab := t.table(tbl)
 	var err error
 	onLeaf := func(h index.Handle[mvcc.OID]) { t.addNode(h, true) }
-	if t.mode == SnapshotIsolation {
+	if !t.ssn {
 		onLeaf = nil
 	}
 	is := t.clock()
@@ -395,7 +392,6 @@ func (t *Txn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []byte) b
 				is = t.clock()
 				return false
 			}
-			t.rvTrack(tab.arr, oid, v, cstamp)
 			if !v.Tombstone {
 				cont = fn(key, v.Data)
 			}
@@ -418,7 +414,7 @@ func (t *Txn) Insert(tbl engine.Table, key, value []byte) error {
 	if t.readOnly {
 		return engine.ErrAborted
 	}
-	if err := t.checkWritable(); err != nil {
+	if err := t.db.health.Writable(); err != nil {
 		return err
 	}
 	tab := t.table(tbl)
@@ -512,7 +508,7 @@ func (t *Txn) Update(tbl engine.Table, key, value []byte) error {
 	if t.readOnly {
 		return engine.ErrAborted
 	}
-	if err := t.checkWritable(); err != nil {
+	if err := t.db.health.Writable(); err != nil {
 		return err
 	}
 	tab := t.table(tbl)
@@ -547,7 +543,7 @@ func (t *Txn) Delete(tbl engine.Table, key []byte) error {
 	if t.readOnly {
 		return engine.ErrAborted
 	}
-	if err := t.checkWritable(); err != nil {
+	if err := t.db.health.Writable(); err != nil {
 		return err
 	}
 	tab := t.table(tbl)
@@ -751,7 +747,7 @@ func (t *Txn) perOpLog() error {
 	defer t.db.logGate.RUnlock()
 	res, err := t.db.logMgr().Reserve(len(t.logBuf), wal.BlockOverflow)
 	if err != nil {
-		return t.db.updateUnavailable(err)
+		return t.db.health.Unavailable(err)
 	}
 	res.SetPrev(t.opChain)
 	res.Append(t.logBuf)

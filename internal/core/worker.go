@@ -64,7 +64,6 @@ func park[T any](s []T) []T {
 // these from nil each time.
 type txnScratch struct {
 	reads   []*mvcc.Version
-	rvReads []rvRead
 	writes  []writeEntry
 	nodeSet []trackedNode
 	// nodeTab is an open-addressed set over nodeSet, keyed by leaf slot: an
@@ -89,7 +88,6 @@ type trackedNode struct {
 func (s *txnScratch) parked() txnScratch {
 	return txnScratch{
 		reads:   park(s.reads),
-		rvReads: park(s.rvReads),
 		writes:  park(s.writes),
 		nodeSet: park(s.nodeSet),
 		nodeTab: park(s.nodeTab),

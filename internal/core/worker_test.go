@@ -172,7 +172,6 @@ func TestTxnScratchBound(t *testing.T) {
 	s := &db.workers[worker].scratch
 	for name, bytes := range map[string]uintptr{
 		"reads":   uintptr(cap(s.reads)) * unsafe.Sizeof((*mvcc.Version)(nil)),
-		"rvReads": uintptr(cap(s.rvReads)) * unsafe.Sizeof(rvRead{}),
 		"writes":  uintptr(cap(s.writes)) * unsafe.Sizeof(writeEntry{}),
 		"nodeSet": uintptr(cap(s.nodeSet)) * unsafe.Sizeof(index.Handle[mvcc.OID]{}),
 		"nodeTab": uintptr(cap(s.nodeTab)) * 4,

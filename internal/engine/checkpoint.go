@@ -1,6 +1,10 @@
 package engine
 
-import "errors"
+import (
+	"errors"
+
+	"ermia/internal/wal"
+)
 
 // ErrNoCheckpoint reports a checkpoint-image request against an engine
 // that has never published one (this run or any recovered run). Not a
@@ -24,9 +28,10 @@ type CheckpointChunk struct {
 	Data  []byte
 }
 
-// Checkpointer is the optional capability a server needs to serve the
-// Checkpoint and CkptFetch wire frames. The ERMIA core implements it; the
-// Silo baseline does not (the frames are refused there).
+// Checkpointer is the capability a replica bootstraps from: checkpoint
+// images and the live log to ship. A server needs it to serve the
+// Checkpoint, CkptFetch and ReplSubscribe wire frames. The ERMIA core
+// implements it; the Silo baseline does not (the frames are refused there).
 type Checkpointer interface {
 	// Checkpoint publishes a consistent checkpoint of the committed state.
 	Checkpoint() error
@@ -36,4 +41,7 @@ type Checkpointer interface {
 	// CheckpointChunk serves up to max bytes of the newest checkpoint
 	// image starting at byte offset off.
 	CheckpointChunk(off uint64, max int) (CheckpointChunk, error)
+	// Log is the live log manager to ship from; nil on a replica that has
+	// not been promoted.
+	Log() *wal.Manager
 }

@@ -114,7 +114,7 @@ func (g *groupCommitter) run() {
 // acknowledgment — immediately when SyncRepl is off, otherwise once a
 // replica has acknowledged each commit's log offset.
 func (g *groupCommitter) flush(batch []commitAck) {
-	err := g.srv.waitDurable()
+	err := g.srv.dur.WaitDurable()
 	g.batches.Add(1)
 	g.commits.Add(uint64(len(batch)))
 	if err != nil || !g.srv.cfg.SyncRepl {

@@ -67,7 +67,9 @@ func (d Durability) String() string {
 
 // Config configures a Server.
 type Config struct {
-	// DB is the engine to serve. Required.
+	// DB is the engine to serve. Required, and it must implement
+	// engine.Durable: the group committer waits on it, and Health, Stats and
+	// the admin Reattach frame are served from it.
 	DB engine.DB
 	// MaxConns caps concurrent connections; further dials wait in the
 	// listen backlog (backpressure) rather than being churned. Default 64.
@@ -81,10 +83,6 @@ type Config struct {
 	// ScanPageSize caps key/value pairs in one Scan response page; clients
 	// page transparently. Default 1024.
 	ScanPageSize int
-	// ReattachFn, when set, serves the admin Reattach frame: heal the
-	// engine's log device and return a human-readable report (wire it to
-	// DB.Reattach). Nil refuses the frame.
-	ReattachFn func() (string, error)
 	// PromoteFn, when set, serves the admin Promote frame: promote a
 	// replica engine to primary and return a human-readable report (wire
 	// it to repl.Replica.Promote). Nil refuses the frame.
@@ -152,7 +150,7 @@ type StatsSnapshot struct {
 	Aborts        uint64 // aborts, including conflict-failed commits
 	GroupBatches  uint64 // group-commit wakeups
 	GroupCommits  uint64 // commits acknowledged by those wakeups
-	DurableOffset uint64 // engine durability horizon (0 if unavailable)
+	DurableOffset uint64 // engine durability horizon
 
 	// Replication (primary side: shipping; replica side these stay 0 and
 	// the replica's own progress is reported by its process).
@@ -180,11 +178,11 @@ type StatsSnapshot struct {
 type Server struct {
 	cfg Config
 	db  engine.DB
-
-	// waitDurable is the group committer's device wait and logOf the durable
-	// horizon. Resolved from the engine's capabilities at New.
-	waitDurable func() error
-	logOf       func() uint64
+	// dur is db's durability capability; ckpt is its checkpoint and log
+	// shipping capability, nil on an engine without one (Silo), which
+	// refuses those frames.
+	dur  engine.Durable
+	ckpt engine.Checkpointer
 
 	ln       net.Listener
 	lnMu     sync.Mutex
@@ -252,6 +250,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("server: Config.DB is required")
 	}
+	dur, ok := cfg.DB.(engine.Durable)
+	if !ok {
+		return nil, fmt.Errorf("server: engine %T does not implement engine.Durable", cfg.DB)
+	}
+	ckpt, _ := cfg.DB.(engine.Checkpointer)
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 64
 	}
@@ -279,6 +282,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		db:           cfg.DB,
+		dur:          dur,
+		ckpt:         ckpt,
 		doneCh:       make(chan struct{}),
 		connSem:      make(chan struct{}, cfg.MaxConns),
 		slots:        make(chan int, cfg.Workers),
@@ -290,7 +295,6 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		s.slots <- i
 	}
-	s.resolveDurability()
 	// Re-lock in-doubt cross-shard transactions from their durable prepare
 	// records before accepting any connection, so no new writer can slip in
 	// under keys a prepared transaction still owns.
@@ -300,30 +304,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// resolveDurability binds the durability actions to whatever the engine
-// offers: both the ERMIA core and the Silo baseline expose WaitDurable; an
-// engine without it degrades group mode to DurabilityNone.
-func (s *Server) resolveDurability() {
-	s.waitDurable = func() error { return nil }
-	s.logOf = func() uint64 { return 0 }
-	if w, ok := s.db.(interface{ WaitDurable() error }); ok {
-		s.waitDurable = w.WaitDurable
-	}
-	if dp, ok := s.db.(interface{ DurableOffset() uint64 }); ok {
-		// Works in replica mode too, where Log() is nil: the replay
-		// watermark stands in for the durable horizon.
-		s.logOf = dp.DurableOffset
-	}
-}
-
 // shipLog returns the live log manager to ship from, or nil when the
 // engine has none (a replica, or an engine without a WAL).
 func (s *Server) shipLog() *wal.Manager {
-	lp, ok := s.db.(interface{ Log() *wal.Manager })
-	if !ok {
+	if s.ckpt == nil {
 		return nil
 	}
-	return lp.Log()
+	return s.ckpt.Log()
 }
 
 // Epoch returns the primary epoch this server currently serves in.
@@ -448,7 +435,7 @@ func (s *Server) Stats() StatsSnapshot {
 		Aborts:        s.aborts.Load(),
 		GroupBatches:  s.gc.batches.Load(),
 		GroupCommits:  s.gc.commits.Load(),
-		DurableOffset: s.logOf(),
+		DurableOffset: s.dur.DurableOffset(),
 
 		ReplSubscribers:   uint32(s.replSubscribers.Load()),
 		ReplBatches:       s.replBatches.Load(),

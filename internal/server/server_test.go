@@ -343,97 +343,130 @@ func TestOverloadedBegin(t *testing.T) {
 
 // TestDegradedModeOverWire: a log-device fault degrades the engine; the
 // server keeps serving reads, refuses writes with the typed degraded status,
-// reports Degraded health, and heals through the admin Reattach frame.
+// reports Degraded health, and heals through the admin Reattach frame. Both
+// engines are served with a plain Config: health, durability and reattach
+// come from the engine itself.
 func TestDegradedModeOverWire(t *testing.T) {
-	inj := faultfs.NewInjector(wal.NewMemStorage(), faultfs.Plan{})
-	db := openCore(t, core.Config{WAL: wal.Config{SegmentSize: 4 << 20, BufferSize: 1 << 20, Storage: inj}})
-	_, addr := serve(t, db, server.Config{
-		ReattachFn: func() (string, error) {
-			rep, err := db.Reattach(nil)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, st wal.Storage) engine.DB
+	}{
+		{"core", func(t *testing.T, st wal.Storage) engine.DB {
+			return openCore(t, core.Config{WAL: wal.Config{SegmentSize: 4 << 20, BufferSize: 1 << 20, Storage: st}})
+		}},
+		{"silo", func(t *testing.T, st wal.Storage) engine.DB {
+			db, err := silo.Open(silo.Config{EpochInterval: time.Hour, Storage: st})
 			if err != nil {
-				return "", err
+				t.Fatal(err)
 			}
-			return fmt.Sprintf("replayed=%d holes=%d lost=%d", rep.Replayed, rep.HolesFilled, rep.Lost), nil
-		},
-	})
-	c := dial(t, addr, 1)
+			t.Cleanup(func() { db.Close() })
+			return db
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultfs.NewInjector(wal.NewMemStorage(), faultfs.Plan{})
+			srv, addr := serve(t, tc.open(t, inj), server.Config{})
+			c := dial(t, addr, 1)
 
-	tbl := c.CreateTable("t")
-	txn := c.Begin(0)
-	if err := txn.Insert(tbl, []byte("before"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
+			tbl := c.CreateTable("t")
+			txn := c.Begin(0)
+			if err := txn.Insert(tbl, []byte("before"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			durable := srv.Stats().DurableOffset
+			if durable == 0 {
+				t.Fatal("durable offset 0 after an acknowledged commit")
+			}
 
-	// Kill the device, then push a write through so the flush trips the
-	// fault; its commit acknowledgment carries whatever the dying device
-	// surfaced, and the engine degrades.
-	inj.SetFailOp(inj.OpCount() + 1)
-	trigger := c.Begin(0)
-	if err := trigger.Insert(tbl, []byte("trigger"), []byte("v")); err == nil {
-		trigger.Commit() // durability outcome indeterminate; error expected
-	} else {
-		trigger.Abort()
-	}
-	var state engine.HealthState
-	var cause string
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var err error
-		state, cause, err = c.Health()
-		if err != nil {
-			t.Fatalf("health over wire: %v", err)
-		}
-		if state == engine.Degraded {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("engine never degraded: state=%v", state)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if cause == "" {
-		t.Fatal("degraded health reported no cause")
-	}
+			// Kill the device, then push a write through so the flush trips
+			// the fault; its commit acknowledgment carries whatever the dying
+			// device surfaced, and the engine degrades.
+			inj.SetFailOp(inj.OpCount() + 1)
+			trigger := c.Begin(0)
+			if err := trigger.Insert(tbl, []byte("trigger"), []byte("v")); err == nil {
+				trigger.Commit() // durability outcome indeterminate; error expected
+			} else {
+				trigger.Abort()
+			}
+			var state engine.HealthState
+			var cause string
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				var err error
+				state, cause, err = c.Health()
+				if err != nil {
+					t.Fatalf("health over wire: %v", err)
+				}
+				if state == engine.Degraded {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("engine never degraded: state=%v", state)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if cause == "" {
+				t.Fatal("degraded health reported no cause")
+			}
 
-	// Reads still commit; writes fail with the typed degraded error.
-	ro := c.BeginReadOnly(0)
-	if _, err := ro.Get(tbl, []byte("before")); err != nil {
-		t.Fatalf("degraded read: %v", err)
-	}
-	if err := ro.Commit(); err != nil {
-		t.Fatalf("degraded read-only commit: %v", err)
-	}
-	w := c.Begin(0)
-	err := w.Insert(tbl, []byte("during"), []byte("v"))
-	if err == nil {
-		err = w.Commit()
-	} else {
-		w.Abort()
-	}
-	if !errors.Is(err, engine.ErrReadOnlyDegraded) {
-		t.Fatalf("degraded write = %v, want ErrReadOnlyDegraded", err)
-	}
-	if engine.Classify(err) != engine.OutcomeUnavailable {
-		t.Fatalf("degraded write classifies as %v", engine.Classify(err))
-	}
+			// Reads still commit; writes fail with the typed degraded error.
+			ro := c.BeginReadOnly(0)
+			if _, err := ro.Get(tbl, []byte("before")); err != nil {
+				t.Fatalf("degraded read: %v", err)
+			}
+			if err := ro.Commit(); err != nil {
+				t.Fatalf("degraded read-only commit: %v", err)
+			}
+			w := c.Begin(0)
+			err := w.Insert(tbl, []byte("during"), []byte("v"))
+			if err == nil {
+				err = w.Commit()
+			} else {
+				w.Abort()
+			}
+			if !errors.Is(err, engine.ErrReadOnlyDegraded) {
+				t.Fatalf("degraded write = %v, want ErrReadOnlyDegraded", err)
+			}
+			if engine.Classify(err) != engine.OutcomeUnavailable {
+				t.Fatalf("degraded write classifies as %v", engine.Classify(err))
+			}
 
-	// Heal the device, then the engine, over the admin frame.
-	inj.Heal()
-	if _, err := c.Reattach(); err != nil {
-		t.Fatalf("reattach over wire: %v", err)
+			// Heal the device, then the engine, over the admin frame.
+			inj.Heal()
+			if _, err := c.Reattach(); err != nil {
+				t.Fatalf("reattach over wire: %v", err)
+			}
+			if state, _, _ := c.Health(); state != engine.Healthy {
+				t.Fatalf("health after reattach = %v", state)
+			}
+			txn = c.Begin(0)
+			if err := txn.Insert(tbl, []byte("after"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatalf("commit after reattach: %v", err)
+			}
+			st, err := c.ServerStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DurableOffset <= durable {
+				t.Fatalf("durable offset %d after healed commit, want past %d", st.DurableOffset, durable)
+			}
+		})
 	}
-	if state, _, _ := c.Health(); state != engine.Healthy {
-		t.Fatalf("health after reattach = %v", state)
-	}
-	txn = c.Begin(0)
-	if err := txn.Insert(tbl, []byte("after"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatalf("commit after reattach: %v", err)
+}
+
+// TestNewRefusesNonDurableEngine: a server acknowledges commits through its
+// engine's WaitDurable, so an engine without the durability capability is
+// refused at New rather than silently acked.
+func TestNewRefusesNonDurableEngine(t *testing.T) {
+	db := openCore(t, core.Config{})
+	if _, err := server.New(server.Config{DB: struct{ engine.DB }{db}}); err == nil {
+		t.Fatal("server.New accepted an engine that does not implement engine.Durable")
 	}
 }
 

@@ -326,12 +326,8 @@ func (s *session) expire(req request) {
 // time to learn the epoch before issuing work and periodically as a
 // keepalive against the server's IdleTimeout.
 func (s *session) handlePing(req request) {
-	st := engine.Healthy
-	if hr, ok := s.srv.db.(engine.HealthReporter); ok {
-		st = hr.Health().State
-	}
 	body := proto.AppendU64(nil, s.srv.epoch.Load())
-	body = proto.AppendU8(body, byte(st))
+	body = proto.AppendU8(body, byte(s.srv.dur.Health().State))
 	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
 }
 
@@ -589,10 +585,7 @@ func (s *session) handleTable(req request, d *proto.Dec) {
 }
 
 func (s *session) handleHealth(req request) {
-	st := engine.HealthStatus{State: engine.Healthy}
-	if hr, ok := s.srv.db.(engine.HealthReporter); ok {
-		st = hr.Health()
-	}
+	st := s.srv.dur.Health()
 	cause := ""
 	if st.Cause != nil {
 		cause = st.Cause.Error()
@@ -626,16 +619,14 @@ func (s *session) handleStats(req request) {
 	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
 }
 
+// handleReattach serves the admin Reattach frame: heal the engine's log on
+// its current device.
 func (s *session) handleReattach(req request) {
-	if s.srv.cfg.ReattachFn == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusInternal, "reattach unsupported on this server", nil))
-		return
-	}
-	report, err := s.srv.cfg.ReattachFn()
+	report, err := s.srv.dur.Reattach(nil)
 	st, detail := proto.StatusOf(err)
 	var body []byte
 	if st == proto.StatusOK {
-		body = proto.AppendBytes(nil, []byte(report))
+		body = proto.AppendBytes(nil, []byte(report.String()))
 	}
 	s.respond(req.typ, req.id, respPayload(st, detail, body))
 }
@@ -670,8 +661,8 @@ func (s *session) handleCheckpoint(req request, d *proto.Dec) {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 		return
 	}
-	ck, ok := s.srv.db.(engine.Checkpointer)
-	if !ok {
+	ck := s.srv.ckpt
+	if ck == nil {
 		s.respond(req.typ, req.id, respPayload(proto.StatusInternal, "checkpoint unsupported by this engine", nil))
 		return
 	}
@@ -708,8 +699,8 @@ func (s *session) handleCkptFetch(req request, d *proto.Dec) {
 		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
 		return
 	}
-	ck, ok := s.srv.db.(engine.Checkpointer)
-	if !ok {
+	ck := s.srv.ckpt
+	if ck == nil {
 		s.respond(req.typ, req.id, respPayload(proto.StatusNoCheckpoint, "", nil))
 		return
 	}

@@ -22,85 +22,44 @@ type pendingEntry struct {
 	buf []byte
 }
 
-// ReattachReport summarizes a successful Reattach.
-type ReattachReport struct {
-	// Rewritten counts pending log entries written to the healed device.
-	Rewritten int
-	// Bytes is their total size.
-	Bytes int64
-	// NewDevice reports whether a replacement Storage was attached.
-	NewDevice bool
-}
-
-// Health implements engine.HealthReporter.
-func (db *DB) Health() engine.HealthStatus {
-	h := engine.HealthStatus{State: engine.HealthState(db.health.Load())}
-	if p := db.healthCause.Load(); p != nil {
-		h.Cause = *p
-	}
-	return h
-}
-
-// noteLogErr records the first value-log device error and transitions
-// Healthy → Degraded. Later errors keep the original cause.
-func (db *DB) noteLogErr(err error) {
-	if err == nil {
-		return
-	}
-	e := err
-	db.healthCause.CompareAndSwap(nil, &e)
-	db.health.CompareAndSwap(int32(engine.Healthy), int32(engine.Degraded))
-}
-
-// checkWritable gates the write path on health: reads always proceed, but a
-// degraded DB refuses new writes fast, before they touch any record.
-func (t *Txn) checkWritable() error {
-	switch engine.HealthState(t.db.health.Load()) {
-	case engine.Healthy:
-		return nil
-	case engine.Degraded:
-		return engine.ErrReadOnlyDegraded
-	default:
-		return wal.ErrClosed
-	}
-}
+// Health implements engine.Durable.
+func (db *DB) Health() engine.HealthStatus { return db.health.Status() }
 
 // WaitDurable forces the value log to disk — the epoch ticker's group-commit
 // action on demand (tests and benchmarks run with long epochs, and a server
 // over Silo calls it as its group committer's device wait).
 func (db *DB) WaitDurable() error {
-	if db.logFile == nil {
-		return nil
-	}
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
-	if db.health.Load() != int32(engine.Healthy) {
-		if p := db.healthCause.Load(); p != nil {
-			return *p
+	if h := db.health.Status(); h.State != engine.Healthy {
+		if h.Cause != nil {
+			return h.Cause
 		}
 		return wal.ErrClosed
 	}
 	if err := db.logFile.Sync(); err != nil {
-		db.noteLogErr(err)
-		return err
+		return db.health.Note(err)
 	}
+	db.durable.Store(uint64(db.logOff))
 	return nil
 }
+
+// DurableOffset implements engine.Durable: the value-log bytes the last
+// successful sync covered.
+func (db *DB) DurableOffset() uint64 { return db.durable.Load() }
 
 // Reattach recovers a degraded DB: pending value-log entries are rewritten
 // at their assigned offsets — on the healed device, or on a replacement
 // Storage that carries the durable image of the old one — synced, and the DB
 // returns to Healthy. Committed transactions whose entries were pending are
-// thereby made durable; nothing previously durable is touched.
-func (db *DB) Reattach(st wal.Storage) (ReattachReport, error) {
-	var rep ReattachReport
+// thereby made durable; nothing previously durable is touched. A failed
+// rewrite leaves the DB Degraded, so Reattach can be retried.
+func (db *DB) Reattach(st wal.Storage) (engine.ReattachReport, error) {
+	var rep engine.ReattachReport
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
-	switch engine.HealthState(db.health.Load()) {
-	case engine.Failed:
-		return rep, fmt.Errorf("silo: reattach: %w", wal.ErrClosed)
-	case engine.Healthy:
-		return rep, wal.ErrNotDegraded
+	if err := db.health.CanReattach(); err != nil {
+		return rep, err
 	}
 	file := db.logFile
 	if st != nil {
@@ -117,8 +76,7 @@ func (db *DB) Reattach(st wal.Storage) (ReattachReport, error) {
 		if _, err := file.WriteAt(p.buf, p.off); err != nil {
 			return rep, fmt.Errorf("silo: reattach rewrite: %w", err)
 		}
-		rep.Rewritten++
-		rep.Bytes += int64(len(p.buf))
+		rep.Replayed += uint64(len(p.buf))
 	}
 	if err := file.Sync(); err != nil {
 		return rep, fmt.Errorf("silo: reattach sync: %w", err)
@@ -131,9 +89,7 @@ func (db *DB) Reattach(st wal.Storage) (ReattachReport, error) {
 		db.cfg.Storage = st
 	}
 	db.pending = nil
-	db.healthCause.Store(nil)
-	db.health.Store(int32(engine.Healthy))
+	db.durable.Store(uint64(db.logOff))
+	db.health.Heal()
 	return rep, nil
 }
-
-var _ engine.HealthReporter = (*DB)(nil)

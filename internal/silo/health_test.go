@@ -36,6 +36,7 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	if h := db.Health(); h.State != engine.Healthy {
 		t.Fatalf("health = %v, want healthy", h)
 	}
+	durable := db.DurableOffset()
 
 	// One transaction stages a write before the fault and will try to commit
 	// after it.
@@ -96,8 +97,8 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reattach: %v", err)
 	}
-	if rep.Rewritten != 1 || rep.Bytes == 0 {
-		t.Fatalf("reattach rewrote %d entries (%d bytes), want the buffered commit", rep.Rewritten, rep.Bytes)
+	if rep.Replayed == 0 || rep.Replayed != db.DurableOffset()-durable {
+		t.Fatalf("reattach rewrote %d bytes, want the buffered commit's %d", rep.Replayed, db.DurableOffset()-durable)
 	}
 	if h := db.Health(); h.State != engine.Healthy || h.Cause != nil {
 		t.Fatalf("health after reattach = %v, want healthy", h)
@@ -150,6 +151,7 @@ func TestReattachReplacementStorage(t *testing.T) {
 	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
 	}
+	durable := db.DurableOffset()
 
 	inj.SetFailOp(inj.OpCount() + 1)
 	put(t, db, tbl, "c", "3") // refused by the device, queued
@@ -162,8 +164,8 @@ func TestReattachReplacementStorage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reattach: %v", err)
 	}
-	if !rep.NewDevice || rep.Rewritten != 1 {
-		t.Fatalf("reattach report = %+v, want new device with 1 rewrite", rep)
+	if !rep.NewDevice || rep.Replayed == 0 || rep.Replayed != db.DurableOffset()-durable {
+		t.Fatalf("reattach report = %+v, want new device with the queued entry's %d bytes", rep, db.DurableOffset()-durable)
 	}
 	put(t, db, tbl, "d", "4")
 	if err := db.WaitDurable(); err != nil {

@@ -224,11 +224,9 @@ func Recover(cfg Config) (*DB, error) {
 			return nil, err
 		}
 	}
-	if db.logFile != nil {
-		if err := db.logFile.Sync(); err != nil {
-			db.Close()
-			return nil, err
-		}
+	if err := db.WaitDurable(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	// Recovery complete and durable: drop the backup.
 	cfg.Storage.Remove(prevLogName)

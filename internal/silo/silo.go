@@ -84,8 +84,6 @@ type Config struct {
 	// Storage receives the asynchronous per-epoch log writes; nil keeps
 	// the log in memory.
 	Storage wal.Storage
-	// NoLogging disables the value log entirely (for ablations).
-	NoLogging bool
 }
 
 // Table is a Silo table: an index from keys to records.
@@ -123,9 +121,9 @@ type DB struct {
 	logFile wal.File
 	logOff  int64
 	pending []pendingEntry // entries the dead device refused (health.go)
+	durable atomic.Uint64  // logOff as of the last successful sync
 
-	health      atomic.Int32 // engine.HealthState
-	healthCause atomic.Pointer[error]
+	health engine.Health
 
 	stop      chan struct{}
 	done      chan struct{}
@@ -158,17 +156,15 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db := &DB{cfg: cfg, tables: make(map[string]*Table)}
 	db.epoch.Store(2) // read-only snapshots read epoch-1; start past zero
-	if !cfg.NoLogging {
-		st := cfg.Storage
-		if st == nil {
-			st = wal.NewMemStorage()
-		}
-		f, err := st.Create(logName)
-		if err != nil {
-			return nil, err
-		}
-		db.logFile = f
+	st := cfg.Storage
+	if st == nil {
+		st = wal.NewMemStorage()
 	}
+	f, err := st.Create(logName)
+	if err != nil {
+		return nil, err
+	}
+	db.logFile = f
 	db.stop = make(chan struct{})
 	db.done = make(chan struct{})
 	go db.ticker()
@@ -249,7 +245,7 @@ func (db *DB) Close() error {
 	db.closeOnce.Do(func() {
 		close(db.stop)
 		<-db.done
-		db.health.Store(int32(engine.Failed))
+		db.health.Fail()
 	})
 	return nil
 }
@@ -264,14 +260,14 @@ func (db *DB) newRecord() *Record {
 // entry: its bytes and assigned offset join the pending list for Reattach
 // to rewrite, and the DB degrades to read-only (health.go).
 func (db *DB) appendLog(buf []byte) {
-	if db.logFile == nil || len(buf) == 0 {
+	if len(buf) == 0 {
 		return
 	}
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
 	off := db.logOff
 	db.logOff += int64(len(buf))
-	if db.health.Load() != int32(engine.Healthy) {
+	if db.health.State() != engine.Healthy {
 		// The device is already known dead; queue directly. The bytes are
 		// copied because callers reuse their encode buffers.
 		db.pending = append(db.pending, pendingEntry{off: off, buf: append([]byte(nil), buf...)})
@@ -279,7 +275,7 @@ func (db *DB) appendLog(buf []byte) {
 	}
 	if _, err := db.logFile.WriteAt(buf, off); err != nil {
 		db.pending = append(db.pending, pendingEntry{off: off, buf: append([]byte(nil), buf...)})
-		db.noteLogErr(err)
+		db.health.Note(err)
 	}
 }
 
@@ -303,4 +299,7 @@ func stableRead(r *Record) (data []byte, word uint64) {
 	}
 }
 
-var _ engine.DB = (*DB)(nil)
+var (
+	_ engine.DB      = (*DB)(nil)
+	_ engine.Durable = (*DB)(nil)
+)

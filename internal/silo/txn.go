@@ -208,7 +208,7 @@ func (t *Txn) Insert(tbl engine.Table, key, value []byte) error {
 	if t.readOnly {
 		return engine.ErrAborted
 	}
-	if err := t.checkWritable(); err != nil {
+	if err := t.db.health.Writable(); err != nil {
 		return err
 	}
 	tab := t.table(tbl)
@@ -258,7 +258,7 @@ func (t *Txn) write(tbl engine.Table, key, value []byte, absent bool) error {
 	if t.readOnly {
 		return engine.ErrAborted
 	}
-	if err := t.checkWritable(); err != nil {
+	if err := t.db.health.Writable(); err != nil {
 		return err
 	}
 	tab := t.table(tbl)
@@ -315,7 +315,7 @@ func (t *Txn) Commit() error {
 	// A degraded DB refuses to install new versions: the value log cannot
 	// accept their entries, and read service must stay consistent with what
 	// Reattach will make durable.
-	if err := t.checkWritable(); err != nil {
+	if err := t.db.health.Writable(); err != nil {
 		t.abortInternal()
 		return err
 	}
@@ -380,11 +380,9 @@ func (t *Txn) Commit() error {
 		}
 		rec.word.Store(makeWord(commitTID, w.absent)) // releases the lock
 	}
-	if !t.db.cfg.NoLogging {
-		logBuf := encodeEntry(ws.logBuf[:0], commitTID, t.writes)
-		t.db.appendLog(logBuf)
-		ws.logBuf = logBuf[:0]
-	}
+	logBuf := encodeEntry(ws.logBuf[:0], commitTID, t.writes)
+	t.db.appendLog(logBuf)
+	ws.logBuf = logBuf[:0]
 	t.finish(true)
 	return nil
 }
