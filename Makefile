@@ -34,7 +34,6 @@ fuzz:
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=^FuzzRecover$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/silo/ -run=^$$ -fuzz=^FuzzRecover$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=^FuzzCheckpointBlob$$ -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/query/ -run=^$$ -fuzz=^FuzzQueryPlan$$ -fuzztime=$(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

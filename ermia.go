@@ -394,9 +394,10 @@ func StartReplicaWith(cfg ReplicaConfig, opts Options) (*LogReplica, error) {
 // codec on top of Txn.Scan. Every plan executes inside one read-only
 // snapshot, so long analytical queries never block or abort writers — SI
 // heterogeneous-workload behaviour at the query layer. Plans are a compact
-// typed AST (not SQL) with a deterministic binary encoding; the same encoded
-// plan runs embedded, over the wire via Client.Query, or against a
-// LogReplica's engine. See DESIGN.md ("Query processing").
+// typed AST (not SQL) that runs where its transaction runs: embedded,
+// against a LogReplica's engine, or in a remote Client, whose transactions
+// feed the operators ordinary scan pages (ExecQuery or QueryInTxn over the
+// Client). See DESIGN.md ("Query processing").
 //
 //	sch := ermia.QuerySchema{
 //	    Key: []ermia.QueryColumn{{Name: "id", Enc: ermia.EncKeyU32}},
@@ -534,17 +535,6 @@ func ExecQuery(db Engine, worker int, plan *QueryPlan, opts QueryOptions) ([]Que
 func QueryInTxn(db Engine, txn Txn, plan *QueryPlan) ([]QueryRow, error) {
 	return query.Collect(txn, db.OpenTable, plan, query.Options{})
 }
-
-// EncodeQueryPlan serializes a plan to its deterministic wire encoding.
-func EncodeQueryPlan(plan *QueryPlan) ([]byte, error) { return plan.Encode() }
-
-// DecodeQueryPlan parses a wire-encoded plan (without validating it — call
-// Validate before executing untrusted bytes).
-func DecodeQueryPlan(data []byte) (*QueryPlan, error) { return query.DecodePlan(data) }
-
-// QueryRowIter streams a remote query's results (client.RowIter
-// re-exported); obtained from Client.Query.
-type QueryRowIter = client.RowIter
 
 // ---- Horizontal sharding & distributed commit ----
 //

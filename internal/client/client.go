@@ -439,11 +439,6 @@ type ServerStats struct {
 
 	Checkpoints uint64
 
-	ActiveQueries    uint32
-	Queries          uint64
-	QueryRows        uint64
-	QueriesCancelled uint64
-
 	PreparedTxns  uint32
 	ShardPrepares uint64
 	ShardDecides  uint64
@@ -475,10 +470,6 @@ func (c *Client) ServerStats() (ServerStats, error) {
 	out.ReplShippedOffset = d.U64()
 	out.ReplAckedOffset = d.U64()
 	out.Checkpoints = d.U64()
-	out.ActiveQueries = d.U32()
-	out.Queries = d.U64()
-	out.QueryRows = d.U64()
-	out.QueriesCancelled = d.U64()
 	out.PreparedTxns = d.U32()
 	out.ShardPrepares = d.U64()
 	out.ShardDecides = d.U64()

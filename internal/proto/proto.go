@@ -112,25 +112,12 @@ const (
 	// replica's failure detector and elicits a MsgReplAck reply, keeping
 	// both directions of the subscription inside their idle timeouts.
 	MsgReplHeartbeat
-	// MsgQuery opens a server-side analytical query: payload uvarint-
-	// prefixed plan bytes (internal/query binary encoding) + u32 max result
-	// rows (0 = server default). The server validates the plan, pins a
-	// read-only snapshot transaction, and answers with u64 query id. Rows
-	// are then pulled with MsgQueryRow; the snapshot holds until the stream
-	// finishes, MsgQueryEnd cancels it, or the session closes. Appended
-	// after MsgReplHeartbeat to keep existing wire values stable.
-	MsgQuery
-	// MsgQueryRow pulls the next chunk of result rows: payload u64 query
-	// id. Response: u8 done flag, u32 row count, then that many wire-encoded
-	// rows. done=1 means the stream is complete and the id is released.
-	// Pull-based chunking gives natural backpressure — the snapshot advances
-	// only as fast as the client drains — and each pull carries its own
-	// frame deadline.
-	MsgQueryRow
-	// MsgQueryEnd cancels a running query: payload u64 query id. Always
-	// answers OK (cancelling a finished or unknown id is a no-op), aborting
-	// the snapshot transaction and releasing its worker slot.
-	MsgQueryEnd
+	// Values 22–24 carried the retired server-side query frames (see
+	// wire.golden); they stay reserved so later values keep their numbers,
+	// and a server answers them StatusBadRequest like any unknown type.
+	_
+	_
+	_
 	// MsgShardPrepare is phase one of a cross-shard two-phase commit: the
 	// coordinator asks a participant to make a named open transaction's
 	// write set durable without committing it. Payload: u64 txn id, u64
@@ -140,8 +127,8 @@ const (
 	// name (bytes), key (bytes), value (bytes, empty for deletes). The
 	// server writes a prepare record through its group committer, parks the
 	// transaction — its locks stay held — and acks only once the record is
-	// durable. Appended after MsgQueryEnd to keep existing wire values
-	// stable.
+	// durable. Appended after the retired values 22–24 to keep existing
+	// wire values stable.
 	//
 	// The payload ends with a list, possibly empty: u32 count, then per
 	// entry gid (bytes), u8 decide flags. These are decisions this server

@@ -71,21 +71,15 @@ const (
 	// server is a deposed primary (e.g. a healed partition survivor) and
 	// must not accept work.
 	StatusStaleEpoch
-	// StatusQueryBadPlan reports an analytical query plan the server
-	// refused: undecodable bytes, failed validation, an unknown table, or a
-	// runtime type error during execution. Appended after StatusStaleEpoch
-	// to keep existing wire values stable.
-	StatusQueryBadPlan
-	// StatusQueryCancelled reports a query terminated by MsgQueryEnd (or by
-	// its session tearing down) before its result stream finished.
-	StatusQueryCancelled
-	// StatusQueryOverflow reports a query whose result or internal
-	// materialization exceeded the server's row budget.
-	StatusQueryOverflow
+	// Values 20–22 carried the retired server-side query statuses (see
+	// wire.golden); they stay reserved so later values keep their numbers.
+	_
+	_
+	_
 	// StatusTxnInDoubt reports a prepared cross-shard transaction whose
 	// commit decision could not be applied or learned; the writes are
 	// durable in a prepare record and resolution is pending. Appended after
-	// StatusQueryOverflow to keep existing wire values stable.
+	// the retired values 20–22 to keep existing wire values stable.
 	StatusTxnInDoubt
 	// StatusShardMoved reports a request carrying a shard-map version that
 	// does not match the participant's: the router's map is stale and must
@@ -129,9 +123,6 @@ var statusTable = []struct {
 	{StatusNoCheckpoint, engine.ErrNoCheckpoint},
 	{StatusDeadlineExceeded, engine.ErrDeadlineExceeded},
 	{StatusStaleEpoch, engine.ErrStaleEpoch},
-	{StatusQueryBadPlan, engine.ErrBadQueryPlan},
-	{StatusQueryCancelled, engine.ErrQueryCancelled},
-	{StatusQueryOverflow, engine.ErrQueryOverflow},
 	{StatusTxnInDoubt, engine.ErrTxnInDoubt},
 	{StatusShardMoved, engine.ErrShardMoved},
 }

@@ -431,19 +431,8 @@ func TestDifferentialRandomPlans(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid plan: %v", seed, err)
 		}
-		// Round-trip through the wire codec first, so the differential run
-		// also covers encode/decode fidelity.
-		enc, err := EncodePlan(p)
-		if err != nil {
-			t.Fatalf("seed %d: encode: %v", seed, err)
-		}
-		p2, err := DecodePlan(enc)
-		if err != nil {
-			t.Fatalf("seed %d: decode: %v", seed, err)
-		}
-
 		txn := db.BeginReadOnly(1)
-		got, gotErr := Collect(txn, db.OpenTable, p2, Options{})
+		got, gotErr := Collect(txn, db.OpenTable, p, Options{})
 		rdb := materialize(t, txn, db, "kv", "dim")
 		txn.Abort()
 		want, wantErr := refRun(rdb, p.Root)

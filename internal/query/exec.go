@@ -53,7 +53,7 @@ type exec struct {
 	polls   int
 }
 
-//ermia:cancelpoint delegates to the Options.Cancel hook (server drain, pull deadline) and returns ErrQueryCancelled once it fires
+//ermia:cancelpoint delegates to the caller's Options.Cancel hook and returns ErrQueryCancelled once it fires
 func (x *exec) cancelled() error {
 	if x.cancel != nil && x.cancel() {
 		return engine.ErrQueryCancelled
@@ -114,6 +114,27 @@ func Collect(txn engine.Txn, resolve func(string) engine.Table, p *Plan, opts Op
 		}
 		out = append(out, row)
 	}
+}
+
+// RunReadOnly executes the plan in its own read-only snapshot transaction
+// on db and collects the full result. db may be embedded or a remote
+// client: against a client the operators run locally over ordinary scan
+// pages, all inside the client transaction's snapshot. The snapshot is
+// taken when the query starts, held for the whole query, and released
+// before returning, so writers proceed untouched throughout.
+func RunReadOnly(db engine.DB, worker int, p *Plan, opts Options) ([]Row, error) {
+	txn := db.BeginReadOnly(worker)
+	defer txn.Abort()
+	rows, err := Collect(txn, db.OpenTable, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Read-only snapshot commit cannot conflict; Abort after Commit is a
+	// no-op on both engines but keeping the defer makes early returns safe.
+	if err := txn.Commit(); err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 func buildIter(x *exec, n *Node) (Rows, error) {

@@ -370,86 +370,3 @@ func TestUnknownTableAndBadPlans(t *testing.T) {
 		t.Fatalf("string arithmetic: err = %v, want ErrBadQueryPlan", err)
 	}
 }
-
-func TestPlanCodecRoundTrip(t *testing.T) {
-	lo := codec.NewKey(4).Uint32(3).Clone()
-	hi := codec.NewKey(4).Uint32(9).Clone()
-	plans := []*Plan{
-		NewPlan(Scan("kv", kvSchema())),
-		NewPlan(ScanRange("kv", kvSchema(), lo, hi)),
-		NewPlan(ScanRange("kv", kvSchema(), nil, hi)),
-		NewPlan(Limit(
-			OrderBy(
-				Aggregate(
-					HashJoin(
-						Filter(Scan("kv", kvSchema()),
-							Or(Not(Eq(Col(4), ConstStr("s1"))), Lt(ToFloat(Col(0)), ConstFloat(12.5)))),
-						Scan("dim", dimSchema()),
-						[]int{1}, []int{0}),
-					[]int{6}, Count(), Sum(Col(2)), Avg(Div(Col(3), ConstFloat(2))), Min(Col(0)), Max(Col(4))),
-				SortKey{Col: 1, Desc: true}, SortKey{Col: 0}),
-			5, 100)),
-	}
-	for i, p := range plans {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("plan %d: Validate: %v", i, err)
-		}
-		enc, err := EncodePlan(p)
-		if err != nil {
-			t.Fatalf("plan %d: encode: %v", i, err)
-		}
-		p2, err := DecodePlan(enc)
-		if err != nil {
-			t.Fatalf("plan %d: decode: %v", i, err)
-		}
-		if err := p2.Validate(); err != nil {
-			t.Fatalf("plan %d: decoded plan invalid: %v", i, err)
-		}
-		enc2, err := EncodePlan(p2)
-		if err != nil {
-			t.Fatalf("plan %d: re-encode: %v", i, err)
-		}
-		if string(enc) != string(enc2) {
-			t.Fatalf("plan %d: re-encoding differs\n %x\n %x", i, enc, enc2)
-		}
-		if p.Arity() != p2.Arity() {
-			t.Fatalf("plan %d: arity %d vs %d after round trip", i, p.Arity(), p2.Arity())
-		}
-	}
-}
-
-func TestRowWireRoundTrip(t *testing.T) {
-	rows := []Row{
-		{IntVal(-5), FloatVal(3.75), StrVal("hello\x00world")},
-		{IntVal(1 << 50)},
-		{},
-		{StrVal(""), IntVal(0), FloatVal(0)},
-	}
-	var buf []byte
-	for _, r := range rows {
-		buf = AppendRow(buf, r)
-	}
-	got, err := DecodeRows(buf, len(rows))
-	if err != nil {
-		t.Fatalf("DecodeRows: %v", err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("got %d rows, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		if len(got[i]) != len(rows[i]) {
-			t.Fatalf("row %d arity %d, want %d", i, len(got[i]), len(rows[i]))
-		}
-		for j := range rows[i] {
-			if got[i][j] != rows[i][j] {
-				t.Fatalf("row %d col %d: %#v != %#v", i, j, got[i][j], rows[i][j])
-			}
-		}
-	}
-	if _, err := DecodeRows(buf[:len(buf)-1], len(rows)); err == nil {
-		t.Fatal("truncated chunk decoded without error")
-	}
-	if _, err := DecodeRows(buf, len(rows)-1); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}

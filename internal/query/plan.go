@@ -162,8 +162,8 @@ func Limit(in *Node, offset, count uint32) *Node {
 // NewPlan wraps a root operator as a Plan.
 func NewPlan(root *Node) *Plan { return &Plan{Root: root} }
 
-// Structural limits enforced by both Validate and DecodePlan, so hostile
-// or fuzzer-built plan bytes cannot stack-overflow the server.
+// Structural limits enforced by Validate, so a runaway plan builder cannot
+// stack-overflow the executor.
 const (
 	maxPlanNodes = 1024
 	maxPlanDepth = 64

@@ -9,8 +9,8 @@ import (
 
 // ColEnc names the physical encoding of one column inside a stored
 // key/value pair, mirroring the internal/codec primitives. A Schema is a
-// flat recipe — decode these fields, in this order — so it can ship inside
-// a Scan node and be applied server-side without a catalog.
+// flat recipe — decode these fields, in this order — so it travels inside
+// a Scan node and the executor needs no catalog.
 type ColEnc uint8
 
 const (
@@ -46,8 +46,8 @@ const (
 	encMax
 )
 
-// Column is one named field of a Schema. Names are carried on the wire so
-// plans stay self-describing; expressions address columns by index.
+// Column is one named field of a Schema. Names are carried in the plan so
+// it stays self-describing; expressions address columns by index.
 type Column struct {
 	Name string
 	Enc  ColEnc

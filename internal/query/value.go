@@ -1,14 +1,13 @@
 // Package query is the relational layer over the transactional engines: a
 // volcano-style iterator tree (scan, filter, project, hash join, aggregate,
 // sort, limit) evaluated over typed rows decoded from the engines' ordered
-// key/value pairs. A plan is a small typed AST — not SQL — with a
-// deterministic binary encoding so it can ship over the wire (proto
-// MsgQuery) and be executed server-side inside a read-only snapshot
-// transaction. Because every plan runs against one BeginReadOnly snapshot,
-// long analytical queries observe a single consistent version of the
-// database and never block or abort concurrent writers; on a streaming
-// replica the same executor runs against the replica's pinned replay
-// watermark unchanged.
+// key/value pairs. A plan is a small typed AST — not SQL — that runs
+// wherever its transaction runs: embedded in the engine's process, or in a
+// remote client over ordinary scan pages. Because every plan runs against
+// one BeginReadOnly snapshot, long analytical queries observe a single
+// consistent version of the database and never block or abort concurrent
+// writers; on a streaming replica the same executor runs against the
+// replica's pinned replay watermark unchanged.
 package query
 
 import (

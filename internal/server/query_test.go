@@ -1,10 +1,9 @@
 package server_test
 
 import (
-	"errors"
+	"reflect"
 	"testing"
 
-	"ermia/internal/client"
 	"ermia/internal/codec"
 	"ermia/internal/core"
 	"ermia/internal/engine"
@@ -12,7 +11,7 @@ import (
 	"ermia/internal/server"
 )
 
-// wireKVSchema describes the wire-test table: key Uint32(id), value tuple
+// wireKVSchema describes the test table: key Uint32(id), value tuple
 // (Uint64 a).
 func wireKVSchema() query.Schema {
 	return query.Schema{
@@ -21,13 +20,13 @@ func wireKVSchema() query.Schema {
 	}
 }
 
-// seedWireKV loads n rows (id=i, a=i%10) into table "kv" directly through
-// the engine, before any client connects.
-func seedWireKV(t *testing.T, db engine.DB, n int) {
+// insertWireKV inserts rows id=lo..hi-1 (a=id%10) into table "kv" in one
+// transaction on db, which may be the engine itself or a client.
+func insertWireKV(t *testing.T, db engine.DB, lo, hi int) {
 	t.Helper()
 	tbl := db.CreateTable("kv")
 	txn := db.Begin(0)
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		key := codec.NewKey(4).Uint32(uint32(i)).Clone()
 		val := codec.NewTuple(8).Uint64(uint64(i % 10)).Clone()
 		if err := txn.Insert(tbl, key, val); err != nil {
@@ -39,234 +38,71 @@ func seedWireKV(t *testing.T, db engine.DB, n int) {
 	}
 }
 
-// TestQueryStreamsAllRowsOverWire runs a full-table scan large enough to
-// need several pull chunks (default chunk is 256 rows) and checks every row
-// arrives, in key order, with the server's query counters settling to idle.
-func TestQueryStreamsAllRowsOverWire(t *testing.T) {
+// TestQueryOverClient runs the query executor on the client side of the
+// wire: a *client.Client is an engine.DB, so the operators pull ordinary
+// MsgScan pages inside the client transaction's snapshot. It checks that a
+// scan spanning many pages returns every row in key order, that a grouped
+// aggregate matches the embedded result, and that a pinned read-only
+// snapshot ignores rows another client commits after it.
+func TestQueryOverClient(t *testing.T) {
 	db := openCore(t, core.Config{})
-	seedWireKV(t, db, 1000)
-	_, addr := serve(t, db, server.Config{})
-	c := dial(t, addr, 1)
-
-	it, err := c.Query(0, query.NewPlan(query.Scan("kv", wireKVSchema())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if it.Arity() != 2 {
-		t.Fatalf("arity = %d, want 2", it.Arity())
-	}
-	n := 0
-	for {
-		row, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-		if row[0].Int != int64(n) || row[1].Int != int64(n%10) {
-			t.Fatalf("row %d = %v", n, row)
-		}
-		n++
-	}
-	if n != 1000 {
-		t.Fatalf("streamed %d rows, want 1000", n)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != 1 || st.QueryRows != 1000 || st.ActiveQueries != 0 || st.QueriesCancelled != 0 {
-		t.Fatalf("stats = queries %d rows %d active %d cancelled %d, want 1/1000/0/0",
-			st.Queries, st.QueryRows, st.ActiveQueries, st.QueriesCancelled)
-	}
-}
-
-// TestQueryAggregateOverWire pushes the whole aggregation server-side: only
-// the grouped totals cross the wire.
-func TestQueryAggregateOverWire(t *testing.T) {
-	db := openCore(t, core.Config{})
-	seedWireKV(t, db, 100)
-	_, addr := serve(t, db, server.Config{})
-	c := dial(t, addr, 1)
-
-	// GROUP BY a: 10 groups of 10 rows each.
-	plan := query.NewPlan(query.OrderBy(
-		query.Aggregate(query.Scan("kv", wireKVSchema()), []int{1}, query.Count()),
-		query.SortKey{Col: 0},
-	))
-	rows, err := c.QueryAll(0, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("groups = %d, want 10", len(rows))
-	}
-	for i, row := range rows {
-		if row[0].Int != int64(i) || row[1].Int != 10 {
-			t.Fatalf("group %d = %v, want (%d, 10)", i, row, i)
-		}
-	}
-}
-
-// TestQueryUnknownTableOverWire maps a plan naming a missing table onto the
-// typed bad-plan status, rebuilt client-side as engine.ErrBadQueryPlan.
-func TestQueryUnknownTableOverWire(t *testing.T) {
-	db := openCore(t, core.Config{})
-	_, addr := serve(t, db, server.Config{})
-	c := dial(t, addr, 1)
-
-	_, err := c.Query(0, query.NewPlan(query.Scan("nope", wireKVSchema())))
-	if !errors.Is(err, engine.ErrBadQueryPlan) {
-		t.Fatalf("err = %v, want engine.ErrBadQueryPlan", err)
-	}
-}
-
-// TestQueryOverflowOverWire exercises both row budgets: the server-wide
-// QueryMaxRows config and the per-query client cap. Either overflow surfaces
-// as engine.ErrQueryOverflow mid-stream.
-func TestQueryOverflowOverWire(t *testing.T) {
-	db := openCore(t, core.Config{})
-	seedWireKV(t, db, 100)
-	_, addr := serve(t, db, server.Config{QueryMaxRows: 10})
-	c := dial(t, addr, 1)
-
-	drain := func(it *client.RowIter) error {
-		defer it.Close()
-		for {
-			row, err := it.Next()
-			if err != nil || row == nil {
-				return err
-			}
-		}
-	}
-
-	it, err := c.Query(0, query.NewPlan(query.Scan("kv", wireKVSchema())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := drain(it); !errors.Is(err, engine.ErrQueryOverflow) {
-		t.Fatalf("server budget: err = %v, want engine.ErrQueryOverflow", err)
-	}
-
-	// A client cap below the server's: 5 < 10.
-	it, err = c.QueryMaxRows(0, query.NewPlan(query.ScanRange("kv", wireKVSchema(),
-		nil, codec.NewKey(4).Uint32(8).Clone())), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := drain(it); !errors.Is(err, engine.ErrQueryOverflow) {
-		t.Fatalf("client budget: err = %v, want engine.ErrQueryOverflow", err)
-	}
-
-	// Within both budgets the same shape succeeds.
-	rows, err := c.QueryAll(0, query.NewPlan(query.ScanRange("kv", wireKVSchema(),
-		nil, codec.NewKey(4).Uint32(8).Clone())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(rows))
-	}
-}
-
-// TestQueryEarlyCloseReleasesSlot proves Close cancels server-side and frees
-// the query's worker slot: with a single-slot server a second query can only
-// open if the first one's snapshot was released.
-func TestQueryEarlyCloseReleasesSlot(t *testing.T) {
-	db := openCore(t, core.Config{})
-	seedWireKV(t, db, 1000)
-	_, addr := serve(t, db, server.Config{Workers: 1})
-	c := dial(t, addr, 1)
-
-	it, err := c.Query(0, query.NewPlan(query.Scan("kv", wireKVSchema())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := it.Next(); err != nil { // pull one chunk mid-stream
-		t.Fatal(err)
-	}
-
-	// The only worker slot is held by the open query.
-	if _, err := c.Query(0, query.NewPlan(query.Scan("kv", wireKVSchema()))); !errors.Is(err, engine.ErrOverloaded) {
-		t.Fatalf("second query while first open: err = %v, want engine.ErrOverloaded", err)
-	}
-
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	it2, err := c.Query(0, query.NewPlan(query.Scan("kv", wireKVSchema())))
-	if err != nil {
-		t.Fatalf("query after close: %v", err)
-	}
-	it2.Close()
-
-	st, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ActiveQueries != 0 || st.QueriesCancelled != 2 {
-		t.Fatalf("stats = active %d cancelled %d, want 0/2", st.ActiveQueries, st.QueriesCancelled)
-	}
-}
-
-// TestQuerySnapshotIgnoresLaterWrites pins a query's snapshot, commits more
-// rows through the same server, and checks the open stream still ends at the
-// snapshot's row count while a fresh query sees the new total.
-func TestQuerySnapshotIgnoresLaterWrites(t *testing.T) {
-	db := openCore(t, core.Config{})
-	seedWireKV(t, db, 400)
-	_, addr := serve(t, db, server.Config{})
+	insertWireKV(t, db, 0, 1000)
+	_, addr := serve(t, db, server.Config{ScanPageSize: 64})
 	c := dial(t, addr, 2)
 
-	plan := func() *query.Plan { return query.NewPlan(query.Scan("kv", wireKVSchema())) }
-	it, err := c.Query(0, plan())
+	scan := query.NewPlan(query.Scan("kv", wireKVSchema()))
+	rows, err := query.RunReadOnly(c, 0, scan, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
-	if _, err := it.Next(); err != nil { // first chunk pulled, snapshot pinned
-		t.Fatal(err)
+	if len(rows) != 1000 {
+		t.Fatalf("scan returned %d rows, want 1000", len(rows))
 	}
-
-	tbl := c.OpenTable("kv")
-	txn := c.Begin(1)
-	for i := 400; i < 500; i++ {
-		key := codec.NewKey(4).Uint32(uint32(i)).Clone()
-		val := codec.NewTuple(8).Uint64(uint64(i % 10)).Clone()
-		if err := txn.Insert(tbl, key, val); err != nil {
-			t.Fatal(err)
+	for i, row := range rows {
+		if row[0].Int != int64(i) || row[1].Int != int64(i%10) {
+			t.Fatalf("row %d = %v", i, row)
 		}
 	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
 
-	n := 1 // the row already pulled
-	for {
-		row, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-		n++
-	}
-	if n != 400 {
-		t.Fatalf("pinned snapshot saw %d rows, want 400", n)
-	}
-
-	rows, err := c.QueryAll(1, plan())
+	// GROUP BY a: 10 groups of 100 rows each, summed over id.
+	agg := query.NewPlan(query.OrderBy(
+		query.Aggregate(query.Scan("kv", wireKVSchema()), []int{1},
+			query.Count(), query.Sum(query.Col(0))),
+		query.SortKey{Col: 0},
+	))
+	remote, err := query.RunReadOnly(c, 0, agg, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 500 {
-		t.Fatalf("fresh snapshot saw %d rows, want 500", len(rows))
+	local, err := query.RunReadOnly(db, 0, agg, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(remote) != 10 || !reflect.DeepEqual(remote, local) {
+		t.Fatalf("aggregate over client = %v, embedded = %v", remote, local)
+	}
+
+	// Pin a snapshot: the server takes it at the transaction's first
+	// operation, so read one key before the other client writes.
+	pinned := c.BeginReadOnly(0)
+	defer pinned.Abort()
+	if _, err := pinned.Get(c.OpenTable("kv"), codec.NewKey(4).Uint32(0).Clone()); err != nil {
+		t.Fatal(err)
+	}
+	insertWireKV(t, dial(t, addr, 1), 1000, 1100)
+
+	rows, err = query.Collect(pinned, c.OpenTable, scan, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1000 {
+		t.Fatalf("pinned snapshot saw %d rows, want 1000", len(rows))
+	}
+	rows, err = query.RunReadOnly(c, 1, scan, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1100 {
+		t.Fatalf("fresh snapshot saw %d rows, want 1100", len(rows))
 	}
 }

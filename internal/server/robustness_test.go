@@ -255,10 +255,11 @@ func TestBeginHandles(t *testing.T) {
 	}
 }
 
-// TestShortFramesAreRefused: a Begin without its epoch or handle, and a
-// ShardPrepare without its decision list, are malformed. Each is refused
-// with StatusBadRequest, opens no transaction and takes no worker slot.
-func TestShortFramesAreRefused(t *testing.T) {
+// TestMalformedFramesAreRefused: a Begin without its epoch or handle, a
+// ShardPrepare without its decision list, and a frame of a retired type
+// are malformed. Each is refused with StatusBadRequest, opens no
+// transaction and takes no worker slot.
+func TestMalformedFramesAreRefused(t *testing.T) {
 	db := openCore(t, core.Config{})
 	srv, addr := serve(t, db, server.Config{Workers: 2})
 	rc := rawDial(t, addr)
@@ -274,6 +275,9 @@ func TestShortFramesAreRefused(t *testing.T) {
 	prepare = proto.AppendU64(prepare, 0) // map version
 	prepare = proto.AppendBytes(prepare, []byte("gid"))
 	prepare = proto.AppendU32(prepare, 0) // no ops, and no decision list after them
+	// Frame types 22–24 are retired in wire.golden (the old server-side
+	// query frames); the literals are what an old peer would still send.
+	const retiredQuery, retiredQueryRow, retiredQueryEnd = 22, 23, 24
 	for _, c := range []struct {
 		name    string
 		typ     byte
@@ -282,6 +286,9 @@ func TestShortFramesAreRefused(t *testing.T) {
 		{"begin of 1 byte", proto.MsgBegin, []byte{0}},
 		{"begin of 9 bytes", proto.MsgBegin, proto.AppendU64([]byte{0}, 0)},
 		{"shard prepare without a list", proto.MsgShardPrepare, prepare},
+		{"retired type 22", retiredQuery, proto.AppendU32(proto.AppendBytes(nil, []byte{0xff}), 0)},
+		{"retired type 23", retiredQueryRow, proto.AppendU64(nil, 1)},
+		{"retired type 24", retiredQueryEnd, proto.AppendU64(nil, 1)},
 	} {
 		if st, _, _ := rc.call(c.typ, 0, c.payload); st != proto.StatusBadRequest {
 			t.Errorf("%s: %v, want StatusBadRequest", c.name, st)

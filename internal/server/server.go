@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"ermia/internal/engine"
-	"ermia/internal/query"
 	"ermia/internal/wal"
 )
 
@@ -118,14 +117,6 @@ type Config struct {
 	// caught up, so subscribers can detect a dead primary by silence.
 	// Zero disables heartbeats.
 	ReplHeartbeat time.Duration
-	// QueryMaxRows caps rows an analytical query may emit or materialize
-	// (join build sides, aggregate tables, sort buffers); exceeding it fails
-	// the query with StatusQueryOverflow. A client-supplied limit can lower
-	// but never raise it. Default 1<<20.
-	QueryMaxRows int
-	// QueryChunkRows caps rows in one MsgQueryRow response chunk (the byte
-	// cap is fixed at 256KiB). Default 256.
-	QueryChunkRows int
 	// ShardID is this server's shard number in a sharded deployment, served
 	// by the MsgShardMap frame so routers can verify an address actually
 	// hosts the shard their map claims. Meaningful only with a non-zero
@@ -162,12 +153,6 @@ type StatsSnapshot struct {
 	// Checkpoints counts checkpoint frames served successfully.
 	Checkpoints uint64
 
-	// Analytical query counters.
-	ActiveQueries    uint32 // queries currently holding a snapshot + slot
-	Queries          uint64 // queries opened since start
-	QueryRows        uint64 // result rows streamed to clients
-	QueriesCancelled uint64 // queries ended other than by stream completion
-
 	// Sharding / two-phase-commit counters.
 	PreparedTxns  uint32 // transactions currently parked in the prepared state
 	ShardPrepares uint64 // prepare requests acknowledged
@@ -194,17 +179,10 @@ type Server struct {
 	sessMu   sync.Mutex
 	sessions map[*session]struct{}
 
-	nextQueryID atomic.Uint64
-
 	conns    atomic.Int32
 	openTxns atomic.Int32
 	commits  atomic.Uint64
 	aborts   atomic.Uint64
-
-	queriesActive atomic.Int32
-	queriesTotal  atomic.Uint64
-	queryRows     atomic.Uint64
-	queryCancels  atomic.Uint64
 
 	replSubscribers atomic.Int32
 	replBatches     atomic.Uint64
@@ -269,12 +247,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SyncReplWait <= 0 {
 		cfg.SyncReplWait = 5 * time.Second
-	}
-	if cfg.QueryMaxRows <= 0 {
-		cfg.QueryMaxRows = query.DefaultMaxRows
-	}
-	if cfg.QueryChunkRows <= 0 {
-		cfg.QueryChunkRows = 256
 	}
 	if cfg.SyncRepl && cfg.Durability != DurabilityGroup {
 		return nil, errors.New("server: SyncRepl requires DurabilityGroup (the group committer is where replication acks are awaited)")
@@ -442,11 +414,6 @@ func (s *Server) Stats() StatsSnapshot {
 		ReplShippedOffset: s.replShipped.Load(),
 		ReplAckedOffset:   s.replAcked.Load(),
 		Checkpoints:       s.checkpoints.Load(),
-
-		ActiveQueries:    uint32(s.queriesActive.Load()),
-		Queries:          s.queriesTotal.Load(),
-		QueryRows:        s.queryRows.Load(),
-		QueriesCancelled: s.queryCancels.Load(),
 
 		PreparedTxns:  s.preparedCount(),
 		ShardPrepares: s.shardPrepares.Load(),

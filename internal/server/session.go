@@ -57,12 +57,6 @@ type session struct {
 	openTxns atomic.Int32 // mirror of len(txns) readable off-thread
 	tables   map[string]engine.Table
 
-	// queries holds open analytical queries (pinned snapshot + iterator),
-	// lazily allocated; openQueries mirrors its size for kickIfIdle. Owned
-	// by the handler goroutine like txns.
-	queries     map[uint64]*runningQuery
-	openQueries atomic.Int32
-
 	// replStop, once a replication subscription starts, stops its shipper
 	// goroutine. Owned by the handler goroutine (created in
 	// handleReplSubscribe, closed in teardown).
@@ -94,7 +88,7 @@ func (s *session) start() {
 // deadline (rather than closing the connection) lets responses already owed
 // still be written.
 func (s *session) kickIfIdle() {
-	if s.openTxns.Load() == 0 && s.openQueries.Load() == 0 {
+	if s.openTxns.Load() == 0 {
 		s.nc.SetReadDeadline(time.Unix(1, 0))
 	}
 }
@@ -189,7 +183,7 @@ func (s *session) run() {
 	defer s.teardown()
 	for req := range s.reqs {
 		s.dispatch(req)
-		if s.srv.draining() && len(s.txns) == 0 && len(s.queries) == 0 && len(s.reqs) == 0 {
+		if s.srv.draining() && len(s.txns) == 0 && len(s.reqs) == 0 {
 			return // graceful drain: nothing owed, nothing open
 		}
 	}
@@ -203,9 +197,6 @@ func (s *session) teardown() {
 		ot.txn.Abort()
 		s.srv.aborts.Add(1)
 		s.endTxn(id, ot)
-	}
-	for id, rq := range s.queries {
-		s.endQuery(id, rq, true) // orphaned snapshots release like orphaned txns
 	}
 	// Unblock a parked reader WITHOUT killing the write side: responses
 	// still owed — group-commit acks in particular — must reach the peer
@@ -271,12 +262,6 @@ func (s *session) dispatch(req request) {
 		s.handleCkptFetch(req, d)
 	case proto.MsgPing:
 		s.handlePing(req)
-	case proto.MsgQuery:
-		s.handleQuery(req, d)
-	case proto.MsgQueryRow:
-		s.handleQueryRow(req, d)
-	case proto.MsgQueryEnd:
-		s.handleQueryEnd(req, d)
 	case proto.MsgShardPrepare:
 		s.handleShardPrepare(req, d)
 	case proto.MsgShardDecide:
@@ -305,16 +290,6 @@ func (s *session) expire(req request) {
 				ot.txn.Abort()
 				s.srv.aborts.Add(1)
 				s.endTxn(txnID, ot)
-			}
-		}
-	case proto.MsgQueryRow, proto.MsgQueryEnd:
-		// An abandoned query stream must not pin its snapshot (and worker
-		// slot) until teardown; expiry releases it like an abandoned txn.
-		d := proto.NewDec(req.payload)
-		qid := d.U64()
-		if d.Err() == nil {
-			if rq, ok := s.queries[qid]; ok {
-				s.endQuery(qid, rq, true)
 			}
 		}
 	}
@@ -609,10 +584,6 @@ func (s *session) handleStats(req request) {
 	body = proto.AppendU64(body, st.ReplShippedOffset)
 	body = proto.AppendU64(body, st.ReplAckedOffset)
 	body = proto.AppendU64(body, st.Checkpoints)
-	body = proto.AppendU32(body, st.ActiveQueries)
-	body = proto.AppendU64(body, st.Queries)
-	body = proto.AppendU64(body, st.QueryRows)
-	body = proto.AppendU64(body, st.QueriesCancelled)
 	body = proto.AppendU32(body, st.PreparedTxns)
 	body = proto.AppendU64(body, st.ShardPrepares)
 	body = proto.AppendU64(body, st.ShardDecides)

@@ -285,7 +285,8 @@ func namedType(p *Package, name string) types.Type {
 }
 
 // constantsOf returns the package-level constants of exactly type t, with
-// their doc comments.
+// their doc comments. Blank placeholders (a retired iota value kept
+// reserved) name nothing and are skipped.
 func constantsOf(p *Package, t types.Type) []constInfo {
 	var out []constInfo
 	for _, file := range p.Files {
@@ -305,7 +306,7 @@ func constantsOf(p *Package, t types.Type) []constInfo {
 				}
 				for _, name := range vs.Names {
 					c, _ := p.Info.Defs[name].(*types.Const)
-					if c != nil && types.Identical(c.Type(), t) {
+					if c != nil && c.Name() != "_" && types.Identical(c.Type(), t) {
 						out = append(out, constInfo{obj: c, doc: doc})
 					}
 				}

@@ -20,6 +20,7 @@ const (
 	StatusNoClass
 	StatusExtra
 	StatusLonely // want `status constant StatusLonely appears in no statusTable row`
+	_            // ok: a retired value kept reserved maps to nothing and needs no case
 )
 
 // ErrLocal never crosses the wire and says so... except it does not.

@@ -19,6 +19,10 @@ const (
 	StatusNew        // want `StatusNew \(wire value 4\) is not in wire\.golden`
 )
 
+// ok: a blank placeholder keeps a retired value reserved and declares
+// nothing.
+const _ Status = 10
+
 const (
 	MsgBegin byte = iota + 1
 	MsgCommit

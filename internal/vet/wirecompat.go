@@ -170,7 +170,8 @@ func runWireCompat(m *Module) []Finding {
 // wireConsts collects the registry constants: Msg*-named byte constants
 // and constants of the package's Status type. anchors maps each kind to a
 // stable code position (the first constant of that kind) for findings that
-// have no constant of their own to point at.
+// have no constant of their own to point at. Blank placeholders reserve a
+// retired value and declare nothing, so they are skipped.
 func wireConsts(pkg *Package) ([]wireConst, map[string]token.Pos) {
 	var out []wireConst
 	anchors := map[string]token.Pos{}
@@ -187,7 +188,7 @@ func wireConsts(pkg *Package) ([]wireConst, map[string]token.Pos) {
 				}
 				for _, name := range vs.Names {
 					obj, ok := pkg.Info.Defs[name].(*types.Const)
-					if !ok {
+					if !ok || obj.Name() == "_" {
 						continue
 					}
 					kind := wireKindOf(pkg, obj)

@@ -95,13 +95,11 @@ echo "== nemesis smoke (fixed seeds, -race) =="
 # decision log after healing; replay with nemesis.RunShard.
 go test -race -count=1 ./internal/nemesis/
 
-echo "== fuzz smoke (FuzzCheckpointBlob + FuzzQueryPlan, 10s each) =="
+echo "== fuzz smoke (FuzzCheckpointBlob, 10s) =="
 # The other fuzz targets' seed corpora already run inside `go test` above;
-# these two get a short mutation run locally too because their attack
-# surfaces (replica seeding, query-plan decoding) accept bytes straight
-# off the wire.
+# this one gets a short mutation run locally too because its attack
+# surface (replica seeding) accepts bytes straight off the wire.
 go test ./internal/core/ -run='^$' -fuzz='^FuzzCheckpointBlob$' -fuzztime=10s
-go test ./internal/query/ -run='^$' -fuzz='^FuzzQueryPlan$' -fuzztime=10s
 
 echo "== replication soak (30s, -race) =="
 ERMIA_REPL_SOAK=30s go test -race -count=1 -run TestReplicationSoak ./internal/repl/
