@@ -1,8 +1,9 @@
 // Command ermia-logdump inspects an ERMIA log directory: it lists segment
 // files, walks every block in offset order, and optionally decodes the
-// records inside commit blocks. Useful for debugging recovery issues and
-// for seeing the on-disk structures of §3.3 (skip records, segment-closing
-// records, overflow chains, checkpoint markers) with your own eyes.
+// records inside commit blocks and checkpoint blobs. Useful for debugging
+// recovery issues and for seeing the on-disk structures of §3.3 (skip
+// records, segment-closing records, overflow chains, checkpoint markers)
+// with your own eyes.
 //
 //	ermia-logdump -dir /tmp/ermia-data            # block summary
 //	ermia-logdump -dir /tmp/ermia-data -records   # decode records too
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"ermia/internal/core"
 	"ermia/internal/wal"
@@ -20,7 +22,7 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "log directory (required)")
-	records := flag.Bool("records", false, "decode records inside commit blocks")
+	records := flag.Bool("records", false, "decode records inside commit blocks and checkpoint blobs")
 	flag.Parse()
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "ermia-logdump: -dir required")
@@ -49,8 +51,17 @@ func run(w io.Writer, dir string, records bool) error {
 			continue
 		}
 		size, _ := f.Size()
-		f.Close()
 		fmt.Fprintf(w, "  %-40s %12d bytes\n", n, size)
+		if records && strings.HasPrefix(n, "ckpt-") && !strings.HasSuffix(n, ".tmp") {
+			image := make([]byte, size)
+			if _, err = f.ReadAt(image, 0); err == nil || err == io.EOF {
+				err = core.DumpCheckpoint(w, "      ", image)
+			}
+			if err != nil {
+				fmt.Fprintf(w, "      %v\n", err)
+			}
+		}
+		f.Close()
 	}
 
 	fmt.Fprintln(w, "\nblocks:")

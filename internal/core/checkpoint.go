@@ -53,7 +53,7 @@ import (
 var checkpointMagic = [4]byte{'E', 'C', 'K', 'P'}
 
 const (
-	checkpointVersion    = 2
+	checkpointVersion    = 3
 	checkpointHeaderSize = 4 + 2 + 2 + 8 + 8 // magic, version, reserved, gen, begin
 	// checkpointKeep is how many published blobs survive cleanup: the newest
 	// plus one predecessor, so recovery can fall back if the newest suffers
@@ -131,7 +131,7 @@ func (db *DB) Checkpoint() error {
 	// failure, not a degrade trigger: unlike log-manager errors it is not
 	// sticky, the engine keeps running, and a later checkpoint can succeed.
 	buf := appendCheckpointHeader(nil, gen, begin)
-	buf, entries := db.encodeCheckpoint(buf, begin)
+	buf = db.encodeCheckpoint(buf, begin)
 	buf = binary.LittleEndian.AppendUint32(buf, wal.Checksum(buf))
 
 	// Step 4: atomic publication.
@@ -151,9 +151,6 @@ func (db *DB) Checkpoint() error {
 	db.logGate.RUnlock()
 
 	db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin})
-	db.stats.Checkpoints.Add(1)
-	db.stats.CkptEntries.Store(entries)
-	db.stats.CkptBytes.Store(uint64(len(buf)))
 	db.cleanupCheckpoints(name)
 	return nil
 }
@@ -311,19 +308,16 @@ func (db *DB) CheckpointChunk(off uint64, max int) (CheckpointChunk, error) {
 }
 
 // SeedCheckpoint loads a verified checkpoint image (raw file bytes, as
-// served by CheckpointChunk) into the engine, persists it into the local
+// served by CheckpointChunk) into the engine, then persists it into the local
 // storage under its canonical blob name — so a restart before catch-up
-// recovers from the seed instead of an empty mirror — and returns its begin
-// offset. The caller — the replica bootstrap path — must have quiesced the
-// applier: loading shares applyVersion's single-applier contract. Loading
-// over existing state is safe; see loadCheckpoint and dropUnseeded.
+// recovers from the seed instead of an empty mirror, and an image the loader
+// refuses never lands there — and returns its begin offset. The caller — the
+// replica bootstrap path — must have quiesced the applier: loading shares
+// applyVersion's single-applier contract. Loading over existing state is
+// safe; see loadCheckpoint and dropUnseeded.
 func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
 	gen, begin, payload, err := verifyCheckpointImage(image)
 	if err != nil {
-		return 0, err
-	}
-	name := checkpointName(begin, gen)
-	if err := db.writeCheckpointBlob(name, image); err != nil {
 		return 0, err
 	}
 	// A re-seed lands on the state an earlier stream left behind, and skips
@@ -336,11 +330,15 @@ func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
 			break
 		}
 	}
-	if err := db.loadCheckpoint(payload, seeded); err != nil {
+	if err := db.loadCheckpoint(payload, begin, seeded); err != nil {
 		return 0, err
 	}
 	if seeded != nil {
 		db.dropUnseeded(seeded, begin)
+	}
+	name := checkpointName(begin, gen)
+	if err := db.writeCheckpointBlob(name, image); err != nil {
+		return 0, err
 	}
 	db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin})
 	db.PublishWatermark(begin)
@@ -390,9 +388,7 @@ func (db *DB) TruncateLog() ([]string, error) {
 	if err := log.Flush(); err != nil {
 		return nil, err
 	}
-	removed, err := log.Truncate(ci.Begin)
-	db.stats.SegmentsFreed.Add(uint64(len(removed)))
-	return removed, err
+	return log.Truncate(ci.Begin)
 }
 
 // ckptVisible decides whether version v belongs to the checkpoint snapshot
@@ -444,36 +440,23 @@ func (db *DB) ckptVisible(v *mvcc.Version, cut uint64) (bool, uint64) {
 	}
 }
 
-// encodeCheckpoint serializes the catalogs, every table's records visible at
-// the cut, and every secondary index's bindings. Returns the extended buffer
-// and the number of main-table entries captured.
+// encodeCheckpoint appends the checkpoint body: the catalogs as create-table
+// and create-index records, a version record for every table record visible
+// at the cut, and a bind record for every secondary binding.
 //
 //ermia:guard-entry the scan holds a pinned begin stamp (DB.ckptPin) that lower-bounds the GC horizon for its whole duration, so Prune can never unlink the newest version below the cut; versions unlinked above the cut stay reachable through held pointers
-func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
+func (db *DB) encodeCheckpoint(buf []byte, cut uint64) []byte {
 	tables := db.allTables()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))
 	for _, t := range tables {
-		buf = binary.LittleEndian.AppendUint32(buf, t.id)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.name)))
-		buf = append(buf, t.name...)
+		buf = append(buf, encodeCreateTable(t.id, t.name)...)
 	}
 	db.mu.Lock()
 	secs := make([]*SecondaryIndex, 0, len(db.secondaries.byID))
 	for _, si := range db.secondaries.byID {
 		secs = append(secs, si)
+		buf = append(buf, encodeCreateIndex(si.id, si.tbl.id, si.name)...)
 	}
 	db.mu.Unlock()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(secs)))
-	for _, si := range secs {
-		buf = binary.LittleEndian.AppendUint32(buf, si.id)
-		buf = binary.LittleEndian.AppendUint32(buf, si.tbl.id)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(si.name)))
-		buf = append(buf, si.name...)
-	}
-	// Main entry count placeholder, patched after the scan.
-	countAt := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, 0)
-	var nEntries uint64
 	for _, t := range tables {
 		t.idx.Scan(nil, nil, nil, func(key []byte, oid mvcc.OID) bool {
 			// Newest version visible at the cut.
@@ -490,157 +473,73 @@ func (db *DB) encodeCheckpoint(buf []byte, cut uint64) ([]byte, uint64) {
 			if v == nil || v.Absent() {
 				return true // created after the cut, or an aborted insert
 			}
-			flags, val := uint8(0), v.Data
-			if v.Tombstone {
-				flags, val = 1, nil // a tombstone's value is the key, already in the entry
-			}
-			buf = binary.LittleEndian.AppendUint32(buf, t.id)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
-			buf = append(buf, flags)
-			buf = binary.LittleEndian.AppendUint64(buf, clsn)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-			buf = append(buf, key...)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
-			buf = append(buf, val...)
-			nEntries++
+			buf = appendVersion(buf, t.id, uint64(oid), clsn, v.Tombstone, key, v.Data)
 			return true
 		})
 	}
-	binary.LittleEndian.PutUint64(buf[countAt:], nEntries)
-	// Secondary bindings: (index id, skey, oid) until end of blob.
 	for _, si := range secs {
 		si.idx.Scan(nil, nil, nil, func(skey []byte, oid mvcc.OID) bool {
-			buf = binary.LittleEndian.AppendUint32(buf, si.id)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(skey)))
-			buf = append(buf, skey...)
+			buf = appendBind(buf, si.id, uint64(oid), skey)
 			return true
 		})
 	}
-	return buf, nEntries
+	return buf
 }
 
-// loadCheckpoint restores a checkpoint blob's payload (verifyCheckpointImage
-// strips header and trailer) into a DB. Loading into a non-empty DB is legal:
-// applyVersion's apply-if-newer rule makes it idempotent, and tombstones are
-// first-class entries, so a replica re-seeding from a newer checkpoint
-// converges on the checkpoint state rather than resurrecting deleted keys.
-// A non-nil seeded collects the records loaded, for the sake of the keys the
-// primary's collector took out before the cut (dropUnseeded).
-func (db *DB) loadCheckpoint(buf []byte, seeded map[tableOID]bool) error {
-	if len(buf) < 4 {
-		return fmt.Errorf("core: checkpoint truncated")
-	}
-	nTables := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	for i := uint32(0); i < nTables; i++ {
-		if len(buf) < 6 {
-			return fmt.Errorf("core: checkpoint catalog truncated")
+// loadCheckpoint restores a checkpoint body cut at begin
+// (verifyCheckpointImage strips header and trailer) into a DB. Loading into a
+// non-empty DB is legal: applyVersion's apply-if-newer rule makes it
+// idempotent, and tombstones are first-class records, so a replica re-seeding
+// from a newer checkpoint converges on the checkpoint state rather than
+// resurrecting deleted keys. A non-nil seeded collects the records loaded, for
+// the sake of the keys the primary's collector took out before the cut
+// (dropUnseeded).
+//
+// The body arrives off the wire when a replica seeds, so everything a
+// checksum cannot vouch for is refused: a commit-block record, an unknown
+// table or index, an invalid OID, and a stamp that is a TID or not below
+// the cut.
+func (db *DB) loadCheckpoint(body []byte, begin uint64, seeded map[tableOID]bool) error {
+	return decodeRecords(body, func(r logRecord) error {
+		switch r.kind {
+		case recCreateTable, recCreateIndex:
+			return db.applyCatalog(r)
+		case recVersion:
+			if mvcc.IsTID(r.clsn) || r.clsn >= begin {
+				return fmt.Errorf("core: checkpoint version stamped %#x, not below the cut %#x", r.clsn, begin)
+			}
+			t, err := db.recordTable(r)
+			if err != nil {
+				return err
+			}
+			key, val := cloneKey(r.key), cloneKey(r.val)
+			if r.tomb {
+				val = key // a tombstone's value is its key
+			}
+			if seeded != nil {
+				seeded[tableOID{t, oidOf(r)}] = true
+			}
+			db.applyVersion(t, oidOf(r), key, val, r.clsn, r.tomb, true)
+		case recBind:
+			si := db.secondaryByID(r.index)
+			if si == nil {
+				return fmt.Errorf("core: checkpoint binding for unknown index %d", r.index)
+			}
+			if !mvcc.ValidOID(oidOf(r)) {
+				return fmt.Errorf("core: checkpoint binding with invalid OID %d", r.oid)
+			}
+			// The image is the primary's index as of the cut: on a re-seed it
+			// overrides whatever binding an earlier stream left.
+			rebind(si.idx, cloneKey(r.key), oidOf(r))
+			// A binding can outlive its record (the key reclaimed, the OID
+			// sealed), so the record itself may be missing above: never hand the
+			// OID out again, or the stale binding would resolve to a stranger.
+			si.tbl.arr.EnsureAllocated(oidOf(r))
+		default:
+			return fmt.Errorf("core: log record kind %d in a checkpoint", r.kind)
 		}
-		id := binary.LittleEndian.Uint32(buf)
-		nlen := int(binary.LittleEndian.Uint16(buf[4:]))
-		buf = buf[6:]
-		if len(buf) < nlen {
-			return fmt.Errorf("core: checkpoint table name truncated")
-		}
-		db.createTableRecovered(id, string(buf[:nlen]))
-		buf = buf[nlen:]
-	}
-	if len(buf) < 4 {
-		return fmt.Errorf("core: checkpoint index catalog truncated")
-	}
-	nIdx := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	for i := uint32(0); i < nIdx; i++ {
-		if len(buf) < 10 {
-			return fmt.Errorf("core: checkpoint index entry truncated")
-		}
-		id := binary.LittleEndian.Uint32(buf)
-		tableID := binary.LittleEndian.Uint32(buf[4:])
-		nlen := int(binary.LittleEndian.Uint16(buf[8:]))
-		buf = buf[10:]
-		if len(buf) < nlen {
-			return fmt.Errorf("core: checkpoint index name truncated")
-		}
-		if db.createSecondaryRecovered(id, tableID, string(buf[:nlen])) == nil {
-			return fmt.Errorf("core: checkpoint index references unknown table %d", tableID)
-		}
-		buf = buf[nlen:]
-	}
-	if len(buf) < 8 {
-		return fmt.Errorf("core: checkpoint entry count truncated")
-	}
-	nEntries := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	for e := uint64(0); e < nEntries; e++ {
-		if len(buf) < 25 {
-			return fmt.Errorf("core: checkpoint entry truncated")
-		}
-		id := binary.LittleEndian.Uint32(buf)
-		oid := mvcc.OID(binary.LittleEndian.Uint64(buf[4:]))
-		flags := buf[12]
-		clsn := binary.LittleEndian.Uint64(buf[13:])
-		klen := int(binary.LittleEndian.Uint32(buf[21:]))
-		buf = buf[25:]
-		if len(buf) < klen+4 {
-			return fmt.Errorf("core: checkpoint key truncated")
-		}
-		key := append([]byte(nil), buf[:klen]...)
-		vlen := int(binary.LittleEndian.Uint32(buf[klen:]))
-		buf = buf[klen+4:]
-		if len(buf) < vlen {
-			return fmt.Errorf("core: checkpoint value truncated")
-		}
-		val := append([]byte(nil), buf[:vlen]...)
-		buf = buf[vlen:]
-
-		if !mvcc.ValidOID(oid) {
-			return fmt.Errorf("core: checkpoint entry with invalid OID %d", oid)
-		}
-		if mvcc.IsTID(clsn) {
-			return fmt.Errorf("core: checkpoint entry with TID stamp %#x", clsn)
-		}
-		t := db.tableByID(id)
-		if t == nil {
-			return fmt.Errorf("core: checkpoint entry for unknown table %d", id)
-		}
-		if flags == 1 {
-			val = key // a tombstone's value is its key
-		}
-		if seeded != nil {
-			seeded[tableOID{t, oid}] = true
-		}
-		db.applyVersion(t, oid, key, val, clsn, flags == 1, true)
-	}
-	// Secondary bindings run to the end of the blob.
-	for len(buf) > 0 {
-		if len(buf) < 16 {
-			return fmt.Errorf("core: checkpoint secondary entry truncated")
-		}
-		id := binary.LittleEndian.Uint32(buf)
-		oid := mvcc.OID(binary.LittleEndian.Uint64(buf[4:]))
-		sklen := int(binary.LittleEndian.Uint32(buf[12:]))
-		buf = buf[16:]
-		if len(buf) < sklen {
-			return fmt.Errorf("core: checkpoint secondary key truncated")
-		}
-		if !mvcc.ValidOID(oid) {
-			return fmt.Errorf("core: checkpoint binding with invalid OID %d", oid)
-		}
-		si := db.secondaryByID(id)
-		if si == nil {
-			return fmt.Errorf("core: checkpoint binding for unknown index %d", id)
-		}
-		// The image is the primary's index as of the cut: on a re-seed it
-		// overrides whatever binding an earlier stream left.
-		rebind(si.idx, append([]byte(nil), buf[:sklen]...), oid)
-		// A binding can outlive its record (the key reclaimed, the OID
-		// sealed), so the record itself may be missing above: never hand the
-		// OID out again, or the stale binding would resolve to a stranger.
-		si.tbl.arr.EnsureAllocated(oid)
-		buf = buf[sklen:]
-	}
-	return nil
+		return nil
+	})
 }
 
 // rebind makes key name oid in idx, whatever it named before, and returns the

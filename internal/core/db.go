@@ -162,10 +162,6 @@ type DBStats struct {
 	// IndexEntriesReclaimed counts keys taken out of a primary index: deleted
 	// records once no snapshot could see them alive, and aborted inserts.
 	IndexEntriesReclaimed atomic.Uint64
-	Checkpoints           atomic.Uint64 // completed checkpoints this run
-	CkptEntries           atomic.Uint64 // entries captured by the newest checkpoint
-	CkptBytes             atomic.Uint64 // blob size of the newest checkpoint
-	SegmentsFreed         atomic.Uint64 // log segment files removed by truncation
 }
 
 // Open creates a DB. Pass a wal.RecoverResult-driven flow via Recover to

@@ -13,9 +13,10 @@ import (
 // Crash recovery hands decodeRecords whatever the WAL framing layer yields,
 // and the faultfs sweep shows torn writes can truncate a payload anywhere, so
 // the parser must reject malformed input with an error — never panic, never
-// read out of bounds, and never loop forever. The seed corpus covers every
-// record kind, built with the real encoders so mutation starts from valid
-// frames.
+// read out of bounds, and never loop forever. It parses checkpoint bodies
+// too, which a seeding replica takes straight off the wire. The seed corpus
+// covers every record kind, built with the real encoders so mutation starts
+// from valid frames.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(encodeCreateTable(1, "orders"))
 	f.Add(encodeCreateIndex(2, 1, "orders-by-customer"))
@@ -24,6 +25,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(appendDeleteKey(nil, 1, 42, []byte("key-1")))
 	f.Add(appendInsertSec(nil, 1, 43, []byte("key-2"), []byte("value-3"),
 		[]loggedSecondary{{index: 2, key: []byte("sk-2")}}))
+	f.Add(appendVersion(nil, 1, 42, 0x1000, false, []byte("key-1"), []byte("value-1")))
+	f.Add(appendVersion(nil, 1, 43, 0x2000, true, []byte("key-2"), nil))
+	f.Add(appendBind(nil, 2, 42, []byte("sk-1")))
 	// A whole commit-block payload: several records back to back, as the
 	// transaction's private log buffer lays them out.
 	multi := encodeCreateTable(3, "stock")
@@ -31,14 +35,22 @@ func FuzzDecodeRecord(f *testing.F) {
 	multi = appendUpdate(multi, 3, 7, []byte("qty=9"))
 	multi = appendDeleteKey(multi, 3, 8, []byte("s2"))
 	f.Add(multi)
+	// A checkpoint body: catalog, record images, bindings.
+	body := encodeCreateTable(1, "orders")
+	body = append(body, encodeCreateIndex(2, 1, "orders-by-customer")...)
+	body = appendVersion(body, 1, 42, 0x1000, false, []byte("key-1"), []byte("value-1"))
+	body = appendBind(body, 2, 42, []byte("sk-1"))
+	f.Add(body)
 	// Known-hostile shapes: truncated header, huge declared lengths, an
 	// unknown kind, the retired kind 4 (a keyless delete of table 1, OID 42),
-	// a secondary count with no entries behind it.
+	// a secondary count with no entries behind it, a version image declaring
+	// a 4 GiB key.
 	f.Add([]byte{recInsert, 0xFF, 0xFF})
 	f.Add([]byte{recUpdate, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{0x7F})
 	f.Add([]byte{4, 1, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{recInsertSec, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF})
+	f.Add([]byte{recVersion, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seen := 0
 		err := decodeRecords(data, func(r logRecord) error {
@@ -50,7 +62,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				_ = len(s.key)
 			}
 			switch r.kind {
-			case recCreateTable, recInsert, recUpdate, recDeleteKey, recCreateIndex, recInsertSec:
+			case recCreateTable, recInsert, recUpdate, recDeleteKey, recCreateIndex, recInsertSec, recVersion, recBind:
 			default:
 				t.Fatalf("parser surfaced unknown kind %d", r.kind)
 			}
@@ -62,20 +74,23 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzRecordRoundTrip encodes an insert-with-secondaries from fuzzer-chosen
-// fields and requires decodeRecords to return exactly what went in. This
-// pins the wire format: recovery rebuilds both the primary and the secondary
-// index from these records, so a lossy encoding would silently corrupt
-// recovered databases.
+// FuzzRecordRoundTrip encodes an insert-with-secondaries, an update, a
+// delete, a checkpoint's version image and binding from fuzzer-chosen fields
+// and requires decodeRecords to return exactly what went in. This pins the
+// record format: recovery rebuilds both the primary and the secondary index
+// from these records, so a lossy encoding would silently corrupt recovered
+// databases.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(uint32(1), uint64(42), []byte("k"), []byte("v"), []byte("sk"))
-	f.Add(uint32(0), uint64(0), []byte{}, []byte{}, []byte{})
-	f.Add(uint32(1<<31), uint64(1<<60), []byte{0, 0xFF}, make([]byte, 300), []byte("x"))
-	f.Fuzz(func(t *testing.T, table uint32, oid uint64, key, val, skey []byte) {
+	f.Add(uint32(1), uint64(42), []byte("k"), []byte("v"), []byte("sk"), uint64(7), false)
+	f.Add(uint32(0), uint64(0), []byte{}, []byte{}, []byte{}, uint64(0), true)
+	f.Add(uint32(1<<31), uint64(1<<60), []byte{0, 0xFF}, make([]byte, 300), []byte("x"), uint64(1<<62), true)
+	f.Fuzz(func(t *testing.T, table uint32, oid uint64, key, val, skey []byte, clsn uint64, tomb bool) {
 		buf := appendInsertSec(nil, table, oid, key, val,
 			[]loggedSecondary{{index: 9, key: skey}})
 		buf = appendUpdate(buf, table, oid, val)
 		buf = appendDeleteKey(buf, table, oid, key)
+		buf = appendVersion(buf, table, oid, clsn, tomb, key, val)
+		buf = appendBind(buf, 9, oid, skey)
 
 		var got []logRecord
 		if err := decodeRecords(buf, func(r logRecord) error {
@@ -88,8 +103,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}); err != nil {
 			t.Fatalf("decode of freshly encoded records failed: %v", err)
 		}
-		if len(got) != 3 {
-			t.Fatalf("decoded %d records, want 3", len(got))
+		if len(got) != 5 {
+			t.Fatalf("decoded %d records, want 5", len(got))
 		}
 		ins := got[0]
 		if ins.kind != recInsertSec || ins.table != table || ins.oid != oid ||
@@ -104,6 +119,17 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		if del := got[2]; del.kind != recDeleteKey || del.table != table || del.oid != oid || string(del.key) != string(key) {
 			t.Fatalf("keyed delete did not round-trip: %+v", del)
+		}
+		wantVal := val
+		if tomb {
+			wantVal = nil // a tombstone's value is its key, not written
+		}
+		if v := got[3]; v.kind != recVersion || v.table != table || v.oid != oid || v.clsn != clsn ||
+			v.tomb != tomb || string(v.key) != string(key) || string(v.val) != string(wantVal) {
+			t.Fatalf("version image did not round-trip: %+v", v)
+		}
+		if b := got[4]; b.kind != recBind || b.index != 9 || b.oid != oid || string(b.key) != string(skey) {
+			t.Fatalf("binding did not round-trip: %+v", b)
 		}
 	})
 }
@@ -176,8 +202,9 @@ func fuzzSeedSegment(f *testing.F) (string, []byte) {
 
 // fuzzCkptWorkload commits a small history with one mid-stream checkpoint
 // and returns the durable image, the published blob's name and bytes, and
-// the expected final state. Shared by FuzzCheckpointBlob's two entry points.
-func fuzzCkptWorkload(f *testing.F) (*wal.MemStorage, string, []byte, map[string]string) {
+// the expected final state. Shared by FuzzCheckpointBlob and
+// TestCheckpointBodyRefusals.
+func fuzzCkptWorkload(f testing.TB) (*wal.MemStorage, string, []byte, map[string]string) {
 	st := wal.NewMemStorage()
 	db, err := Open(sweepConfig(st))
 	if err != nil {
@@ -275,12 +302,11 @@ func FuzzCheckpointBlob(f *testing.F) {
 	fixed[checkpointHeaderSize+2] ^= 0x80 // damage the payload catalog
 	binary.LittleEndian.PutUint32(fixed[len(fixed)-4:], wal.Checksum(fixed[:len(fixed)-4]))
 	f.Add(fixed)
-	// Minimal well-checksummed body declaring an absurd entry count: the
-	// loader must hit its bounds check, not allocate for 2^64 entries.
+	// Minimal well-checksummed body: one version record declaring an absurd
+	// key length. The decoder must hit its bounds check, not allocate 4 GiB.
 	huge := appendCheckpointHeader(nil, 1, 64)
-	huge = binary.LittleEndian.AppendUint32(huge, 0) // no tables
-	huge = binary.LittleEndian.AppendUint32(huge, 0) // no indexes
-	huge = binary.LittleEndian.AppendUint64(huge, ^uint64(0))
+	huge = appendVersion(huge, 1, 1, 1, false, nil, nil)
+	binary.LittleEndian.PutUint32(huge[len(huge)-8:], ^uint32(0)) // the key length
 	huge = binary.LittleEndian.AppendUint32(huge, wal.Checksum(huge))
 	f.Add(huge)
 	// A well-checksummed payload with no header: not a blob at all.

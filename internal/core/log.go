@@ -6,15 +6,20 @@ import (
 	"io"
 )
 
-// Log record kinds inside commit blocks. Transactions accumulate these in a
+// Log record kinds. Transactions accumulate the commit-block kinds in a
 // private buffer during forward processing (§3.1) and copy them into the
-// centralized log in one reserved block at pre-commit.
+// centralized log in one reserved block at pre-commit. A checkpoint body is
+// a run of records too: the catalog as create-table and create-index
+// records, then one version record per record image at the cut and one bind
+// record per secondary binding. Version and bind records appear only there.
 const (
 	recCreateTable uint8 = iota + 1
 	recInsert
 	recUpdate
 	_ // 4: retired; never reuse
 	recDeleteKey
+	recVersion
+	recBind
 )
 
 func encodeCreateTable(id uint32, name string) []byte {
@@ -61,14 +66,46 @@ func appendDeleteKey(buf []byte, table uint32, oid uint64, key []byte) []byte {
 	return buf
 }
 
-// logRecord is a decoded record from a commit block.
+// appendVersion encodes a checkpoint's image of one record: its newest
+// version visible at the cut, under that version's commit stamp. A
+// tombstone writes an empty value, because its value is its key.
+func appendVersion(buf []byte, table uint32, oid, clsn uint64, tombstone bool, key, val []byte) []byte {
+	flags := uint8(0)
+	if tombstone {
+		flags, val = 1, nil
+	}
+	buf = append(buf, recVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, table)
+	buf = binary.LittleEndian.AppendUint64(buf, oid)
+	buf = binary.LittleEndian.AppendUint64(buf, clsn)
+	buf = append(buf, flags)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = append(buf, key...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
+	buf = append(buf, val...)
+	return buf
+}
+
+// appendBind encodes a checkpoint's image of one secondary binding.
+func appendBind(buf []byte, index uint32, oid uint64, skey []byte) []byte {
+	buf = append(buf, recBind)
+	buf = binary.LittleEndian.AppendUint32(buf, index)
+	buf = binary.LittleEndian.AppendUint64(buf, oid)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(skey)))
+	buf = append(buf, skey...)
+	return buf
+}
+
+// logRecord is one decoded record.
 type logRecord struct {
 	kind  uint8
 	table uint32
 	oid   uint64
-	key   []byte // insert, deleteKey, createTable (name), createIndex (name)
-	val   []byte // insert, update
-	index uint32 // createIndex: the new index id
+	key   []byte // insert, deleteKey, version, createTable (name), createIndex (name), bind (secondary key)
+	val   []byte // insert, update, version
+	index uint32 // createIndex: the new index id; bind: the index
+	clsn  uint64 // version: the commit stamp
+	tomb  bool   // version: a tombstone
 	sec   []secRef
 }
 
@@ -78,123 +115,86 @@ type secRef struct {
 	key   []byte
 }
 
-// decodeRecords parses every record in a commit block payload.
+// recReader reads record fields with one sticky bounds check: the first
+// read past the end sets bad, and every read after it returns zero values.
+// Its slices alias the input.
+type recReader struct {
+	p   []byte
+	bad bool
+}
+
+func (d *recReader) take(n int) []byte {
+	if d.bad || n < 0 || n > len(d.p) {
+		d.bad = true
+		return nil
+	}
+	b := d.p[:n]
+	d.p = d.p[n:]
+	return b
+}
+
+// uintLE reads an n-byte little-endian integer.
+func (d *recReader) uintLE(n int) uint64 {
+	var v uint64
+	for i, c := range d.take(n) {
+		v |= uint64(c) << (8 * i)
+	}
+	return v
+}
+
+func (d *recReader) u8() uint8   { return uint8(d.uintLE(1)) }
+func (d *recReader) u32() uint32 { return uint32(d.uintLE(4)) }
+func (d *recReader) u64() uint64 { return d.uintLE(8) }
+
+// name reads a u16-length-prefixed string, bytes a u32-length-prefixed one.
+func (d *recReader) name() []byte  { return d.take(int(d.uintLE(2))) }
+func (d *recReader) bytes() []byte { return d.take(int(d.u32())) }
+
+// decodeRecords parses every record in a commit block payload or a
+// checkpoint body. It is the engine's one parser of record bytes.
 func decodeRecords(p []byte, fn func(logRecord) error) error {
-	for len(p) > 0 {
-		kind := p[0]
-		p = p[1:]
-		switch kind {
+	d := recReader{p: p}
+	for len(d.p) > 0 {
+		r := logRecord{kind: d.u8()}
+		switch r.kind {
 		case recCreateTable:
-			if len(p) < 6 {
-				return fmt.Errorf("core: truncated create-table record")
-			}
-			id := binary.LittleEndian.Uint32(p)
-			nlen := int(binary.LittleEndian.Uint16(p[4:]))
-			p = p[6:]
-			if len(p) < nlen {
-				return fmt.Errorf("core: truncated table name")
-			}
-			if err := fn(logRecord{kind: kind, table: id, key: p[:nlen]}); err != nil {
-				return err
-			}
-			p = p[nlen:]
+			r.table, r.key = d.u32(), d.name()
+		case recCreateIndex:
+			r.index, r.table, r.key = d.u32(), d.u32(), d.name()
 		case recInsert, recInsertSec:
-			if len(p) < 16 {
-				return fmt.Errorf("core: truncated insert record")
-			}
-			table := binary.LittleEndian.Uint32(p)
-			oid := binary.LittleEndian.Uint64(p[4:])
-			klen := int(binary.LittleEndian.Uint32(p[12:]))
-			p = p[16:]
-			if len(p) < klen+4 {
-				return fmt.Errorf("core: truncated insert key")
-			}
-			key := p[:klen]
-			vlen := int(binary.LittleEndian.Uint32(p[klen:]))
-			p = p[klen+4:]
-			if len(p) < vlen {
-				return fmt.Errorf("core: truncated insert value")
-			}
-			rec := logRecord{kind: kind, table: table, oid: oid, key: key, val: p[:vlen]}
-			p = p[vlen:]
-			if kind == recInsertSec {
-				if len(p) < 1 {
-					return fmt.Errorf("core: truncated secondary count")
+			r.table, r.oid, r.key, r.val = d.u32(), d.u64(), d.bytes(), d.bytes()
+			if r.kind == recInsertSec {
+				for n := d.u8(); n > 0 && !d.bad; n-- {
+					idx := d.u32()
+					r.sec = append(r.sec, secRef{index: idx, key: d.bytes()})
 				}
-				n := int(p[0])
-				p = p[1:]
-				for i := 0; i < n; i++ {
-					if len(p) < 8 {
-						return fmt.Errorf("core: truncated secondary entry")
-					}
-					idx := binary.LittleEndian.Uint32(p)
-					sklen := int(binary.LittleEndian.Uint32(p[4:]))
-					p = p[8:]
-					if len(p) < sklen {
-						return fmt.Errorf("core: truncated secondary key")
-					}
-					rec.sec = append(rec.sec, secRef{index: idx, key: p[:sklen]})
-					p = p[sklen:]
-				}
-			}
-			if err := fn(rec); err != nil {
-				return err
 			}
 		case recUpdate:
-			if len(p) < 16 {
-				return fmt.Errorf("core: truncated update record")
-			}
-			table := binary.LittleEndian.Uint32(p)
-			oid := binary.LittleEndian.Uint64(p[4:])
-			vlen := int(binary.LittleEndian.Uint32(p[12:]))
-			p = p[16:]
-			if len(p) < vlen {
-				return fmt.Errorf("core: truncated update value")
-			}
-			if err := fn(logRecord{kind: kind, table: table, oid: oid, val: p[:vlen]}); err != nil {
-				return err
-			}
-			p = p[vlen:]
+			r.table, r.oid, r.val = d.u32(), d.u64(), d.bytes()
 		case recDeleteKey:
-			if len(p) < 16 {
-				return fmt.Errorf("core: truncated delete record")
-			}
-			table := binary.LittleEndian.Uint32(p)
-			oid := binary.LittleEndian.Uint64(p[4:])
-			klen := int(binary.LittleEndian.Uint32(p[12:]))
-			p = p[16:]
-			if len(p) < klen {
-				return fmt.Errorf("core: truncated delete key")
-			}
-			if err := fn(logRecord{kind: kind, table: table, oid: oid, key: p[:klen]}); err != nil {
-				return err
-			}
-			p = p[klen:]
-		case recCreateIndex:
-			if len(p) < 10 {
-				return fmt.Errorf("core: truncated create-index record")
-			}
-			id := binary.LittleEndian.Uint32(p)
-			tableID := binary.LittleEndian.Uint32(p[4:])
-			nlen := int(binary.LittleEndian.Uint16(p[8:]))
-			p = p[10:]
-			if len(p) < nlen {
-				return fmt.Errorf("core: truncated index name")
-			}
-			if err := fn(logRecord{kind: kind, index: id, table: tableID, key: p[:nlen]}); err != nil {
-				return err
-			}
-			p = p[nlen:]
+			r.table, r.oid, r.key = d.u32(), d.u64(), d.bytes()
+		case recVersion:
+			r.table, r.oid, r.clsn, r.tomb = d.u32(), d.u64(), d.u64(), d.u8() == 1
+			r.key, r.val = d.bytes(), d.bytes()
+		case recBind:
+			r.index, r.oid, r.key = d.u32(), d.u64(), d.bytes()
 		default:
-			return fmt.Errorf("core: unknown log record kind %d", kind)
+			return fmt.Errorf("core: unknown log record kind %d", r.kind)
+		}
+		if d.bad {
+			return fmt.Errorf("core: truncated record of kind %d", r.kind)
+		}
+		if err := fn(r); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // DumpRecords writes one text line per record in a commit or overflow block
-// payload, each line starting with indent, and a line per secondary binding
-// under its insert. It stops at the first malformed record and returns why.
+// payload or a checkpoint body, each line starting with indent, and a line
+// per secondary binding under its insert. It stops at the first malformed
+// record and returns why.
 func DumpRecords(w io.Writer, indent string, payload []byte) error {
 	return decodeRecords(payload, func(r logRecord) error {
 		switch r.kind {
@@ -211,7 +211,23 @@ func DumpRecords(w io.Writer, indent string, payload []byte) error {
 			fmt.Fprintf(w, "%supdate table=%d oid=%d vlen=%d\n", indent, r.table, r.oid, len(r.val))
 		case recDeleteKey:
 			fmt.Fprintf(w, "%sdelete table=%d oid=%d key=%x\n", indent, r.table, r.oid, r.key)
+		case recVersion:
+			fmt.Fprintf(w, "%sversion table=%d oid=%d clsn=%#x tombstone=%t key=%x vlen=%d\n",
+				indent, r.table, r.oid, r.clsn, r.tomb, r.key, len(r.val))
+		case recBind:
+			fmt.Fprintf(w, "%sbind idx=%d oid=%d key=%x\n", indent, r.index, r.oid, r.key)
 		}
 		return nil
 	})
+}
+
+// DumpCheckpoint verifies a checkpoint image and writes its generation and
+// begin offset, then its body through DumpRecords.
+func DumpCheckpoint(w io.Writer, indent string, image []byte) error {
+	gen, begin, body, err := verifyCheckpointImage(image)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%scheckpoint gen=%d begin=%#x\n", indent, gen, begin)
+	return DumpRecords(w, indent, body)
 }

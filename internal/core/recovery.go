@@ -95,7 +95,7 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 		if verr != nil || begin != nameBegin {
 			continue // damaged blob or header: fall back
 		}
-		if err := db.loadCheckpoint(payload, nil); err != nil {
+		if err := db.loadCheckpoint(payload, begin, nil); err != nil {
 			return nil, nil, 0, err
 		}
 		ckptBegin = begin
@@ -172,21 +172,14 @@ func walLSNFor(segs []wal.SegmentMeta, off uint64) wal.LSN {
 func (db *DB) applyRecords(payload []byte, cstamp uint64) error {
 	return decodeRecords(payload, func(r logRecord) error {
 		switch r.kind {
-		case recCreateTable:
-			db.createTableRecovered(r.table, string(r.key))
-			return nil
-		case recCreateIndex:
-			if db.createSecondaryRecovered(r.index, r.table, string(r.key)) == nil {
-				return fmt.Errorf("core: index %q references unknown table %d", r.key, r.table)
-			}
-			return nil
+		case recCreateTable, recCreateIndex:
+			return db.applyCatalog(r)
+		case recVersion, recBind:
+			return fmt.Errorf("core: checkpoint record kind %d in a commit block", r.kind)
 		}
-		t := db.tableByID(r.table)
-		if t == nil {
-			return fmt.Errorf("core: record for unknown table %d", r.table)
-		}
-		if !mvcc.ValidOID(oidOf(r)) {
-			return fmt.Errorf("core: record with invalid OID %d", r.oid)
+		t, err := db.recordTable(r)
+		if err != nil {
+			return err
 		}
 		switch r.kind {
 		case recInsert, recInsertSec:
@@ -206,6 +199,29 @@ func (db *DB) applyRecords(payload []byte, cstamp uint64) error {
 		}
 		return nil
 	})
+}
+
+// applyCatalog replays a create-table or create-index record, from the log
+// or from a checkpoint body.
+func (db *DB) applyCatalog(r logRecord) error {
+	if r.kind == recCreateTable {
+		db.createTableRecovered(r.table, string(r.key))
+	} else if db.createSecondaryRecovered(r.index, r.table, string(r.key)) == nil {
+		return fmt.Errorf("core: index %q references unknown table %d", r.key, r.table)
+	}
+	return nil
+}
+
+// recordTable resolves the table a data record names and checks its OID.
+func (db *DB) recordTable(r logRecord) (*Table, error) {
+	t := db.tableByID(r.table)
+	if t == nil {
+		return nil, fmt.Errorf("core: record for unknown table %d", r.table)
+	}
+	if !mvcc.ValidOID(oidOf(r)) {
+		return nil, fmt.Errorf("core: record with invalid OID %d", r.oid)
+	}
+	return t, nil
 }
 
 func oidOf(r logRecord) mvcc.OID { return mvcc.OID(r.oid) }

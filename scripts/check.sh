@@ -95,11 +95,13 @@ echo "== nemesis smoke (fixed seeds, -race) =="
 # decision log after healing; replay with nemesis.RunShard.
 go test -race -count=1 ./internal/nemesis/
 
-echo "== fuzz smoke (FuzzCheckpointBlob, 10s) =="
+echo "== fuzz smoke (FuzzCheckpointBlob, FuzzDecodeRecord, 10s each) =="
 # The other fuzz targets' seed corpora already run inside `go test` above;
-# this one gets a short mutation run locally too because its attack
-# surface (replica seeding) accepts bytes straight off the wire.
+# these two get a short mutation run locally too because their attack
+# surface (replica seeding) accepts bytes straight off the wire: the blob
+# image, and the record decoder that parses its body.
 go test ./internal/core/ -run='^$' -fuzz='^FuzzCheckpointBlob$' -fuzztime=10s
+go test ./internal/core/ -run='^$' -fuzz='^FuzzDecodeRecord$' -fuzztime=10s
 
 echo "== replication soak (30s, -race) =="
 ERMIA_REPL_SOAK=30s go test -race -count=1 -run TestReplicationSoak ./internal/repl/
