@@ -36,10 +36,11 @@ func okPeer(nc net.Conn) {
 }
 
 // TestAllocBudgets pins what one exchange allocates on the send/await path:
-// the response channel and its buffer, the frame buffer, the decoder, and
-// the reader goroutine's two for the incoming frame — the six that call
-// cost before it was split into send and await. A held Begin written ahead
-// of an operation is a second exchange and may cost one more of each.
+// the response channel and its buffer, the decoder, and the reader
+// goroutine's two for the incoming frame. Frames are encoded straight into
+// the connection's write buffer, which is kept between sends, so encoding
+// costs nothing. A held Begin written ahead of an operation is a second
+// exchange and costs one more of each.
 func TestAllocBudgets(t *testing.T) {
 	near, far := net.Pipe()
 	go okPeer(far)
@@ -53,7 +54,7 @@ func TestAllocBudgets(t *testing.T) {
 	payload := proto.AppendBytes(proto.AppendU64(nil, proto.ClientTxnBit|1), []byte("key"))
 
 	t.Run("call", func(t *testing.T) {
-		alloctest.Budget(t, 6, func() {
+		alloctest.Budget(t, 5, func() {
 			if _, _, _, err := cn.call(proto.MsgGet, payload); err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +62,7 @@ func TestAllocBudgets(t *testing.T) {
 	})
 	t.Run("begin+op", func(t *testing.T) {
 		begin := make([]byte, 17)
-		alloctest.Budget(t, 12, func() {
+		alloctest.Budget(t, 10, func() {
 			w, bw, err := cn.send(proto.MsgGet, payload, begin)
 			if err == nil {
 				_, _, _, err = cn.await(bw)

@@ -12,6 +12,7 @@ import (
 	"ermia/internal/core"
 	"ermia/internal/engine"
 	"ermia/internal/engine/enginetest"
+	"ermia/internal/proto"
 	"ermia/internal/server"
 	"ermia/internal/wal"
 )
@@ -254,4 +255,51 @@ func TestBeginFailureSurfacesOnOps(t *testing.T) {
 		t.Fatalf("commit on dead server = %v, want retryable ErrConnLost", err)
 	}
 	txn.Abort() // must not panic or hang
+}
+
+// TestOversizedRequestFailsAlone: a request over proto.MaxPayload is refused
+// before it is queued, with an error no retry loop will spin on. It costs
+// its own transaction nothing that Abort cannot undo, and another
+// transaction sharing the connection nothing at all.
+func TestOversizedRequestFailsAlone(t *testing.T) {
+	srv, addr := startServer(t, openCore(t), server.Config{})
+	c := dial(t, addr, 1)
+	tbl := c.CreateTable("t")
+	huge := make([]byte, proto.MaxPayload)
+	refused := func(txn engine.Txn) {
+		t.Helper()
+		err := txn.Insert(tbl, []byte("huge"), huge)
+		if !errors.Is(err, proto.ErrFrameTooLarge) || engine.IsRetryable(err) {
+			t.Fatalf("oversized insert = %v, want unretryable ErrFrameTooLarge", err)
+		}
+	}
+
+	bystander := c.Begin(0)
+	if err := bystander.Insert(tbl, []byte("b"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// Known to the server before the refusal: Abort must reach it.
+	begun := c.Begin(0)
+	if err := begun.Insert(tbl, []byte("a"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	refused(begun)
+	// Refused on its first frame: the held Begin goes out with the next one.
+	held := c.Begin(0)
+	refused(held)
+	if _, err := held.Get(tbl, []byte("a")); !errors.Is(err, engine.ErrNotFound) {
+		t.Fatalf("get after the refusal = %v, want ErrNotFound", err)
+	}
+
+	if err := bystander.Commit(); err != nil {
+		t.Fatalf("bystander commit: %v", err)
+	}
+	begun.Abort()
+	held.Abort()
+	if n := srv.Stats().OpenTxns; n != 0 {
+		t.Fatalf("%d transactions still open on the server after Abort", n)
+	}
+	if n := c.Stats().ConnLosses; n != 0 {
+		t.Fatalf("ConnLosses = %d, want 0", n)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,8 @@ import (
 )
 
 // conn is one pipelined wire connection. Any number of goroutines may issue
-// calls concurrently: writes are serialized under wmu, and a single reader
+// calls concurrently: they append their frames to one buffer that a single
+// writer at a time puts on the socket (see send), and a single reader
 // goroutine dispatches responses to their waiters by request id — which is
 // what lets the server acknowledge commits out of order from the group
 // committer while the rest of the pipeline keeps flowing.
@@ -25,8 +27,10 @@ type conn struct {
 	// as the server-side budget, and doubled for the client-side wait.
 	reqTimeout time.Duration
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	wmu     sync.Mutex
+	wbuf    []byte // frames appended and not yet handed to the socket
+	spare   []byte // the buffer last written, emptied for the next swap
+	writing bool   // a caller is writing and will pick up wbuf; stays set once a write fails
 
 	pmu     sync.Mutex
 	nextID  uint64
@@ -75,7 +79,6 @@ func dialConn(addr string, opts Options, counters *poolCounters) (*conn, error) 
 	c := &conn{
 		nc:         nc,
 		reqTimeout: opts.RequestTimeout,
-		bw:         bufio.NewWriterSize(nc, 64<<10),
 		pending:    make(map[uint64]chan response),
 		counters:   counters,
 	}
@@ -145,14 +148,23 @@ func (c *conn) register(typ byte) (uint64, waiter) {
 	return c.nextID, w
 }
 
-// send writes one request frame and returns the waiter for its response. A
+// maxIdleBuf bounds each of the two write buffers a connection keeps
+// between bursts, so an idle connection holds at most 64 KiB.
+const maxIdleBuf = 32 << 10
+
+// send queues one request frame and returns the waiter for its response. A
 // non-nil begin is the payload of a transaction's held MsgBegin: that frame
-// goes out first, under the same wmu hold and the same Flush, so no frame of
-// another goroutine sharing the connection can come between the two and the
-// pair costs one write to the socket; bw is then the waiter for the Begin
-// response. Transport failures surface as engine.ErrConnLost so retry loops
-// treat them like any other retryable conflict.
+// is appended first, in the same wmu hold, so no frame of another goroutine
+// sharing the connection can come between the two; bw is then the waiter for
+// the Begin response. If another caller is writing, it takes the frames along
+// and send returns at once; otherwise this caller writes them (flush). An
+// oversized payload is refused up front with proto.ErrFrameTooLarge, leaving
+// the connection up. Transport failures surface as engine.ErrConnLost so
+// retry loops treat them like any other retryable conflict.
 func (c *conn) send(typ byte, payload, begin []byte) (w, bw waiter, err error) {
+	if len(payload) > proto.MaxPayload {
+		return w, bw, fmt.Errorf("%w: %d-byte request payload, limit %d", proto.ErrFrameTooLarge, len(payload), proto.MaxPayload)
+	}
 	var id, beginID uint64
 	c.pmu.Lock()
 	if c.broken {
@@ -179,20 +191,49 @@ func (c *conn) send(typ byte, payload, begin []byte) (w, bw waiter, err error) {
 	}
 	c.wmu.Lock()
 	if begin != nil {
-		err = proto.WriteFrameD(c.bw, proto.MsgBegin, beginID, dlMillis, begin)
+		c.wbuf = proto.AppendFrameD(c.wbuf, proto.MsgBegin, beginID, dlMillis, begin)
 	}
-	if err == nil {
-		err = proto.WriteFrameD(c.bw, typ, id, dlMillis, payload)
+	c.wbuf = proto.AppendFrameD(c.wbuf, typ, id, dlMillis, payload)
+	if c.writing {
+		c.wmu.Unlock()
+		return w, bw, nil
 	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	c.writing = true
 	c.wmu.Unlock()
-	if err != nil {
-		c.fail(err) // releases both waiters; nobody is listening yet
+	if err := c.flush(); err != nil {
+		c.fail(err) // releases every waiter whose frame was queued, ours too
 		return w, bw, connLost(err)
 	}
 	return w, bw, nil
+}
+
+// flush writes the shared buffer with wmu released until a swap finds it
+// empty: one socket write per burst of appends. The caller has set writing.
+// The yield first lets the callers woken by the same response batch append
+// too; the scheduler runs the goroutine readied last first, so without it
+// each would find the connection idle and write alone. A lone caller's yield
+// returns at once.
+func (c *conn) flush() error {
+	runtime.Gosched()
+	c.wmu.Lock()
+	for len(c.wbuf) > 0 {
+		buf := c.wbuf
+		c.wbuf, c.spare = c.spare[:0], nil
+		c.wmu.Unlock()
+		_, err := c.nc.Write(buf)
+		c.wmu.Lock()
+		if err != nil {
+			c.wbuf = nil // writing stays set: nothing more goes out
+			c.wmu.Unlock()
+			return err
+		}
+		if cap(buf) <= maxIdleBuf {
+			c.spare = buf
+		}
+	}
+	c.writing = false
+	c.wmu.Unlock()
+	return nil
 }
 
 // await blocks for the response to a sent request. Protocol-level outcomes

@@ -41,11 +41,12 @@ type txnCall struct {
 
 // start sends one frame that names the transaction. The transaction's first
 // frame carries the held MsgBegin ahead of it in the same write. Transport
-// failures are sticky.
+// failures are sticky; an oversized frame is refused before anything is
+// sent, so it leaves the transaction as it was (the Begin still held if it
+// was).
 func (t *clientTxn) start(typ byte, payload []byte) (txnCall, error) {
 	var begin []byte
 	if !t.begun {
-		t.begun = true
 		// Begin carries the client's observed epoch: a deposed primary
 		// (lower epoch) must refuse rather than accept writes it can never
 		// replicate.
@@ -53,9 +54,13 @@ func (t *clientTxn) start(typ byte, payload []byte) (txnCall, error) {
 		begin = proto.AppendU64(proto.AppendU64(proto.AppendU8(b[:0], t.flags), t.c.epochMax.Load()), t.id)
 	}
 	w, bw, err := t.cn.send(typ, payload, begin)
+	if errors.Is(err, proto.ErrFrameTooLarge) {
+		return txnCall{}, err
+	}
 	if err != nil {
 		return txnCall{}, t.fail(err)
 	}
+	t.begun = true
 	return txnCall{w: w, bw: bw, begin: begin != nil}, nil
 }
 

@@ -197,7 +197,7 @@ var (
 	// ErrFrameTooLarge reports a frame whose declared payload exceeds
 	// MaxPayload.
 	//
-	//ermia:classify local a transport framing error below the transaction taxonomy; the connection dies, the client surfaces ErrConnLost
+	//ermia:classify local never crosses the wire: a reader that meets one drops the connection, and the client refuses an oversized request before queueing it, returning this unretryable error with the connection up
 	ErrFrameTooLarge = errors.New("proto: frame too large")
 )
 
