@@ -221,7 +221,8 @@ type SiloOptions struct {
 	Snapshots bool
 	// EpochInterval is the group-commit / snapshot epoch period.
 	EpochInterval time.Duration
-	// Storage holds the value log; required for RecoverSilo.
+	// Storage holds the wal segments of Silo's log; required for
+	// RecoverSilo.
 	Storage Storage
 }
 
@@ -238,7 +239,7 @@ func OpenSilo(opts SiloOptions) (*SiloDB, error) {
 	return silo.Open(opts.config())
 }
 
-// RecoverSilo rebuilds a Silo engine from its value log (SiloR-style
+// RecoverSilo rebuilds a Silo engine from its wal-framed log (SiloR-style
 // replay, last writer per key wins by commit TID).
 func RecoverSilo(opts SiloOptions) (*SiloDB, error) {
 	return silo.Recover(opts.config())

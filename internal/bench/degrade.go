@@ -187,7 +187,7 @@ func DegradeSweep(tgt DegradeTarget, opts DegradeOptions) (DegradeResult, error)
 
 		// Kill the device and drive until the engine notices. A commit
 		// acknowledged in this window is still in the model: the engine
-		// buffered it (ring or pending list) and owes it to Reattach.
+		// buffered it in the log's ring and owes it to Reattach.
 		inj.SetFailOp(inj.OpCount() + 1)
 		degraded := false
 		for tries := 0; tries < 64 && !degraded; tries++ {

@@ -18,8 +18,7 @@ import (
 // Transitions:
 //
 //	Healthy  --log device error-->  Degraded  --Reattach ok-->  Healthy
-//	Degraded --core log repair fails--> Failed (a failed Silo rewrite stays
-//	           Degraded, to be retried)
+//	Degraded --log repair fails--> Failed (either engine)
 //	Healthy, Degraded --log closed under us--> Failed
 //	Replica  --Promote--> Healthy (a replica is born Replica, never enters it)
 //	any      --Close--> Failed (terminal)
@@ -156,6 +155,26 @@ func (h *Health) CanReattach() error {
 	return nil
 }
 
+// Reattach is both engines' log repair. The caller holds its writer gate
+// exclusively, so no reservation is in flight: log.Reattach replays
+// still-buffered committed work (or reports it lost) and the engine returns
+// to Healthy. A failed repair moves the engine to Failed; the instance must
+// then be replaced via recovery.
+func (h *Health) Reattach(log *wal.Manager, st wal.Storage) (ReattachReport, error) {
+	if err := h.CanReattach(); err != nil {
+		return ReattachReport{}, err
+	}
+	rep, err := log.Reattach(st)
+	if err != nil {
+		h.Fail()
+		return ReattachReport{}, err
+	}
+	h.Heal()
+	return ReattachReport{
+		Replayed: rep.Replayed, HolesFilled: rep.HolesFilled, Lost: rep.Lost, NewDevice: st != nil,
+	}, nil
+}
+
 // Heal returns the engine to Healthy and forgets the cause.
 func (h *Health) Heal() {
 	h.cause.Store(nil)
@@ -174,7 +193,7 @@ type ReattachReport struct {
 	// were rewritten to the healed device.
 	Replayed uint64
 	// HolesFilled counts abandoned log reservations closed with skip
-	// records (always zero on Silo, whose value log has none).
+	// records.
 	HolesFilled int
 	// Lost is how many bytes of committed but never acknowledged-durable log
 	// data could not be rewritten (the log buffer had wrapped past them).

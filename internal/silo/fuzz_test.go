@@ -2,15 +2,15 @@ package silo
 
 import (
 	"encoding/binary"
-	"io"
 	"testing"
 	"time"
 
 	"ermia/internal/wal"
 )
 
-// fuzzSeedLog builds a small valid value log and returns its bytes.
-func fuzzSeedLog(f *testing.F) []byte {
+// fuzzSeedSegment runs a small workload and returns the durable image of its
+// one wal segment, with the segment's file name.
+func fuzzSeedSegment(f *testing.F) (name string, data []byte) {
 	st := wal.NewMemStorage()
 	db, err := Open(Config{Storage: st, EpochInterval: time.Hour})
 	if err != nil {
@@ -42,7 +42,12 @@ func fuzzSeedLog(f *testing.F) []byte {
 	}
 	db.Close()
 
-	fl, err := st.Crash().Open(logName)
+	crashed := st.Crash()
+	names, err := crashed.List()
+	if err != nil || len(names) != 1 {
+		f.Fatalf("seed run left segments %v, %v; want one", names, err)
+	}
+	fl, err := crashed.Open(names[0])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -51,31 +56,32 @@ func fuzzSeedLog(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	data := make([]byte, size)
-	if _, err := fl.ReadAt(data, 0); err != nil && err != io.EOF {
+	data = make([]byte, size)
+	if _, err := fl.ReadAt(data, 0); err != nil {
 		f.Fatal(err)
 	}
-	return data
+	return names[0], data
 }
 
-// FuzzRecover feeds mutated value logs to Silo recovery: bit flips,
-// truncations, and lying entry headers must recover a prefix or fail
+// FuzzRecover feeds mutated wal segment images to Silo recovery: bit flips,
+// truncations, and lying block headers must recover a prefix or fail
 // cleanly, never panic.
 func FuzzRecover(f *testing.F) {
-	seed := fuzzSeedLog(f)
+	const blockHeader = 32 // wal block header: magic, type, size, offset, prev, plen, checksum
+	name, seed := fuzzSeedSegment(f)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:entryHeader-3])
+	f.Add(seed[:blockHeader-3])
 	flip := append([]byte(nil), seed...)
-	flip[len(flip)/3] ^= 0x20
+	flip[blockHeader+1] ^= 0x20 // first commit block's payload
 	f.Add(flip)
 	huge := append([]byte(nil), seed...)
-	binary.LittleEndian.PutUint32(huge, 0xFFFFFFF0) // total lies
+	binary.LittleEndian.PutUint32(huge[4:], 0xFFFFFFC0) // block size lies
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := wal.NewMemStorage()
-		fl, err := st.Create(logName)
+		fl, err := st.Create(name)
 		if err != nil {
 			t.Fatal(err)
 		}

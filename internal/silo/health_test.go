@@ -3,6 +3,8 @@ package silo
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,11 +13,10 @@ import (
 	"ermia/internal/wal"
 )
 
-// TestDegradedServesReadsRefusesWrites: a value-log device failure degrades
-// the Silo engine to read-only instead of silently dropping the entry (the
-// seed ignored WriteAt/Sync errors). Snapshot and OCC readers keep
-// committing; writers are refused; Reattach rewrites the refused entries and
-// restores full service with zero loss.
+// TestDegradedServesReadsRefusesWrites: a log device failure degrades the
+// Silo engine to read-only instead of silently dropping the commit.
+// Snapshot and OCC readers keep committing; writers are refused; Reattach
+// rewrites the refused block and restores full service with zero loss.
 func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	inner := wal.NewMemStorage()
 	inj := faultfs.NewInjector(inner, faultfs.Plan{})
@@ -45,11 +46,14 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the device: the next committed write's log append fails. The
-	// commit itself stands — group commit had not yet promised durability —
-	// and the entry is queued for Reattach.
-	inj.SetFailOp(inj.OpCount() + 1)
+	// Kill the device: the flush that writes the next committed write's
+	// block fails. The commit itself stands — group commit had not yet
+	// promised durability — and its block stays buffered for Reattach.
 	put(t, db, tbl, "buffered", "survives")
+	inj.SetFailOp(inj.OpCount() + 1)
+	if err := db.WaitDurable(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("flush on the dead device = %v, want the injected error", err)
+	}
 	if h := db.Health(); h.State != engine.Degraded || !errors.Is(h.Cause, faultfs.ErrInjected) {
 		t.Fatalf("health = %v, want degraded with injected cause", h)
 	}
@@ -91,14 +95,17 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	}
 	w.Abort()
 
-	// Heal and re-attach: the refused entry is rewritten and made durable.
+	// Heal and re-attach: the refused block is rewritten and made durable.
+	// Reattach resumes the log in a fresh segment, so the refused bytes are
+	// measured before it.
+	refused := db.log.CurrentOffset() - durable
 	inj.Heal()
 	rep, err := db.Reattach(nil)
 	if err != nil {
 		t.Fatalf("reattach: %v", err)
 	}
-	if rep.Replayed == 0 || rep.Replayed != db.DurableOffset()-durable {
-		t.Fatalf("reattach rewrote %d bytes, want the buffered commit's %d", rep.Replayed, db.DurableOffset()-durable)
+	if rep.Replayed == 0 || rep.Replayed != refused {
+		t.Fatalf("reattach rewrote %d bytes, want the buffered commit's %d", rep.Replayed, refused)
 	}
 	if h := db.Health(); h.State != engine.Healthy || h.Cause != nil {
 		t.Fatalf("health after reattach = %v, want healthy", h)
@@ -135,7 +142,7 @@ func TestDegradedServesReadsRefusesWrites(t *testing.T) {
 	}
 }
 
-// TestReattachReplacementStorage: Reattach can point the value log at a
+// TestReattachReplacementStorage: Reattach can point the log at a
 // replacement device carrying the old one's durable image.
 func TestReattachReplacementStorage(t *testing.T) {
 	inner := wal.NewMemStorage()
@@ -153,19 +160,21 @@ func TestReattachReplacementStorage(t *testing.T) {
 	}
 	durable := db.DurableOffset()
 
+	put(t, db, tbl, "c", "3")
 	inj.SetFailOp(inj.OpCount() + 1)
-	put(t, db, tbl, "c", "3") // refused by the device, queued
+	db.WaitDurable() // refused by the device; the block stays buffered
 	if h := db.Health(); h.State != engine.Degraded {
 		t.Fatalf("health = %v, want degraded", h)
 	}
 
+	refused := db.log.CurrentOffset() - durable
 	repl := inner.Crash() // durable image of the dead device
 	rep, err := db.Reattach(repl)
 	if err != nil {
 		t.Fatalf("reattach: %v", err)
 	}
-	if !rep.NewDevice || rep.Replayed == 0 || rep.Replayed != db.DurableOffset()-durable {
-		t.Fatalf("reattach report = %+v, want new device with the queued entry's %d bytes", rep, db.DurableOffset()-durable)
+	if !rep.NewDevice || rep.Replayed == 0 || rep.Replayed != refused {
+		t.Fatalf("reattach report = %+v, want new device with the buffered block's %d bytes", rep, refused)
 	}
 	put(t, db, tbl, "d", "4")
 	if err := db.WaitDurable(); err != nil {
@@ -200,5 +209,90 @@ func TestCloseIsFailed(t *testing.T) {
 	}
 	if _, err := db.Reattach(nil); err == nil {
 		t.Fatal("reattach succeeded on a closed DB")
+	}
+}
+
+// TestReattachUnderConcurrentWriters: committers and the epoch ticker keep
+// running while the device dies and Reattach repairs the log. The writer
+// gate keeps every claim whole, so recovery finds every commit that
+// returned nil, including those the dead device refused.
+func TestReattachUnderConcurrentWriters(t *testing.T) {
+	inner := wal.NewMemStorage()
+	inj := faultfs.NewInjector(inner, faultfs.Plan{})
+	db, err := Open(Config{EpochInterval: time.Millisecond, Storage: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl := db.CreateTable("t")
+
+	const writers = 4
+	var (
+		stop    atomic.Bool
+		commits atomic.Int64
+		wg      sync.WaitGroup
+	)
+	committed := make([][]string, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				k := fmt.Sprintf("w%d-%06d", w, i)
+				txn := db.Begin(w)
+				if err := txn.Insert(tbl, []byte(k), []byte("v")); err != nil {
+					txn.Abort() // refused while degraded
+					continue
+				}
+				if txn.Commit() == nil {
+					committed[w] = append(committed[w], k)
+					commits.Add(1)
+				}
+			}
+		}(w)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	waitFor("commits before the fault", func() bool { return commits.Load() >= 200 })
+	inj.SetFailOp(inj.OpCount() + 1)
+	waitFor("the ticker's flush to degrade the DB", func() bool { return db.Health().State == engine.Degraded })
+	inj.Heal()
+	rep, err := db.Reattach(nil)
+	if err != nil || rep.Lost != 0 {
+		stop.Store(true)
+		wg.Wait()
+		t.Fatalf("reattach under writers = %+v, %v", rep, err)
+	}
+	healed := commits.Load()
+	waitFor("commits after reattach", func() bool { return commits.Load() >= healed+200 })
+	stop.Store(true)
+	wg.Wait()
+	if err := db.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Recover(Config{Storage: inner.Crash(), EpochInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	txn := db2.Begin(0)
+	defer txn.Abort()
+	tbl2 := db2.OpenTable("t")
+	for w, keys := range committed {
+		for _, k := range keys {
+			if _, err := txn.Get(tbl2, []byte(k)); err != nil {
+				t.Fatalf("writer %d's committed %s lost: %v", w, k, err)
+			}
+		}
 	}
 }

@@ -81,8 +81,8 @@ type Config struct {
 	// Snapshots enables read-only snapshot maintenance. When disabled,
 	// BeginReadOnly transactions run the normal OCC protocol.
 	Snapshots bool
-	// Storage receives the asynchronous per-epoch log writes; nil keeps
-	// the log in memory.
+	// Storage holds the wal segments the per-epoch group commit writes;
+	// nil keeps the log in memory.
 	Storage wal.Storage
 }
 
@@ -117,17 +117,19 @@ type DB struct {
 
 	workers [MaxWorkers]workerState
 
-	logMu   sync.Mutex
-	logFile wal.File
-	logOff  int64
-	pending []pendingEntry // entries the dead device refused (health.go)
-	durable atomic.Uint64  // logOff as of the last successful sync
-
-	health engine.Health
+	// log holds one commit block per writer transaction. It runs in
+	// SyncFlush mode: the epoch ticker's WaitDurable is the only flush
+	// driver, which is SiloR's per-epoch group commit. logGate is
+	// read-locked across each commit's reservation so Reattach can take it
+	// exclusively and repair the log with no claim in flight (health.go).
+	log     *wal.Manager
+	logGate sync.RWMutex
+	health  engine.Health
 
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
+	closeErr  error
 
 	stats Stats
 }
@@ -151,20 +153,21 @@ type Stats struct {
 
 // Open creates a Silo DB.
 func Open(cfg Config) (*DB, error) {
+	return open(cfg, nil, 2) // read-only snapshots read epoch-1; start past zero
+}
+
+// open starts a DB at the given epoch on a fresh log, or on the log resume
+// describes (Recover).
+func open(cfg Config, resume *wal.RecoverResult, epoch uint64) (*DB, error) {
 	if cfg.EpochInterval == 0 {
 		cfg.EpochInterval = 10 * time.Millisecond
 	}
-	db := &DB{cfg: cfg, tables: make(map[string]*Table)}
-	db.epoch.Store(2) // read-only snapshots read epoch-1; start past zero
-	st := cfg.Storage
-	if st == nil {
-		st = wal.NewMemStorage()
-	}
-	f, err := st.Create(logName)
+	log, err := wal.Open(wal.Config{Storage: cfg.Storage, SyncFlush: true}, resume)
 	if err != nil {
 		return nil, err
 	}
-	db.logFile = f
+	db := &DB{cfg: cfg, tables: make(map[string]*Table), log: log}
+	db.epoch.Store(epoch)
 	db.stop = make(chan struct{})
 	db.done = make(chan struct{})
 	go db.ticker()
@@ -240,43 +243,21 @@ func (db *DB) OpenTable(name string) engine.Table {
 	return nil
 }
 
-// Close stops the epoch ticker and makes Failed the terminal health state.
+// Close stops the epoch ticker, makes Failed the terminal health state and
+// shuts down the log, writing what the last epoch left unflushed.
 func (db *DB) Close() error {
 	db.closeOnce.Do(func() {
 		close(db.stop)
 		<-db.done
 		db.health.Fail()
+		db.closeErr = db.log.Close()
 	})
-	return nil
+	return db.closeErr
 }
 
 // newRecord allocates a record with a global order id.
 func (db *DB) newRecord() *Record {
 	return &Record{id: db.recID.Add(1)}
-}
-
-// appendLog buffers a committed transaction's value-log image; an epoch
-// boundary syncs it (group commit). A device failure does not lose the
-// entry: its bytes and assigned offset join the pending list for Reattach
-// to rewrite, and the DB degrades to read-only (health.go).
-func (db *DB) appendLog(buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	db.logMu.Lock()
-	defer db.logMu.Unlock()
-	off := db.logOff
-	db.logOff += int64(len(buf))
-	if db.health.State() != engine.Healthy {
-		// The device is already known dead; queue directly. The bytes are
-		// copied because callers reuse their encode buffers.
-		db.pending = append(db.pending, pendingEntry{off: off, buf: append([]byte(nil), buf...)})
-		return
-	}
-	if _, err := db.logFile.WriteAt(buf, off); err != nil {
-		db.pending = append(db.pending, pendingEntry{off: off, buf: append([]byte(nil), buf...)})
-		db.health.Note(err)
-	}
 }
 
 // stableRead performs Silo's consistent record read: word, data, word.

@@ -11,18 +11,18 @@ import (
 	"ermia/internal/xrand"
 )
 
-// Crash-point sweep for the Silo engine's value log: record the storage
+// Crash-point sweep for the Silo engine's wal-framed log: record the storage
 // trace of a seeded workload, then crash at every operation boundary (plus
-// seeded torn-write points inside each log append), recover, and require
+// seeded torn-write points inside each segment write), recover, and require
 //
 //  1. prefix consistency — the recovered state equals the state after some
-//     prefix of the committed transactions (entries are framed with a
-//     length+checksum header, so a torn tail must cut cleanly at the last
-//     whole entry, never surface a half-applied transaction);
-//  2. group-commit honesty — every transaction acked by an explicit log
-//     sync before the crash point is recovered.
+//     prefix of the committed transactions (each commit is one checksummed
+//     wal block, so a torn tail must cut cleanly at the last whole block,
+//     never surface a half-applied transaction);
+//  2. group-commit honesty — every transaction acked by an explicit
+//     WaitDurable before the crash point is recovered.
 //
-// The epoch ticker is parked (EpochInterval = 1h) and syncs are explicit,
+// The epoch ticker is parked (EpochInterval = 1h) and flushes are explicit,
 // so the trace is a pure function of the seed and any failure reproduces
 // from seed + point alone.
 
@@ -68,7 +68,7 @@ func sweepSiloConfig(st wal.Storage) Config {
 }
 
 // runSiloSweepWorkload drives a deterministic single-worker workload,
-// syncing the value log explicitly as the group-commit acknowledgement.
+// flushing the log explicitly as the group-commit acknowledgement.
 func runSiloSweepWorkload(t testing.TB, seed uint64, rec *faultfs.Recorder) ([]map[string]string, []ackPoint) {
 	t.Helper()
 	db, err := Open(sweepSiloConfig(rec))
@@ -118,16 +118,16 @@ func runSiloSweepWorkload(t testing.TB, seed uint64, rec *faultfs.Recorder) ([]m
 			model = staged
 			states = append(states, copyMap(model))
 		}
-		// Group-commit acknowledgement: an explicit value-log sync, playing
-		// the role of the parked epoch ticker's per-epoch sync.
+		// Group-commit acknowledgement: an explicit flush, playing the role
+		// of the parked epoch ticker's per-epoch flush.
 		if rng.Intn(5) == 0 {
-			if err := db.logFile.Sync(); err != nil {
+			if err := db.WaitDurable(); err != nil {
 				t.Fatalf("txn %d sync: %v", i, err)
 			}
 			acks = append(acks, ackPoint{len(rec.Ops()), len(states) - 1})
 		}
 	}
-	if err := db.logFile.Sync(); err != nil {
+	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
 	}
 	acks = append(acks, ackPoint{len(rec.Ops()), len(states) - 1})
@@ -178,7 +178,7 @@ func checkSiloSweepPoint(t *testing.T, seed uint64, tr faultfs.Trace, p faultfs.
 }
 
 // TestCrashPointSweep sweeps ≥ 50 crash and torn-write points of the Silo
-// value log.
+// log.
 func TestCrashPointSweep(t *testing.T) {
 	seed := uint64(siloSweepSeed)
 

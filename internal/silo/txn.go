@@ -6,6 +6,7 @@ import (
 
 	"ermia/internal/engine"
 	"ermia/internal/index"
+	"ermia/internal/wal"
 )
 
 // Txn is a Silo transaction: footprints stay local until pre-commit, when
@@ -294,7 +295,8 @@ func (t *Txn) refreshNode(before, after index.Handle[*Record]) {
 
 // Commit runs Silo's three-phase protocol: lock the write set in global
 // record order, compute the commit TID, validate the read and node sets,
-// then install new versions and release the locks.
+// claim the commit's log block, then install new versions and release the
+// locks.
 func (t *Txn) Commit() error {
 	if t.done {
 		return engine.ErrAborted
@@ -312,8 +314,8 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 
-	// A degraded DB refuses to install new versions: the value log cannot
-	// accept their entries, and read service must stay consistent with what
+	// A degraded DB refuses to install new versions: the log cannot accept
+	// their blocks, and read service must stay consistent with what
 	// Reattach will make durable.
 	if err := t.db.health.Writable(); err != nil {
 		t.abortInternal()
@@ -364,7 +366,23 @@ func (t *Txn) Commit() error {
 		return err
 	}
 
-	// Phase 3: install, preserving snapshot versions, and log.
+	// Claim and fill the commit block before installing anything, so a
+	// refused reservation aborts a transaction that changed nothing. The
+	// epoch ticker's flush makes the block durable (group commit).
+	ws.logBuf = encodeEntry(ws.logBuf[:0], commitTID, t.writes)
+	t.db.logGate.RLock()
+	res, err := t.db.log.Reserve(len(ws.logBuf), wal.BlockCommit)
+	if err != nil {
+		t.db.logGate.RUnlock()
+		t.unlock(locked)
+		t.abortInternal()
+		return t.db.health.Unavailable(err)
+	}
+	res.Append(ws.logBuf)
+	res.Commit()
+	t.db.logGate.RUnlock()
+
+	// Phase 3: install, preserving snapshot versions.
 	snapshots := t.db.cfg.Snapshots
 	for i := range t.writes {
 		w := &t.writes[i]
@@ -380,9 +398,6 @@ func (t *Txn) Commit() error {
 		}
 		rec.word.Store(makeWord(commitTID, w.absent)) // releases the lock
 	}
-	logBuf := encodeEntry(ws.logBuf[:0], commitTID, t.writes)
-	t.db.appendLog(logBuf)
-	ws.logBuf = logBuf[:0]
 	t.finish(true)
 	return nil
 }

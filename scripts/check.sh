@@ -2,7 +2,7 @@
 # check.sh — the full local gate: vet, the repo-specific static-analysis
 # suite, build, tests, the nested benchmark module's tests and smoke run,
 # and a short race pass over the packages with real concurrency (log
-# manager, engine core, the lock-free index and indirection arrays, epoch
+# manager, both engines, the lock-free index and indirection arrays, epoch
 # manager). CI and pre-commit hooks should run exactly this.
 set -eu
 
@@ -62,7 +62,7 @@ echo "== repository benchmark (nested module: its tests, then every workload at 
 (cd benchmark && go test ./...)
 bash benchmark/run.sh -smoke
 
-echo "== go test -race (core, index, mvcc, wal, epoch, engine, server, client, repl, faultconn; -short) =="
+echo "== go test -race (core, silo, index, mvcc, wal, epoch, engine, server, client, repl, faultconn, query, shard; -short) =="
 # Includes the worker-context reuse tests (TestTxnUseAfterFinish,
 # TestTxnTwoLiveOnOneSlot, TestShardPreparedKeepsItsWriteSet) and the GC
 # equivalence tests (TestGCEquivalence*, TestReplicaGCFollowsTheApplier),
@@ -75,7 +75,9 @@ echo "== go test -race (core, index, mvcc, wal, epoch, engine, server, client, r
 # (index.TestConcurrentDeleteIfReplace); and the index's shared leaf slots: a
 # paused scan against every leaf change (index.TestScanYieldsItsView) and
 # NEW-ORDER-shaped tail-insert/head-delete churn (index.TestNewOrderChurn).
-go test -race -short -count=1 ./internal/core/ ./internal/index/ ./internal/mvcc/ \
+# Silo is here because its committers share the wal's lock-free reservation
+# and ring with the epoch ticker's flush.
+go test -race -short -count=1 ./internal/core/ ./internal/silo/ ./internal/index/ ./internal/mvcc/ \
 	./internal/wal/ ./internal/epoch/ \
 	./internal/engine/ ./internal/server/ ./internal/client/ ./internal/repl/ \
 	./internal/faultconn/ ./internal/query/ ./internal/shard/
