@@ -45,7 +45,7 @@ func main() {
 	serve := flag.String("serve", "", "also serve this database for -connect peers on the given address")
 	connect := flag.String("connect", "", "connect to a remote ermia-server instead of opening a database")
 	shardMap := flag.String("shard-map", "", "shard map JSON file; route commands across a sharded fleet instead of one database")
-	decisionLog := flag.String("decision-log", "", "router mode: durable two-phase-commit decision log path (empty: memory-only)")
+	decisionLog := flag.String("decision-log", "", "router mode: directory of the durable two-phase-commit decision log (empty: memory-only)")
 	flag.Parse()
 
 	var eng ermia.Engine

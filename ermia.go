@@ -550,7 +550,7 @@ func QueryInTxn(db Engine, txn Txn, plan *QueryPlan) ([]QueryRow, error) {
 // crashes. See DESIGN.md ("Sharding & distributed commit").
 //
 //	m, _ := ermia.LoadShardMap("shards.json")
-//	r, _ := ermia.NewShardRouter(m, ermia.ShardRouterOptions{DecisionLog: "decisions.log"})
+//	r, _ := ermia.NewShardRouter(m, ermia.ShardRouterOptions{DecisionLog: "decisions"}) // a wal directory
 //	defer r.Close()
 //	err := ermia.WithRetry(r, 0, func(txn ermia.Txn) error { ... })
 
@@ -570,7 +570,7 @@ type ShardTableRule = shard.TableRule
 type ShardRouter = shard.Router
 
 // ShardRouterOptions configures a ShardRouter (pool sizes, decision-log
-// path, dial hook, shard-identity verification).
+// directory, dial hook, shard-identity verification).
 type ShardRouterOptions = shard.Options
 
 // NewShardRouter dials every shard in m and returns a router over them.

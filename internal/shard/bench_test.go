@@ -1,19 +1,19 @@
 package shard_test
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
 	"ermia/internal/alloctest"
 	"ermia/internal/engine"
+	"ermia/internal/faultfs"
 	"ermia/internal/shard"
 	"ermia/internal/wal"
 )
 
 // crossRig is a two-shard loopback fleet and a router whose three commit
-// devices (each shard's log, the decision log) are modelled: every sync takes
-// syncDelay and is counted. The shards' flushers never sync on their own
+// devices (each shard's log, the decision log) are modelled alike: each is a
+// SyncGate on which every sync takes syncDelay and is counted. The shards' flushers never sync on their own
 // initiative, so every sync is one some acknowledgment waited for.
 type crossRig struct {
 	r         *shard.Router
@@ -29,12 +29,16 @@ func newCrossRig(t testing.TB, syncDelay time.Duration) *crossRig {
 		cfg.IdleSleep = time.Minute
 		return cfg
 	})
-	r := cl.router(t, shard.Options{PoolSize: 1, DecisionLog: filepath.Join(t.TempDir(), "decisions.log")})
-	logSyncs := r.ModelDecisionLogSync(syncDelay)
+	logGate := faultfs.NewSyncGate(wal.NewMemStorage(), syncDelay)
+	r, err := shard.NewRouterOver(cl.m, shard.Options{PoolSize: 1}, logGate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
 	rig := &crossRig{
 		r: r, tbl: r.CreateTable("t"), syncDelay: syncDelay,
 		a: shardKey(t, cl.m, "t", 0), b: shardKey(t, cl.m, "t", 1),
-		syncs: func() int64 { return logSyncs.Load() + cl.gates[0].Syncs() + cl.gates[1].Syncs() },
+		syncs: func() int64 { return logGate.Syncs() + cl.gates[0].Syncs() + cl.gates[1].Syncs() },
 	}
 	txn := r.Begin(0)
 	for _, k := range [][]byte{rig.a, rig.b} {

@@ -1,16 +1,16 @@
 package shard
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ermia/internal/wal"
 )
 
 // dlogEntry is one cross-shard transaction the coordinator is (or was)
@@ -47,50 +47,70 @@ type dlogEntry struct {
 // cannot have committed anywhere and is aborted. Both re-deliveries are
 // safe because participants treat decides idempotently.
 //
-// Records, one per line:
+// The log is a wal in SyncFlush mode, one block per record, so it shares
+// the engine's framing, checksum and torn-tail rule. A block's payload is a
+// kind byte and big-endian fields:
 //
-//	I <id> <n>          incarnation n of coordinator <id> opened the log (forced)
-//	C <gid> <s0,s1,..>  commit decision and its participants (forced)
-//	D <gid>             retired
+//	I id u64, n u64                   incarnation n of coordinator id opened the log (forced)
+//	C gid [16], count u32, count×u32  commit decision and its participants (forced)
+//	D gid [16]                        every participant confirmed; the entry is gone
 //
 // A gid is id ‖ sequence, both big-endian, so one coordinator's gids sort by
 // age. Incarnation n numbers from n<<seqShift, above anything an earlier one
 // can have used; that is what lets recovery tell its predecessors' orphans
 // from its own live transactions without a record per transaction.
 //
-// With no path configured the log is memory-only: resolution still works
-// for the life of the process (the background resolver), but a coordinator
-// crash orphans prepared transactions until an operator intervenes —
-// production routers should always set Options.DecisionLog.
+// With no storage the log is memory-only: resolution still works for the
+// life of the process (the background resolver), but a coordinator crash
+// orphans prepared transactions until an operator intervenes — production
+// routers should always set Options.DecisionLog.
 type decisionLog struct {
 	id       uint64
 	firstSeq uint64
 	seq      atomic.Uint64
 
-	fmu   sync.Mutex // serializes appends; never held with mu
-	f     *os.File   // nil = memory-only
-	fsync func() error
+	log *wal.Manager // nil = memory-only
 
 	mu      sync.Mutex
 	pending map[string]*dlogEntry
-	// retired buffers D lines until the next forced append carries them out
-	// (or close does): retiring costs no write of its own.
-	retired []byte
 }
 
 // seqShift sizes an incarnation's sequence space: 2^40 transactions each,
 // 2^24 incarnations.
 const seqShift = 40
 
-// openDecisionLog opens (creating if needed) the log at path, replays it
-// into the in-memory pending set and records the new incarnation. Empty
-// path means memory-only.
-func openDecisionLog(path string) (*decisionLog, error) {
+// gidLen is the size of every gid this coordinator mints.
+const gidLen = 16
+
+// openDecisionLog replays the log in st into the in-memory pending set,
+// resumes it where the replay ended and records the new incarnation. A nil
+// st means memory-only.
+func openDecisionLog(st wal.Storage) (*decisionLog, error) {
 	l := &decisionLog{pending: make(map[string]*dlogEntry)}
 	var incarnation uint64
-	if path != "" {
+	var res *wal.RecoverResult
+	if st != nil {
 		var err error
-		if incarnation, err = l.replay(path); err != nil {
+		res, err = wal.Recover(st, func(b wal.Block) error {
+			r, err := decodeRecord(b)
+			if err != nil {
+				return err
+			}
+			switch r.kind {
+			case 'I':
+				if l.id == 0 {
+					l.id = r.id
+				}
+				incarnation = max(incarnation, r.n)
+			case 'C':
+				gid := bytes.Clone(r.gid)
+				l.pending[string(gid)] = &dlogEntry{gid: gid, shards: r.shards, todo: slices.Clone(r.shards), commit: true, logged: true}
+			case 'D':
+				delete(l.pending, string(r.gid))
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -100,114 +120,82 @@ func openDecisionLog(path string) (*decisionLog, error) {
 	incarnation++
 	l.firstSeq = incarnation << seqShift
 	l.seq.Store(l.firstSeq)
-	if path == "" {
+	if st == nil {
 		return l, nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	// Records are tens of bytes and every forced C empties the ring, so a
+	// small one does.
+	m, err := wal.Open(wal.Config{Storage: st, BufferSize: 64 << 10, SyncFlush: true}, res)
 	if err != nil {
 		return nil, err
 	}
-	l.f, l.fsync = f, f.Sync
-	line := fmt.Sprintf("I %016x %d\n", l.id, incarnation)
-	// A crash mid-append leaves a torn last line; end it, or the first
-	// record written now would be read as part of it.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
-			line = "\n" + line
-		}
-	}
-	if err := l.append([]byte(line), true); err != nil {
-		f.Close()
+	l.log = m
+	rec := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64([]byte{'I'}, l.id), incarnation)
+	if err := l.append(rec, true); err != nil {
+		m.Close()
 		return nil, err
 	}
 	return l, nil
 }
 
-// replay loads an existing log file and returns the highest incarnation it
-// records. Torn trailing lines (a crash mid-append) are ignored; every
-// complete record before them is honored.
-func (l *decisionLog) replay(path string) (incarnation uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 2 {
-			continue
-		}
-		raw, err := hex.DecodeString(fields[1])
-		if err != nil {
-			continue
-		}
-		key := string(raw)
-		switch fields[0] {
-		case "I":
-			if len(raw) != 8 || len(fields) < 3 {
-				continue
-			}
-			n, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				continue
-			}
-			if l.id == 0 {
-				l.id = binary.BigEndian.Uint64(raw)
-			}
-			if n > incarnation {
-				incarnation = n
-			}
-		case "C":
-			if len(fields) < 3 {
-				continue
-			}
-			if shards, ok := parseShards(fields[2]); ok {
-				l.pending[key] = &dlogEntry{gid: raw, shards: shards, todo: append([]int(nil), shards...), commit: true, logged: true}
-			}
-		case "D":
-			delete(l.pending, key)
-		}
-	}
-	return incarnation, sc.Err()
+// dlogRecord is one decoded decision-log block; gid aliases its payload.
+type dlogRecord struct {
+	kind   byte
+	id, n  uint64 // I
+	gid    []byte // C, D
+	shards []int  // C
 }
 
-func parseShards(s string) ([]int, bool) {
-	var shards []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, false
-		}
-		shards = append(shards, n)
+// decodeRecord parses a block the log's checksum has already vouched for,
+// so a malformed payload is a bug or a foreign log, never a torn write: it
+// is refused rather than skipped.
+func decodeRecord(b wal.Block) (dlogRecord, error) {
+	p := b.Payload
+	var r dlogRecord
+	if b.Type == wal.BlockCommit && len(p) > 0 {
+		r.kind, p = p[0], p[1:]
 	}
-	return shards, true
+	switch {
+	case r.kind == 'I' && len(p) == 16:
+		r.id, r.n = binary.BigEndian.Uint64(p), binary.BigEndian.Uint64(p[8:])
+		return r, nil
+	case r.kind == 'D' && len(p) == gidLen:
+		r.gid = p
+		return r, nil
+	case r.kind == 'C' && len(p) >= gidLen+4:
+		r.gid, p = p[:gidLen], p[gidLen:]
+		if n := binary.BigEndian.Uint32(p); uint64(len(p)-4) == 4*uint64(n) {
+			r.shards = make([]int, n)
+			for i := range r.shards {
+				r.shards[i] = int(binary.BigEndian.Uint32(p[4+4*i:]))
+			}
+			return r, nil
+		}
+	}
+	return r, fmt.Errorf("shard: malformed decision-log block at %v", b.LSN)
 }
 
-// append writes records; sync forces them to stable storage before
+// append logs one record; sync forces it to stable storage before
 // returning, which is required for records whose existence other nodes
 // will be told about (C before commits go out, I before any gid does).
-func (l *decisionLog) append(buf []byte, sync bool) error {
-	l.fmu.Lock()
-	defer l.fmu.Unlock()
-	if l.f == nil || len(buf) == 0 {
+func (l *decisionLog) append(rec []byte, sync bool) error {
+	if l.log == nil {
 		return nil
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	res, err := l.log.Reserve(len(rec), wal.BlockCommit)
+	if err != nil {
 		return err
 	}
-	if sync {
-		return l.fsync()
+	res.Append(rec)
+	res.Commit()
+	if !sync {
+		return nil
 	}
-	return nil
+	return l.log.WaitDurable(res.Offset() + wal.BlockHeaderSize + uint64(len(rec)))
 }
 
 func (l *decisionLog) gidOf(seq uint64) []byte {
-	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(make([]byte, 0, 16), l.id), seq)
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(make([]byte, 0, gidLen), l.id), seq)
 }
 
 // recoveryRange is the gid range [lo, hi) of every earlier incarnation of
@@ -228,26 +216,17 @@ func (l *decisionLog) begin(shards []int) *dlogEntry {
 	return e
 }
 
-// decide makes e's commit decision durable. That fsync is the commit point
-// of the whole cross-shard transaction: it MUST complete before any
-// participant is told to commit. An abort is never logged.
+// decide makes e's commit decision durable. That forced write is the commit
+// point of the whole cross-shard transaction: it MUST complete before any
+// participant is told to commit. Concurrent decides share one flush. An
+// abort is never logged.
 func (l *decisionLog) decide(e *dlogEntry) error {
-	line := make([]byte, 0, 64)
-	line = append(line, "C "...)
-	line = hex.AppendEncode(line, e.gid)
-	for i, s := range e.shards {
-		sep := byte(',')
-		if i == 0 {
-			sep = ' '
-		}
-		line = strconv.AppendInt(append(line, sep), int64(s), 10)
+	rec := make([]byte, 0, 1+gidLen+4+4*len(e.shards))
+	rec = binary.BigEndian.AppendUint32(append(append(rec, 'C'), e.gid...), uint32(len(e.shards)))
+	for _, s := range e.shards {
+		rec = binary.BigEndian.AppendUint32(rec, uint32(s))
 	}
-	line = append(line, '\n')
-	l.mu.Lock()
-	buf := append(l.retired, line...)
-	l.retired = nil
-	l.mu.Unlock()
-	if err := l.append(buf, true); err != nil {
+	if err := l.append(rec, true); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -264,7 +243,7 @@ func (l *decisionLog) markApplied(e *dlogEntry) {
 	l.mu.Unlock()
 }
 
-// release ends e's commit attempt. Whatever state it is left in — retired,
+// release ends e's commit attempt. Whatever state it is left in — gone,
 // applied, decided but undelivered, or never decided — is final, and the
 // resolvers may act on it.
 func (l *decisionLog) release(e *dlogEntry) {
@@ -274,24 +253,25 @@ func (l *decisionLog) release(e *dlogEntry) {
 }
 
 // confirm records that shard has durably confirmed e's decision, retiring
-// the entry on the last one. Idempotent. The D record is not forced: losing
-// it merely re-sends idempotent decides at recovery.
+// the entry on the last one. Idempotent. The D record is not forced: it
+// rides the next forced write (or close), and losing it merely re-sends
+// idempotent decides at recovery.
 func (l *decisionLog) confirm(e *dlogEntry, shard int) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i, s := range e.todo {
 		if s == shard {
 			e.todo = append(e.todo[:i], e.todo[i+1:]...)
 			break
 		}
 	}
-	if len(e.todo) > 0 || l.pending[string(e.gid)] != e {
-		return
+	retire := len(e.todo) == 0 && l.pending[string(e.gid)] == e
+	if retire {
+		delete(l.pending, string(e.gid))
 	}
-	delete(l.pending, string(e.gid))
-	if e.logged {
-		l.retired = hex.AppendEncode(append(l.retired, "D "...), e.gid)
-		l.retired = append(l.retired, '\n')
+	logD := retire && e.logged
+	l.mu.Unlock()
+	if logD {
+		_ = l.append(append([]byte{'D'}, e.gid...), false)
 	}
 }
 
@@ -331,7 +311,7 @@ func (l *decisionLog) inDoubt() []string {
 }
 
 // undelivered returns the in-doubt entry for key with its decision and the
-// participants still to confirm it, or nil if there is none (retired,
+// participants still to confirm it, or nil if there is none (gone,
 // owned by a running commit, or applied everywhere).
 func (l *decisionLog) undelivered(key string) (e *dlogEntry, commit bool, todo []int) {
 	l.mu.Lock()
@@ -343,20 +323,11 @@ func (l *decisionLog) undelivered(key string) (e *dlogEntry, commit bool, todo [
 	return e, e.commit, append([]int(nil), e.todo...)
 }
 
+// close drains the records not yet forced (the D records) and closes the
+// log.
 func (l *decisionLog) close() error {
-	l.mu.Lock()
-	buf := l.retired
-	l.retired = nil
-	l.mu.Unlock()
-	err := l.append(buf, false)
-	l.fmu.Lock()
-	defer l.fmu.Unlock()
-	if l.f == nil {
-		return err
+	if l.log == nil {
+		return nil
 	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
+	return l.log.Close()
 }

@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "ermia/internal/wal"
 
 // Crash abandons the router as a process death would: connections and log
 // are closed, no queued confirmation is drained, nothing is resolved.
@@ -19,17 +16,24 @@ func (r *Router) Pending() int {
 	return len(r.dlog.pending)
 }
 
-// ModelDecisionLogSync puts the decision log on a modelled device: every
-// forced write takes delay instead of the file's own fsync. It returns the
-// count of them.
-func (r *Router) ModelDecisionLogSync(delay time.Duration) *atomic.Int64 {
-	syncs := new(atomic.Int64)
-	r.dlog.fmu.Lock()
-	r.dlog.fsync = func() error {
-		time.Sleep(delay)
-		syncs.Add(1)
-		return nil
+// NewRouterOver is NewRouter with the decision log over st instead of the
+// directory Options.DecisionLog names.
+func NewRouterOver(m *Map, opts Options, st wal.Storage) (*Router, error) {
+	return newRouter(m, opts, st)
+}
+
+// DecisionLogKinds decodes the decision log in dir and returns the kind
+// byte of every record, in log order.
+func DecisionLogKinds(dir string) (string, error) {
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		return "", err
 	}
-	r.dlog.fmu.Unlock()
-	return syncs
+	var kinds []byte
+	_, err = wal.Recover(st, func(b wal.Block) error {
+		r, err := decodeRecord(b)
+		kinds = append(kinds, r.kind)
+		return err
+	})
+	return string(kinds), err
 }

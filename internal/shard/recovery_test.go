@@ -1,8 +1,11 @@
 package shard_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +16,7 @@ import (
 	"ermia/internal/engine"
 	"ermia/internal/server"
 	"ermia/internal/shard"
+	"ermia/internal/wal"
 )
 
 // prepareRecords counts the prepare records shard i still holds, parked or
@@ -154,18 +158,13 @@ func TestRecoveryMatrix(t *testing.T) {
 				if n := r3.Pending(); n != 0 {
 					t.Errorf("replayed log answers for %d transactions", n)
 				}
-				raw, err := os.ReadFile(dlogPath)
+				kinds, err := shard.DecisionLogKinds(dlogPath)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var commits int
-				for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-					if !strings.ContainsRune("ICD", rune(line[0])) {
-						t.Errorf("unexpected decision-log record %q", line)
-					}
-					if line[0] == 'C' {
-						commits++
-					}
+				commits := strings.Count(kinds, "C")
+				if strings.Trim(kinds, "ICD") != "" {
+					t.Errorf("unexpected decision-log records %q", kinds)
 				}
 				if (commits == 1) != pt.committed || commits > 1 {
 					t.Errorf("log holds %d C records, committed=%v", commits, pt.committed)
@@ -315,4 +314,75 @@ func TestUndeliveredDecisionResolvesInBackground(t *testing.T) {
 			t.Errorf("Get(%q) after background resolution: %v", k, err)
 		}
 	}
+}
+
+// TestNewRouterRefusesForeignDecisionLog starts a router over a decision log
+// it cannot read. Starting empty instead would forget every C the log holds
+// and orphan every prepared gid its id covers, so NewRouter must fail and
+// leave the bytes as they were: a text log from before the log took the
+// wal's framing, and a block whose checksum holds but whose C record claims
+// more shards than its payload carries.
+func TestNewRouterRefusesForeignDecisionLog(t *testing.T) {
+	cl := startCluster(t, 1, nil)
+	t.Run("text", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "decisions.log")
+		text := []byte("I 18df45477031d6e9 1\nC 18df45477031d6e90000010000000001 0,1\n")
+		if err := os.WriteFile(path, text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := shard.NewRouter(cl.m, shard.Options{DecisionLog: path}); err == nil {
+			r.Close()
+			t.Fatal("NewRouter over a text decision log succeeded")
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, text) {
+			t.Errorf("text log now %q (%v), want it untouched", got, err)
+		}
+	})
+	t.Run("malformed", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "decisions.log")
+		st, err := wal.NewDirStorage(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wal.Open(wal.Config{Storage: st, SyncFlush: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := binary.BigEndian.AppendUint32(append([]byte{'C'}, make([]byte, 16)...), 1000)
+		res, err := m.Reserve(len(rec), wal.BlockCommit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Append(rec)
+		res.Commit()
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		if r, err := shard.NewRouter(cl.m, shard.Options{DecisionLog: dir}); err == nil {
+			r.Close()
+			t.Fatal("NewRouter over a malformed decision block succeeded")
+		} else if !strings.Contains(err.Error(), "malformed decision-log block") {
+			t.Errorf("NewRouter = %v, want the malformed block refused", err)
+		}
+		if after := dirBytes(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Error("refused decision log was modified")
+		}
+	})
+}
+
+// dirBytes reads every file in dir.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"ermia/internal/client"
 	"ermia/internal/engine"
+	"ermia/internal/wal"
 )
 
 // Options configures a Router. The zero value is usable with NewRouter —
@@ -26,10 +27,10 @@ type Options struct {
 	// Dial, when set, replaces TCP dialing — the fault-injection seam for
 	// tests and the nemesis harness, same as client.Options.Dial.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// DecisionLog is the path of the coordinator's durable decision log.
-	// Empty means memory-only: fine for tests and single-process demos,
-	// wrong for production (a coordinator crash would orphan prepared
-	// transactions).
+	// DecisionLog is the directory of the coordinator's durable decision
+	// log, a wal of its own (created if missing). Empty means memory-only:
+	// fine for tests and single-process demos, wrong for production (a
+	// coordinator crash would orphan prepared transactions).
 	DecisionLog string
 	// VerifyShards asks each server for its shard identity at dial time
 	// and fails NewRouter with engine.ErrShardMoved if an address hosts a
@@ -95,7 +96,20 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	dlog, err := openDecisionLog(opts.DecisionLog)
+	var st wal.Storage
+	if opts.DecisionLog != "" {
+		ds, err := wal.NewDirStorage(opts.DecisionLog)
+		if err != nil {
+			return nil, fmt.Errorf("shard: decision log: %w", err)
+		}
+		st = ds
+	}
+	return newRouter(m, opts, st)
+}
+
+// newRouter is NewRouter with the decision log over st (nil: memory-only).
+func newRouter(m *Map, opts Options, st wal.Storage) (*Router, error) {
+	dlog, err := openDecisionLog(st)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +156,7 @@ func NewRouter(m *Map, opts Options) (*Router, error) {
 	}
 	for i := range r.clients {
 		i := i
-		if opts.DecisionLog == "" {
+		if dlog.log == nil {
 			// A memory-only log has a fresh id: no predecessor to clean up
 			// after.
 			r.listed[i].Store(true)
