@@ -206,20 +206,38 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendFrameD appends a complete frame to dst with a relative deadline
 // budget (0 = none) and returns the extended slice.
 //
-//ermia:hotpath frame encoding runs once per message on every connection; the header array must stay on the stack
+//ermia:hotpath frame encoding runs once per message on every connection
 func AppendFrameD(dst []byte, typ byte, reqID uint64, deadlineMillis uint32, payload []byte) []byte {
 	start := len(dst)
-	var h [HeaderSize]byte
+	dst = append(append(dst, make([]byte, HeaderSize)...), payload...)
+	return finishFrame(dst, start, typ, reqID, deadlineMillis)
+}
+
+// AppendResponse appends the frame AppendFrame makes of a response to typ:
+// status, detail (empty unless StatusInternal), body. The payload is
+// encoded in place, never assembled on its own.
+//
+//ermia:hotpath every server response is encoded here, in place, into its session's write buffer
+func AppendResponse(dst []byte, typ byte, reqID uint64, st Status, detail string, body []byte) []byte {
+	start := len(dst)
+	dst = AppendStatus(append(dst, make([]byte, HeaderSize)...), st)
+	dst = append(binary.AppendUvarint(dst, uint64(len(detail))), detail...)
+	return finishFrame(append(dst, body...), start, typ|RespFlag, reqID, 0)
+}
+
+// finishFrame fills in the header reserved at dst[start:] and appends the
+// CRC.
+//
+//ermia:hotpath frame encoding runs once per message on every connection
+func finishFrame(dst []byte, start int, typ byte, reqID uint64, deadlineMillis uint32) []byte {
+	h := dst[start : start+HeaderSize]
 	binary.LittleEndian.PutUint16(h[0:], Magic)
 	h[2] = Version
 	h[3] = typ
 	binary.LittleEndian.PutUint64(h[4:], reqID)
 	binary.LittleEndian.PutUint32(h[12:], deadlineMillis)
-	binary.LittleEndian.PutUint32(h[16:], uint32(len(payload)))
-	dst = append(dst, h[:]...)
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	binary.LittleEndian.PutUint32(h[16:], uint32(len(dst)-start-HeaderSize))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // AppendFrame appends a complete frame with no deadline budget.

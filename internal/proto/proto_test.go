@@ -32,6 +32,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendResponseMatchesAppendFrame: a response encoded in place is the
+// frame AppendFrame makes of the assembled status, detail and body, appended
+// after whatever the buffer already holds. The detail lengths cover one- and
+// two-byte uvarint prefixes.
+func TestAppendResponseMatchesAppendFrame(t *testing.T) {
+	prefix := []byte("earlier frames")
+	for _, c := range []struct {
+		st     Status
+		detail string
+		body   []byte
+	}{
+		{StatusOK, "", nil},
+		{StatusOK, "", bytes.Repeat([]byte{0xCD}, 300)},
+		{StatusInternal, "boom", nil},
+		{StatusInternal, string(bytes.Repeat([]byte{'d'}, 200)), []byte("body")},
+	} {
+		payload := AppendBytes(AppendStatus(nil, c.st), []byte(c.detail))
+		payload = append(payload, c.body...)
+		want := AppendFrame(append([]byte(nil), prefix...), MsgScan|RespFlag, 9, payload)
+		got := AppendResponse(append([]byte(nil), prefix...), MsgScan, 9, c.st, c.detail, c.body)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("status %v, %d-byte detail: AppendResponse differs from AppendFrame", c.st, len(c.detail))
+		}
+	}
+}
+
 // TestFrameCorruption flips every byte of an encoded frame in turn; each
 // corruption must be rejected (bad magic/version/CRC) or — when it hits the
 // length field — fail to parse, never silently deliver wrong bytes.

@@ -73,7 +73,7 @@ func newGroupCommitter(srv *Server) *groupCommitter {
 
 // enqueue hands a committed transaction's acknowledgment to the committer.
 // The caller must hold the session's async-response count (wg) so teardown
-// cannot close the response channel underneath the eventual respond.
+// cannot finish the connection underneath the eventual ack.
 func (g *groupCommitter) enqueue(a commitAck) { g.ch <- a }
 
 //ermia:cancellable
@@ -169,9 +169,14 @@ func (g *groupCommitter) awaitReplicated(batch []commitAck) {
 }
 
 // respondOne releases a single commit acknowledgment with the given status,
-// counting successful commits against their epoch.
+// counting successful commits against their epoch. It appends the ack and
+// wakes the session's flushAcks: the committer never waits on a write.
 func (g *groupCommitter) respondOne(a commitAck, st proto.Status, detail string) {
-	a.sess.respond(a.typ, a.reqID, respPayload(st, detail, nil))
+	a.sess.add(a.typ, a.reqID, st, detail, nil)
+	select {
+	case a.sess.acked <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 	if st == proto.StatusOK && a.count {
 		g.srv.noteCommit(a.epoch)
 	}

@@ -352,6 +352,117 @@ func TestWriteTimeoutDisconnectsSlowReader(t *testing.T) {
 	}
 }
 
+// TestStalledSubscriberCostsBoundedMemory: a raw replication subscriber
+// that stops reading blocks its own shipper's write. While it is stalled it
+// floods Stats requests, and its session buffer never holds more than
+// WriteBufSize plus one response: the handler waits for the blocked write
+// instead of queueing without limit. Another session keeps committing and
+// is acked promptly, and the stalled session is gone within WriteTimeout.
+// Runs over faultconn so the kernel's socket buffers cannot absorb the log.
+func TestStalledSubscriberCostsBoundedMemory(t *testing.T) {
+	const writeTimeout = time.Second
+	db := openCore(t, core.Config{})
+	cfg := server.Config{WriteTimeout: writeTimeout}
+	cfg.DB = db
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := faultconn.NewNetwork(1)
+	n.BufSize = 4 << 10
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	c, err := client.Dial(client.Options{Addr: "server", Dial: func(addr string, d time.Duration) (net.Conn, error) {
+		return n.DialTimeout("writer", addr, d)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tbl := c.CreateTable("t")
+	key := 0
+	commit := func(size int) time.Duration {
+		t.Helper()
+		start := time.Now()
+		key++
+		txn := c.Begin(0)
+		if err := txn.Insert(tbl, []byte(fmt.Sprintf("k%06d", key)), make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", key, err)
+		}
+		return time.Since(start)
+	}
+
+	nc, err := n.DialTimeout("stalled", "server", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	sub := &rawConn{t: t, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	if st, _, _ := sub.call(proto.MsgReplSubscribe, 0, proto.AppendU64(nil, 0)); st != proto.StatusOK {
+		t.Fatalf("subscribe: %v", st)
+	}
+	// From here on the subscriber reads nothing. Commit until the shipper
+	// is stuck: its shipped offset stays put below the durable horizon.
+	for i := 0; i < 32; i++ {
+		commit(8 << 10)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for last := srv.Stats().ReplShippedOffset; ; {
+		commit(100)
+		time.Sleep(20 * time.Millisecond)
+		st := srv.Stats()
+		if st.ReplShippedOffset == last && st.ReplShippedOffset < st.DurableOffset {
+			break
+		}
+		last = st.ReplShippedOffset
+		if time.Now().After(deadline) {
+			t.Fatalf("the shipper never stalled: %+v", st)
+		}
+	}
+	stalled := time.Now()
+
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for i := uint64(100); i < 4100; i++ {
+			if proto.WriteFrame(nc, proto.MsgStats, i, nil) != nil {
+				return // the server cut us off
+			}
+		}
+	}()
+
+	peak := 0
+	for time.Since(stalled) < writeTimeout/2 {
+		if d := commit(100); d > writeTimeout/4 {
+			t.Fatalf("a commit took %v beside a stalled subscriber", d)
+		}
+		peak = max(peak, server.MaxSessionBuffer(srv))
+	}
+	st := srv.Stats()
+	for ; st.ReplSubscribers != 0 || st.Conns != 1; st = srv.Stats() {
+		if time.Since(stalled) > writeTimeout+time.Second {
+			t.Fatalf("stalled subscriber still connected %v after the stall: %+v", time.Since(stalled), st)
+		}
+		peak = max(peak, server.MaxSessionBuffer(srv))
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Logf("stalled session gone %v after the stall, its buffer peaked at %d bytes", time.Since(stalled), peak)
+	<-flooded
+	if bound := server.WriteBufSize + 1<<10; peak > bound || peak < server.WriteBufSize/2 {
+		t.Fatalf("stalled session buffered at most %d bytes, want the Stats flood to fill it toward %d and never past %d",
+			peak, server.WriteBufSize, bound)
+	}
+	commit(100) // the committer is still serving
+}
+
 // TestIdleTimeoutReapsSilentPeer: a connection that never sends a frame is
 // reaped by the idle timer, while a client running Ping keepalives at a
 // fraction of the timeout survives and keeps working.

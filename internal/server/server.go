@@ -87,8 +87,8 @@ type Config struct {
 	// it to repl.Replica.Promote). Nil refuses the frame.
 	PromoteFn func() (string, error)
 	// WriteTimeout bounds each response write so a peer that stops reading
-	// is disconnected instead of wedging the session writer (and, through a
-	// full response queue, the group committer). Default 30s.
+	// is disconnected instead of wedging the session goroutine that writes
+	// to it. Default 30s.
 	WriteTimeout time.Duration
 	// IdleTimeout, when positive, disconnects a session that sends no frame
 	// for this long. Live clients stay inside it with Ping keepalives;

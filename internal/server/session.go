@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"time"
 
 	"sync"
@@ -38,20 +39,32 @@ type request struct {
 	deadline time.Time
 }
 
+// wbufSize is the fill at which a session's buffer is written at once, and
+// the largest buffer kept between bursts. A handler or shipper that finds it
+// this full while another goroutine writes waits for that writer to finish.
+const wbufSize = 64 << 10
+
 // session is one connection: a reader goroutine decodes frames into a
-// bounded queue, a handler goroutine executes them in arrival order against
-// the engine, and a writer goroutine streams out response frames (batched
-// into one flush whenever the queue empties). Commit acknowledgments may be
-// produced asynchronously by the group committer; wg tracks those so
-// teardown never closes the response channel under a pending
-// acknowledgment.
+// bounded queue and a handler goroutine executes them in arrival order.
+// Each response is encoded once, into the session's write buffer, and
+// written by the goroutine that produced it; the group committer only
+// appends acks and wakes flushAcks. wg counts the shipper and pending acks.
 type session struct {
 	srv *Server
 	nc  net.Conn
 
-	reqs chan request
-	out  chan []byte
-	wg   sync.WaitGroup // outstanding async commit responders
+	reqs  chan request
+	acked chan struct{} // one slot: the committer's wake-up for flushAcks
+	wg    sync.WaitGroup
+
+	wmu     sync.Mutex // guards the five fields below
+	wdone   sync.Cond  // broadcast when a writer stops
+	wbuf    []byte     // responses not yet handed to the socket
+	spare   []byte     // the buffer last written, emptied for the next swap
+	writing bool       // a goroutine is writing and will pick up wbuf
+	werr    error      // set by a failed write; nothing more is written
+
+	scratch []byte // the handler's response bodies, reused
 
 	txns     map[uint64]openTxn
 	openTxns atomic.Int32 // mirror of len(txns) readable off-thread
@@ -61,25 +74,24 @@ type session struct {
 	// goroutine. Owned by the handler goroutine (created in
 	// handleReplSubscribe, closed in teardown).
 	replStop chan struct{}
-
-	writerDone chan struct{}
 }
 
 func newSession(srv *Server, nc net.Conn) *session {
-	return &session{
-		srv:        srv,
-		nc:         nc,
-		reqs:       make(chan request, pipelineWindow),
-		out:        make(chan []byte, 4*pipelineWindow),
-		txns:       make(map[uint64]openTxn),
-		tables:     make(map[string]engine.Table),
-		writerDone: make(chan struct{}),
+	s := &session{
+		srv:    srv,
+		nc:     nc,
+		reqs:   make(chan request, pipelineWindow),
+		acked:  make(chan struct{}, 1),
+		txns:   make(map[uint64]openTxn),
+		tables: make(map[string]engine.Table),
 	}
+	s.wdone.L = &s.wmu
+	return s
 }
 
 func (s *session) start() {
 	go s.readLoop()
-	go s.writeLoop()
+	go s.flushAcks()
 	go s.run()
 }
 
@@ -123,57 +135,66 @@ func (s *session) readLoop() {
 	}
 }
 
-//ermia:cancellable
-func (s *session) writeLoop() {
-	defer close(s.writerDone)
-	bw := bufio.NewWriterSize(s.nc, 64<<10)
-	dead := false
-	// A peer that stops reading must not wedge this writer (and through a
-	// full response queue, the group committer) forever. The deadline is
-	// armed only ahead of a call that reaches the connection — the flush
-	// that ends a batch, or a frame too large for what is left of the
-	// buffer — not for every frame that merely lands in the buffer.
-	arm := func() { s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout)) }
-	for f := range s.out {
-		if dead {
-			continue // keep draining so producers never block on a dead conn
-		}
-		if len(f) > bw.Available() {
-			arm()
-		}
-		if _, err := bw.Write(f); err != nil {
-			dead = true
-		} else if len(s.out) == 0 {
-			arm()
-			if err := bw.Flush(); err != nil {
-				dead = true
-			}
-		}
-		if dead {
-			// Disconnect, don't just drop responses: closing the conn
-			// unblocks the reader, so the session tears down and its
-			// transactions, slots, and connection slot are reclaimed
-			// instead of being held by a peer that stopped reading.
+// reply appends a response and writes the buffer if that filled it. Only
+// the handler and the shipper call it; each flushes after its burst.
+func (s *session) reply(typ byte, reqID uint64, st proto.Status, detail string, body []byte) {
+	if s.add(typ, reqID, st, detail, body) >= wbufSize {
+		s.flush()
+	}
+}
+
+// add encodes a response at the end of the buffer and returns its length.
+func (s *session) add(typ byte, reqID uint64, st proto.Status, detail string, body []byte) int {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.wbuf = proto.AppendResponse(s.wbuf, typ, reqID, st, detail, body)
+	return len(s.wbuf)
+}
+
+// flush writes the buffer with wmu released, swapping it out until a swap
+// finds it empty, as the client's conn.flush does. If another goroutine is
+// writing, that one takes these bytes along. A failed write closes the
+// connection, so the session tears down; flush returns its error.
+func (s *session) flush() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	for s.writing && len(s.wbuf) >= wbufSize {
+		s.wdone.Wait()
+	}
+	if s.writing || s.werr != nil {
+		return s.werr
+	}
+	s.writing = true
+	for len(s.wbuf) > 0 {
+		buf := s.wbuf
+		s.wbuf, s.spare = s.spare[:0], nil
+		s.wmu.Unlock()
+		s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+		_, err := s.nc.Write(buf)
+		s.wmu.Lock()
+		if err != nil {
+			s.werr, s.wbuf = err, nil
 			s.nc.Close()
+		} else if cap(buf) <= wbufSize {
+			s.spare = buf
 		}
 	}
-	if !dead {
-		bw.Flush()
+	s.writing = false
+	s.wdone.Broadcast()
+	return s.werr
+}
+
+// flushAcks writes the committer's acks. Once teardown closes acked, it
+// writes what is left and finishes the connection.
+//
+//ermia:cancellable
+func (s *session) flushAcks() {
+	for range s.acked {
+		s.flush()
 	}
-}
-
-// respond enqueues one response frame. Callers running outside the handler
-// goroutine must be registered in s.wg.
-func (s *session) respond(typ byte, reqID uint64, payload []byte) {
-	s.out <- proto.AppendFrame(nil, typ|proto.RespFlag, reqID, payload)
-}
-
-// respPayload builds the standard response payload: status, detail (empty
-// unless StatusInternal), then the message body.
-func respPayload(st proto.Status, detail string, body []byte) []byte {
-	p := proto.AppendStatus(make([]byte, 0, 3+len(detail)+len(body)), st)
-	p = proto.AppendBytes(p, []byte(detail))
-	return append(p, body...)
+	s.flush()
+	s.nc.Close()
+	s.srv.removeSession(s)
 }
 
 // run is the handler goroutine; it owns s.txns and the session lifecycle.
@@ -183,6 +204,12 @@ func (s *session) run() {
 	defer s.teardown()
 	for req := range s.reqs {
 		s.dispatch(req)
+		if len(s.reqs) == 0 {
+			s.flush()
+		}
+		if cap(s.scratch) > wbufSize {
+			s.scratch = nil // a large page or value is not kept for the session's life
+		}
 		if s.srv.draining() && len(s.txns) == 0 && len(s.reqs) == 0 {
 			return // graceful drain: nothing owed, nothing open
 		}
@@ -211,11 +238,8 @@ func (s *session) teardown() {
 	if s.replStop != nil {
 		close(s.replStop) // the shipper is tracked in wg; stop it first
 	}
-	s.wg.Wait() // async commit acks land before the channel closes
-	close(s.out)
-	<-s.writerDone // writer has flushed everything it will ever flush
-	s.nc.Close()
-	s.srv.removeSession(s)
+	s.wg.Wait()    // the shipper and the committer's acks have appended all they will
+	close(s.acked) // flushAcks writes the rest and finishes the connection
 }
 
 func (s *session) endTxn(id uint64, ot openTxn) {
@@ -271,7 +295,7 @@ func (s *session) dispatch(req request) {
 	case proto.MsgShardPrepared:
 		s.handleShardPrepared(req, d)
 	default:
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 	}
 }
 
@@ -293,7 +317,7 @@ func (s *session) expire(req request) {
 			}
 		}
 	}
-	s.respond(req.typ, req.id, respPayload(proto.StatusDeadlineExceeded, "", nil))
+	s.reply(req.typ, req.id, proto.StatusDeadlineExceeded, "", nil)
 }
 
 // handlePing serves the liveness probe/handshake: the current primary epoch
@@ -303,7 +327,7 @@ func (s *session) expire(req request) {
 func (s *session) handlePing(req request) {
 	body := proto.AppendU64(nil, s.srv.epoch.Load())
 	body = proto.AppendU8(body, byte(s.srv.dur.Health().State))
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }
 
 // handleBegin opens a transaction and parks it in the session's registry
@@ -320,20 +344,20 @@ func (s *session) handleBegin(req request, d *proto.Dec) {
 	// A live handle names another transaction, which must not be clobbered.
 	_, live := s.txns[handle]
 	if d.Err() != nil || live || handle&proto.ClientTxnBit == 0 {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	if cliEpoch > s.srv.epoch.Load() {
-		s.respond(req.typ, req.id, respPayload(proto.StatusStaleEpoch, "", nil))
+		s.reply(req.typ, req.id, proto.StatusStaleEpoch, "", nil)
 		return
 	}
 	if s.srv.draining() {
-		s.respond(req.typ, req.id, respPayload(proto.StatusShuttingDown, "", nil))
+		s.reply(req.typ, req.id, proto.StatusShuttingDown, "", nil)
 		return
 	}
 	slot, ok := s.srv.acquireSlot()
 	if !ok {
-		s.respond(req.typ, req.id, respPayload(proto.StatusOverloaded, "", nil))
+		s.reply(req.typ, req.id, proto.StatusOverloaded, "", nil)
 		return
 	}
 	var txn engine.Txn
@@ -346,7 +370,8 @@ func (s *session) handleBegin(req request, d *proto.Dec) {
 	s.txns[handle] = openTxn{txn: txn, slot: slot, readOnly: readOnly}
 	s.openTxns.Add(1)
 	s.srv.openTxns.Add(1)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", proto.AppendU64(nil, handle)))
+	s.scratch = proto.AppendU64(s.scratch[:0], handle)
+	s.reply(req.typ, req.id, proto.StatusOK, "", s.scratch)
 }
 
 // lookupTable resolves a table name through the session cache.
@@ -370,17 +395,17 @@ func (s *session) handleOp(req request, d *proto.Dec) {
 		value = d.Bytes()
 	}
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	ot, ok := s.txns[txnID]
 	if !ok {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTxn, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTxn, "", nil)
 		return
 	}
 	tbl := s.lookupTable(name)
 	if tbl == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTable, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTable, "", nil)
 		return
 	}
 	var body []byte
@@ -389,7 +414,8 @@ func (s *session) handleOp(req request, d *proto.Dec) {
 	case proto.MsgGet:
 		var v []byte
 		if v, err = ot.txn.Get(tbl, key); err == nil {
-			body = proto.AppendBytes(nil, v)
+			s.scratch = proto.AppendBytes(s.scratch[:0], v)
+			body = s.scratch
 		}
 	case proto.MsgInsert:
 		err = ot.txn.Insert(tbl, key, value)
@@ -399,7 +425,7 @@ func (s *session) handleOp(req request, d *proto.Dec) {
 		err = ot.txn.Delete(tbl, key)
 	}
 	st, detail := proto.StatusOf(err)
-	s.respond(req.typ, req.id, respPayload(st, detail, body))
+	s.reply(req.typ, req.id, st, detail, body)
 }
 
 func (s *session) handleScan(req request, d *proto.Dec) {
@@ -410,17 +436,17 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 	lo := d.Bytes()
 	hi := d.Bytes()
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	ot, ok := s.txns[txnID]
 	if !ok {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTxn, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTxn, "", nil)
 		return
 	}
 	tbl := s.lookupTable(name)
 	if tbl == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTable, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTable, "", nil)
 		return
 	}
 	if limit == 0 || limit > uint32(s.srv.cfg.ScanPageSize) {
@@ -430,7 +456,8 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 	if hasHi != 0 {
 		hiArg = hi
 	}
-	var pairs []byte
+	// A u32 count, patched once the scan ends, the pairs, the more flag.
+	page := proto.AppendU32(s.scratch[:0], 0)
 	var n uint32
 	more := byte(0)
 	err := ot.txn.Scan(tbl, lo, hiArg, func(k, v []byte) bool {
@@ -438,19 +465,19 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 			more = 1
 			return false
 		}
-		pairs = proto.AppendBytes(pairs, k)
-		pairs = proto.AppendBytes(pairs, v)
+		page = proto.AppendBytes(page, k)
+		page = proto.AppendBytes(page, v)
 		n++
 		return true
 	})
+	s.scratch = page
 	st, detail := proto.StatusOf(err)
-	var body []byte
-	if st == proto.StatusOK {
-		body = proto.AppendU32(nil, n)
-		body = append(body, pairs...)
-		body = proto.AppendU8(body, more)
+	if st != proto.StatusOK {
+		s.reply(req.typ, req.id, st, detail, nil)
+		return
 	}
-	s.respond(req.typ, req.id, respPayload(st, detail, body))
+	binary.LittleEndian.PutUint32(page, n)
+	s.reply(req.typ, req.id, proto.StatusOK, "", proto.AppendU8(page, more))
 }
 
 // handleCommit runs the engine commit synchronously (it is the CC protocol,
@@ -460,12 +487,12 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 func (s *session) handleCommit(req request, d *proto.Dec) {
 	txnID := d.U64()
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	ot, ok := s.txns[txnID]
 	if !ok {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTxn, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTxn, "", nil)
 		return
 	}
 	err := ot.txn.Commit()
@@ -473,14 +500,14 @@ func (s *session) handleCommit(req request, d *proto.Dec) {
 	if err != nil {
 		s.srv.aborts.Add(1)
 		st, detail := proto.StatusOf(err)
-		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		s.reply(req.typ, req.id, st, detail, nil)
 		return
 	}
 	if ot.readOnly {
 		// Nothing was logged; there is no durability to wait for (and a
 		// degraded log must not poison read-only service).
 		s.srv.commits.Add(1)
-		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+		s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 		return
 	}
 	s.ackDurable(req, s.srv.epoch.Load(), true)
@@ -496,7 +523,7 @@ func (s *session) ackDurable(req request, epoch uint64, isCommit bool) {
 		if isCommit {
 			s.srv.noteCommit(epoch)
 		}
-		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+		s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 		return
 	}
 	ack := commitAck{sess: s, reqID: req.id, typ: req.typ, epoch: epoch, deadline: req.deadline, count: isCommit}
@@ -520,24 +547,24 @@ func (s *session) ackDurable(req request, epoch uint64, isCommit bool) {
 func (s *session) handleAbort(req request, d *proto.Dec) {
 	txnID := d.U64()
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	ot, ok := s.txns[txnID]
 	if !ok {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTxn, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTxn, "", nil)
 		return
 	}
 	ot.txn.Abort()
 	s.srv.aborts.Add(1)
 	s.endTxn(txnID, ot)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+	s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 }
 
 func (s *session) handleTable(req request, d *proto.Dec) {
 	name := d.Bytes()
 	if d.Err() != nil || len(name) == 0 {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	if req.typ == proto.MsgCreateTable {
@@ -545,18 +572,18 @@ func (s *session) handleTable(req request, d *proto.Dec) {
 		if t == nil {
 			// A replica engine refuses catalog changes; the table must be
 			// created on the primary and arrive through the shipped log.
-			s.respond(req.typ, req.id, respPayload(proto.StatusReplicaReadOnly, "", nil))
+			s.reply(req.typ, req.id, proto.StatusReplicaReadOnly, "", nil)
 			return
 		}
 		s.tables[string(name)] = t
-		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+		s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 		return
 	}
 	if s.lookupTable(name) == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusNotFound, "", nil))
+		s.reply(req.typ, req.id, proto.StatusNotFound, "", nil)
 		return
 	}
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+	s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 }
 
 func (s *session) handleHealth(req request) {
@@ -567,7 +594,7 @@ func (s *session) handleHealth(req request) {
 	}
 	body := proto.AppendU8(nil, byte(st.State))
 	body = proto.AppendBytes(body, []byte(cause))
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }
 
 func (s *session) handleStats(req request) {
@@ -587,7 +614,7 @@ func (s *session) handleStats(req request) {
 	body = proto.AppendU32(body, st.PreparedTxns)
 	body = proto.AppendU64(body, st.ShardPrepares)
 	body = proto.AppendU64(body, st.ShardDecides)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }
 
 // handleReattach serves the admin Reattach frame: heal the engine's log on
@@ -599,14 +626,14 @@ func (s *session) handleReattach(req request) {
 	if st == proto.StatusOK {
 		body = proto.AppendBytes(nil, []byte(report.String()))
 	}
-	s.respond(req.typ, req.id, respPayload(st, detail, body))
+	s.reply(req.typ, req.id, st, detail, body)
 }
 
 // handlePromote serves the admin promotion frame: flip a replica engine to
 // primary through the wiring the operator supplied.
 func (s *session) handlePromote(req request) {
 	if s.srv.cfg.PromoteFn == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusInternal, "promote unsupported on this server", nil))
+		s.reply(req.typ, req.id, proto.StatusInternal, "promote unsupported on this server", nil)
 		return
 	}
 	report, err := s.srv.cfg.PromoteFn()
@@ -615,7 +642,7 @@ func (s *session) handlePromote(req request) {
 	if st == proto.StatusOK {
 		body = proto.AppendBytes(nil, []byte(report))
 	}
-	s.respond(req.typ, req.id, respPayload(st, detail, body))
+	s.reply(req.typ, req.id, st, detail, body)
 }
 
 // ckptChunkSize bounds one CkptFetch response chunk, well under
@@ -629,17 +656,17 @@ const ckptChunkSize = 1 << 20
 func (s *session) handleCheckpoint(req request, d *proto.Dec) {
 	flags := d.U8()
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	ck := s.srv.ckpt
 	if ck == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusInternal, "checkpoint unsupported by this engine", nil))
+		s.reply(req.typ, req.id, proto.StatusInternal, "checkpoint unsupported by this engine", nil)
 		return
 	}
 	if err := ck.Checkpoint(); err != nil {
 		st, detail := proto.StatusOf(err)
-		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		s.reply(req.typ, req.id, st, detail, nil)
 		return
 	}
 	var freed uint32
@@ -647,7 +674,7 @@ func (s *session) handleCheckpoint(req request, d *proto.Dec) {
 		removed, err := ck.TruncateLog()
 		if err != nil {
 			st, detail := proto.StatusOf(err)
-			s.respond(req.typ, req.id, respPayload(st, detail, nil))
+			s.reply(req.typ, req.id, st, detail, nil)
 			return
 		}
 		freed = uint32(len(removed))
@@ -659,7 +686,7 @@ func (s *session) handleCheckpoint(req request, d *proto.Dec) {
 	s.srv.checkpoints.Add(1)
 	body := proto.AppendU64(nil, begin)
 	body = proto.AppendU32(body, freed)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }
 
 // handleCkptFetch serves one chunk of the newest checkpoint image for
@@ -667,18 +694,18 @@ func (s *session) handleCheckpoint(req request, d *proto.Dec) {
 func (s *session) handleCkptFetch(req request, d *proto.Dec) {
 	off := d.U64()
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	ck := s.srv.ckpt
 	if ck == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusNoCheckpoint, "", nil))
+		s.reply(req.typ, req.id, proto.StatusNoCheckpoint, "", nil)
 		return
 	}
 	c, err := ck.CheckpointChunk(off, ckptChunkSize)
 	if err != nil {
 		st, detail := proto.StatusOf(err)
-		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		s.reply(req.typ, req.id, st, detail, nil)
 		return
 	}
 	body := proto.AppendBytes(nil, []byte(c.Name))
@@ -687,7 +714,7 @@ func (s *session) handleCkptFetch(req request, d *proto.Dec) {
 	body = proto.AppendU64(body, c.Start)
 	body = proto.AppendU64(body, c.Total)
 	body = proto.AppendBytes(body, c.Data)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }
 
 // handleReplSubscribe starts streaming the primary's log to this session.
@@ -699,22 +726,23 @@ func (s *session) handleCkptFetch(req request, d *proto.Dec) {
 func (s *session) handleReplSubscribe(req request, d *proto.Dec) {
 	from := d.U64()
 	if d.Err() != nil || s.replStop != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	log := s.srv.shipLog()
 	if log == nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusInternal,
-			"replication unavailable: server engine has no live log (replica or logless)", nil))
+		s.reply(req.typ, req.id, proto.StatusInternal,
+			"replication unavailable: server engine has no live log (replica or logless)", nil)
 		return
 	}
 	s.replStop = make(chan struct{})
 	s.srv.replSubscribers.Add(1)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+	s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 	s.wg.Add(1)
 	go func(reqID, from uint64, stop chan struct{}) {
 		defer s.wg.Done()
 		defer s.srv.replSubscribers.Add(-1)
+		var body []byte
 		sh := &repl.Shipper{
 			Log:       log,
 			Heartbeat: s.srv.cfg.ReplHeartbeat,
@@ -722,10 +750,10 @@ func (s *session) handleReplSubscribe(req request, d *proto.Dec) {
 				// Liveness beacon on a quiet stream: epoch plus durable
 				// horizon. The replica answers with a MsgReplAck, which
 				// keeps both directions inside their idle timeouts.
-				body := proto.AppendU64(nil, s.srv.epoch.Load())
+				body = proto.AppendU64(body[:0], s.srv.epoch.Load())
 				body = proto.AppendU64(body, log.DurableOffset())
-				s.respond(proto.MsgReplHeartbeat, reqID, respPayload(proto.StatusOK, "", body))
-				return nil
+				s.reply(proto.MsgReplHeartbeat, reqID, proto.StatusOK, "", body)
+				return s.flush()
 			},
 		}
 		err := sh.Run(from, stop, func(b *proto.ReplBatch) error {
@@ -735,14 +763,16 @@ func (s *session) handleReplSubscribe(req request, d *proto.Dec) {
 				storeMax(&s.srv.replShipped, last.Off+uint64(last.Size))
 			}
 			s.srv.replBatches.Add(1)
-			s.respond(proto.MsgReplBatch, reqID, respPayload(proto.StatusOK, "", proto.AppendReplBatch(nil, b)))
-			return nil
+			body = proto.AppendReplBatch(body[:0], b)
+			s.reply(proto.MsgReplBatch, reqID, proto.StatusOK, "", body)
+			return s.flush()
 		})
 		if err != nil {
 			// Tail failure: tell the subscriber why the stream died (its
 			// suffix was truncated away, or the log is corrupt).
 			st, detail := proto.StatusOf(err)
-			s.respond(proto.MsgReplBatch, reqID, respPayload(st, detail, nil))
+			s.reply(proto.MsgReplBatch, reqID, st, detail, nil)
+			s.flush()
 		}
 	}(req.id, from, s.replStop)
 }
@@ -751,9 +781,9 @@ func (s *session) handleReplSubscribe(req request, d *proto.Dec) {
 func (s *session) handleReplAck(req request, d *proto.Dec) {
 	wm := d.U64()
 	if d.Err() != nil {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	storeMax(&s.srv.replAcked, wm)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+	s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 }

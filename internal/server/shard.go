@@ -470,21 +470,21 @@ func (s *Server) listPrepared(r gidRange) (gids [][]byte, err error) {
 func (s *session) handleShardPrepared(req request, d *proto.Dec) {
 	r := gidRange{lo: d.Bytes(), hi: d.Bytes()}
 	if d.Err() != nil || len(r.lo) == 0 || bytes.Compare(r.lo, r.hi) >= 0 {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	s.srv.fencePrepares(r)
 	gids, err := s.srv.listPrepared(r)
 	if err != nil {
 		st, detail := proto.StatusOf(err)
-		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		s.reply(req.typ, req.id, st, detail, nil)
 		return
 	}
 	body := proto.AppendU32(nil, uint32(len(gids)))
 	for _, g := range gids {
 		body = proto.AppendBytes(body, g)
 	}
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }
 
 // handleShardPrepare is phase one: persist the write set, park the
@@ -509,26 +509,26 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 		covered = append(covered, decided{gid: d.Bytes(), flags: d.U8()})
 	}
 	if d.Err() != nil || len(gid) == 0 {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	// Same fence as Begin: a deposed primary must never ack a prepare — its
 	// record could not survive the failover its clients already observed.
 	if cliEpoch > s.srv.epoch.Load() {
-		s.respond(req.typ, req.id, respPayload(proto.StatusStaleEpoch, "", nil))
+		s.reply(req.typ, req.id, proto.StatusStaleEpoch, "", nil)
 		return
 	}
 	if v := s.srv.cfg.ShardMapVersion; v != 0 && mapVersion != v {
-		s.respond(req.typ, req.id, respPayload(proto.StatusShardMoved, "", nil))
+		s.reply(req.typ, req.id, proto.StatusShardMoved, "", nil)
 		return
 	}
 	ot, ok := s.txns[txnID]
 	if !ok {
-		s.respond(req.typ, req.id, respPayload(proto.StatusUnknownTxn, "", nil))
+		s.reply(req.typ, req.id, proto.StatusUnknownTxn, "", nil)
 		return
 	}
 	if ot.readOnly {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "read-only transaction cannot prepare", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "read-only transaction cannot prepare", nil)
 		return
 	}
 	ep := s.srv.epoch.Load()
@@ -538,13 +538,13 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 	for _, c := range covered {
 		if _, err := s.srv.applyDecision(c.gid, c.flags&proto.ShardDecideCommit != 0); err != nil {
 			st, detail := proto.StatusOf(err)
-			s.respond(req.typ, req.id, respPayload(st, detail, nil))
+			s.reply(req.typ, req.id, st, detail, nil)
 			return
 		}
 	}
 	if err := s.srv.putFencedPrepareRecord(gid, ep, ops); err != nil {
 		st, detail := proto.StatusOf(err)
-		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		s.reply(req.typ, req.id, st, detail, nil)
 		return
 	}
 	// Park: out of the session registry (keeping the worker slot) into the
@@ -571,14 +571,14 @@ func (s *session) handleShardDecide(req request, d *proto.Dec) {
 	gid := d.Bytes()
 	flags := d.U8()
 	if d.Err() != nil || len(gid) == 0 {
-		s.respond(req.typ, req.id, respPayload(proto.StatusBadRequest, "", nil))
+		s.reply(req.typ, req.id, proto.StatusBadRequest, "", nil)
 		return
 	}
 	commit := flags&proto.ShardDecideCommit != 0
 	applied, err := s.srv.applyDecision(gid, commit)
 	if err != nil {
 		st, detail := proto.StatusOf(err)
-		s.respond(req.typ, req.id, respPayload(st, detail, nil))
+		s.reply(req.typ, req.id, st, detail, nil)
 		return
 	}
 	ep := s.srv.epoch.Load()
@@ -586,7 +586,7 @@ func (s *session) handleShardDecide(req request, d *proto.Dec) {
 		if commit && applied {
 			s.srv.noteCommit(ep)
 		}
-		s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", nil))
+		s.reply(req.typ, req.id, proto.StatusOK, "", nil)
 		return
 	}
 	s.ackDurable(req, ep, commit && applied)
@@ -598,5 +598,5 @@ func (s *session) handleShardMap(req request) {
 	body := proto.AppendU32(nil, s.srv.cfg.ShardID)
 	body = proto.AppendU64(body, s.srv.cfg.ShardMapVersion)
 	body = proto.AppendBytes(body, s.srv.cfg.ShardMapBlob)
-	s.respond(req.typ, req.id, respPayload(proto.StatusOK, "", body))
+	s.reply(req.typ, req.id, proto.StatusOK, "", body)
 }

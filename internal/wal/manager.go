@@ -723,7 +723,15 @@ func (m *Manager) Close() error {
 	m.durMu.Lock()
 	m.durCond.Broadcast()
 	m.durMu.Unlock()
-	return m.Err()
+	err := m.Err()
+	m.segMu.Lock()
+	for _, s := range m.segs {
+		if cerr := s.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	m.segMu.Unlock()
+	return err
 }
 
 // Truncate removes segment files that lie entirely below offset, freeing

@@ -273,9 +273,23 @@ func (s *DirStorage) Remove(name string) error {
 }
 
 // Rename implements Storage via os.Rename, which is atomic on POSIX
-// filesystems.
+// filesystems, and then syncs the directory so the new name is durable
+// when Rename returns. A checkpoint publishes through Rename and then
+// removes the log segments it replaces; POSIX orders those two directory
+// changes only across a sync of the directory.
 func (s *DirStorage) Rename(oldName, newName string) error {
-	return os.Rename(filepath.Join(s.dir, oldName), filepath.Join(s.dir, newName))
+	if err := os.Rename(filepath.Join(s.dir, oldName), filepath.Join(s.dir, newName)); err != nil {
+		return err
+	}
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 type osFile struct{ *os.File }

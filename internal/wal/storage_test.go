@@ -3,8 +3,109 @@ package wal
 import (
 	"bytes"
 	"io"
+	"os"
+	"runtime"
 	"testing"
 )
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(fds)
+}
+
+// TestCloseReleasesSegmentFiles: a manager over DirStorage closes its
+// segment files in Close, so opening and closing one repeatedly leaks no
+// descriptor.
+func TestCloseReleasesSegmentFiles(t *testing.T) {
+	cycle := func() {
+		st, err := NewDirStorage(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mustOpen(t, testConfig(st))
+		for i := 0; i < 40; i++ { // a few segments' worth
+			appendBlock(t, m, make([]byte, 500))
+		}
+		if err := m.WaitDurable(m.CurrentOffset()); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm up whatever the runtime opens once
+	before := openFDs(t)
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	if after := openFDs(t); after > before {
+		t.Fatalf("50 open/close cycles left %d more descriptors open", after-before)
+	}
+}
+
+// TestDirStorageRenameRoundTrip: a renamed file reads back under its new
+// name, the old name is gone, and the directory sync behind each rename
+// leaks no descriptor.
+func TestDirStorageRenameRoundTrip(t *testing.T) {
+	st, err := NewDirStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rename := func(from, to string) {
+		if err := st.Rename(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := st.Create("a.tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("published"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rename("a.tmp", "a")
+	before := openFDs(t)
+	for i := 0; i < 25; i++ {
+		rename("a", "b")
+		rename("b", "a")
+	}
+	if after := openFDs(t); after > before {
+		t.Fatalf("50 renames left %d more descriptors open", after-before)
+	}
+	names, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "a" {
+		t.Fatalf("files after the renames: %v, want [a]", names)
+	}
+	g, err := st.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	got := make([]byte, 9)
+	if _, err := g.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "published" {
+		t.Fatalf("renamed file reads %q", got)
+	}
+}
 
 // TestCrashDropsUnsyncedBytes pins the crash model of MemStorage: a crash
 // preserves the file exactly as of its last Sync. Appends after the sync are

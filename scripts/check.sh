@@ -28,8 +28,9 @@ echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc and whole transact
 # The hotalloc analyzer above gates //ermia:hotpath functions to zero heap
 # escapes at compile time; these tests pin the per-op allocation count of
 # the functions whose allocations are intentional (frame read/write,
-# response building, version creation) so they cannot silently grow.
-go test -count=1 -run 'TestAllocBudgets|TestRespPayloadAllocBudget' \
+# version creation) so they cannot silently grow; TestReplyAllocBudget pins
+# a response appended to a warm session buffer at zero.
+go test -count=1 -run 'TestAllocBudgets|TestReplyAllocBudget' \
 	./internal/proto/ ./internal/mvcc/ ./internal/server/ ./internal/client/
 # A whole engine transaction on a warm worker allocates only what outlives
 # it (the Txn, a Version per write, the insert's key and leaf view); its
