@@ -1,6 +1,7 @@
 // Command ermia-logdump inspects an ERMIA log directory: it lists segment
-// files, walks every block in offset order, and optionally decodes the
-// records inside commit blocks and checkpoint blobs. Useful for debugging
+// files, walks every block in offset order (printing a gap between two
+// segments where it stops), and optionally decodes the records inside
+// commit blocks and checkpoint blobs. Useful for debugging
 // recovery issues and for seeing the on-disk structures of §3.3 (skip
 // records, segment-closing records, overflow chains, checkpoint markers)
 // with your own eyes.
@@ -66,7 +67,7 @@ func run(w io.Writer, dir string, records bool) error {
 
 	fmt.Fprintln(w, "\nblocks:")
 	count := map[uint8]int{}
-	res, err := wal.Recover(st, func(b wal.Block) error {
+	res, err := wal.Recover(st, 0, func(b wal.Block) error {
 		count[b.Type]++
 		fmt.Fprintf(w, "  %-14s offset=%#012x seg=%-2d payload=%-6d prev=%#x\n",
 			typeName(b.Type), b.LSN.Offset(), b.LSN.Segment(), len(b.Payload), b.Prev)
@@ -78,13 +79,17 @@ func run(w io.Writer, dir string, records bool) error {
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("scan: %w", err)
+		// A gap between segments, or unreadable storage: show where the
+		// blocks above stop, and exit non-zero.
+		fmt.Fprintf(w, "  %v\n", err)
+		err = fmt.Errorf("scan: %w", err)
+	} else {
+		fmt.Fprintf(w, "\nnext offset: %#x\n", res.NextOffset)
 	}
-	fmt.Fprintf(w, "\nnext offset: %#x\n", res.NextOffset)
 	for typ, n := range count {
 		fmt.Fprintf(w, "%-14s %d\n", typeName(typ), n)
 	}
-	return nil
+	return err
 }
 
 func typeName(t uint8) string {

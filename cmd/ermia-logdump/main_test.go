@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,5 +70,46 @@ func TestDumpPrintsEveryRecordKind(t *testing.T) {
 		if got[kind] != n {
 			t.Errorf("%d %q lines, want %d\n%s", got[kind], kind, n, out.String())
 		}
+	}
+}
+
+// TestDumpPrintsGap: a segment missing from the middle of the log ends the
+// block listing with the gap, naming both neighbours, and fails the run.
+func TestDumpPrintsGap(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := core.Open(core.Config{WAL: wal.Config{SegmentSize: 8 << 10, BufferSize: 4 << 10, Storage: st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("t")
+	for i := 0; i < 150; i++ {
+		txn := db.BeginTxn(0)
+		if err := txn.Insert(tbl, []byte(fmt.Sprintf("k%04d", i)), make([]byte, 200)); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	segs, err := wal.Segments(st)
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("%d segments (%v)", len(segs), err)
+	}
+	if err := st.Remove(segs[1].Name); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err = run(&out, dir, false)
+	gap := "gap in the log between segment " + segs[0].Name + " and segment " + segs[2].Name
+	if err == nil || !strings.Contains(out.String(), gap) {
+		t.Fatalf("run = %v, output lacks %q:\n%s", err, gap, out.String())
 	}
 }

@@ -537,58 +537,4 @@ func (c *Client) Checkpoint(truncate bool) (begin uint64, freed uint32, err erro
 	return begin, freed, d.Err()
 }
 
-// FetchCheckpoint downloads the server's newest checkpoint image chunk by
-// chunk, returning the raw image bytes (verifiable exactly as recovery
-// verifies the on-disk blob) plus its metadata. If the server publishes a
-// newer checkpoint mid-transfer the fetch restarts against it. A server
-// with no checkpoint yet returns engine.ErrNoCheckpoint.
-func (c *Client) FetchCheckpoint() (engine.CheckpointChunk, []byte, error) {
-	cn, err := c.conn(0)
-	if err != nil {
-		return engine.CheckpointChunk{}, nil, err
-	}
-	var meta engine.CheckpointChunk
-	var image []byte
-restart:
-	for {
-		ck, err := fetchChunk(cn, uint64(len(image)))
-		if err != nil {
-			return engine.CheckpointChunk{}, nil, err
-		}
-		if meta.Name != "" && ck.Name != meta.Name {
-			// A newer checkpoint replaced the one being fetched; start over.
-			meta = engine.CheckpointChunk{}
-			image = image[:0]
-			continue restart
-		}
-		meta = ck
-		image = append(image, ck.Data...)
-		if uint64(len(image)) >= ck.Total {
-			meta.Data = nil
-			return meta, image, nil
-		}
-		if len(ck.Data) == 0 {
-			return engine.CheckpointChunk{}, nil, fmt.Errorf("client: checkpoint fetch stalled at %d/%d bytes", len(image), ck.Total)
-		}
-	}
-}
-
-// fetchChunk issues one CkptFetch frame.
-func fetchChunk(cn *conn, off uint64) (engine.CheckpointChunk, error) {
-	st, detail, d, err := cn.call(proto.MsgCkptFetch, proto.AppendU64(nil, off))
-	if err != nil {
-		return engine.CheckpointChunk{}, err
-	}
-	if err := st.Err(detail); err != nil {
-		return engine.CheckpointChunk{}, err
-	}
-	ck := engine.CheckpointChunk{Name: string(d.Bytes())}
-	ck.Gen = d.U64()
-	ck.Begin = d.U64()
-	ck.Start = d.U64()
-	ck.Total = d.U64()
-	ck.Data = d.Bytes()
-	return ck, d.Err()
-}
-
 var _ engine.DB = (*Client)(nil)

@@ -270,7 +270,8 @@ func (t *Txn) waitReaders(v *mvcc.Version, cstamp uint64) {
 }
 
 // spillOverflow ships the current private buffer as an overflow block,
-// linked backward from the eventual commit block.
+// linked backward from the eventual commit block. A checkpoint cut taken
+// before the commit block keeps the chain (chainFloor).
 func (t *Txn) spillOverflow() error {
 	ls := t.clock()
 	defer t.accLog(ls)

@@ -51,7 +51,7 @@ func TestRecoverySurvivesModuloReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass1, err := wal.Recover(st2, nil)
+	pass1, err := wal.Recover(st2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,19 @@ import (
 )
 
 // Recover rebuilds a DB from cfg.WAL.Storage (§3.7). The process is the
-// same after a clean shutdown and after a crash: find the most recent
-// durable checkpoint (if any), restore the OID arrays and indexes from it,
-// then roll forward by scanning the log after the checkpoint and replaying
-// the operations of committed transactions. The log can be truncated at the
-// first hole without losing committed work, because it contains only
-// committed state.
+// same after a clean shutdown and after a crash: restore the most recent
+// usable checkpoint (if any), then roll forward with one scan of the log
+// from the checkpoint's begin record, replaying the operations of committed
+// transactions. The log can be truncated at the first hole without losing
+// committed work, because it contains only committed state.
 func Recover(cfg Config) (*DB, error) {
-	db, pass1, _, err := recoverState(cfg, false)
+	db, ap, res, err := recoverState(cfg, false)
 	if err != nil {
 		return nil, err
 	}
+	ap.Close()
 	// Resume the log at the recovered horizon and restart background work.
-	log, err := wal.Open(cfg.WAL, pass1)
+	log, err := wal.Open(cfg.WAL, res)
 	if err != nil {
 		return nil, err
 	}
@@ -32,62 +32,53 @@ func Recover(cfg Config) (*DB, error) {
 }
 
 // recoverState is the shared restore path behind Recover and OpenReplica:
-// scan the log in cfg.WAL.Storage, restore the newest verifiable
-// checkpoint, and roll forward through an Applier. It returns the rebuilt
-// DB (no log manager installed, no GC running), the scan result, and the
-// checkpoint-begin offset the replay skipped to. replica relaxes the
-// acknowledgment gate below: a seeded blob may legitimately reach past the
-// mirrored log suffix.
-func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, error) {
+// restore the newest usable checkpoint in cfg.WAL.Storage, then roll forward
+// through an Applier with one wal.Recover scan from its begin record (or the
+// log's start). It returns the rebuilt DB (no log manager, no GC running),
+// the applier, still open, and the scan result.
+//
+// A checkpoint is usable when its blob verifies and its begin offset holds a
+// checkpoint-begin block; otherwise recovery falls back to the previous blob.
+// Checkpoint makes that block durable before it publishes the blob, so a
+// missing one means damaged storage, and adopting the blob would put versions
+// above the resumed log clock. A blob that verifies but fails to decode is a
+// software bug, not device damage, and surfaces as an error. On a replica a
+// seeded blob reaches past the mirrored log by design, so it is adopted
+// without its begin block, and the scan reads the mirror from its start.
+func recoverState(cfg Config, replica bool) (*DB, *Applier, *wal.RecoverResult, error) {
 	if cfg.WAL.Storage == nil {
-		return nil, nil, 0, fmt.Errorf("core: recovery requires explicit WAL storage")
+		return nil, nil, nil, fmt.Errorf("core: recovery requires explicit WAL storage")
 	}
 	if cfg.EpochInterval == 0 {
 		cfg.EpochInterval = 10 * time.Millisecond
 	}
 	st := cfg.WAL.Storage
-
-	// Pass 1: locate segments and the durable end of the log.
-	var ckptBegin uint64
-	pass1, err := wal.Recover(st, nil)
+	segs, err := wal.Segments(st)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: log scan: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: log scan: %w", err)
 	}
 	names, err := st.List()
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: list checkpoints: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: list checkpoints: %w", err)
 	}
 
 	db := newDB(cfg, nil)
 
-	// Restore the newest checkpoint whose blob verifies, walking the sorted
-	// listing backwards: blob names order by begin offset, then generation.
-	// A published blob counts even when the crash ate its checkpoint-end
-	// record — rename made it complete before the end record existed. A torn
-	// or bit-flipped blob (checksum trailer mismatch), a damaged header or a
-	// missing file falls back to the previous checkpoint — recovery then
-	// replays a longer log suffix, trading time for correctness. A blob that
-	// verifies but fails to decode is a software bug, not device damage, and
-	// surfaces as an error.
+	// Blob names order by begin offset, then generation: walk the sorted
+	// listing backwards.
+	var ckpt CheckpointInfo
+	var from uint64
 	for i := len(names) - 1; i >= 0; i-- {
-		name := names[i]
-		nameBegin, _, ok := parseCheckpointName(name)
+		nameBegin, _, ok := parseCheckpointName(names[i])
 		if !ok {
 			continue
 		}
-		if !replica && nameBegin > pass1.NextOffset {
-			// The blob's begin record is past the durable log: the crash ate
-			// log blocks the scan had already covered. Its extra commits were
-			// never acknowledged (their blocks were not durable), and adopting
-			// them would put versions above the resumed log clock — invisible
-			// to every reader and colliding with reissued offsets. Fall back.
-			// (On a replica the gate does not apply: a snapshot-seeded blob
-			// reaches past the mirrored suffix by design — its commits were
-			// acknowledged on the primary, the watermark becomes its begin
-			// offset, and the missing suffix is re-shipped by the stream.)
+		b, err := wal.ReadBlock(st, segs, nameBegin)
+		logged := err == nil && b.Type == wal.BlockCheckpointBegin
+		if !logged && !replica {
 			continue
 		}
-		image, rerr := readCheckpointBlob(st, name)
+		image, rerr := readCheckpointBlob(st, names[i])
 		if rerr != nil {
 			continue
 		}
@@ -96,22 +87,27 @@ func recoverState(cfg Config, replica bool) (*DB, *wal.RecoverResult, uint64, er
 			continue // damaged blob or header: fall back
 		}
 		if err := db.loadCheckpoint(payload, begin, nil); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, err
 		}
-		ckptBegin = begin
-		db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin})
+		ckpt = CheckpointInfo{Name: names[i], Gen: gen, Begin: begin}
+		if logged {
+			from = begin
+		}
 		break
 	}
 
-	// Pass 2: roll forward from the checkpoint (or the log's start) through
-	// the same Applier a replica uses for streaming replay.
-	ap := db.NewApplier(st, pass1.Segments, ckptBegin)
-	_, err = wal.Recover(st, ap.Apply)
-	ap.Close()
+	// Roll forward through the same Applier a replica uses for streaming.
+	ap := db.NewApplier(st, segs, ckpt.Begin)
+	res, err := wal.Recover(st, from, ap.Apply)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: replay: %w", err)
+		ap.Close()
+		return nil, nil, nil, fmt.Errorf("core: replay: %w", err)
 	}
-	return db, pass1, ckptBegin, nil
+	if ckpt.Name != "" {
+		ckpt.Floor = ap.chainFloor
+		db.setLastCheckpoint(ckpt)
+	}
+	return db, ap, res, nil
 }
 
 // readCheckpointBlob reads a checkpoint blob's raw image, for
@@ -131,40 +127,6 @@ func readCheckpointBlob(st wal.Storage, name string) ([]byte, error) {
 		return nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
 	return buf, nil
-}
-
-// applyCommitBlock replays one committed transaction: its overflow chain
-// (oldest first), then the commit block's own records.
-func (db *DB) applyCommitBlock(st wal.Storage, segs []wal.SegmentMeta, b wal.Block) error {
-	if b.Prev != 0 {
-		// Collect the backward-linked overflow chain and apply in order.
-		var chain [][]byte
-		prev := b.Prev
-		for prev != 0 {
-			ob, err := wal.ReadBlock(st, segs, walLSNFor(segs, prev))
-			if err != nil {
-				return fmt.Errorf("core: overflow chain at %#x: %w", prev, err)
-			}
-			chain = append(chain, ob.Payload)
-			prev = ob.Prev
-		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			if err := db.applyRecords(chain[i], b.LSN.Offset()); err != nil {
-				return err
-			}
-		}
-	}
-	return db.applyRecords(b.Payload, b.LSN.Offset())
-}
-
-// walLSNFor rebuilds the LSN for a raw offset using the segment metadata.
-func walLSNFor(segs []wal.SegmentMeta, off uint64) wal.LSN {
-	for _, s := range segs {
-		if off >= s.Start && off < s.End {
-			return wal.MakeLSN(off, s.Num)
-		}
-	}
-	return wal.MakeLSN(off, 0)
 }
 
 // applyRecords replays the records of one committed transaction, stamping

@@ -31,7 +31,7 @@ func OpenReplica(cfg Config) (*DB, *Applier, *wal.RecoverResult, error) {
 	// cfg.GCInterval is deliberately not started here: background GC would
 	// race the applier's installs, so the streaming loop calls RunGC from
 	// the applier goroutine instead. Promote starts the background sweeper.
-	db, pass1, ckptBegin, err := recoverState(cfg, true)
+	db, ap, res, err := recoverState(cfg, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -40,13 +40,9 @@ func OpenReplica(cfg Config) (*DB, *Applier, *wal.RecoverResult, error) {
 	// offset when a seeded checkpoint reaches further than the mirrored
 	// suffix (a freshly bootstrapped replica restarting before catch-up):
 	// the blob already holds every commit below its begin offset.
-	wm := pass1.NextOffset
-	if ckptBegin > wm {
-		wm = ckptBegin
-	}
-	db.watermark.Store(wm)
+	db.watermark.Store(max(res.NextOffset, ap.ckptBegin))
 	db.health.SetReplica()
-	return db, db.NewApplier(cfg.WAL.Storage, pass1.Segments, ckptBegin), pass1, nil
+	return db, ap, res, nil
 }
 
 // Promote turns a replica into a primary. The caller must have sealed the

@@ -328,8 +328,9 @@ func TestCheckpointSurvivesInjectedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fail the next mutating operation: the checkpoint blob's Create.
-	inj.SetFailOp(inj.OpCount() + 1)
+	// Fail the checkpoint blob's Create, which follows the begin record's
+	// write and sync.
+	inj.SetFailOp(inj.OpCount() + 3)
 	if err := db.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("checkpoint over failing storage: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"ermia/internal/index"
 	"ermia/internal/mvcc"
 	"ermia/internal/txnid"
-	"ermia/internal/wal"
 )
 
 // Txn is an ERMIA transaction. It is single-goroutine; Commit or Abort must
@@ -739,21 +738,8 @@ func (t *Txn) perOpLog() error {
 	if !t.db.cfg.LogPerOperation || len(t.writes) == 0 {
 		return nil
 	}
-	w := &t.writes[len(t.writes)-1]
-	t.logBuf = t.encodeWrite(t.logBuf[:0], w)
-	start := t.clock()
-	defer t.accLog(start)
-	t.db.logGate.RLock()
-	defer t.db.logGate.RUnlock()
-	res, err := t.db.logMgr().Reserve(len(t.logBuf), wal.BlockOverflow)
-	if err != nil {
-		return t.db.health.Unavailable(err)
-	}
-	res.SetPrev(t.opChain)
-	res.Append(t.logBuf)
-	res.Commit()
-	t.opChain = res.Offset()
-	return nil
+	t.logBuf = t.encodeWrite(t.logBuf[:0], &t.writes[len(t.writes)-1])
+	return t.spillOverflow()
 }
 
 // encodeWrite appends w's log record to buf.

@@ -172,9 +172,6 @@ func (s *Slot) Quiesce() {
 	}
 }
 
-// Active reports whether the slot is between Enter and Exit.
-func (s *Slot) Active() bool { return s.active.Load() }
-
 // Epoch returns the epoch the slot last published.
 func (s *Slot) Epoch() uint64 { return s.epoch.Load() }
 

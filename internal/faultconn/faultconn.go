@@ -6,7 +6,7 @@
 //
 //   - SetLatency: delivery delay with seeded jitter
 //   - Blackhole: one-direction silent byte drop (half-open connections)
-//   - Partition/PartitionOneWay: stall — writes and dials block until Heal,
+//   - Partition: stall — writes and dials block until Heal,
 //     modeling a network partition with TCP retransmission (bytes written
 //     before the partition still drain to the reader)
 //   - Corrupt: seeded per-byte flip probability (exercises the frame CRC)
@@ -164,17 +164,9 @@ func (n *Network) Blackhole(from, to string) {
 	n.broadcast()
 }
 
-// PartitionOneWay stalls the directed link from→to: writes block (bounded
-// by write deadlines) and dials from→to hang until Heal, like a drop-all
-// firewall rule with TCP retransmission behind it.
-func (n *Network) PartitionOneWay(from, to string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.getLink(from, to).stalled = true
-	n.broadcast()
-}
-
-// Partition stalls both directions between a and b.
+// Partition stalls both directions between a and b: writes block (bounded
+// by write deadlines) and dials hang until Heal, like a drop-all firewall
+// rule with TCP retransmission behind it.
 func (n *Network) Partition(a, b string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

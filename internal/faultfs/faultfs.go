@@ -15,7 +15,8 @@
 //     failure reproduces from its Plan alone.
 //
 //   - Recorder wraps a Storage and records every mutating operation — in
-//     execution order, with payload copies — into a Trace.
+//     execution order, with payload copies — into a Trace. It counts the
+//     bytes read, too.
 //
 //   - Replay / CrashImage rebuild storage state from a Trace prefix.
 //     CrashImage(tr, p) is the durable image of a crash at point p: synced
@@ -32,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ermia/internal/wal"
 	"ermia/internal/xrand"
@@ -113,11 +115,12 @@ func (tr Trace) Syncs() int {
 // ---- Recorder ----
 
 // Recorder decorates a Storage, recording every mutating operation in
-// execution order. Reads pass through unrecorded.
+// execution order. Reads pass through, counted but unrecorded.
 type Recorder struct {
 	inner wal.Storage
 	mu    sync.Mutex
 	ops   Trace
+	read  atomic.Int64
 }
 
 // NewRecorder returns a recording decorator over inner.
@@ -131,6 +134,9 @@ func (r *Recorder) Ops() Trace {
 	defer r.mu.Unlock()
 	return append(Trace(nil), r.ops...)
 }
+
+// ReadBytes returns how many bytes ReadAt has returned so far.
+func (r *Recorder) ReadBytes() int64 { return r.read.Load() }
 
 func (r *Recorder) record(op Op) {
 	r.mu.Lock()
@@ -193,8 +199,13 @@ func (f *recFile) WriteAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (f *recFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
-func (f *recFile) Size() (int64, error)                    { return f.inner.Size() }
+func (f *recFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.inner.ReadAt(p, off)
+	f.rec.read.Add(int64(n))
+	return n, err
+}
+
+func (f *recFile) Size() (int64, error) { return f.inner.Size() }
 
 func (f *recFile) Sync() error {
 	if err := f.inner.Sync(); err != nil {

@@ -116,11 +116,8 @@ func (h Handle[V]) Stamp() uint64 { return h.ref.stamp.Load() }
 // RaiseStamp lifts the leaf slot's stamp to at least s.
 func (h Handle[V]) RaiseStamp(s uint64) { h.ref.raise(s) }
 
-// Same reports whether two handles reference the same leaf slot.
-func (h Handle[V]) Same(o Handle[V]) bool { return h.ref == o.ref }
-
 // Slot returns the leaf slot's address as a hash key: equal for handles that
-// are Same, and stable because slots are heap objects that never move. It is
+// reference the same leaf slot, and stable because slots are heap objects that never move. It is
 // not a pointer and keeps nothing alive.
 func (h Handle[V]) Slot() uintptr { return uintptr(unsafe.Pointer(h.ref)) }
 

@@ -2,7 +2,9 @@ package repl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 
 	"ermia/internal/wal"
 )
@@ -13,15 +15,19 @@ import (
 const epochFileName = "EPOCH"
 
 // LoadEpoch reads the persisted primary epoch from st, returning 0 when the
-// file does not exist (a replica that has never observed an epoch).
+// file does not exist (a replica that has never observed an epoch); an
+// unreadable file is an error, not an absent fence.
 func LoadEpoch(st wal.Storage) (uint64, error) {
 	f, err := st.Open(epochFileName)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil // never persisted
 	}
-	defer f.Close()
 	var buf [8]byte
-	if _, err := f.ReadAt(buf[:], 0); err != nil {
+	if err == nil {
+		defer f.Close()
+		_, err = f.ReadAt(buf[:], 0)
+	}
+	if err != nil {
 		return 0, fmt.Errorf("repl: read epoch file: %w", err)
 	}
 	return binary.LittleEndian.Uint64(buf[:]), nil
@@ -29,21 +35,24 @@ func LoadEpoch(st wal.Storage) (uint64, error) {
 
 // SaveEpoch durably records the primary epoch in st. The epoch is the fence
 // against a healed deposed primary: once a replica has persisted epoch e it
-// refuses any stream stamped below e, across restarts.
+// refuses any stream stamped below e, across restarts. It is published by
+// Rename, so a crash leaves the old epoch or the new one, never a torn file.
 func SaveEpoch(st wal.Storage, e uint64) error {
-	f, err := st.Create(epochFileName)
+	tmp := epochFileName + ".tmp"
+	f, err := st.Create(tmp)
+	if err == nil {
+		if _, err = f.WriteAt(binary.LittleEndian.AppendUint64(nil, e), 0); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = st.Rename(tmp, epochFileName)
+	}
 	if err != nil {
-		return fmt.Errorf("repl: create epoch file: %w", err)
+		return fmt.Errorf("repl: save epoch file: %w", err)
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], e)
-	if _, err := f.WriteAt(buf[:], 0); err != nil {
-		f.Close()
-		return fmt.Errorf("repl: write epoch file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("repl: sync epoch file: %w", err)
-	}
-	return f.Close()
+	return nil
 }

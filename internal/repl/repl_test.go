@@ -547,3 +547,35 @@ func TestReplicationSoak(t *testing.T) {
 	t.Logf("soak: %d txns, replica applied %d blocks / %d batches, lag %d",
 		txns.Load(), s.Blocks, s.Batches, s.Lag)
 }
+
+// TestPromoteReadsOnlyPastTheWatermark: promotion replays the mirror from
+// the replica's watermark, so a caught-up replica reads next to nothing of
+// its mirror, however long the history it holds.
+func TestPromoteReadsOnlyPastTheWatermark(t *testing.T) {
+	db, _, addr := startPrimary(t)
+	mirror := faultfs.NewRecorder(wal.NewMemStorage())
+	r, err := repl.Start(repl.Config{
+		PrimaryAddr:    addr,
+		ReconnectDelay: 10 * time.Millisecond,
+		Core:           core.Config{WAL: wal.Config{Storage: mirror}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	tbl := db.CreateTable("kv")
+	fill(t, db, tbl, "k", 2000)
+	if err := db.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+	waitWatermark(t, r, db.Log().DurableOffset())
+
+	before := mirror.ReadBytes()
+	if err := r.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if read := mirror.ReadBytes() - before; read > wal.BlockHeaderSize {
+		t.Fatalf("promotion read %d bytes of a mirror caught up to %#x", read, db.Log().DurableOffset())
+	}
+	audit(t, r.DB(), r.DB().OpenTable("kv"), "k", 2000)
+}

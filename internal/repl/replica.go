@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -405,17 +406,23 @@ func (r *Replica) seed() error {
 		return err
 	}
 	// Stale mirror below the new subscribe position: the primary no longer
-	// serves those bytes and the seeded image covers their state.
+	// serves those bytes and the seeded image covers their state. Newest
+	// first, so a crash part-way leaves a gap-free prefix for recovery.
 	st := r.cfg.Core.WAL.Storage
-	for name, sm := range r.segs {
+	var stale []wal.SegmentMeta
+	for _, sm := range r.segs {
 		if sm.End <= meta.Start {
-			if f, ok := r.files[name]; ok {
-				f.Close()
-				delete(r.files, name)
-			}
-			st.Remove(name)
-			delete(r.segs, name)
+			stale = append(stale, sm)
 		}
+	}
+	sort.Slice(stale, func(i, j int) bool { return stale[i].Start > stale[j].Start })
+	for _, sm := range stale {
+		if f, ok := r.files[sm.Name]; ok {
+			f.Close()
+			delete(r.files, sm.Name)
+		}
+		st.Remove(sm.Name)
+		delete(r.segs, sm.Name)
 	}
 	if image != nil {
 		begin, err := r.db.SeedCheckpoint(image)
@@ -747,32 +754,21 @@ func (r *Replica) segmentFor(off uint64) (wal.SegmentMeta, bool) {
 }
 
 // Promote turns the replica into a primary: seal the stream, drain the
-// applier, replay the mirror's tail (idempotent — apply-if-newer
-// deduplicates), open a real log manager over the mirror, and flip the
-// engine to Healthy. After Promote returns the DB accepts writes and the
-// mirror is its live log.
+// applier, replay the mirror past the watermark, open a real log manager
+// over the mirror, and flip the engine to Healthy. After Promote returns the
+// DB accepts writes and the mirror is its live log.
 func (r *Replica) Promote() error {
 	if !r.promoted.CompareAndSwap(false, true) {
 		return ErrPromoted
 	}
 	r.seal()
-	r.ap.Close()
 	r.closeFiles()
 
-	// Recovery tail: everything mirrored but not yet applied (nothing
-	// in-process — batches apply atomically — but a mirror inherited from
-	// a previous process may be ahead of this run's watermark).
-	segs := make([]wal.SegmentMeta, 0, len(r.segs))
-	for _, sm := range r.segs {
-		segs = append(segs, sm)
-	}
-	var skipTo uint64
-	if w := r.db.Watermark(); w > 0 {
-		skipTo = w - 1
-	}
-	ap := r.db.NewApplier(r.cfg.Core.WAL.Storage, segs, skipTo)
-	pass, err := wal.Recover(r.cfg.Core.WAL.Storage, ap.Apply)
-	ap.Close()
+	// Recovery tail: everything mirrored but not yet applied. Batches apply
+	// atomically, so the scan from the watermark usually finds nothing; it
+	// also yields the offset the log resumes at.
+	pass, err := wal.Recover(r.cfg.Core.WAL.Storage, r.db.Watermark(), r.ap.Apply)
+	r.ap.Close()
 	if err != nil {
 		return fmt.Errorf("repl: promote replay: %w", err)
 	}

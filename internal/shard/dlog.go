@@ -91,7 +91,7 @@ func openDecisionLog(st wal.Storage) (*decisionLog, error) {
 	var res *wal.RecoverResult
 	if st != nil {
 		var err error
-		res, err = wal.Recover(st, func(b wal.Block) error {
+		res, err = wal.Recover(st, 0, func(b wal.Block) error {
 			r, err := decodeRecord(b)
 			if err != nil {
 				return err

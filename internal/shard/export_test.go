@@ -30,7 +30,7 @@ func DecisionLogKinds(dir string) (string, error) {
 		return "", err
 	}
 	var kinds []byte
-	_, err = wal.Recover(st, func(b wal.Block) error {
+	_, err = wal.Recover(st, 0, func(b wal.Block) error {
 		r, err := decodeRecord(b)
 		kinds = append(kinds, r.kind)
 		return err

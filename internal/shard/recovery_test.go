@@ -371,6 +371,51 @@ func TestNewRouterRefusesForeignDecisionLog(t *testing.T) {
 	})
 }
 
+// TestNewRouterRefusesDecisionLogGap: a decision-log segment missing from
+// the middle makes NewRouter fail naming both neighbours, rather than replay
+// the records past the hole, and leaves the log as it found it.
+func TestNewRouterRefusesDecisionLogGap(t *testing.T) {
+	cl := startCluster(t, 1, nil)
+	dir := filepath.Join(t.TempDir(), "decisions.log")
+	st, err := wal.NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wal.Open(wal.Config{Storage: st, SegmentSize: 4096, BufferSize: 2048, SyncFlush: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		rec := binary.BigEndian.AppendUint64(append([]byte{'D'}, make([]byte, 8)...), uint64(i))
+		res, err := m.Reserve(len(rec), wal.BlockCommit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Append(rec)
+		res.Commit()
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := wal.Segments(st)
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("%d segments (%v)", len(segs), err)
+	}
+	if err := st.Remove(segs[1].Name); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	if r, err := shard.NewRouter(cl.m, shard.Options{DecisionLog: dir}); err == nil {
+		r.Close()
+		t.Fatalf("NewRouter replayed past missing segment %s", segs[1].Name)
+	} else if !strings.Contains(err.Error(), segs[0].Name) || !strings.Contains(err.Error(), segs[2].Name) {
+		t.Errorf("NewRouter = %v; want both neighbours named", err)
+	}
+	if after := dirBytes(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Error("refused decision log was modified")
+	}
+}
+
 // dirBytes reads every file in dir.
 func dirBytes(t *testing.T, dir string) map[string][]byte {
 	t.Helper()

@@ -2,6 +2,7 @@ package silo
 
 import (
 	"encoding/binary"
+	"io"
 	"testing"
 	"time"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // fuzzSeedSegment runs a small workload and returns the durable image of its
-// one wal segment, with the segment's file name.
+// one wal segment, with the segment's file name. The segment's blocks all
+// lie in its first 4 KiB.
 func fuzzSeedSegment(f *testing.F) (name string, data []byte) {
 	st := wal.NewMemStorage()
 	db, err := Open(Config{Storage: st, EpochInterval: time.Hour})
@@ -63,35 +65,63 @@ func fuzzSeedSegment(f *testing.F) (name string, data []byte) {
 	return names[0], data
 }
 
-// FuzzRecover feeds mutated wal segment images to Silo recovery: bit flips,
-// truncations, and lying block headers must recover a prefix or fail
-// cleanly, never panic.
+// FuzzRecover feeds mutated wal log images to Silo recovery: bit flips,
+// truncations, lying block headers and missing segments must recover a
+// prefix or fail cleanly, never panic. The image is cut into 4 KiB segment
+// files; a set bit in drop leaves that segment out.
 func FuzzRecover(f *testing.F) {
 	const blockHeader = 32 // wal block header: magic, type, size, offset, prev, plen, checksum
-	name, seed := fuzzSeedSegment(f)
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:blockHeader-3])
+	const segSize = 4096
+	_, seed := fuzzSeedSegment(f)
+	f.Add(seed, uint8(0))
+	f.Add(seed[:len(seed)/2], uint8(0))
+	f.Add(seed[:blockHeader-3], uint8(0))
 	flip := append([]byte(nil), seed...)
 	flip[blockHeader+1] ^= 0x20 // first commit block's payload
-	f.Add(flip)
+	f.Add(flip, uint8(0))
 	huge := append([]byte(nil), seed...)
 	binary.LittleEndian.PutUint32(huge[4:], 0xFFFFFFC0) // block size lies
-	f.Add(huge)
+	f.Add(huge, uint8(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st := wal.NewMemStorage()
-		fl, err := st.Create(name)
+	st := wal.NewMemStorage()
+	segmentedLog(f, st, 50)
+	segs, err := wal.Segments(st)
+	if err != nil || len(segs) < 3 || len(segs) > 8 {
+		f.Fatalf("%d segments (%v); want 3 to 8", len(segs), err)
+	}
+	log := make([]byte, len(segs)*segSize)
+	for i, sm := range segs {
+		fl, err := st.Open(sm.Name)
 		if err != nil {
-			t.Fatal(err)
+			f.Fatal(err)
 		}
-		if len(data) > 0 {
-			if _, err := fl.WriteAt(data, 0); err != nil {
+		if _, err := fl.ReadAt(log[i*segSize:(i+1)*segSize], 0); err != nil && err != io.EOF {
+			f.Fatal(err)
+		}
+		fl.Close()
+	}
+	f.Add(log, uint8(0))
+	f.Add(log, uint8(1<<1)) // the second segment missing: a gap
+
+	f.Fuzz(func(t *testing.T, data []byte, drop uint8) {
+		st := wal.NewMemStorage()
+		for i, sm := range segs {
+			chunk := data[min(i*segSize, len(data)):min((i+1)*segSize, len(data))]
+			if drop&(1<<i) != 0 || (i > 0 && len(chunk) == 0) {
+				continue
+			}
+			fl, err := st.Create(sm.Name)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if len(chunk) > 0 {
+				if _, err := fl.WriteAt(chunk, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fl.Sync()
+			fl.Close()
 		}
-		fl.Sync()
-		fl.Close()
 		db, err := Recover(Config{Storage: st.Crash(), EpochInterval: time.Hour})
 		if err == nil {
 			db.Close()

@@ -96,7 +96,7 @@ func Recover(cfg Config) (*DB, error) {
 	}
 	state := map[string]map[string]slot{}
 	var maxEpoch uint64
-	res, err := wal.Recover(cfg.Storage, func(b wal.Block) error {
+	res, err := wal.Recover(cfg.Storage, 0, func(b wal.Block) error {
 		ok := b.Type == wal.BlockCommit && decodeEntry(b.Payload, func(tid uint64, table, key string, val []byte, absent bool) {
 			maxEpoch = max(maxEpoch, tidEpoch(tid))
 			rows := state[table]

@@ -96,25 +96,6 @@ func ItemSchema() query.Schema {
 	}
 }
 
-// StockSchema decodes STOCK rows: key (w, i), value
-// (qty, dist, ytd, order_cnt, remote_cnt, data).
-func StockSchema() query.Schema {
-	return query.Schema{
-		Key: []query.Column{
-			{Name: "w", Enc: query.EncKeyU32},
-			{Name: "i", Enc: query.EncKeyU32},
-		},
-		Val: []query.Column{
-			{Name: "qty", Enc: query.EncValI},
-			{Name: "dist", Enc: query.EncValS},
-			{Name: "ytd", Enc: query.EncValU},
-			{Name: "order_cnt", Enc: query.EncValU},
-			{Name: "remote_cnt", Enc: query.EncValU},
-			{Name: "data", Enc: query.EncValS},
-		},
-	}
-}
-
 // SupplierSchema decodes SUPPLIER rows: key (su), value
 // (name, nation, phone, acct_bal).
 func SupplierSchema() query.Schema {

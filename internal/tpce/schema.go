@@ -120,12 +120,6 @@ func (c *Company) Encode(e *codec.TupleEncoder) []byte {
 	return e.Reset().String(c.Name).String(c.Industry).Clone()
 }
 
-// DecodeCompany parses a COMPANY row.
-func DecodeCompany(b []byte) Company {
-	d := codec.DecodeTuple(b)
-	return Company{Name: d.String(), Industry: d.String()}
-}
-
 // LastTrade is one LAST_TRADE row, the per-security market price.
 type LastTrade struct {
 	Price  float64

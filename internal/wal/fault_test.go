@@ -123,7 +123,7 @@ func TestCrashMidLogLeavesRecoverablePrefix(t *testing.T) {
 
 	// Recover from what the medium durably holds.
 	var got []byte
-	res, err := wal.Recover(inner.Crash(), func(b wal.Block) error {
+	res, err := wal.Recover(inner.Crash(), 0, func(b wal.Block) error {
 		if b.Type == wal.BlockCommit {
 			got = append(got, b.Payload[0])
 		}
@@ -168,7 +168,7 @@ func TestDroppedSyncsLoseEverything(t *testing.T) {
 	m.Close()
 
 	n := 0
-	res, err := wal.Recover(inner.Crash(), func(wal.Block) error { n++; return nil })
+	res, err := wal.Recover(inner.Crash(), 0, func(wal.Block) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,9 +294,6 @@ func (r *Reservation) LSN() LSN { return r.lsn }
 // timestamp when the block is a commit block.
 func (r *Reservation) Offset() uint64 { return r.off }
 
-// Capacity returns how many payload bytes the reservation can hold.
-func (r *Reservation) Capacity() int { return int(r.off + r.size - headerSize - r.pos) }
-
 // SetPrev links this block to an earlier overflow block.
 func (r *Reservation) SetPrev(offset uint64) { r.prev = offset }
 
@@ -553,6 +550,7 @@ func (m *Manager) syncTo(off uint64) error {
 // to segment files in offset order and advances the durable horizon.
 func (m *Manager) flusher() {
 	defer close(m.done)
+	stopping := false
 	for {
 		if m.Err() != nil {
 			// Poisoned by anyone (our own flushOnce, a failed segment open
@@ -566,13 +564,12 @@ func (m *Manager) flusher() {
 			return
 		}
 		if n == 0 {
+			if stopping {
+				return
+			}
 			select {
 			case <-m.stop:
-				// Final drain: one more pass, then exit.
-				if _, err := m.flushOnce(); err != nil {
-					m.setErr(err)
-				}
-				return
+				stopping = true // drain what is completed, chunk by chunk
 			case <-m.kick:
 			case <-time.After(m.cfg.IdleSleep):
 			}
@@ -774,16 +771,20 @@ func (m *Manager) Truncate(offset uint64) ([]string, error) {
 }
 
 // SegmentStartFor returns the start offset of the live segment containing
-// off, or 0 when off falls in no live segment. A replica seeding from a
+// off — or of the next one, when off lies in a dead zone — and 0 when off
+// lies below every live segment or past them all. A replica seeding from a
 // checkpoint subscribes from the start of the segment holding the
-// checkpoint-begin record — not the begin offset itself — so its mirrored
-// segment files are complete from their first byte and a later local
-// recovery scan can read them.
+// checkpoint's floor — not the offset itself — so its mirrored segment
+// files are complete from their first byte and a later local recovery scan
+// can read them.
 func (m *Manager) SegmentStartFor(off uint64) uint64 {
 	if s := m.lookupSegment(off); s != nil {
 		return s.start
 	}
-	return 0
+	if off < m.firstSegmentStart() {
+		return 0
+	}
+	return m.nextSegmentStart(off)
 }
 
 // Stats reports internal counters.

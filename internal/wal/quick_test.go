@@ -111,7 +111,7 @@ func TestQuickRandomSizedBlocksRecover(t *testing.T) {
 		}
 		i := 0
 		ok := true
-		_, err = Recover(st, func(b Block) error {
+		_, err = Recover(st, 0, func(b Block) error {
 			if i >= len(want) || len(b.Payload) != want[i] {
 				ok = false
 			} else {

@@ -304,28 +304,25 @@ func (m *Manager) sealLossy(durable, offset uint64, rep *ReattachReport) error {
 	return nil
 }
 
-// lastBlockBoundary parses seg's file from its start and returns the
+// lastBlockBoundary walks seg's blocks from its start and returns the
 // largest block boundary at or below limit. The durable prefix is a valid
-// block sequence by construction, so the walk terminates at the first
-// header that would cross limit.
+// block sequence by construction, so the walk ends at the first block that
+// would cross limit.
 func lastBlockBoundary(seg *segment, limit uint64) (uint64, error) {
-	if limit <= seg.start {
-		return seg.start, nil
+	size, err := seg.file.Size()
+	if err != nil {
+		return 0, err
 	}
-	hdr := make([]byte, headerSize)
+	r := &segReader{sm: SegmentMeta{Num: seg.num, Start: seg.start, End: seg.end, Name: seg.name},
+		f: seg.file, size: uint64(size)}
 	off := seg.start
-	for off+headerSize <= limit {
-		if _, err := seg.file.ReadAt(hdr, int64(off-seg.start)); err != nil {
+	var buf []byte
+	for off < limit {
+		_, n, err := r.block(off, &buf)
+		if err != nil || n == 0 || off+n > limit {
 			break
 		}
-		if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic {
-			break
-		}
-		size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
-		if size == 0 || size%Grain != 0 || off+size > limit {
-			break
-		}
-		off += size
+		off += n
 	}
 	return off, nil
 }

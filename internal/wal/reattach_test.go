@@ -17,7 +17,7 @@ import (
 func recoverCommits(t *testing.T, st *wal.MemStorage) []byte {
 	t.Helper()
 	var got []byte
-	if _, err := wal.Recover(st.Crash(), func(b wal.Block) error {
+	if _, err := wal.Recover(st.Crash(), 0, func(b wal.Block) error {
 		if b.Type == wal.BlockCommit {
 			got = append(got, b.Payload[0])
 		}

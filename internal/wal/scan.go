@@ -28,182 +28,180 @@ type Block struct {
 // RecoverResult summarizes a completed scan: pass it to Open to resume the
 // log, and use NextOffset as the recovery horizon.
 type RecoverResult struct {
-	// Segments are the live segments in start-offset order. A modulo number
-	// can appear more than once: rotation reuses the 16 numbers without
-	// deleting the files they leave behind (only truncation deletes), so a
-	// log that outgrows NumSegments segments has several generations per
-	// number, every one of them holding committed data. Their offset ranges
-	// are disjoint by construction — ranges come from the global monotonic
-	// offset — so start order is replay order.
+	// Segments are every segment file in start-offset order, read or not. A
+	// modulo number can appear more than once: rotation reuses the 16
+	// numbers without deleting the files they leave behind (only truncation
+	// deletes), so a log that outgrows NumSegments segments has several
+	// generations per number, every one of them holding committed data.
+	// Their offset ranges are disjoint by construction — ranges come from
+	// the global monotonic offset — so start order is replay order.
 	Segments []SegmentMeta
 	// NextOffset is the offset just past the last valid block: the log is
 	// truncated at the first hole without losing committed work.
 	NextOffset uint64
 }
 
-// Recover scans every log segment in st in offset order, invoking fn for
-// each commit, overflow, and checkpoint block. Skip records are consumed
-// silently. The scan stops at the first hole (torn or missing block), which
-// by construction of the flusher can only be at the tail.
-func Recover(st Storage, fn func(Block) error) (*RecoverResult, error) {
+// Segments lists the segment files in st in start-offset order.
+func Segments(st Storage) ([]SegmentMeta, error) {
 	names, err := st.List()
 	if err != nil {
 		return nil, fmt.Errorf("wal: list segments: %w", err)
 	}
 	var metas []SegmentMeta
 	for _, n := range names {
-		num, start, end, ok := parseSegmentName(n)
-		if !ok {
-			continue // not a segment file (e.g. checkpoint blob)
+		if num, start, end, ok := parseSegmentName(n); ok {
+			metas = append(metas, SegmentMeta{Num: num, Start: start, End: end, Name: n})
 		}
-		metas = append(metas, SegmentMeta{Num: num, Start: start, End: end, Name: n})
 	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].Start < metas[j].Start })
-	// Every generation of every modulo number is scanned: rotation reuses
-	// numbers without deleting the older files, so an earlier generation is
-	// committed log content, not garbage. (Recovery once kept only the
-	// newest generation per number, silently dropping the oldest segments'
-	// transactions as soon as an untruncated log outgrew NumSegments files.)
-	live := metas
+	return metas, nil
+}
 
-	res := &RecoverResult{}
-	if len(live) == 0 {
-		res.NextOffset = Grain
-		return res, nil
+// Recover scans the log in st from offset from, a block boundary (0 for the
+// whole log), invoking fn for each commit, overflow and checkpoint block;
+// skip records are consumed silently. Segments wholly below from are listed
+// but not read. The scan stops at the first hole (torn or missing block),
+// which by construction of the flusher can only be at the tail.
+//
+// Each segment the scan enters must follow the one before it: the next
+// modulo number, starting at or after its end, past at most a dead zone. A
+// dead zone holds the claims that raced the roll, each under a quarter
+// segment, so it is shorter than the NumSegments segments a missing run with
+// a matching modulo number spans. A segment that does not follow is a gap,
+// and the scan fails naming both neighbours rather than replay past lost
+// commits. A gap wholly below from is a truncation half-applied at a crash.
+func Recover(st Storage, from uint64, fn func(Block) error) (*RecoverResult, error) {
+	metas, err := Segments(st)
+	if err != nil {
+		return nil, err
 	}
-	res.Segments = live
-	res.NextOffset = live[0].Start
-
-	hdr := make([]byte, headerSize)
+	res := &RecoverResult{Segments: metas, NextOffset: max(from, Grain)}
+	started := false
 	var payload []byte
-	for _, sm := range live {
-		f, err := st.Open(sm.Name)
-		if err != nil {
-			return nil, fmt.Errorf("wal: open segment %s: %w", sm.Name, err)
+	for i, sm := range metas {
+		if sm.End <= from {
+			continue
 		}
-		// The file's real size clamps every header-declared length below:
-		// segment names and block headers are data, and data can lie.
-		fsize, err := f.Size()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: size segment %s: %w", sm.Name, err)
+		if i > 0 && sm.Start > from {
+			if p := metas[i-1]; sm.Num != (p.Num+1)%NumSegments || sm.Start < p.End ||
+				sm.Start-p.End >= NumSegments*(sm.End-sm.Start) {
+				return nil, fmt.Errorf("wal: gap in the log between segment %s and segment %s", p.Name, sm.Name)
+			}
 		}
-		off := sm.Start
-		closed := false
+		off := max(from, sm.Start)
+		if !started {
+			res.NextOffset, started = off, true
+		}
+		r, err := openSegment(st, sm)
+		if err != nil {
+			return nil, err
+		}
 		for off < sm.End {
-			if _, err := f.ReadAt(hdr, int64(off-sm.Start)); err != nil {
-				if err == io.EOF {
-					break // tail of flushed data
-				}
-				return nil, fmt.Errorf("wal: read segment %s: %w", sm.Name, err)
+			b, size, err := r.block(off, &payload)
+			if err != nil {
+				r.f.Close()
+				return nil, err
 			}
-			if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic {
-				break // hole: unwritten space
+			if size == 0 {
+				break // hole: unwritten space, or a torn block
 			}
-			typ := hdr[2]
-			size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
-			blockOff := binary.LittleEndian.Uint64(hdr[8:])
-			prev := binary.LittleEndian.Uint64(hdr[16:])
-			plen := binary.LittleEndian.Uint32(hdr[24:])
-			sum := binary.LittleEndian.Uint32(hdr[28:])
-			if blockOff != off || size == 0 || size%Grain != 0 || off+size > sm.End ||
-				uint64(plen) > size-headerSize ||
-				off-sm.Start+headerSize+uint64(plen) > uint64(fsize) {
-				break // torn block, or a header declaring bytes the file lacks
-			}
-			if typ == BlockSkip {
-				if off+size == sm.End {
-					closed = true // segment-closing skip record
-				}
-				off += size
-				res.NextOffset = off
-				continue
-			}
-			n := int(plen)
-			if cap(payload) < n {
-				payload = make([]byte, n)
-			}
-			p := payload[:n]
-			if n > 0 {
-				if _, err := f.ReadAt(p, int64(off-sm.Start+headerSize)); err != nil && err != io.EOF {
-					return nil, fmt.Errorf("wal: read payload %s: %w", sm.Name, err)
-				}
-			}
-			if fnvAdd(fnvInit, p) != sum {
-				break // torn payload at the tail
-			}
-			if fn != nil {
-				if err := fn(Block{LSN: MakeLSN(off, sm.Num), Type: typ, Prev: prev, Payload: p}); err != nil {
+			if b.Type != BlockSkip && fn != nil {
+				if err := fn(b); err != nil {
+					r.f.Close()
 					return nil, err
 				}
 			}
 			off += size
 			res.NextOffset = off
 		}
-		f.Close()
-		if off == sm.End {
-			closed = true // segment filled exactly, no closing skip needed
-		}
-		if !closed {
-			// This segment never closed: it is the tail; later segments (if
-			// any) hold no committed work past this hole.
+		r.f.Close()
+		if off != sm.End {
+			// This segment never closed (filled, or ended by a closing skip
+			// record): it is the tail, and later segments (if any) hold no
+			// committed work past this hole.
 			break
 		}
 	}
 	return res, nil
 }
 
-// ReadBlock fetches a single block by LSN from storage, used to follow
-// overflow chains during recovery.
-func ReadBlock(st Storage, metas []SegmentMeta, l LSN) (Block, error) {
-	off := l.Offset()
+// ReadBlock fetches the block at offset off from storage, used to follow
+// overflow chains and to find a checkpoint's begin record.
+func ReadBlock(st Storage, metas []SegmentMeta, off uint64) (Block, error) {
 	for _, sm := range metas {
 		if off < sm.Start || off >= sm.End {
 			continue
 		}
-		f, err := st.Open(sm.Name)
+		r, err := openSegment(st, sm)
 		if err != nil {
 			return Block{}, err
 		}
-		defer f.Close()
-		fsize, err := f.Size()
-		if err != nil {
-			return Block{}, err
+		defer r.f.Close()
+		var payload []byte // fresh: the caller keeps the payload
+		b, size, err := r.block(off, &payload)
+		if err == nil && size == 0 {
+			err = fmt.Errorf("wal: no valid block at %#x in %s", off, sm.Name)
 		}
-		hdr := make([]byte, headerSize)
-		if _, err := f.ReadAt(hdr, int64(off-sm.Start)); err != nil {
-			return Block{}, err
-		}
-		if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic {
-			return Block{}, fmt.Errorf("wal: no block at %v", l)
-		}
-		// Validate every header-declared length against the segment bounds
-		// and the file's real size before allocating or reading: a corrupt
-		// header must produce an error, not a giant allocation.
-		size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
-		blockOff := binary.LittleEndian.Uint64(hdr[8:])
-		plen := binary.LittleEndian.Uint32(hdr[24:])
-		sum := binary.LittleEndian.Uint32(hdr[28:])
-		if blockOff != off || size == 0 || size%Grain != 0 || off+size > sm.End ||
-			uint64(plen) > size-headerSize ||
-			off-sm.Start+headerSize+uint64(plen) > uint64(fsize) {
-			return Block{}, fmt.Errorf("wal: corrupt block header at %v", l)
-		}
-		payload := make([]byte, plen)
-		if plen > 0 {
-			if _, err := f.ReadAt(payload, int64(off-sm.Start+headerSize)); err != nil && err != io.EOF {
-				return Block{}, err
-			}
-		}
-		if fnvAdd(fnvInit, payload) != sum {
-			return Block{}, fmt.Errorf("wal: corrupt block payload at %v", l)
-		}
-		return Block{
-			LSN:     l,
-			Type:    hdr[2],
-			Prev:    binary.LittleEndian.Uint64(hdr[16:]),
-			Payload: payload,
-		}, nil
+		return b, err
 	}
-	return Block{}, fmt.Errorf("wal: LSN %v maps to no segment", l)
+	return Block{}, fmt.Errorf("wal: offset %#x maps to no segment", off)
+}
+
+// segReader reads blocks out of one segment file. Recover and ReadBlock
+// share it, so both apply the same checks.
+type segReader struct {
+	sm SegmentMeta
+	f  File
+	// size is the file's real size. It clamps every header-declared length:
+	// segment names and block headers are data, and data can lie.
+	size uint64
+	hdr  [headerSize]byte
+}
+
+func openSegment(st Storage, sm SegmentMeta) (*segReader, error) {
+	f, err := st.Open(sm.Name)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open segment %s: %w", sm.Name, err)
+	}
+	size, err := f.Size()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: size segment %s: %w", sm.Name, err)
+	}
+	return &segReader{sm: sm, f: f, size: uint64(size)}, nil
+}
+
+// block reads the block at off, its payload into *buf (grown as needed),
+// and returns it with its padded size. A size of zero means off holds no
+// whole, valid block: unwritten space, a torn header or payload, or a header
+// whose lengths run past the segment or the file. Only I/O fails.
+func (r *segReader) block(off uint64, buf *[]byte) (Block, uint64, error) {
+	sm, hdr := r.sm, r.hdr[:]
+	if _, err := r.f.ReadAt(hdr, int64(off-sm.Start)); err != nil {
+		if err == io.EOF {
+			return Block{}, 0, nil // tail of flushed data
+		}
+		return Block{}, 0, fmt.Errorf("wal: read segment %s: %w", sm.Name, err)
+	}
+	size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
+	plen := uint64(binary.LittleEndian.Uint32(hdr[24:]))
+	if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic || binary.LittleEndian.Uint64(hdr[8:]) != off ||
+		size == 0 || size%Grain != 0 || off+size > sm.End || plen > size-headerSize ||
+		off-sm.Start+headerSize+plen > r.size {
+		return Block{}, 0, nil
+	}
+	if uint64(cap(*buf)) < plen {
+		*buf = make([]byte, plen)
+	}
+	p := (*buf)[:plen]
+	if plen > 0 {
+		if _, err := r.f.ReadAt(p, int64(off-sm.Start+headerSize)); err != nil && err != io.EOF {
+			return Block{}, 0, fmt.Errorf("wal: read payload %s: %w", sm.Name, err)
+		}
+	}
+	if fnvAdd(fnvInit, p) != binary.LittleEndian.Uint32(hdr[28:]) {
+		return Block{}, 0, nil // torn payload at the tail
+	}
+	return Block{LSN: MakeLSN(off, sm.Num), Type: hdr[2],
+		Prev: binary.LittleEndian.Uint64(hdr[16:]), Payload: p}, size, nil
 }

@@ -12,6 +12,8 @@ import (
 // Storage abstracts the medium holding log segment files and checkpoint
 // blobs, so the engine can run against the heap in benchmarks (the paper
 // writes to tmpfs) and against real files in recovery tests.
+// Create, Remove and Rename are durable when they return; a file's bytes are
+// durable only once synced.
 type Storage interface {
 	// Create makes (or truncates) a named file.
 	Create(name string) (File, error)
@@ -104,9 +106,8 @@ func (s *MemStorage) Remove(name string) error {
 	return nil
 }
 
-// Rename implements Storage. Like the namespace operations Create and
-// Remove, the rename itself is atomic and durable (the directory metadata
-// survives Crash); the file's bytes keep their own synced/unsynced split.
+// Rename implements Storage. The rename is atomic, and like Create and
+// Remove durable: the directory metadata survives Crash.
 func (s *MemStorage) Rename(oldName, newName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,10 +234,15 @@ func NewDirStorage(dir string) (*DirStorage, error) {
 	return &DirStorage{dir: dir}, nil
 }
 
-// Create implements Storage.
+// Create implements Storage, syncing the directory: a segment's synced
+// commits are lost with a directory entry that is not durable.
 func (s *DirStorage) Create(name string) (File, error) {
 	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	if err := s.syncDir(); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return osFile{f}, nil
@@ -267,9 +273,12 @@ func (s *DirStorage) List() ([]string, error) {
 	return names, nil
 }
 
-// Remove implements Storage.
+// Remove implements Storage, syncing the directory.
 func (s *DirStorage) Remove(name string) error {
-	return os.Remove(filepath.Join(s.dir, name))
+	if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
+		return err
+	}
+	return s.syncDir()
 }
 
 // Rename implements Storage via os.Rename, which is atomic on POSIX
@@ -281,6 +290,11 @@ func (s *DirStorage) Rename(oldName, newName string) error {
 	if err := os.Rename(filepath.Join(s.dir, oldName), filepath.Join(s.dir, newName)); err != nil {
 		return err
 	}
+	return s.syncDir()
+}
+
+// syncDir makes the directory's entries durable.
+func (s *DirStorage) syncDir() error {
 	d, err := os.Open(s.dir)
 	if err != nil {
 		return err

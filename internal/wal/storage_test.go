@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"runtime"
@@ -54,6 +55,37 @@ func TestCloseReleasesSegmentFiles(t *testing.T) {
 // TestDirStorageRenameRoundTrip: a renamed file reads back under its new
 // name, the old name is gone, and the directory sync behind each rename
 // leaks no descriptor.
+// TestDirStorageCreateRemoveRoundTrip: Create and Remove sync the directory
+// and leak no descriptor doing it; removing a missing name still fails.
+func TestDirStorageCreateRemoveRoundTrip(t *testing.T) {
+	st, err := NewDirStorage(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs(t)
+	for i := 0; i < 25; i++ {
+		f, err := st.Create("seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Remove("seg"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := openFDs(t); after > before {
+		t.Fatalf("25 creates and removes left %d more descriptors open", after-before)
+	}
+	if names, err := st.List(); err != nil || len(names) != 0 {
+		t.Fatalf("files left: %v (%v)", names, err)
+	}
+	if err := st.Remove("seg"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Remove of a missing file = %v", err)
+	}
+}
+
 func TestDirStorageRenameRoundTrip(t *testing.T) {
 	st, err := NewDirStorage(t.TempDir())
 	if err != nil {

@@ -270,7 +270,7 @@ func TestTailMirrorRoundTrip(t *testing.T) {
 	}
 
 	var got [][]byte
-	res, err := Recover(mirror, func(b Block) error {
+	res, err := Recover(mirror, 0, func(b Block) error {
 		if b.Type == BlockCommit {
 			got = append(got, append([]byte(nil), b.Payload...))
 		}

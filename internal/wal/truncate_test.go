@@ -37,7 +37,7 @@ func TestTruncateRemovesOnlyCoveredSegments(t *testing.T) {
 	// Recovery sees exactly the blocks at or after the first surviving
 	// segment, in order, with no holes.
 	var recovered []uint64
-	if _, err := Recover(st, func(b Block) error {
+	if _, err := Recover(st, 0, func(b Block) error {
 		if b.Type == BlockCommit {
 			recovered = append(recovered, b.LSN.Offset())
 		}

@@ -72,7 +72,7 @@ func TestReserveCommitScan(t *testing.T) {
 
 	var got [][]byte
 	var lastOff uint64
-	res, err := Recover(st, func(b Block) error {
+	res, err := Recover(st, 0, func(b Block) error {
 		if b.Type != BlockCommit {
 			return fmt.Errorf("unexpected type %d", b.Type)
 		}
@@ -118,7 +118,7 @@ func TestSegmentRotation(t *testing.T) {
 	m.Close()
 
 	count := 0
-	if _, err := Recover(st, func(b Block) error {
+	if _, err := Recover(st, 0, func(b Block) error {
 		if b.Type == BlockCommit {
 			count++
 		}
@@ -146,7 +146,7 @@ func TestAbortWritesSkip(t *testing.T) {
 	m.Close()
 
 	var got []string
-	if _, err := Recover(st, func(b Block) error {
+	if _, err := Recover(st, 0, func(b Block) error {
 		got = append(got, string(b.Payload))
 		return nil
 	}); err != nil {
@@ -211,7 +211,7 @@ func TestConcurrentWritersRecoverAll(t *testing.T) {
 	m.Close()
 
 	count := 0
-	if _, err := Recover(st, func(b Block) error {
+	if _, err := Recover(st, 0, func(b Block) error {
 		if b.Type == BlockCommit {
 			count++
 		}
@@ -255,7 +255,7 @@ func TestCrashLosesOnlyTail(t *testing.T) {
 	m.Close()
 
 	count := 0
-	res, err := Recover(crashed, func(b Block) error {
+	res, err := Recover(crashed, 0, func(b Block) error {
 		if b.Type == BlockCommit {
 			count++
 		}
@@ -284,7 +284,7 @@ func TestResumeAfterRecovery(t *testing.T) {
 	m.Flush()
 	m.Close()
 
-	res, err := Recover(st, nil)
+	res, err := Recover(st, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestResumeAfterRecovery(t *testing.T) {
 	m2.Close()
 
 	var got []string
-	if _, err := Recover(st, func(b Block) error {
+	if _, err := Recover(st, 0, func(b Block) error {
 		got = append(got, string(b.Payload))
 		return nil
 	}); err != nil {
@@ -363,7 +363,7 @@ func TestOverflowChain(t *testing.T) {
 	m.Close()
 
 	byOff := map[uint64]Block{}
-	res, err := Recover(st, func(b Block) error {
+	res, err := Recover(st, 0, func(b Block) error {
 		byOff[b.LSN.Offset()] = Block{LSN: b.LSN, Type: b.Type, Prev: b.Prev,
 			Payload: append([]byte(nil), b.Payload...)}
 		return nil
@@ -387,7 +387,7 @@ func TestOverflowChain(t *testing.T) {
 		t.Errorf("chain should end, prev = %d", o1.Prev)
 	}
 	// ReadBlock can follow the chain directly too.
-	b, err := ReadBlock(st, res.Segments, c.LSN)
+	b, err := ReadBlock(st, res.Segments, c.LSN.Offset())
 	if err != nil || b.Prev != r2.Offset() {
 		t.Fatalf("ReadBlock: %v, prev=%d", err, b.Prev)
 	}
@@ -426,7 +426,7 @@ func TestDirStorage(t *testing.T) {
 	m.Close()
 
 	count := 0
-	if _, err := Recover(st, func(b Block) error {
+	if _, err := Recover(st, 0, func(b Block) error {
 		count++
 		return nil
 	}); err != nil {
@@ -438,7 +438,7 @@ func TestDirStorage(t *testing.T) {
 }
 
 func TestEmptyLogRecovery(t *testing.T) {
-	res, err := Recover(NewMemStorage(), func(Block) error {
+	res, err := Recover(NewMemStorage(), 0, func(Block) error {
 		t.Fatal("callback on empty log")
 		return nil
 	})
@@ -505,4 +505,24 @@ func BenchmarkReserveCommitParallel(b *testing.B) {
 			r.Commit()
 		}
 	})
+}
+
+// TestCloseDrainsEveryCompletedBlock: Close makes every completed block
+// durable, also when more than one flush chunk (half the ring) is pending.
+func TestCloseDrainsEveryCompletedBlock(t *testing.T) {
+	st := NewMemStorage()
+	cfg := testConfig(st)
+	cfg.IdleSleep = time.Hour // only Close wakes the flusher
+	m := mustOpen(t, cfg)
+	var offs []uint64
+	for len(offs)*256 < int(cfg.BufferSize)*3/4 {
+		offs = append(offs, appendBlock(t, m, make([]byte, 200)))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if _, err := Recover(st.Crash(), 0, func(Block) error { n++; return nil }); err != nil || n != len(offs) {
+		t.Fatalf("recovered %d of %d closed blocks (%v)", n, len(offs), err)
+	}
 }
