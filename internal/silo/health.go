@@ -19,7 +19,15 @@ func (db *DB) Health() engine.HealthStatus { return db.health.Status() }
 // group-commit action on demand (tests and benchmarks run with long epochs,
 // and a server over Silo calls it as its group committer's device wait). A
 // device error surfaces here and degrades the DB to read-only.
-func (db *DB) WaitDurable() error { return db.health.Note(db.log.Flush()) }
+//
+// It holds the gate's read side, so a Reattach cannot heal the log between
+// a failed flush and Note: noting that stale error would degrade the healed
+// DB again, with no fault left to reattach from.
+func (db *DB) WaitDurable() error {
+	db.logGate.RLock()
+	defer db.logGate.RUnlock()
+	return db.health.Note(db.log.Flush())
+}
 
 // DurableOffset implements engine.Durable: the log's group-commit horizon.
 func (db *DB) DurableOffset() uint64 { return db.log.DurableOffset() }
