@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test ./internal/codec/ -run=^$$ -fuzz=FuzzDecodeTuple -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal/ -run=^$$ -fuzz=^FuzzRecover$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal/ -run=^$$ -fuzz=^FuzzTail$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=^FuzzRecover$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/silo/ -run=^$$ -fuzz=^FuzzRecover$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=^FuzzCheckpointBlob$$ -fuzztime=$(FUZZTIME)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,8 +26,14 @@ import (
 // (so replication tests exercise segment rotation) and serves it.
 func startPrimary(t *testing.T) (*core.DB, *server.Server, string) {
 	t.Helper()
+	return startPrimarySized(t, 64<<10)
+}
+
+// startPrimarySized is startPrimary with segments of segSize bytes.
+func startPrimarySized(t *testing.T, segSize uint64) (*core.DB, *server.Server, string) {
+	t.Helper()
 	db, err := core.Open(core.Config{
-		WAL: wal.Config{SegmentSize: 64 << 10, BufferSize: 32 << 10, Storage: wal.NewMemStorage()},
+		WAL: wal.Config{SegmentSize: segSize, BufferSize: 32 << 10, Storage: wal.NewMemStorage()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -578,4 +585,57 @@ func TestPromoteReadsOnlyPastTheWatermark(t *testing.T) {
 		t.Fatalf("promotion read %d bytes of a mirror caught up to %#x", read, db.Log().DurableOffset())
 	}
 	audit(t, r.DB(), r.DB().OpenTable("kv"), "k", 2000)
+}
+
+// TestMirrorFilesStayBounded: a replica that keeps up closes each mirror
+// segment file once the stream has passed its end, so shipping many
+// segments over DirStorage leaves its descriptor count flat.
+func TestMirrorFilesStayBounded(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	db, _, addr := startPrimarySized(t, 8<<10)
+	dir := t.TempDir()
+	mirror, err := wal.NewDirStorage(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := repl.Start(repl.Config{
+		PrimaryAddr:    addr,
+		ReconnectDelay: 10 * time.Millisecond,
+		Core:           core.Config{WAL: wal.Config{Storage: mirror}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	tbl := db.CreateTable("kv")
+	catchUp := func(prefix string, n int) {
+		fill(t, db, tbl, prefix, n)
+		if err := db.WaitDurable(); err != nil {
+			t.Fatal(err)
+		}
+		waitWatermark(t, r, db.Log().DurableOffset())
+	}
+	catchUp("a", 200)
+	before := openFDs()
+	catchUp("b", 5000)
+	after := openFDs()
+	shipped, err := wal.Segments(mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shipped) < 20 {
+		t.Fatalf("mirrored %d segments; the test needs at least 20", len(shipped))
+	}
+	if after-before > 2 {
+		t.Fatalf("mirroring %d segments left %d more descriptors open", len(shipped), after-before)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -666,32 +667,31 @@ func (r *Replica) mirrorFile(sm wal.SegmentMeta) (wal.File, error) {
 // is fully applied. The batch was already validated as a unit (frame CRC
 // plus batch CRC), so nothing here can tear mid-batch short of a crash —
 // and a crash re-runs recovery over the mirror, which re-derives exactly
-// the applied state.
+// the applied state. Mirror files of segments the stream has passed are
+// closed at the end, so open files stay bounded by one batch's segments.
 func (r *Replica) applyBatch(b *proto.ReplBatch) error {
-	for _, s := range b.Segments {
-		sm := wal.SegmentMeta{
-			Num:   int(s.Num),
-			Start: s.Start,
-			End:   s.End,
-			Name:  wal.SegmentFileName(int(s.Num), s.Start, s.End),
-		}
+	segs := make([]wal.SegmentMeta, len(b.Segments))
+	for i, s := range b.Segments {
+		sm := wal.NewSegmentMeta(int(s.Num), s.Start, s.End)
+		segs[i] = sm
 		if _, ok := r.segs[sm.Name]; !ok {
 			r.segs[sm.Name] = sm
 			r.ap.AddSegment(sm)
 		}
 	}
-
 	// Mirror: header+payload at the block's offset reproduces the
 	// primary's segment bytes (padding stays unwritten, as the primary's
-	// flusher may leave it).
-	touched := make(map[string]wal.File, 1)
-	var hdr []byte
+	// flusher may leave it). Every block lives in a segment of its own
+	// batch: the Tail ships each segment with its blocks.
+	at := make([]wal.SegmentMeta, len(b.Blocks))
+	var buf []byte
 	for i := range b.Blocks {
 		blk := &b.Blocks[i]
-		sm, ok := r.segmentFor(blk.Off)
-		if !ok {
+		j := slices.IndexFunc(segs, func(sm wal.SegmentMeta) bool { return blk.Off >= sm.Start && blk.Off < sm.End })
+		if j < 0 {
 			return fmt.Errorf("repl: block at %#x maps to no shipped segment", blk.Off)
 		}
+		sm := segs[j]
 		if blk.Off+uint64(blk.Size) > sm.End {
 			return fmt.Errorf("repl: block at %#x overruns segment %s", blk.Off, sm.Name)
 		}
@@ -699,14 +699,14 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 		if err != nil {
 			return err
 		}
-		hdr = wal.AppendBlockHeader(hdr[:0], blk.Type, blk.Off, uint64(blk.Size), blk.Prev, blk.Payload)
-		hdr = append(hdr, blk.Payload...)
-		if _, err := f.WriteAt(hdr, int64(blk.Off-sm.Start)); err != nil {
+		buf = wal.AppendBlock(buf[:0], blk.Type, blk.Off, uint64(blk.Size), blk.Prev, blk.Payload)
+		if _, err := f.WriteAt(buf, int64(blk.Off-sm.Start)); err != nil {
 			return fmt.Errorf("repl: mirror write %s: %w", sm.Name, err)
 		}
-		touched[sm.Name] = f
+		at[i] = sm
 	}
-	for name, f := range touched {
+	// Open files are this batch's segments and the one the stream was in.
+	for name, f := range r.files {
 		if err := f.Sync(); err != nil {
 			return fmt.Errorf("repl: mirror sync %s: %w", name, err)
 		}
@@ -717,10 +717,10 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 	// local files.
 	for i := range b.Blocks {
 		blk := &b.Blocks[i]
-		sm, _ := r.segmentFor(blk.Off)
 		err := r.ap.Apply(wal.Block{
-			LSN:     wal.MakeLSN(blk.Off, sm.Num),
+			LSN:     wal.MakeLSN(blk.Off, at[i].Num),
 			Type:    blk.Type,
+			Size:    uint64(blk.Size),
 			Prev:    blk.Prev,
 			Payload: blk.Payload,
 		})
@@ -728,7 +728,7 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 			return err
 		}
 		r.subPos = blk.Off + uint64(blk.Size)
-		r.db.PublishWatermark(blk.Off + uint64(blk.Size))
+		r.db.PublishWatermark(r.subPos)
 		r.blocks.Add(1)
 		r.bytes.Add(uint64(blk.Size))
 		if r.sinceGC++; r.sinceGC >= r.cfg.GCEveryBlocks {
@@ -739,18 +739,15 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 			r.sinceGC = 0
 		}
 	}
+	for name, f := range r.files {
+		if r.segs[name].End <= r.subPos {
+			f.Close()
+			delete(r.files, name)
+		}
+	}
 	r.primaryDurable.Store(b.Durable)
 	r.batches.Add(1)
 	return nil
-}
-
-func (r *Replica) segmentFor(off uint64) (wal.SegmentMeta, bool) {
-	for _, sm := range r.segs {
-		if off >= sm.Start && off < sm.End {
-			return sm, true
-		}
-	}
-	return wal.SegmentMeta{}, false
 }
 
 // Promote turns the replica into a primary: seal the stream, drain the

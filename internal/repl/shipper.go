@@ -116,7 +116,7 @@ func (sh *Shipper) Run(from uint64, stop <-chan struct{}, emit func(*proto.ReplB
 		batch.Blocks = batch.Blocks[:0]
 		for _, b := range blocks {
 			batch.Blocks = append(batch.Blocks, proto.ReplBlock{
-				Off: b.Off, Size: uint32(b.Size), Type: b.Type, Prev: b.Prev, Payload: b.Payload,
+				Off: b.LSN.Offset(), Size: uint32(b.Size), Type: b.Type, Prev: b.Prev, Payload: b.Payload,
 			})
 		}
 		if err := emit(batch); err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ermia/internal/alloctest"
+	"ermia/internal/core"
 	"ermia/internal/engine"
 	"ermia/internal/faultfs"
 	"ermia/internal/shard"
@@ -24,10 +25,10 @@ type crossRig struct {
 }
 
 func newCrossRig(t testing.TB, syncDelay time.Duration) *crossRig {
-	cl := startClusterOn(t, 2, nil, syncDelay, func(st wal.Storage) wal.Config {
+	cl := startClusterOn(t, 2, nil, syncDelay, func(st wal.Storage) core.Config {
 		cfg := walOver(st)
 		cfg.IdleSleep = time.Minute
-		return cfg
+		return core.Config{WAL: cfg}
 	})
 	logGate := faultfs.NewSyncGate(wal.NewMemStorage(), syncDelay)
 	r, err := shard.NewRouterOver(cl.m, shard.Options{PoolSize: 1}, logGate)

@@ -25,6 +25,7 @@ import (
 type cluster struct {
 	t     testing.TB
 	m     *shard.Map
+	over  func(wal.Storage) core.Config
 	mems  []*wal.MemStorage
 	gates []*faultfs.SyncGate
 	dbs   []*core.DB
@@ -36,14 +37,14 @@ func walOver(st wal.Storage) wal.Config {
 }
 
 func startCluster(t testing.TB, n int, rules []shard.TableRule) *cluster {
-	return startClusterOn(t, n, rules, 0, walOver)
+	return startClusterOn(t, n, rules, 0, func(st wal.Storage) core.Config { return core.Config{WAL: walOver(st)} })
 }
 
 // startClusterOn is startCluster over commit devices that take syncDelay per
-// sync, each under the log configuration logOver builds.
-func startClusterOn(t testing.TB, n int, rules []shard.TableRule, syncDelay time.Duration, logOver func(wal.Storage) wal.Config) *cluster {
+// sync, each engine under the configuration over builds.
+func startClusterOn(t testing.TB, n int, rules []shard.TableRule, syncDelay time.Duration, over func(wal.Storage) core.Config) *cluster {
 	t.Helper()
-	cl := &cluster{t: t, m: &shard.Map{Version: 1, Rules: rules}}
+	cl := &cluster{t: t, m: &shard.Map{Version: 1, Rules: rules}, over: over}
 	lns := make([]net.Listener, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -56,7 +57,7 @@ func startClusterOn(t testing.TB, n int, rules []shard.TableRule, syncDelay time
 	for i, ln := range lns {
 		mem := wal.NewMemStorage()
 		gate := faultfs.NewSyncGate(mem, syncDelay)
-		db, err := core.Open(core.Config{WAL: logOver(gate)})
+		db, err := core.Open(over(gate))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func (cl *cluster) crashShard(i int) {
 	cl.srvs[i].Close()
 	cl.dbs[i].Close()
 	cl.mems[i], cl.gates[i] = image, faultfs.NewSyncGate(image, 0)
-	db, err := core.Recover(core.Config{WAL: walOver(cl.gates[i])})
+	db, err := core.Recover(cl.over(cl.gates[i]))
 	if err != nil {
 		cl.t.Fatal(err)
 	}
@@ -556,5 +557,81 @@ func TestPoolStatsThroughRouter(t *testing.T) {
 	}
 	if reqs == 0 {
 		t.Error("pool counters never incremented")
+	}
+}
+
+// TestCrossShardWriteSkewUnderSSN pins today's contract for a write skew
+// that 2PC carries past the certifier (ROADMAP item 1). Both shards run
+// SSN. T1 reads a and writes b, T2 reads b and writes a, and both rw-edges
+// lie on shard 0; each transaction also writes its own key on shard 1, so
+// both take two-phase commit. Shard 0 certifies nothing at prepare. T1
+// commits. T2's SSN check runs only when its commit decision is applied,
+// after the coordinator logged C; it fails there, so T2's Commit reports
+// the transaction in doubt, and the resolver's retry replays T2's writes
+// without their reads. Both commit and the skew stands. Item 1b validates
+// at prepare and flips this test: T2 must abort cleanly.
+func TestCrossShardWriteSkewUnderSSN(t *testing.T) {
+	cl := startClusterOn(t, 2, nil, 0, func(st wal.Storage) core.Config {
+		return core.Config{WAL: walOver(st), Serializable: true}
+	})
+	r := cl.router(t, shard.Options{})
+	tbl := r.CreateTable("t")
+	var on [2][][]byte // two keys on each shard
+	for i := 0; len(on[0]) < 2 || len(on[1]) < 2; i++ {
+		k := []byte(fmt.Sprintf("skew-%03d", i))
+		s := cl.m.ShardOf(cl.m.RuleFor("t"), k)
+		on[s] = append(on[s], k)
+	}
+	a, b, c1, c2 := on[0][0], on[0][1], on[1][0], on[1][1]
+	seed := r.Begin(0)
+	for _, k := range [][]byte{a, b} {
+		if err := seed.Insert(tbl, k, []byte("0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	t1, t2 := r.Begin(0), r.Begin(0)
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := t1.Get(tbl, a)
+	step(err)
+	_, err = t2.Get(tbl, b)
+	step(err)
+	step(t1.Update(tbl, b, []byte("t1")))
+	step(t2.Update(tbl, a, []byte("t2")))
+	step(t1.Insert(tbl, c1, []byte("t1")))
+	step(t2.Insert(tbl, c2, []byte("t2")))
+	step(t1.Commit())
+	if err := t2.Commit(); !errors.Is(err, engine.ErrTxnInDoubt) {
+		t.Fatalf("T2 commit: %v; want it in doubt (item 1b: a clean abort)", err)
+	}
+	want := map[string]string{string(a): "t2", string(b): "t1", string(c1): "t1", string(c2): "t2"}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := r.ResolveInDoubt(); err != nil {
+			t.Fatal(err)
+		}
+		check := r.BeginReadOnly(0)
+		got := map[string]string{}
+		for k := range want {
+			v, _ := check.Get(tbl, []byte(k))
+			got[k] = string(v)
+		}
+		check.Abort()
+		if fmt.Sprint(got) == fmt.Sprint(want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after resolution the keys read %v; want both writes, the skew: %v", got, want)
+		}
+	}
+	if _, cross := r.CommitCounts(); cross < 1 {
+		t.Fatal("T1 committed without 2PC") // T2's in-doubt report shows it took 2PC
 	}
 }

@@ -4,9 +4,12 @@
 package wal_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,6 +145,125 @@ func FuzzRecover(f *testing.F) {
 		}
 		for _, p := range prevs {
 			wal.ReadBlock(st, res.Segments, p)
+		}
+	})
+}
+
+// fuzzTailLog writes a small log of several fuzzSegSize segments through a
+// live SyncFlush manager, aborts included, and makes it durable. The bytes
+// are the same on every call.
+func fuzzTailLog(t testing.TB) (*wal.Manager, *wal.MemStorage) {
+	st := wal.NewMemStorage()
+	m, err := wal.Open(wal.Config{
+		SegmentSize: fuzzSegSize, BufferSize: 2048, Storage: st, SyncFlush: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		p := []byte(fmt.Sprintf("block %02d %s", i, strings.Repeat("x", 150*(i%3))))
+		r, err := m.Reserve(len(p), wal.BlockCommit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%9 == 4 {
+			r.Abort()
+			continue
+		}
+		r.Append(p)
+		r.Commit()
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return m, st
+}
+
+// drainAll reads a Tail from the start of the log until it catches up or
+// fails, copying each block.
+func drainAll(m *wal.Manager) ([]wal.Block, error) {
+	var out []wal.Block
+	tail := m.TailFrom(wal.Grain)
+	for {
+		blocks, _, err := tail.Next(1 << 10)
+		for _, b := range blocks {
+			b.Payload = append([]byte(nil), b.Payload...)
+			out = append(out, b)
+		}
+		if err != nil || len(blocks) == 0 {
+			return out, err
+		}
+	}
+}
+
+// FuzzTail flips one byte of a durable log's segment files, at offset
+// Grain+off modulo the log, then drains a Tail over the live manager. The
+// Tail must not panic. Every block it yields was written at its offset with
+// the same payload, and with the same header unless the flip landed in that
+// header (the checksum covers the payload only). A flip in a payload, or
+// one that puts a size field off the grain, is an error naming the block's
+// offset; a flip in padding changes nothing.
+func FuzzTail(f *testing.F) {
+	m, _ := fuzzTailLog(f)
+	want, err := drainAll(m)
+	m.Close()
+	if err != nil || len(want) < 30 {
+		f.Fatalf("clean log: %d blocks, %v", len(want), err)
+	}
+	f.Add(uint16(0), uint8(0))                                                       // a clean log
+	f.Add(uint16(want[5].LSN.Offset()+wal.BlockHeaderSize+3-wal.Grain), uint8(0x10)) // a payload byte
+	f.Add(uint16(want[7].LSN.Offset()+4-wal.Grain), uint8(0x08))                     // the size field lies
+	f.Fuzz(func(t *testing.T, off uint16, xor uint8) {
+		m, st := fuzzTailLog(t)
+		defer m.Close()
+		flipped := wal.Grain + uint64(off)%(m.DurableOffset()-wal.Grain)
+		segs, err := wal.Segments(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range segs {
+			if flipped >= sm.Start && flipped < sm.End {
+				fl, _ := st.Open(sm.Name)
+				b := make([]byte, 1)
+				if _, err := fl.ReadAt(b, int64(flipped-sm.Start)); err != nil {
+					xor = 0 // a dead zone, or past the file: nothing to flip
+				}
+				b[0] ^= xor
+				fl.WriteAt(b, int64(flipped-sm.Start))
+			}
+		}
+		// The written block the flip landed in, and where in it.
+		var hit *wal.Block
+		var d uint64
+		for i := range want {
+			if o := want[i].LSN.Offset(); xor != 0 && flipped >= o && flipped < o+want[i].Size {
+				hit, d = &want[i], flipped-o
+			}
+		}
+		inHeader := hit != nil && d < wal.BlockHeaderSize
+		inPayload := hit != nil && !inHeader && d < wal.BlockHeaderSize+uint64(len(hit.Payload))
+		offGrain := inHeader && d >= 4 && d < 8 && (hit.Size^uint64(xor)<<(8*(d-4)))%wal.Grain != 0
+
+		got, err := drainAll(m)
+		for _, b := range got {
+			i := slices.IndexFunc(want, func(w wal.Block) bool { return w.LSN == b.LSN })
+			if i < 0 || !bytes.Equal(b.Payload, want[i].Payload) {
+				t.Fatalf("tail yielded a block at %#x that was never written there", b.LSN.Offset())
+			}
+			w := want[i]
+			if (!inHeader || w.LSN != hit.LSN) && (b.Type != w.Type || b.Size != w.Size || b.Prev != w.Prev) {
+				t.Fatalf("tail yielded the block at %#x with a header unlike the written one", b.LSN.Offset())
+			}
+		}
+		switch {
+		case inPayload || offGrain:
+			if o := fmt.Sprintf("%#x", hit.LSN.Offset()); err == nil || !strings.Contains(err.Error(), o) {
+				t.Fatalf("flip at %#x: %v; want an error naming the block at %s", flipped, err, o)
+			}
+		case !inHeader:
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("flip outside every header and payload at %#x: %d of %d blocks, %v", flipped, len(got), len(want), err)
+			}
 		}
 	})
 }

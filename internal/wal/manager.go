@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -64,6 +63,10 @@ type segment struct {
 	end   uint64 // start + capacity, exclusive
 	file  File
 	name  string
+}
+
+func (s *segment) meta() SegmentMeta {
+	return SegmentMeta{Num: s.num, Start: s.start, End: s.end, Name: s.name}
 }
 
 func segmentName(num int, start, end uint64) string {
@@ -139,16 +142,9 @@ func Open(cfg Config, resume *RecoverResult) (*Manager, error) {
 		// Fresh log: the first segment starts at offset Grain so that
 		// offset 0 stays invalid.
 		start := uint64(Grain)
-		seg := &segment{num: 0, start: start, end: start + cfg.SegmentSize}
-		seg.name = segmentName(seg.num, seg.start, seg.end)
-		f, err := cfg.Storage.Create(seg.name)
-		if err != nil {
+		if _, err := m.addSegment(0, start); err != nil {
 			return nil, fmt.Errorf("wal: create first segment: %w", err)
 		}
-		seg.file = f
-		m.segTable[0] = seg
-		m.segs = append(m.segs, seg)
-		m.cur.Store(seg)
 		m.offset.Store(start)
 		m.flushed.Store(start)
 		m.durable.Store(start)
@@ -357,7 +353,7 @@ func (m *Manager) Reserve(payload int, typ uint8) (Reservation, error) {
 				if err := m.waitBuffer(end); err != nil {
 					return Reservation{}, err
 				}
-				m.fillSkipClose(off, seg.end-off, seg)
+				m.fillSkip(off, seg.end-off)
 				if end > seg.end {
 					m.fillDead(seg.end, end-seg.end)
 				}
@@ -381,20 +377,30 @@ func (m *Manager) openNext(old *segment, start uint64) bool {
 	if m.cur.Load() != old {
 		return false
 	}
-	num := (old.num + 1) % NumSegments
+	if _, err := m.addSegment((old.num+1)%NumSegments, start); err != nil {
+		m.setErr(fmt.Errorf("wal: open segment: %w", err))
+		return false
+	}
+	m.segOpens.Add(1)
+	return true
+}
+
+// addSegment creates the file of segment num starting at start and makes
+// the segment current. The modulo slot may recycle an older generation;
+// that generation stays in m.segs for offset lookups but loses its table
+// entry. The caller holds segMu or has the manager to itself.
+func (m *Manager) addSegment(num int, start uint64) (*segment, error) {
 	seg := &segment{num: num, start: start, end: start + m.cfg.SegmentSize}
 	seg.name = segmentName(num, seg.start, seg.end)
 	f, err := m.cfg.Storage.Create(seg.name)
 	if err != nil {
-		m.setErr(fmt.Errorf("wal: open segment: %w", err))
-		return false
+		return nil, err
 	}
 	seg.file = f
 	m.segTable[num] = seg
 	m.segs = append(m.segs, seg)
 	m.cur.Store(seg)
-	m.segOpens.Add(1)
-	return true
+	return seg, nil
 }
 
 // waitBuffer blocks until the ring has room for offsets below end.
@@ -442,13 +448,7 @@ func (m *Manager) ringAt(off uint64, p []byte) {
 // writeHeader fills a block header at absolute offset off.
 func (m *Manager) writeHeader(off, size uint64, typ uint8, prev uint64, plen, sum uint32) {
 	var h [headerSize]byte
-	binary.LittleEndian.PutUint16(h[0:], headerMagic)
-	h[2] = typ
-	binary.LittleEndian.PutUint32(h[4:], uint32(size))
-	binary.LittleEndian.PutUint64(h[8:], off)
-	binary.LittleEndian.PutUint64(h[16:], prev)
-	binary.LittleEndian.PutUint32(h[24:], plen)
-	binary.LittleEndian.PutUint32(h[28:], sum)
+	putHeader(&h, typ, off, size, prev, plen, sum)
 	m.ringAt(off, h[:])
 }
 
@@ -468,8 +468,9 @@ func (m *Manager) fillDead(off, size uint64) {
 	m.markGrains(off, size)
 }
 
-// fillSkipClose writes the skip record that closes a segment.
-func (m *Manager) fillSkipClose(off, size uint64, seg *segment) {
+// fillSkip writes and publishes a skip record over [off, off+size): the
+// record that closes a segment, or an aborted reservation.
+func (m *Manager) fillSkip(off, size uint64) {
 	m.writeHeader(off, size, BlockSkip, 0, 0, fnvInit)
 	m.markGrains(off, size)
 }
@@ -495,10 +496,7 @@ func (r *Reservation) Commit() {
 
 // Abort turns the reservation into a skip record, as an aborted transaction
 // does with its already-claimed LSN space.
-func (r *Reservation) Abort() {
-	r.m.writeHeader(r.off, r.size, BlockSkip, 0, 0, fnvInit)
-	r.m.markGrains(r.off, r.size)
-}
+func (r *Reservation) Abort() { r.m.fillSkip(r.off, r.size) }
 
 // WaitDurable blocks until every block with offset below off is durable.
 func (m *Manager) WaitDurable(off uint64) error {

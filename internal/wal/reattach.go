@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -235,11 +234,7 @@ func writeSkipToFile(seg *segment, off, size uint64) error {
 			n = maxSkip
 		}
 		var h [headerSize]byte
-		binary.LittleEndian.PutUint16(h[0:], headerMagic)
-		h[2] = BlockSkip
-		binary.LittleEndian.PutUint32(h[4:], uint32(n))
-		binary.LittleEndian.PutUint64(h[8:], off)
-		binary.LittleEndian.PutUint32(h[28:], fnvInit)
+		putHeader(&h, BlockSkip, off, n, 0, 0, fnvInit)
 		if _, err := seg.file.WriteAt(h[:], int64(off-seg.start)); err != nil {
 			return err
 		}
@@ -309,20 +304,19 @@ func (m *Manager) sealLossy(durable, offset uint64, rep *ReattachReport) error {
 // block sequence by construction, so the walk ends at the first block that
 // would cross limit.
 func lastBlockBoundary(seg *segment, limit uint64) (uint64, error) {
-	size, err := seg.file.Size()
+	r, err := newSegReader(seg.meta(), seg.file, limit)
 	if err != nil {
 		return 0, err
 	}
-	r := &segReader{sm: SegmentMeta{Num: seg.num, Start: seg.start, End: seg.end, Name: seg.name},
-		f: seg.file, size: uint64(size)}
 	off := seg.start
 	var buf []byte
 	for off < limit {
-		_, n, err := r.block(off, &buf)
-		if err != nil || n == 0 || off+n > limit {
+		b, err := r.block(off, &buf)
+		if err != nil || b.Size == 0 {
 			break
 		}
-		off += n
+		off += b.Size
+		buf = buf[:0]
 	}
 	return off, nil
 }
@@ -342,29 +336,15 @@ func (m *Manager) rotateSealed(sealFrom uint64, rep *ReattachReport) error {
 	}
 	rep.Sealed = old.name
 
-	start := sealFrom
-	if old.end > start {
-		start = old.end
-	}
-	num := (old.num + 1) % NumSegments
-	seg := &segment{num: num, start: start, end: start + m.cfg.SegmentSize}
-	seg.name = segmentName(num, seg.start, seg.end)
-	f, err := m.cfg.Storage.Create(seg.name)
+	m.segMu.Lock()
+	seg, err := m.addSegment((old.num+1)%NumSegments, max(sealFrom, old.end))
+	m.segMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("wal: reattach open segment: %w", err)
 	}
-	seg.file = f
-	m.segMu.Lock()
-	// The modulo slot may recycle an older generation; that generation stays
-	// in m.segs for offset lookups but loses its table entry, exactly as in
-	// normal rotation.
-	m.segTable[num] = seg
-	m.segs = append(m.segs, seg)
-	m.cur.Store(seg)
-	m.segMu.Unlock()
 	m.segOpens.Add(1)
 	rep.NewSegment = seg.name
-	rep.ResumeOffset = start
+	rep.ResumeOffset = seg.start
 	return nil
 }
 

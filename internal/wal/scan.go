@@ -2,8 +2,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -17,10 +19,11 @@ type SegmentMeta struct {
 	Name  string
 }
 
-// Block is a decoded log block yielded during a scan.
+// Block is a decoded log block, as a scan or a Tail yields it.
 type Block struct {
 	LSN     LSN
 	Type    uint8
+	Size    uint64 // padded size, header included
 	Prev    uint64 // previous overflow block offset, or 0
 	Payload []byte // aliases the scan buffer; copy to retain
 }
@@ -97,13 +100,13 @@ func Recover(st Storage, from uint64, fn func(Block) error) (*RecoverResult, err
 			return nil, err
 		}
 		for off < sm.End {
-			b, size, err := r.block(off, &payload)
-			if err != nil {
+			b, err := r.block(off, &payload)
+			if err != nil && !errors.Is(err, errCorrupt) {
 				r.f.Close()
 				return nil, err
 			}
-			if size == 0 {
-				break // hole: unwritten space, or a torn block
+			if b.Size == 0 {
+				break // hole: unwritten space, or a torn or corrupt block
 			}
 			if b.Type != BlockSkip && fn != nil {
 				if err := fn(b); err != nil {
@@ -111,8 +114,9 @@ func Recover(st Storage, from uint64, fn func(Block) error) (*RecoverResult, err
 					return nil, err
 				}
 			}
-			off += size
+			off += b.Size
 			res.NextOffset = off
+			payload = payload[:0]
 		}
 		r.f.Close()
 		if off != sm.End {
@@ -137,9 +141,8 @@ func ReadBlock(st Storage, metas []SegmentMeta, off uint64) (Block, error) {
 			return Block{}, err
 		}
 		defer r.f.Close()
-		var payload []byte // fresh: the caller keeps the payload
-		b, size, err := r.block(off, &payload)
-		if err == nil && size == 0 {
+		b, err := r.block(off, new([]byte)) // a fresh buffer: the caller keeps the payload
+		if err == nil && b.Size == 0 {
 			err = fmt.Errorf("wal: no valid block at %#x in %s", off, sm.Name)
 		}
 		return b, err
@@ -147,15 +150,44 @@ func ReadBlock(st Storage, metas []SegmentMeta, off uint64) (Block, error) {
 	return Block{}, fmt.Errorf("wal: offset %#x maps to no segment", off)
 }
 
-// segReader reads blocks out of one segment file. Recover and ReadBlock
-// share it, so both apply the same checks.
+// putHeader encodes a block header into h; the block's bytes, its reader
+// and this encoder are the whole on-disk format (see headerSize).
+func putHeader(h *[headerSize]byte, typ uint8, off, size, prev uint64, plen, sum uint32) {
+	binary.LittleEndian.PutUint16(h[0:], headerMagic)
+	h[2] = typ
+	binary.LittleEndian.PutUint32(h[4:], uint32(size))
+	binary.LittleEndian.PutUint64(h[8:], off)
+	binary.LittleEndian.PutUint64(h[16:], prev)
+	binary.LittleEndian.PutUint32(h[24:], plen)
+	binary.LittleEndian.PutUint32(h[28:], sum)
+}
+
+// errCorrupt marks a block below its reader's horizon whose header fields or
+// checksum are wrong.
+var errCorrupt = errors.New("wal: corrupt block")
+
+// segReader reads blocks out of one segment file. Recover, ReadBlock,
+// lastBlockBoundary and Tail.Next share it, so all apply the same checks.
 type segReader struct {
 	sm SegmentMeta
 	f  File
 	// size is the file's real size. It clamps every header-declared length:
 	// segment names and block headers are data, and data can lie.
 	size uint64
-	hdr  [headerSize]byte
+	// horizon is the offset below which every block is whole: the durable
+	// horizon of a live log, or the segment's end for a file at rest.
+	horizon uint64
+	hdr     [headerSize]byte
+}
+
+// newSegReader reads f, the file of segment sm. Over a live log, load the
+// horizon first: the size read here then covers every byte below it.
+func newSegReader(sm SegmentMeta, f File, horizon uint64) (*segReader, error) {
+	size, err := f.Size()
+	if err != nil {
+		return nil, fmt.Errorf("wal: size segment %s: %w", sm.Name, err)
+	}
+	return &segReader{sm: sm, f: f, size: uint64(size), horizon: horizon}, nil
 }
 
 func openSegment(st Storage, sm SegmentMeta) (*segReader, error) {
@@ -163,45 +195,56 @@ func openSegment(st Storage, sm SegmentMeta) (*segReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment %s: %w", sm.Name, err)
 	}
-	size, err := f.Size()
+	r, err := newSegReader(sm, f, sm.End)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: size segment %s: %w", sm.Name, err)
 	}
-	return &segReader{sm: sm, f: f, size: uint64(size)}, nil
+	return r, err
 }
 
-// block reads the block at off, its payload into *buf (grown as needed),
-// and returns it with its padded size. A size of zero means off holds no
-// whole, valid block: unwritten space, a torn header or payload, or a header
-// whose lengths run past the segment or the file. Only I/O fails.
-func (r *segReader) block(off uint64, buf *[]byte) (Block, uint64, error) {
+// block reads the block at off, appending its payload to *buf. At off is
+// one of three things:
+//   - a whole, valid block, returned with its padded Size;
+//   - nothing yet: unwritten space (past the file, or no magic), or a block
+//     that ends past the horizon. The Block is zero and the error nil;
+//   - a block below the horizon whose header fields or checksum are wrong:
+//     an errCorrupt naming the offset and the segment.
+//
+// Any other error is I/O.
+func (r *segReader) block(off uint64, buf *[]byte) (Block, error) {
 	sm, hdr := r.sm, r.hdr[:]
 	if _, err := r.f.ReadAt(hdr, int64(off-sm.Start)); err != nil {
 		if err == io.EOF {
-			return Block{}, 0, nil // tail of flushed data
+			return Block{}, nil
 		}
-		return Block{}, 0, fmt.Errorf("wal: read segment %s: %w", sm.Name, err)
+		return Block{}, fmt.Errorf("wal: read segment %s: %w", sm.Name, err)
+	}
+	if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic {
+		return Block{}, nil
 	}
 	size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
 	plen := uint64(binary.LittleEndian.Uint32(hdr[24:]))
-	if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic || binary.LittleEndian.Uint64(hdr[8:]) != off ||
-		size == 0 || size%Grain != 0 || off+size > sm.End || plen > size-headerSize ||
-		off-sm.Start+headerSize+plen > r.size {
-		return Block{}, 0, nil
+	if binary.LittleEndian.Uint64(hdr[8:]) != off || size == 0 || size%Grain != 0 ||
+		off+size > sm.End || plen > size-headerSize {
+		return Block{}, fmt.Errorf("%w header at %#x in %s", errCorrupt, off, sm.Name)
 	}
-	if uint64(cap(*buf)) < plen {
-		*buf = make([]byte, plen)
+	if off+size > r.horizon {
+		return Block{}, nil
 	}
-	p := (*buf)[:plen]
+	if off-sm.Start+headerSize+plen > r.size {
+		return Block{}, fmt.Errorf("%w payload past the file at %#x in %s", errCorrupt, off, sm.Name)
+	}
+	start := len(*buf)
+	*buf = slices.Grow(*buf, int(plen))[:start+int(plen)]
+	p := (*buf)[start:len(*buf):len(*buf)]
 	if plen > 0 {
 		if _, err := r.f.ReadAt(p, int64(off-sm.Start+headerSize)); err != nil && err != io.EOF {
-			return Block{}, 0, fmt.Errorf("wal: read payload %s: %w", sm.Name, err)
+			return Block{}, fmt.Errorf("wal: read payload %s: %w", sm.Name, err)
 		}
 	}
 	if fnvAdd(fnvInit, p) != binary.LittleEndian.Uint32(hdr[28:]) {
-		return Block{}, 0, nil // torn payload at the tail
+		return Block{}, fmt.Errorf("%w payload at %#x in %s", errCorrupt, off, sm.Name)
 	}
-	return Block{LSN: MakeLSN(off, sm.Num), Type: hdr[2],
-		Prev: binary.LittleEndian.Uint64(hdr[16:]), Payload: p}, size, nil
+	return Block{LSN: MakeLSN(off, sm.Num), Type: hdr[2], Size: size,
+		Prev: binary.LittleEndian.Uint64(hdr[16:]), Payload: p}, nil
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -26,16 +25,6 @@ import (
 //
 //ermia:classify fatal the requested log suffix no longer exists; retrying the same position cannot succeed, the replica must re-seed
 var ErrTailTruncated = errors.New("wal: tail position truncated from log")
-
-// TailBlock is one log block yielded by a Tail, carrying everything needed
-// to reconstruct the on-disk block byte-for-byte at the same offset.
-type TailBlock struct {
-	Off     uint64 // logical offset (the block's LSN offset)
-	Size    uint64 // padded total size including header
-	Type    uint8
-	Prev    uint64 // previous overflow block offset, or 0
-	Payload []byte // plen bytes; aliases the Tail's scratch buffer
-}
 
 // Tail is a committed-block cursor over a live Manager. It is
 // single-goroutine; one shipper goroutine owns each Tail.
@@ -69,13 +58,16 @@ func (m *Manager) firstSegmentStart() uint64 {
 // Next reads blocks at the cursor until the durable horizon, maxBytes of
 // block space, or the flushed tail is reached, returning the blocks and the
 // metadata of every segment they live in. An empty batch means the cursor
-// has caught up; callers poll or wait for durability progress. Payloads
-// alias the Tail's scratch buffer and are valid until the next call.
-func (t *Tail) Next(maxBytes int) ([]TailBlock, []SegmentMeta, error) {
+// has caught up: what lies at it is unwritten, or ends past the horizon.
+// Callers poll or wait for durability progress. A block below the horizon
+// whose header or checksum is wrong is an error naming its offset and
+// segment. Payloads alias the Tail's scratch buffer and are valid until the
+// next call.
+func (t *Tail) Next(maxBytes int) ([]Block, []SegmentMeta, error) {
 	durable := t.m.durable.Load()
-	var blocks []TailBlock
+	var blocks []Block
 	var segs []SegmentMeta
-	hdr := make([]byte, headerSize)
+	var r *segReader
 	t.buf = t.buf[:0]
 	used := 0
 	for t.pos < durable && (used == 0 || used < maxBytes) {
@@ -97,71 +89,48 @@ func (t *Tail) Next(maxBytes int) ([]TailBlock, []SegmentMeta, error) {
 			t.pos = next
 			continue
 		}
-		if _, err := seg.file.ReadAt(hdr, int64(t.pos-seg.start)); err != nil {
-			if t.m.lookupSegment(t.pos) != seg {
+		var b Block
+		var err error
+		if r == nil || r.sm.Name != seg.name {
+			r, err = newSegReader(seg.meta(), seg.file, durable)
+		}
+		if err == nil {
+			b, err = r.block(t.pos, &t.buf)
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) && t.m.lookupSegment(t.pos) != seg {
 				continue // the segment was truncated under us; re-resolve
 			}
-			return blocks, segs, fmt.Errorf("wal: tail read %s: %w", seg.name, err)
+			return blocks, segs, err
 		}
-		if binary.LittleEndian.Uint16(hdr[0:]) != headerMagic {
-			break // durable horizon raced ahead of the file write; retry later
-		}
-		typ := hdr[2]
-		size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
-		blockOff := binary.LittleEndian.Uint64(hdr[8:])
-		prev := binary.LittleEndian.Uint64(hdr[16:])
-		plen := binary.LittleEndian.Uint32(hdr[24:])
-		sum := binary.LittleEndian.Uint32(hdr[28:])
-		if blockOff != t.pos || size == 0 || size%Grain != 0 || t.pos+size > seg.end ||
-			uint64(plen) > size-headerSize {
-			return blocks, segs, fmt.Errorf("wal: tail found corrupt block header at %#x in %s", t.pos, seg.name)
-		}
-		if t.pos+size > durable {
-			break // block not fully durable yet
-		}
-		start := len(t.buf)
-		if plen > 0 {
-			t.buf = append(t.buf, make([]byte, plen)...)
-			if _, err := seg.file.ReadAt(t.buf[start:], int64(t.pos-seg.start+headerSize)); err != nil {
-				return blocks, segs, fmt.Errorf("wal: tail read payload %s: %w", seg.name, err)
-			}
-		}
-		p := t.buf[start:len(t.buf):len(t.buf)]
-		if fnvAdd(fnvInit, p) != sum {
-			return blocks, segs, fmt.Errorf("wal: tail found corrupt block payload at %#x in %s", t.pos, seg.name)
+		if b.Size == 0 {
+			break // unwritten yet (the horizon raced the file), or not yet durable
 		}
 		if len(segs) == 0 || segs[len(segs)-1].Name != seg.name {
-			segs = append(segs, SegmentMeta{Num: seg.num, Start: seg.start, End: seg.end, Name: seg.name})
+			segs = append(segs, r.sm)
 		}
-		blocks = append(blocks, TailBlock{Off: t.pos, Size: size, Type: typ, Prev: prev, Payload: p})
-		t.pos += size
-		used += int(size)
+		blocks = append(blocks, b)
+		t.pos += b.Size
+		used += int(b.Size)
 	}
 	return blocks, segs, nil
 }
 
-// SegmentFileName returns the file name the Manager uses for a segment with
-// the given modulo number and offset range, so a replica can mirror the
-// primary's segment files under identical names.
-func SegmentFileName(num int, start, end uint64) string {
-	return segmentName(num, start, end)
+// NewSegmentMeta describes the segment with the given modulo number and
+// offset range under the file name the Manager gives it, so a replica can
+// mirror the primary's segment files under identical names.
+func NewSegmentMeta(num int, start, end uint64) SegmentMeta {
+	return SegmentMeta{Num: num, Start: start, End: end, Name: segmentName(num, start, end)}
 }
 
-// AppendBlockHeader appends the 32-byte on-disk header for a block with the
-// given parameters, recomputing the payload checksum. A replica writing a
-// shipped block as header+payload at the block's offset reproduces the
-// primary's segment bytes (padding is left unwritten, exactly as the
-// primary's flusher may leave it past the payload).
-func AppendBlockHeader(dst []byte, typ uint8, off, size, prev uint64, payload []byte) []byte {
+// AppendBlock appends the block's header, with the payload checksum
+// recomputed, and its payload. A replica writing them at the block's offset
+// reproduces the primary's segment bytes (padding is left unwritten,
+// exactly as the primary's flusher may leave it past the payload).
+func AppendBlock(dst []byte, typ uint8, off, size, prev uint64, payload []byte) []byte {
 	var h [headerSize]byte
-	binary.LittleEndian.PutUint16(h[0:], headerMagic)
-	h[2] = typ
-	binary.LittleEndian.PutUint32(h[4:], uint32(size))
-	binary.LittleEndian.PutUint64(h[8:], off)
-	binary.LittleEndian.PutUint64(h[16:], prev)
-	binary.LittleEndian.PutUint32(h[24:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[28:], fnvAdd(fnvInit, payload))
-	return append(dst, h[:]...)
+	putHeader(&h, typ, off, size, prev, uint32(len(payload)), fnvAdd(fnvInit, payload))
+	return append(append(dst, h[:]...), payload...)
 }
 
 // BlockHeaderSize is the fixed on-disk block header size, exported for the

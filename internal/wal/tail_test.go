@@ -2,29 +2,191 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
 // collectTail drains a Tail until it catches up, returning every block.
-func collectTail(t *testing.T, tail *Tail) []TailBlock {
+func collectTail(t *testing.T, tail *Tail) []Block {
 	t.Helper()
-	var out []TailBlock
+	out, err := drainTail(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// drainTail reads a Tail until it catches up or fails.
+func drainTail(tail *Tail) ([]Block, error) {
+	var out []Block
 	for {
 		blocks, _, err := tail.Next(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blocks) == 0 {
-			return out
-		}
 		for _, b := range blocks {
 			// Payloads alias the tail's scratch buffer; copy to retain.
 			b.Payload = append([]byte(nil), b.Payload...)
 			out = append(out, b)
 		}
+		if err != nil || len(blocks) == 0 {
+			return out, err
+		}
 	}
+}
+
+// hookStorage hands out segment files that fail once closed, as OS files
+// do, and runs hook (once) before the next read of any of them.
+type hookStorage struct {
+	*MemStorage
+	hook func()
+}
+
+type hookFile struct {
+	File
+	st     *hookStorage
+	closed atomic.Bool
+}
+
+func (s *hookStorage) Create(name string) (File, error) {
+	f, err := s.MemStorage.Create(name)
+	return &hookFile{File: f, st: s}, err
+}
+
+func (f *hookFile) ReadAt(p []byte, off int64) (int, error) {
+	if h := f.st.hook; h != nil {
+		f.st.hook = nil
+		h()
+	}
+	if f.closed.Load() {
+		return 0, os.ErrClosed
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f *hookFile) Close() error {
+	f.closed.Store(true)
+	return f.File.Close()
+}
+
+// tailLog opens a SyncFlush manager over st, so the durable horizon moves
+// only on Flush, and makes 100 commit blocks of 256 bytes durable across
+// several segments. It returns the blocks' offsets.
+func tailLog(t *testing.T, st Storage) (*Manager, []uint64) {
+	cfg := testConfig(st)
+	cfg.SyncFlush = true
+	m := mustOpen(t, cfg)
+	var offs []uint64
+	for i := 0; i < 100; i++ {
+		offs = append(offs, appendBlock(t, m, bytes.Repeat([]byte{byte(i)}, 200)))
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return m, offs
+}
+
+// editBlock rewrites the durable bytes of the block at off in place.
+func editBlock(t *testing.T, m *Manager, off uint64, edit func(b []byte)) {
+	t.Helper()
+	seg := m.lookupSegment(off)
+	b := make([]byte, 256)
+	if _, err := seg.file.ReadAt(b, int64(off-seg.start)); err != nil {
+		t.Fatal(err)
+	}
+	edit(b)
+	if _, err := seg.file.WriteAt(b, int64(off-seg.start)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTailAnswers pins what Next does with each thing it can find at its
+// cursor. A block below the durable horizon whose header fields or checksum
+// are wrong is an error naming its offset and segment. Unwritten space and
+// a block that ends past the horizon give an empty batch, and the block is
+// yielded once it is whole. A segment that Truncate removes mid-read is
+// re-resolved, which puts the cursor below the oldest segment.
+func TestTailAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte) // the block's 256 bytes, header first
+	}{
+		{"flipped payload byte", func(b []byte) { b[headerSize+3] ^= 0x10 }},
+		{"size off the grain", func(b []byte) { b[4] += 8 }},
+		{"size past the segment", func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 1<<20) }},
+		{"size under the payload", func(b []byte) { binary.LittleEndian.PutUint32(b[4:], Grain) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, offs := tailLog(t, NewMemStorage())
+			defer m.Close()
+			off := offs[len(offs)/2]
+			editBlock(t, m, off, tc.edit)
+			name := m.lookupSegment(off).name
+			got, err := drainTail(m.TailFrom(Grain))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", off)) ||
+				!strings.Contains(err.Error(), name) {
+				t.Fatalf("tail over a corrupt block at %#x in %s: %v; want an error naming both", off, name, err)
+			}
+			if n := len(got); n == 0 || got[n-1].LSN.Offset() >= off {
+				t.Fatalf("tail yielded %d blocks before the corrupt one", n)
+			}
+		})
+	}
+
+	t.Run("unwritten header", func(t *testing.T) {
+		m, offs := tailLog(t, NewMemStorage())
+		defer m.Close()
+		off := offs[len(offs)/2]
+		var saved []byte
+		editBlock(t, m, off, func(b []byte) {
+			saved = append(saved, b...)
+			clear(b[:headerSize])
+		})
+		tail := m.TailFrom(Grain)
+		if _, err := drainTail(tail); err != nil || tail.Pos() != off {
+			t.Fatalf("tail over unwritten space at %#x: pos %#x, %v; want it parked there", off, tail.Pos(), err)
+		}
+		editBlock(t, m, off, func(b []byte) { copy(b, saved) })
+		got, err := drainTail(tail)
+		if err != nil || len(got) == 0 || got[0].LSN.Offset() != off {
+			t.Fatalf("tail after the header was written: %d blocks, %v; want the block at %#x", len(got), err, off)
+		}
+	})
+
+	t.Run("block past the horizon", func(t *testing.T) {
+		m, offs := tailLog(t, NewMemStorage())
+		defer m.Close()
+		off, durable := offs[len(offs)/2], m.durable.Load()
+		m.durable.Store(off + Grain) // the horizon mid-block: flushed grains run ahead of a block's tail
+		tail := m.TailFrom(Grain)
+		if _, err := drainTail(tail); err != nil || tail.Pos() != off {
+			t.Fatalf("tail over a block past the horizon at %#x: pos %#x, %v; want it parked there", off, tail.Pos(), err)
+		}
+		m.durable.Store(durable)
+		got, err := drainTail(tail)
+		if err != nil || len(got) != len(offs)-len(offs)/2 || got[0].LSN.Offset() != off {
+			t.Fatalf("tail after the horizon moved: %d blocks, %v; want %d from %#x", len(got), err, len(offs)-len(offs)/2, off)
+		}
+	})
+
+	t.Run("segment truncated mid-read", func(t *testing.T) {
+		st := &hookStorage{MemStorage: NewMemStorage()}
+		m, offs := tailLog(t, st)
+		defer m.Close()
+		var removed []string
+		st.hook = func() {
+			var err error
+			if removed, err = m.Truncate(offs[len(offs)-1]); err != nil {
+				t.Error(err)
+			}
+		}
+		_, err := drainTail(m.TailFrom(Grain))
+		if len(removed) == 0 || !errors.Is(err, ErrTailTruncated) {
+			t.Fatalf("tail over a segment truncated mid-read (%d removed): %v; want ErrTailTruncated", len(removed), err)
+		}
+	})
 }
 
 // TestTailYieldsCommittedBlocks checks the basic contract: every committed,
@@ -61,10 +223,10 @@ func TestTailYieldsCommittedBlocks(t *testing.T) {
 	}
 	var last uint64
 	for _, b := range got {
-		if b.Off <= last {
-			t.Fatalf("offsets not increasing: %#x after %#x", b.Off, last)
+		if b.LSN.Offset() <= last {
+			t.Fatalf("offsets not increasing: %#x after %#x", b.LSN.Offset(), last)
 		}
-		last = b.Off
+		last = b.LSN.Offset()
 	}
 }
 
@@ -240,7 +402,7 @@ func TestTailMirrorRoundTrip(t *testing.T) {
 		}
 		metas := map[string]SegmentMeta{}
 		for _, sm := range segs {
-			name := SegmentFileName(sm.Num, sm.Start, sm.End)
+			name := NewSegmentMeta(sm.Num, sm.Start, sm.End).Name
 			metas[name] = sm
 			if _, ok := files[name]; !ok {
 				f, err := mirror.Create(name)
@@ -254,16 +416,15 @@ func TestTailMirrorRoundTrip(t *testing.T) {
 			var dst File
 			var start uint64
 			for name, sm := range metas {
-				if b.Off >= sm.Start && b.Off < sm.End {
+				if b.LSN.Offset() >= sm.Start && b.LSN.Offset() < sm.End {
 					dst, start = files[name], sm.Start
 				}
 			}
 			if dst == nil {
-				t.Fatalf("block at %#x maps to no segment in batch", b.Off)
+				t.Fatalf("block at %#x maps to no segment in batch", b.LSN.Offset())
 			}
-			buf := AppendBlockHeader(nil, b.Type, b.Off, b.Size, b.Prev, b.Payload)
-			buf = append(buf, b.Payload...)
-			if _, err := dst.WriteAt(buf, int64(b.Off-start)); err != nil {
+			buf := AppendBlock(nil, b.Type, b.LSN.Offset(), b.Size, b.Prev, b.Payload)
+			if _, err := dst.WriteAt(buf, int64(b.LSN.Offset()-start)); err != nil {
 				t.Fatal(err)
 			}
 		}
