@@ -11,9 +11,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The repo-specific static-analysis suite (internal/vet): atomicmix,
-# cancelpoll, epochguard, errclass, hotalloc, lockorder, nodeterminism,
-# txnlifecycle, wirecompat.
+# The repo-specific static-analysis suite (internal/vet): epochguard,
+# errclass, hotalloc, lockorder, nodeterminism, txnlifecycle, wirecompat.
 ermia-vet:
 	$(GO) run ./cmd/ermia-vet ./...
 

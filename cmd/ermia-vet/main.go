@@ -1,26 +1,21 @@
 // Command ermia-vet runs the repo-specific static-analysis suite over the
-// module: nine analyzers (atomicmix, cancelpoll, epochguard, errclass,
-// hotalloc, lockorder, nodeterminism, txnlifecycle, wirecompat) enforcing
-// the concurrency, transaction-lifecycle, cancellation, wire-compatibility,
-// allocation, and error-taxonomy invariants the Go compiler cannot see. See
-// internal/vet for the analyzer semantics and the //ermia: annotation
-// convention.
+// module: seven analyzers (epochguard, errclass, hotalloc, lockorder,
+// nodeterminism, txnlifecycle, wirecompat) enforcing the concurrency,
+// transaction-lifecycle, wire-compatibility, allocation, and error-taxonomy
+// invariants the Go compiler cannot see. See internal/vet for the analyzer
+// semantics and the //ermia: annotation convention.
 //
 // Usage:
 //
-//	ermia-vet [-json] [-run a,b] [-C dir] [-baseline file] [./...]
-//	ermia-vet -update-baseline file
+//	ermia-vet [-json] [-run a,b] [-C dir] [./...]
 //	ermia-vet -update-wire-golden
 //
 // The package pattern is accepted for familiarity but the suite always
 // analyzes the whole module: its invariants (lock order, the status
-// bijection, mixed field access, transaction lifecycles) only exist
-// module-wide. -baseline suppresses findings recorded in a snapshot file
-// (written by -update-baseline, format identical to -json output) so a new
-// analyzer can land warn-first; -update-wire-golden regenerates
-// internal/proto/wire.golden from the current registry constants,
-// preserving retired entries. Exit status is 0 when clean, 1 when findings
-// are reported, 2 on a load or usage error.
+// bijection, transaction lifecycles) only exist module-wide.
+// -update-wire-golden regenerates internal/proto/wire.golden from the
+// current registry constants, preserving retired entries. Exit status is 0
+// when clean, 1 when findings are reported, 2 on a load or usage error.
 package main
 
 import (
@@ -38,12 +33,10 @@ func main() {
 		runList    = flag.String("run", "", "comma-separated analyzer subset (default: all)")
 		chdir      = flag.String("C", "", "analyze the module containing this directory (default: current directory)")
 		list       = flag.Bool("list", false, "list the registered analyzers and exit")
-		baseline   = flag.String("baseline", "", "suppress findings recorded in this snapshot file (warn-first mode)")
-		updateBase = flag.String("update-baseline", "", "write the current findings snapshot to this file and exit 0")
 		updateWire = flag.Bool("update-wire-golden", false, "regenerate internal/proto/wire.golden from the code and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ermia-vet [-json] [-run a,b] [-C dir] [-baseline file] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ermia-vet [-json] [-run a,b] [-C dir] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -92,23 +85,6 @@ func main() {
 	}
 
 	findings := vet.RelFindings(mod.Root, vet.Run(mod, analyzers))
-
-	if *updateBase != "" {
-		if err := vet.WriteBaseline(*updateBase, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "ermia-vet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("ermia-vet: wrote %d finding(s) to %s\n", len(findings), *updateBase)
-		return
-	}
-	if *baseline != "" {
-		b, err := vet.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ermia-vet: %v\n", err)
-			os.Exit(2)
-		}
-		findings = b.Filter(findings)
-	}
 
 	if *jsonOut {
 		b, err := vet.JSON(findings)

@@ -144,8 +144,6 @@ func RunWithRetry(ctx context.Context, db DB, worker int, fn func(Txn) error) er
 // ErrRetriesExhausted; when ctx expires mid-loop the context error is
 // returned wrapping the last conflict, so callers can distinguish "gave up"
 // from "never conflicted".
-//
-//ermia:cancellable
 func (p RetryPolicy) Run(ctx context.Context, db DB, worker int, fn func(Txn) error) error {
 	seed := p.Seed
 	if seed == 0 {

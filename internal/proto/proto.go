@@ -266,8 +266,6 @@ func WriteFrame(w io.Writer, typ byte, reqID uint64, payload []byte) error {
 // ReadFrameD reads one complete frame from r, verifying magic, version, size
 // bound, and CRC, and returns the sender's relative deadline budget in
 // milliseconds (0 = none). The returned payload is freshly allocated.
-//
-//ermia:cancelpoint the underlying read fails once the conn is closed, read-deadlined, or drain-kicked, so loops blocked here unwind promptly
 func ReadFrameD(r io.Reader) (typ byte, reqID uint64, deadlineMillis uint32, payload []byte, err error) {
 	var h [HeaderSize]byte
 	if _, err = io.ReadFull(r, h[:]); err != nil {
@@ -300,8 +298,6 @@ func ReadFrameD(r io.Reader) (typ byte, reqID uint64, deadlineMillis uint32, pay
 }
 
 // ReadFrame reads one complete frame, discarding the deadline field.
-//
-//ermia:cancelpoint same contract as ReadFrameD: the read fails once the conn is closed or read-deadlined
 func ReadFrame(r io.Reader) (typ byte, reqID uint64, payload []byte, err error) {
 	typ, reqID, _, payload, err = ReadFrameD(r)
 	return typ, reqID, payload, err

@@ -53,7 +53,6 @@ type exec struct {
 	polls   int
 }
 
-//ermia:cancelpoint delegates to the caller's Options.Cancel hook and returns ErrQueryCancelled once it fires
 func (x *exec) cancelled() error {
 	if x.cancel != nil && x.cancel() {
 		return engine.ErrQueryCancelled
@@ -240,7 +239,6 @@ type scanIter struct {
 	err    error
 }
 
-//ermia:cancellable
 func (it *scanIter) Next() (Row, error) {
 	for {
 		if it.err != nil {
@@ -373,7 +371,6 @@ type hashJoinIter struct {
 	done         bool
 }
 
-//ermia:cancellable
 func (it *hashJoinIter) build() error {
 	it.table = make(map[string][]Row)
 	n := 0
@@ -544,7 +541,6 @@ type aggIter struct {
 	err     error
 }
 
-//ermia:cancellable
 func (it *aggIter) build() error {
 	it.index = make(map[string]*group)
 	var keyBuf []byte
@@ -640,7 +636,6 @@ type sortIter struct {
 	err   error
 }
 
-//ermia:cancellable
 func (it *sortIter) build() error {
 	n := 0
 	for {

@@ -268,7 +268,6 @@ func (r *Replica) setErr(err error) {
 	r.errMu.Unlock()
 }
 
-//ermia:cancelpoint reports whether seal/Close has signalled r.stop; redial backoff also selects on the same channel
 func (r *Replica) stopped() bool {
 	select {
 	case <-r.stop:
@@ -318,8 +317,6 @@ func (r *Replica) closeFiles() {
 // reconnecting on transport failures, re-seeding from the primary's newest
 // checkpoint when its position falls below the truncation horizon, stopping
 // on seal or a fatal stream error.
-//
-//ermia:cancellable
 func (r *Replica) run() {
 	defer close(r.done)
 	// Reconnect backoff: consecutive transport failures sleep under the
@@ -450,8 +447,6 @@ func (r *Replica) seed() error {
 // one named have, only the metadata is fetched and a nil image is returned.
 // A checkpoint replaced mid-transfer restarts the download against the
 // newer image.
-//
-//ermia:cancellable
 func (r *Replica) fetchCheckpoint(have string) (engine.CheckpointChunk, []byte, error) {
 	fail := func(err error) (engine.CheckpointChunk, []byte, error) {
 		return engine.CheckpointChunk{}, nil, err
@@ -521,8 +516,6 @@ func (r *Replica) fetchCheckpoint(have string) (engine.CheckpointChunk, []byte, 
 // stream runs one connection: subscribe from the watermark, then mirror,
 // apply, and ack batches until the connection dies or the replica is
 // sealed.
-//
-//ermia:cancellable
 func (r *Replica) stream() error {
 	conn, err := r.dial()
 	if err != nil {

@@ -76,7 +76,6 @@ func newGroupCommitter(srv *Server) *groupCommitter {
 // cannot finish the connection underneath the eventual ack.
 func (g *groupCommitter) enqueue(a commitAck) { g.ch <- a }
 
-//ermia:cancellable
 func (g *groupCommitter) run() {
 	defer close(g.done)
 	var batch []commitAck
@@ -132,8 +131,6 @@ func (g *groupCommitter) flush(batch []commitAck) {
 // their deadline (StatusDeadlineExceeded: outcome indeterminate, the bytes
 // ARE in the local log); server shutdown releases the remainder as
 // StatusShuttingDown so teardown never deadlocks behind a dead subscriber.
-//
-//ermia:cancellable
 func (g *groupCommitter) awaitReplicated(batch []commitAck) {
 	pending := batch
 	ticker := time.NewTicker(time.Millisecond)

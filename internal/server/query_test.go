@@ -43,11 +43,12 @@ func insertWireKV(t *testing.T, db engine.DB, lo, hi int) {
 // MsgScan pages inside the client transaction's snapshot. It checks that a
 // scan spanning many pages returns every row in key order, that a grouped
 // aggregate matches the embedded result, and that a pinned read-only
-// snapshot ignores rows another client commits after it.
+// snapshot ignores rows another client commits after it. The table holds
+// 3500 rows, so the scan spans four pages of the server's 1024.
 func TestQueryOverClient(t *testing.T) {
 	db := openCore(t, core.Config{})
-	insertWireKV(t, db, 0, 1000)
-	_, addr := serve(t, db, server.Config{ScanPageSize: 64})
+	insertWireKV(t, db, 0, 3500)
+	_, addr := serve(t, db, server.Config{})
 	c := dial(t, addr, 2)
 
 	scan := query.NewPlan(query.Scan("kv", wireKVSchema()))
@@ -55,8 +56,8 @@ func TestQueryOverClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1000 {
-		t.Fatalf("scan returned %d rows, want 1000", len(rows))
+	if len(rows) != 3500 {
+		t.Fatalf("scan returned %d rows, want 3500", len(rows))
 	}
 	for i, row := range rows {
 		if row[0].Int != int64(i) || row[1].Int != int64(i%10) {
@@ -64,7 +65,7 @@ func TestQueryOverClient(t *testing.T) {
 		}
 	}
 
-	// GROUP BY a: 10 groups of 100 rows each, summed over id.
+	// GROUP BY a: 10 groups of 350 rows each, summed over id.
 	agg := query.NewPlan(query.OrderBy(
 		query.Aggregate(query.Scan("kv", wireKVSchema()), []int{1},
 			query.Count(), query.Sum(query.Col(0))),
@@ -89,20 +90,20 @@ func TestQueryOverClient(t *testing.T) {
 	if _, err := pinned.Get(c.OpenTable("kv"), codec.NewKey(4).Uint32(0).Clone()); err != nil {
 		t.Fatal(err)
 	}
-	insertWireKV(t, dial(t, addr, 1), 1000, 1100)
+	insertWireKV(t, dial(t, addr, 1), 3500, 3600)
 
 	rows, err = query.Collect(pinned, c.OpenTable, scan, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1000 {
-		t.Fatalf("pinned snapshot saw %d rows, want 1000", len(rows))
+	if len(rows) != 3500 {
+		t.Fatalf("pinned snapshot saw %d rows, want 3500", len(rows))
 	}
 	rows, err = query.RunReadOnly(c, 1, scan, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1100 {
-		t.Fatalf("fresh snapshot saw %d rows, want 1100", len(rows))
+	if len(rows) != 3600 {
+		t.Fatalf("fresh snapshot saw %d rows, want 3600", len(rows))
 	}
 }

@@ -79,9 +79,6 @@ type Config struct {
 	Workers int
 	// Durability selects the commit acknowledgment policy.
 	Durability Durability
-	// ScanPageSize caps key/value pairs in one Scan response page; clients
-	// page transparently. Default 1024.
-	ScanPageSize int
 	// PromoteFn, when set, serves the admin Promote frame: promote a
 	// replica engine to primary and return a human-readable report (wire
 	// it to repl.Replica.Promote). Nil refuses the frame.
@@ -238,9 +235,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 64
-	}
-	if cfg.ScanPageSize <= 0 {
-		cfg.ScanPageSize = 1024
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 30 * time.Second

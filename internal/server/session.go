@@ -20,6 +20,10 @@ import (
 // per-connection backpressure.
 const pipelineWindow = 64
 
+// scanPageSize caps key/value pairs in one Scan response page, whatever
+// limit the client asks for; clients page transparently.
+const scanPageSize = 1024
+
 // openTxn is one live transaction owned by a session.
 type openTxn struct {
 	txn      engine.Txn
@@ -109,7 +113,6 @@ func (s *session) kickIfIdle() {
 // and the handler aborts whatever is still open.
 func (s *session) forceClose() { s.nc.Close() }
 
-//ermia:cancellable
 func (s *session) readLoop() {
 	defer close(s.reqs)
 	br := bufio.NewReaderSize(s.nc, 64<<10)
@@ -186,8 +189,6 @@ func (s *session) flush() error {
 
 // flushAcks writes the committer's acks. Once teardown closes acked, it
 // writes what is left and finishes the connection.
-//
-//ermia:cancellable
 func (s *session) flushAcks() {
 	for range s.acked {
 		s.flush()
@@ -198,8 +199,6 @@ func (s *session) flushAcks() {
 }
 
 // run is the handler goroutine; it owns s.txns and the session lifecycle.
-//
-//ermia:cancellable
 func (s *session) run() {
 	defer s.teardown()
 	for req := range s.reqs {
@@ -449,8 +448,8 @@ func (s *session) handleScan(req request, d *proto.Dec) {
 		s.reply(req.typ, req.id, proto.StatusUnknownTable, "", nil)
 		return
 	}
-	if limit == 0 || limit > uint32(s.srv.cfg.ScanPageSize) {
-		limit = uint32(s.srv.cfg.ScanPageSize)
+	if limit == 0 || limit > scanPageSize {
+		limit = scanPageSize
 	}
 	var hiArg []byte
 	if hasHi != 0 {

@@ -165,8 +165,6 @@ const recordSlotWait = time.Second
 
 // recordSlot acquires a worker slot for a record-bookkeeping transaction,
 // retrying briefly before surfacing ErrOverloaded.
-//
-//ermia:cancellable
 func (s *Server) recordSlot() (int, error) {
 	deadline := time.Now().Add(recordSlotWait)
 	for {

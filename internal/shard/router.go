@@ -592,7 +592,6 @@ func (r *Router) background(key string, fn func() error) {
 	go r.retryLoop(key, fn)
 }
 
-//ermia:cancellable
 func (r *Router) retryLoop(key string, fn func() error) {
 	defer r.wg.Done()
 	defer func() {

@@ -407,3 +407,12 @@ func checkExhaustiveSwitches(m *Module) []Finding {
 	}
 	return out
 }
+
+// shortPos renders a position relative to the module root for messages.
+func shortPos(m *Module, p token.Position) string {
+	name := p.Filename
+	if rel := strings.TrimPrefix(name, m.Root+"/"); rel != name {
+		name = rel
+	}
+	return fmt.Sprintf("%s:%d", name, p.Line)
+}

@@ -1,15 +1,8 @@
 // Package vet is ermia-vet's engine: a from-scratch, stdlib-only static
 // analysis driver (go/parser, go/ast, go/types, go/importer — no x/tools)
-// plus nine repo-specific analyzers enforcing the invariants the Go
+// plus seven repo-specific analyzers enforcing the invariants the Go
 // compiler cannot see:
 //
-//   - atomicmix: a struct field accessed both through sync/atomic and by
-//     plain load/store is a torn-read data race waiting for the right
-//     interleaving.
-//   - cancelpoll: every loop in //ermia:cancellable code must provably
-//     poll a cancellation signal (a channel, a context, or an audited
-//     //ermia:cancelpoint) on every iteration, so drains and deadlines
-//     cannot strand a goroutine.
 //   - epochguard: functions that dereference latch-free version chains
 //     (//ermia:guarded) may only be called from other guarded functions or
 //     from audited guard boundaries (//ermia:guard-entry), proving chain
@@ -58,7 +51,7 @@ type Finding struct {
 }
 
 // Analyzer is one registered pass. Analyzers see the whole module at once:
-// several invariants (mixed field access, lock order, the status bijection)
+// several invariants (lock order, the status bijection, transaction lifecycles)
 // only exist across package boundaries.
 type Analyzer struct {
 	Name string
@@ -69,8 +62,6 @@ type Analyzer struct {
 // Analyzers returns the full registered suite, in deterministic order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix,
-		CancelPoll,
 		EpochGuard,
 		ErrClass,
 		HotAlloc,
@@ -161,8 +152,6 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 // that suppresses or asserts nothing).
 var knownVerbs = map[string]bool{
 	"allow":         true,
-	"cancellable":   true,
-	"cancelpoint":   true,
 	"classify":      true,
 	"deterministic": true,
 	"exhaustive":    true,

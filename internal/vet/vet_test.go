@@ -155,11 +155,11 @@ func TestJSONEmpty(t *testing.T) {
 
 // TestByName covers subset selection and the unknown-analyzer error.
 func TestByName(t *testing.T) {
-	as, err := ByName([]string{"lockorder", "atomicmix"})
+	as, err := ByName([]string{"lockorder", "errclass"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 2 || as[0].Name != "atomicmix" || as[1].Name != "lockorder" {
+	if len(as) != 2 || as[0].Name != "errclass" || as[1].Name != "lockorder" {
 		t.Errorf("ByName returned wrong subset: %v", names(as))
 	}
 	if _, err := ByName([]string{"nosuch"}); err == nil {

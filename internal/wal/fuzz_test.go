@@ -199,10 +199,10 @@ func drainAll(m *wal.Manager) ([]wal.Block, error) {
 // FuzzTail flips one byte of a durable log's segment files, at offset
 // Grain+off modulo the log, then drains a Tail over the live manager. The
 // Tail must not panic. Every block it yields was written at its offset with
-// the same payload, and with the same header unless the flip landed in that
-// header (the checksum covers the payload only). A flip in a payload, or
-// one that puts a size field off the grain, is an error naming the block's
-// offset; a flip in padding changes nothing.
+// the same payload and the same header. A flip in a payload, in a header
+// field the checksum or the offset check covers, or one that puts a size
+// field off the grain, is an error naming the block's offset; a flip in
+// padding changes nothing.
 func FuzzTail(f *testing.F) {
 	m, _ := fuzzTailLog(f)
 	want, err := drainAll(m)
@@ -213,6 +213,7 @@ func FuzzTail(f *testing.F) {
 	f.Add(uint16(0), uint8(0))                                                       // a clean log
 	f.Add(uint16(want[5].LSN.Offset()+wal.BlockHeaderSize+3-wal.Grain), uint8(0x10)) // a payload byte
 	f.Add(uint16(want[7].LSN.Offset()+4-wal.Grain), uint8(0x08))                     // the size field lies
+	f.Add(uint16(want[9].LSN.Offset()+2-wal.Grain), uint8(0x01))                     // the type byte
 	f.Fuzz(func(t *testing.T, off uint16, xor uint8) {
 		m, st := fuzzTailLog(t)
 		defer m.Close()
@@ -243,6 +244,7 @@ func FuzzTail(f *testing.F) {
 		inHeader := hit != nil && d < wal.BlockHeaderSize
 		inPayload := hit != nil && !inHeader && d < wal.BlockHeaderSize+uint64(len(hit.Payload))
 		offGrain := inHeader && d >= 4 && d < 8 && (hit.Size^uint64(xor)<<(8*(d-4)))%wal.Grain != 0
+		checked := inHeader && d >= 2 && (d < 4 || d >= 8) // every header byte but the magic and the size
 
 		got, err := drainAll(m)
 		for _, b := range got {
@@ -251,12 +253,12 @@ func FuzzTail(f *testing.F) {
 				t.Fatalf("tail yielded a block at %#x that was never written there", b.LSN.Offset())
 			}
 			w := want[i]
-			if (!inHeader || w.LSN != hit.LSN) && (b.Type != w.Type || b.Size != w.Size || b.Prev != w.Prev) {
+			if b.Type != w.Type || b.Size != w.Size || b.Prev != w.Prev {
 				t.Fatalf("tail yielded the block at %#x with a header unlike the written one", b.LSN.Offset())
 			}
 		}
 		switch {
-		case inPayload || offGrain:
+		case inPayload || offGrain || checked:
 			if o := fmt.Sprintf("%#x", hit.LSN.Offset()); err == nil || !strings.Contains(err.Error(), o) {
 				t.Fatalf("flip at %#x: %v; want an error naming the block at %s", flipped, err, o)
 			}

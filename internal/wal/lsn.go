@@ -105,7 +105,8 @@ const (
 //	offset   uint64  logical offset of the block (sanity check)
 //	prev     uint64  offset of the previous overflow block, or 0
 //	plen     uint32  payload bytes actually written (size minus padding)
-//	checksum uint32  FNV-1a over the payload; detects torn tail blocks
+//	checksum uint32  FNV-1a over the payload, then header bytes [2:28];
+//	                 detects torn tail blocks and damaged header fields
 const headerSize = 32
 
 const headerMagic uint16 = 0x5AFE
@@ -123,7 +124,7 @@ func fnvAdd(h uint32, p []byte) uint32 {
 }
 
 // Checksum returns the 32-bit FNV-1a hash of p — the same function block
-// headers use for payload integrity, exported so sibling artifacts
+// headers use for integrity, exported so sibling artifacts
 // (checkpoint blobs) can share one checksum scheme.
 func Checksum(p []byte) uint32 { return fnvAdd(fnvInit, p) }
 

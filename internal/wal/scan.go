@@ -151,7 +151,8 @@ func ReadBlock(st Storage, metas []SegmentMeta, off uint64) (Block, error) {
 }
 
 // putHeader encodes a block header into h; the block's bytes, its reader
-// and this encoder are the whole on-disk format (see headerSize).
+// and this encoder are the whole on-disk format (see headerSize). sum is the
+// FNV-1a of the payload; the stored checksum continues it over h[2:28].
 func putHeader(h *[headerSize]byte, typ uint8, off, size, prev uint64, plen, sum uint32) {
 	binary.LittleEndian.PutUint16(h[0:], headerMagic)
 	h[2] = typ
@@ -159,7 +160,7 @@ func putHeader(h *[headerSize]byte, typ uint8, off, size, prev uint64, plen, sum
 	binary.LittleEndian.PutUint64(h[8:], off)
 	binary.LittleEndian.PutUint64(h[16:], prev)
 	binary.LittleEndian.PutUint32(h[24:], plen)
-	binary.LittleEndian.PutUint32(h[28:], sum)
+	binary.LittleEndian.PutUint32(h[28:], fnvAdd(sum, h[2:28]))
 }
 
 // errCorrupt marks a block below its reader's horizon whose header fields or
@@ -242,8 +243,8 @@ func (r *segReader) block(off uint64, buf *[]byte) (Block, error) {
 			return Block{}, fmt.Errorf("wal: read payload %s: %w", sm.Name, err)
 		}
 	}
-	if fnvAdd(fnvInit, p) != binary.LittleEndian.Uint32(hdr[28:]) {
-		return Block{}, fmt.Errorf("%w payload at %#x in %s", errCorrupt, off, sm.Name)
+	if fnvAdd(fnvAdd(fnvInit, p), hdr[2:28]) != binary.LittleEndian.Uint32(hdr[28:]) {
+		return Block{}, fmt.Errorf("%w checksum at %#x in %s", errCorrupt, off, sm.Name)
 	}
 	return Block{LSN: MakeLSN(off, sm.Num), Type: hdr[2], Size: size,
 		Prev: binary.LittleEndian.Uint64(hdr[16:]), Payload: p}, nil

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,73 @@ func TestRecoverRefusesGap(t *testing.T) {
 		st.Remove(segs[1].Name)
 		if _, err := Recover(st, 0, nil); err != nil {
 			t.Fatalf("%d missing, truncated prefix: %v", missing, err)
+		}
+	}
+}
+
+// TestRecoverStopsAtDamagedHeader: the block checksum covers the header, so
+// a flip in any field of a committed block's header ends the log there, as a
+// flip in its payload does. Recovery keeps the committed prefix and replays
+// nothing past the damaged block: a commit whose type reads as a skip record
+// is not skipped over.
+func TestRecoverStopsAtDamagedHeader(t *testing.T) {
+	st := NewMemStorage()
+	m := mustOpen(t, testConfig(st))
+	var offs []uint64
+	for i := 0; i < 100; i++ {
+		offs = append(offs, appendBlock(t, m, []byte(fmt.Sprintf("commit-%03d", i))))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const hit = 50
+	for _, c := range []struct {
+		name string
+		at   int  // header byte
+		xor  byte // flipped bits
+	}{
+		{"type reads as skip", 2, BlockCommit ^ BlockSkip},
+		{"reserved byte", 3, 0x01},
+		{"size, still on the grain", 5, 0x01},
+		{"prev", 16, 0x40},
+		{"payload length", 24, 0x02},
+		{"checksum", 28, 0x80},
+	} {
+		img := st.Crash() // a copy: everything was synced at Close
+		segs, err := Segments(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range segs {
+			if offs[hit] < sm.Start || offs[hit] >= sm.End {
+				continue
+			}
+			f, err := img.Open(sm.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]byte, 1)
+			pos := int64(offs[hit]-sm.Start) + int64(c.at)
+			if _, err := f.ReadAt(b, pos); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= c.xor
+			if _, err := f.WriteAt(b, pos); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		var got []uint64
+		res, err := Recover(img, 0, func(b Block) error {
+			got = append(got, b.LSN.Offset())
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != hit || got[hit-1] != offs[hit-1] || res.NextOffset != offs[hit] {
+			t.Errorf("%s: recovered %d blocks up to %#x; want the %d before the damaged block at %#x",
+				c.name, len(got), res.NextOffset, hit, offs[hit])
 		}
 	}
 }

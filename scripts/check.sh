@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
-echo "== ermia-vet (atomicmix, cancelpoll, epochguard, errclass, hotalloc, lockorder, nodeterminism, txnlifecycle, wirecompat) =="
+echo "== ermia-vet (epochguard, errclass, hotalloc, lockorder, nodeterminism, txnlifecycle, wirecompat) =="
 if ! go run ./cmd/ermia-vet ./...; then
 	echo "" >&2
 	echo "check.sh: ermia-vet found invariant violations (listed above)." >&2
