@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"ermia/internal/faultconn"
 	"ermia/internal/proto"
 	"ermia/internal/server"
+	"ermia/internal/silo"
 )
 
 func openCore(t testing.TB) *core.DB {
@@ -172,12 +174,14 @@ func countingDial(t testing.TB, addr string, writes *atomic.Int64) *client.Clien
 	return c
 }
 
-// TestBeginCostsNoWrite: the Begin frame rides the first operation's write,
-// so a transaction of k operations writes to the socket k+1 times (Commit
-// included) while still counting k+2 request frames, and a transaction that
-// touches nothing writes nothing and holds no worker slot.
+// TestBeginCostsNoWrite: the Begin frame rides the first operation's write
+// and, under SI, a read-only Commit is held for the connection's next write,
+// so a read-only transaction of k operations writes to the socket k times
+// while still counting k+2 request frames. With no next write the held
+// Commit goes out on its own within the hold delay and frees the worker
+// slot. A transaction that touches nothing writes nothing and holds no slot.
 func TestBeginCostsNoWrite(t *testing.T) {
-	_, addr := startServer(t, openCore(t), server.Config{Workers: 1})
+	srv, addr := startServer(t, openCore(t), server.Config{Workers: 1})
 	var writes atomic.Int64
 	c := countingDial(t, addr, &writes)
 	tbl := c.CreateTable("t")
@@ -218,13 +222,163 @@ func TestBeginCostsNoWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	if got := writes.Load() - w0; got != k+1 {
-		t.Fatalf("read-only transaction of %d operations wrote %d times, want %d", k, got, k+1)
+	if got := writes.Load() - w0; got != k {
+		t.Fatalf("read-only transaction of %d operations wrote %d times, want %d", k, got, k)
 	}
 	if got := c.Stats().Requests - r0; got != k+2 {
-		t.Fatalf("it counted %d request frames, want %d (Begin is still a frame)", got, k+2)
+		t.Fatalf("it counted %d request frames, want %d (Begin and Commit are still frames)", got, k+2)
+	}
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for writes.Load()-w0 != k+1 || srv.Stats().OpenTxns != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("50ms on: %d writes, %d open transactions; want the held Commit written (%d) and none open",
+				writes.Load()-w0, srv.Stats().OpenTxns, k+1)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	idle.Abort()
+}
+
+// readOnlyWrites runs one read-only transaction of four Gets and a Commit
+// on c and returns how many socket writes it made by the time Commit
+// returned.
+func readOnlyWrites(t *testing.T, c *client.Client, tbl engine.Table, writes *atomic.Int64) int64 {
+	t.Helper()
+	w0 := writes.Load()
+	txn := c.BeginReadOnly(0)
+	for _, k := range []string{"a", "b", "c", "a"} {
+		if _, err := txn.Get(tbl, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return writes.Load() - w0
+}
+
+// TestSiloReadOnlyCommitWaits: Silo validates a read-only transaction's
+// reads at commit, so its server does not set the Begin echo's bit and the
+// client waits for the Commit: a transaction of four Gets writes five times.
+func TestSiloReadOnlyCommitWaits(t *testing.T) {
+	db, err := silo.Open(silo.Config{EpochInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	_, addr := startServer(t, db, server.Config{})
+	var writes atomic.Int64
+	c := countingDial(t, addr, &writes)
+	tbl := c.CreateTable("t")
+	seed := c.Begin(0)
+	for _, k := range []string{"a", "b", "c"} {
+		if err := seed.Insert(tbl, []byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readOnlyWrites(t, c, tbl, &writes); got != 5 {
+		t.Fatalf("read-only transaction of 4 Gets on a Silo server wrote %d times, want 5", got)
+	}
+}
+
+// TestReadOnlyCommitUnderSSN: under SSN a read-only transaction can close a
+// dependency cycle, so its Commit can fail and the client must wait for it.
+// T1 reads y; T2 overwrites y and commits; the read-only T3 reads T2's y and
+// the x that T1 is about to overwrite; T1 writes x and commits. T3 would
+// have to serialize both after T2 and before T1, which follows T2: its
+// Commit gets ErrSerialization. Under SI the same history commits.
+func TestReadOnlyCommitUnderSSN(t *testing.T) {
+	for _, ssn := range []bool{true, false} {
+		t.Run(fmt.Sprintf("serializable=%v", ssn), func(t *testing.T) {
+			db, err := core.Open(core.Config{Serializable: ssn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			_, addr := startServer(t, db, server.Config{})
+			c := dial(t, addr, 1)
+			tbl := c.CreateTable("t")
+			put := c.Begin(0)
+			for _, k := range []string{"x", "y"} {
+				if err := put.Insert(tbl, []byte(k), []byte("0")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := put.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			t1 := c.Begin(0)
+			if _, err := t1.Get(tbl, []byte("y")); err != nil {
+				t.Fatal(err)
+			}
+			t2 := c.Begin(0)
+			if err := t2.Update(tbl, []byte("y"), []byte("2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := t2.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			t3 := c.BeginReadOnly(0)
+			if v, err := t3.Get(tbl, []byte("y")); err != nil || string(v) != "2" {
+				t.Fatalf("T3 read y = %q, %v; want T2's 2", v, err)
+			}
+			if _, err := t3.Get(tbl, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Update(tbl, []byte("x"), []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Commit(); err != nil {
+				t.Fatalf("T1 commit: %v", err)
+			}
+			err = t3.Commit()
+			if ssn && !errors.Is(err, engine.ErrSerialization) {
+				t.Fatalf("read-only T3 closing a cycle committed with %v, want ErrSerialization", err)
+			}
+			if !ssn && err != nil {
+				t.Fatalf("read-only T3 under SI: %v", err)
+			}
+		})
+	}
+}
+
+// TestHeldCommitsNeverOverload: with one worker slot, read-only
+// transactions run back to back on one connection. Each held Commit leaves
+// in the same write as the next transaction's Begin, ahead of it, so the
+// server frees the slot before the next Begin asks for it.
+func TestHeldCommitsNeverOverload(t *testing.T) {
+	srv, addr := startServer(t, openCore(t), server.Config{Workers: 1})
+	c := dial(t, addr, 1)
+	tbl := c.CreateTable("t")
+	seed := c.Begin(0)
+	if err := seed.Insert(tbl, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		txn := c.BeginReadOnly(0)
+		if _, err := txn.Get(tbl, []byte("k")); err != nil {
+			t.Fatalf("transaction %d: %v", i, err)
+		}
+		if i%2 == 1 {
+			txn.Abort()
+		} else if err := txn.Commit(); err != nil {
+			t.Fatalf("transaction %d: commit: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for srv.Stats().OpenTxns != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the last held end never landed: %d open transactions", srv.Stats().OpenTxns)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestCutBetweenBeginAndFirstOp: the connection dies after the held Begin

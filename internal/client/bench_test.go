@@ -13,8 +13,9 @@ import (
 // BenchmarkWireTxn is the session round trip in isolation: callers
 // goroutines sharing one loopback connection, each running read-only
 // transactions of four point reads. writes/txn is the client's socket writes
-// per transaction: 5 for a lone caller, one per round trip it waits for, and
-// fewer with four callers, whose frames share writes. ns/op is wall time
+// per transaction: 4 for a lone caller, one per round trip it waits for (the
+// held Commit rides the next transaction's first write), and fewer with four
+// callers, whose frames share writes. ns/op is wall time
 // per transaction, and allocs/op (the server being in-process) counts both
 // ends.
 func BenchmarkWireTxn(b *testing.B) {

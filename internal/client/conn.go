@@ -31,6 +31,9 @@ type conn struct {
 	wbuf    []byte // frames appended and not yet handed to the socket
 	spare   []byte // the buffer last written, emptied for the next swap
 	writing bool   // a caller is writing and will pick up wbuf; stays set once a write fails
+	held    bool   // wbuf holds frames post held back, and hold is armed for them
+	// hold writes held frames that no send took along within holdDelay.
+	hold *time.Timer
 
 	pmu     sync.Mutex
 	nextID  uint64
@@ -105,9 +108,15 @@ func (c *conn) readLoop() {
 }
 
 // fail marks the connection broken and releases every in-flight caller with
-// the cause; their requests' outcomes are indeterminate.
+// the cause; their requests' outcomes are indeterminate. Held frames are
+// dropped with the connection.
 func (c *conn) fail(cause error) {
 	c.nc.Close()
+	c.wmu.Lock()
+	if c.hold != nil {
+		c.hold.Stop()
+	}
+	c.wmu.Unlock()
 	c.pmu.Lock()
 	if !c.broken {
 		c.broken = true
@@ -181,14 +190,7 @@ func (c *conn) send(typ byte, payload, begin []byte) (w, bw waiter, err error) {
 	c.pmu.Unlock()
 	c.counters.requests.Add(frames)
 
-	var dlMillis uint32
-	if c.reqTimeout > 0 {
-		if dl := c.reqTimeout / time.Millisecond; dl > 0 {
-			dlMillis = uint32(dl)
-		} else {
-			dlMillis = 1
-		}
-	}
+	dlMillis := c.budget()
 	c.wmu.Lock()
 	if begin != nil {
 		c.wbuf = proto.AppendFrameD(c.wbuf, proto.MsgBegin, beginID, dlMillis, begin)
@@ -207,6 +209,63 @@ func (c *conn) send(typ byte, payload, begin []byte) (w, bw waiter, err error) {
 	return w, bw, nil
 }
 
+// budget is the server-side deadline a frame header carries, in whole
+// milliseconds (at least 1 when a RequestTimeout is set; 0 for none).
+func (c *conn) budget() uint32 {
+	if c.reqTimeout <= 0 {
+		return 0
+	}
+	return max(uint32(c.reqTimeout/time.Millisecond), 1)
+}
+
+// holdDelay bounds how long a held frame waits for a send to take it along.
+const holdDelay = time.Millisecond
+
+// post queues one request frame whose response nobody awaits: it registers
+// no waiter, so readLoop drops the response. The frame is held: it waits in
+// wbuf for the connection's next send, which writes it ahead of its own
+// frames in the same write, or, if no send comes within holdDelay, for the
+// hold timer. Errors are not reported: a frame lost with its connection
+// leaves its transaction to the server's session teardown, which aborts it.
+func (c *conn) post(typ byte, payload []byte) {
+	c.pmu.Lock()
+	if c.broken {
+		c.pmu.Unlock()
+		return
+	}
+	c.nextID++
+	id := c.nextID
+	c.pmu.Unlock()
+	c.counters.requests.Add(1)
+
+	c.wmu.Lock()
+	c.wbuf = proto.AppendFrameD(c.wbuf, typ, id, c.budget(), payload)
+	if !c.writing && !c.held { // a writer takes the frame along; an armed timer covers it
+		c.held = true
+		if c.hold == nil {
+			c.hold = time.AfterFunc(holdDelay, c.writeHeld)
+		} else {
+			c.hold.Reset(holdDelay)
+		}
+	}
+	c.wmu.Unlock()
+}
+
+// writeHeld is the hold timer's callback: it writes the held frames, unless
+// a send has taken them along or a writer on the socket will.
+func (c *conn) writeHeld() {
+	c.wmu.Lock()
+	if !c.held || c.writing {
+		c.wmu.Unlock()
+		return
+	}
+	c.writing = true
+	c.wmu.Unlock()
+	if err := c.flush(); err != nil {
+		c.fail(err)
+	}
+}
+
 // flush writes the shared buffer with wmu released until a swap finds it
 // empty: one socket write per burst of appends. The caller has set writing.
 // The yield first lets the callers woken by the same response batch append
@@ -219,6 +278,7 @@ func (c *conn) flush() error {
 	for len(c.wbuf) > 0 {
 		buf := c.wbuf
 		c.wbuf, c.spare = c.spare[:0], nil
+		c.held = false // held frames go out in this write
 		c.wmu.Unlock()
 		_, err := c.nc.Write(buf)
 		c.wmu.Lock()

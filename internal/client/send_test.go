@@ -212,3 +212,90 @@ func TestSendsKeepTheirOrder(t *testing.T) {
 	wg.Wait()
 	<-peerDone
 }
+
+// heldInTime skips the rest of a test that needed its next step to start
+// within holdDelay of a post, when the machine stalled it past that.
+func heldInTime(t *testing.T, posted time.Time) {
+	t.Helper()
+	if d := time.Since(posted); d >= holdDelay {
+		t.Skipf("stalled %v after the post, past the hold delay", d)
+	}
+}
+
+// TestHoldRidesNextSend: a held frame stays in the buffer until the next
+// send, which writes it in its own write; the timer then finds nothing held
+// and writes nothing. Both frames count as requests.
+func TestHoldRidesNextSend(t *testing.T) {
+	cn, pw, far := pipeConn(t)
+	go okPeer(far)
+	payload := proto.AppendU64(nil, proto.ClientTxnBit|1)
+	posted := time.Now()
+	cn.post(proto.MsgCommit, payload)
+	w, _, err := cn.send(proto.MsgPing, nil, nil)
+	heldInTime(t, posted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := cn.await(w); err != nil {
+		t.Fatal(err)
+	}
+	if got := pw.writes.Load(); got != 1 {
+		t.Fatalf("held frame and send took %d writes, want 1", got)
+	}
+	time.Sleep(3 * holdDelay)
+	if got := pw.writes.Load(); got != 1 {
+		t.Fatalf("%d writes after the hold delay, want still 1", got)
+	}
+	if got := cn.counters.requests.Load(); got != 2 {
+		t.Fatalf("%d requests counted, want 2", got)
+	}
+}
+
+// TestHoldTimerWritesAlone: with no send behind it, a held frame is written
+// by the connection's timer, and reaches the peer whole.
+func TestHoldTimerWritesAlone(t *testing.T) {
+	cn, pw, far := pipeConn(t)
+	payload := proto.AppendU64(nil, proto.ClientTxnBit|7)
+	got := make(chan uint64, 1)
+	go func() {
+		typ, _, p, err := proto.ReadFrame(far)
+		if err != nil || typ != proto.MsgAbort {
+			t.Errorf("peer read type %#x, %v; want MsgAbort", typ, err)
+			close(got)
+			return
+		}
+		got <- proto.NewDec(p).U64()
+	}()
+	cn.post(proto.MsgAbort, payload)
+	select {
+	case id := <-got:
+		if id != proto.ClientTxnBit|7 {
+			t.Fatalf("held frame names %#x", id)
+		}
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("held frame not written within 50ms")
+	}
+	if n := pw.writes.Load(); n != 1 {
+		t.Fatalf("%d writes, want 1", n)
+	}
+}
+
+// TestHoldStoppedByFail: a failed connection drops its held frames; the
+// timer writes nothing after the failure, and a later post queues nothing.
+func TestHoldStoppedByFail(t *testing.T) {
+	cn, pw, far := pipeConn(t)
+	go okPeer(far)
+	payload := proto.AppendU64(nil, proto.ClientTxnBit|1)
+	posted := time.Now()
+	cn.post(proto.MsgCommit, payload)
+	cn.fail(errClientClosed)
+	heldInTime(t, posted)
+	cn.post(proto.MsgCommit, payload)
+	time.Sleep(3 * holdDelay)
+	if got := pw.writes.Load(); got != 0 {
+		t.Fatalf("%d writes after the failure, want 0", got)
+	}
+	if got := cn.counters.requests.Load(); got != 1 {
+		t.Fatalf("%d requests counted, want 1 (the post after the failure is refused)", got)
+	}
+}

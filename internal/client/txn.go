@@ -21,8 +21,24 @@ type clientTxn struct {
 	// begun is set once the held MsgBegin has gone out. A transaction that
 	// ends before that never existed as far as the server is concerned.
 	begun bool
-	err   error // sticky failure; also set for a refused Begin
-	done  bool
+	// unawaited is the Begin response's proto.BeginEndUnawaited: the
+	// transaction's Commit cannot fail, so Commit and Abort are posted held
+	// and never awaited.
+	unawaited bool
+	err       error // sticky failure; also set for a refused Begin
+	done      bool
+	// buf is where request payloads are built; send copies each one out
+	// before returning, so every frame reuses it. inline backs it first.
+	buf    []byte
+	inline [64]byte
+}
+
+// payload starts a request payload naming the transaction, in t.buf.
+func (t *clientTxn) payload() []byte {
+	if t.buf == nil {
+		t.buf = t.inline[:0]
+	}
+	return proto.AppendU64(t.buf[:0], t.id)
 }
 
 // fail records the first transport failure.
@@ -109,6 +125,9 @@ func (t *clientTxn) awaitBegin(bw waiter) error {
 		t.cn.fail(err)
 		return connLost(err)
 	}
+	if flags := d.Rest(); len(flags) > 0 { // a server that predates the flags sends none
+		t.unawaited = flags[0]&proto.BeginEndUnawaited != 0
+	}
 	return nil
 }
 
@@ -138,12 +157,12 @@ func (t *clientTxn) op(typ byte, tbl engine.Table, key, value []byte) (*proto.De
 		return nil, t.fail(err)
 	}
 	for attempt := 0; ; attempt++ {
-		p := proto.AppendU64(nil, t.id)
-		p = proto.AppendBytes(p, []byte(ct.name))
+		p := proto.AppendBytes(t.payload(), []byte(ct.name))
 		p = proto.AppendBytes(p, key)
 		if typ == proto.MsgInsert || typ == proto.MsgUpdate {
 			p = proto.AppendBytes(p, value)
 		}
+		t.buf = p
 		st, detail, d, err := t.rpc(typ, p)
 		if err != nil {
 			return nil, err
@@ -211,8 +230,7 @@ func (t *clientTxn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []b
 	cursor := lo
 	recreated := false
 	for {
-		p := proto.AppendU64(nil, t.id)
-		p = proto.AppendBytes(p, []byte(ct.name))
+		p := proto.AppendBytes(t.payload(), []byte(ct.name))
 		p = proto.AppendU32(p, 0) // 0: server page size
 		hasHi := byte(0)
 		if hi != nil {
@@ -221,6 +239,7 @@ func (t *clientTxn) Scan(tbl engine.Table, lo, hi []byte, fn func(key, value []b
 		p = proto.AppendU8(p, hasHi)
 		p = proto.AppendBytes(p, cursor)
 		p = proto.AppendBytes(p, hi)
+		t.buf = p
 		st, detail, d, err := t.rpc(proto.MsgScan, p)
 		if err != nil {
 			return err
@@ -269,6 +288,13 @@ const lateCommitLimit = 2
 // durability policy was satisfied; a lost connection means the outcome is
 // indeterminate and surfaces as the retryable engine.ErrConnLost.
 //
+// A read-only transaction whose Begin response said its Commit cannot fail
+// (proto.BeginEndUnawaited: SI, not SSN or Silo) is done once its last read
+// returned. Its Commit is posted held for the connection's next write and
+// returns nil at once; until the frame lands, at most holdDelay later, the
+// server keeps its worker slot and snapshot. Should the connection die
+// first, teardown aborts it, which for a read-only transaction is the same.
+//
 // A commit that dies of engine.ErrDeadlineExceeded is special-cased for
 // failover: under semi-sync replication it is the one failure where the
 // server is perfectly reachable yet cannot make progress (its replica is
@@ -288,7 +314,11 @@ func (t *clientTxn) Commit() error {
 	if !t.begun {
 		return nil // the server never heard of it: nothing to commit
 	}
-	st, detail, _, err := t.rpc(proto.MsgCommit, proto.AppendU64(nil, t.id))
+	if t.unawaited {
+		t.cn.post(proto.MsgCommit, t.payload())
+		return nil
+	}
+	st, detail, _, err := t.rpc(proto.MsgCommit, t.payload())
 	if err != nil {
 		return err
 	}
@@ -306,6 +336,9 @@ func (t *clientTxn) Commit() error {
 
 // Abort implements engine.Txn. Best-effort over the wire: if the
 // connection is gone the server-side session teardown aborts the orphan.
+// The Abort of a transaction whose Commit is unawaited is posted held like
+// that Commit; any other waits for the server, so that once it returns the
+// transaction's worker slot is free and its versions are unlinked.
 func (t *clientTxn) Abort() {
 	if t.done {
 		return
@@ -314,7 +347,11 @@ func (t *clientTxn) Abort() {
 	if t.err != nil || !t.begun {
 		return
 	}
-	t.cn.call(proto.MsgAbort, proto.AppendU64(nil, t.id))
+	if t.unawaited {
+		t.cn.post(proto.MsgAbort, t.payload())
+		return
+	}
+	t.cn.call(proto.MsgAbort, t.payload())
 }
 
 var _ engine.Txn = (*clientTxn)(nil)

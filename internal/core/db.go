@@ -239,6 +239,11 @@ func (db *DB) startGC() {
 // Serializable reports whether the SSN certifier is active.
 func (db *DB) Serializable() bool { return db.cfg.Serializable }
 
+// ReadOnlyCommitCannotFail implements engine.ReadOnlyCommitter: only the SSN
+// certifier validates a transaction that wrote nothing, and BeginReadOnly
+// refuses writes.
+func (db *DB) ReadOnlyCommitCannotFail() bool { return !db.cfg.Serializable }
+
 // Log exposes the log manager (for durability waits and stats). It is nil
 // on a replica that has not been promoted; DurableOffset abstracts over the
 // difference.

@@ -171,3 +171,13 @@ type DB interface {
 	// Close shuts the engine down, stopping background work.
 	Close() error
 }
+
+// ReadOnlyCommitter is an optional capability a server asserts once on its
+// engine. ReadOnlyCommitCannotFail reports that Commit of a transaction
+// begun with BeginReadOnly never fails, so its outcome is fixed by its last
+// read and a remote client need not wait for the server's answer. The ERMIA
+// core under SI qualifies; under SSN a read-only transaction can close a
+// cycle, and the Silo baseline validates its reads at commit.
+type ReadOnlyCommitter interface {
+	ReadOnlyCommitCannotFail() bool
+}

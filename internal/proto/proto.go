@@ -57,11 +57,14 @@ const (
 	// highest primary epoch the client has observed (a server behind it is a
 	// deposed primary and answers StatusStaleEpoch), u64 client-assigned
 	// transaction handle, the number every later frame of the transaction
-	// names. Response: u64 the handle, echoed. The server registers the
-	// transaction under the handle, which lets the client write Begin and
-	// the transaction's first frame back to back without waiting; the handle
-	// must carry ClientTxnBit and name no transaction still open on the
-	// connection (StatusBadRequest otherwise, as for a short payload).
+	// names. Response: u64 the handle, echoed, then u8 flags
+	// (BeginEndUnawaited). The server registers the transaction under the
+	// handle, which lets the client write Begin and the transaction's first
+	// frame back to back without waiting; the handle must carry ClientTxnBit
+	// and name no transaction still open on the connection (StatusBadRequest
+	// otherwise, as for a short payload). The flags byte was appended later:
+	// a client that stops reading after the handle loses nothing, and one
+	// that finds no byte there reads the flags as 0.
 	MsgBegin byte = iota + 1
 	MsgGet
 	MsgInsert
@@ -172,6 +175,14 @@ const (
 // Begin request flag bits.
 const (
 	BeginReadOnly byte = 1 << 0
+)
+
+// Begin response flag bits.
+const (
+	// BeginEndUnawaited marks a read-only transaction whose Commit cannot
+	// fail on this server (engine.ReadOnlyCommitter): its Commit and Abort
+	// need no answer, so the client sends them without waiting for one.
+	BeginEndUnawaited byte = 1 << 0
 )
 
 // ClientTxnBit is set in every transaction handle; a Begin naming a handle

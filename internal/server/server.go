@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"ermia/internal/engine"
+	"ermia/internal/proto"
 	"ermia/internal/wal"
 )
 
@@ -165,6 +166,10 @@ type Server struct {
 	// refuses those frames.
 	dur  engine.Durable
 	ckpt engine.Checkpointer
+	// roEcho is the flags byte a read-only Begin's response carries:
+	// proto.BeginEndUnawaited when the engine's read-only commits cannot
+	// fail.
+	roEcho byte
 
 	ln       net.Listener
 	lnMu     sync.Mutex
@@ -230,6 +235,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: engine %T does not implement engine.Durable", cfg.DB)
 	}
 	ckpt, _ := cfg.DB.(engine.Checkpointer)
+	var roEcho byte
+	if rc, ok := cfg.DB.(engine.ReadOnlyCommitter); ok && rc.ReadOnlyCommitCannotFail() {
+		roEcho = proto.BeginEndUnawaited
+	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 64
 	}
@@ -250,6 +259,7 @@ func New(cfg Config) (*Server, error) {
 		db:           cfg.DB,
 		dur:          dur,
 		ckpt:         ckpt,
+		roEcho:       roEcho,
 		doneCh:       make(chan struct{}),
 		connSem:      make(chan struct{}, cfg.MaxConns),
 		slots:        make(chan int, cfg.Workers),

@@ -369,7 +369,11 @@ func (s *session) handleBegin(req request, d *proto.Dec) {
 	s.txns[handle] = openTxn{txn: txn, slot: slot, readOnly: readOnly}
 	s.openTxns.Add(1)
 	s.srv.openTxns.Add(1)
-	s.scratch = proto.AppendU64(s.scratch[:0], handle)
+	var echo byte
+	if readOnly {
+		echo = s.srv.roEcho
+	}
+	s.scratch = proto.AppendU8(proto.AppendU64(s.scratch[:0], handle), echo)
 	s.reply(req.typ, req.id, proto.StatusOK, "", s.scratch)
 }
 

@@ -269,3 +269,49 @@ func FuzzTail(f *testing.F) {
 		}
 	})
 }
+
+// TestTailBlockPastReservedEnd: the last durable block of an idle log has
+// its size field damaged to reach its segment's end. The claimed end lies
+// below the segment's end but past every offset the log ever reserved, so
+// the block cannot be one still being written: the Tail reports it corrupt,
+// naming it, instead of waiting for it forever.
+func TestTailBlockPastReservedEnd(t *testing.T) {
+	m, st := fuzzTailLog(t)
+	defer m.Close()
+	want, err := drainAll(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := want[len(want)-1]
+	off := last.LSN.Offset()
+	segs, err := wal.Segments(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(segs, func(sm wal.SegmentMeta) bool { return off >= sm.Start && off < sm.End })
+	if i < 0 {
+		t.Fatalf("no segment holds the last block at %#x", off)
+	}
+	sm := segs[i]
+	if sm.End <= off+last.Size || m.CurrentOffset() >= sm.End {
+		t.Fatalf("block [%#x, %#x) leaves no room in its segment ending at %#x before the reserved end %#x",
+			off, off+last.Size, sm.End, m.CurrentOffset())
+	}
+	fl, err := st.Open(sm.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size [4]byte
+	binary.LittleEndian.PutUint32(size[:], uint32(sm.End-off))
+	if _, err := fl.WriteAt(size[:], int64(off-sm.Start+4)); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := drainAll(m)
+	if o := fmt.Sprintf("%#x", off); err == nil || !strings.Contains(err.Error(), o) {
+		t.Fatalf("%d of %d blocks, err %v; want an error naming the block at %s", len(got), len(want), err, o)
+	}
+	if len(got) != len(want)-1 {
+		t.Fatalf("tail yielded %d blocks before the damaged one, want %d", len(got), len(want)-1)
+	}
+}

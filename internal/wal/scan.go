@@ -178,7 +178,11 @@ type segReader struct {
 	// horizon is the offset below which every block is whole: the durable
 	// horizon of a live log, or the segment's end for a file at rest.
 	horizon uint64
-	hdr     [headerSize]byte
+	// end is where every block ends by: the segment's end, or for a Tail
+	// the log's reserved end if that is lower. A header that claims more
+	// is corrupt, not yet to be written.
+	end uint64
+	hdr [headerSize]byte
 }
 
 // newSegReader reads f, the file of segment sm. Over a live log, load the
@@ -188,7 +192,7 @@ func newSegReader(sm SegmentMeta, f File, horizon uint64) (*segReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: size segment %s: %w", sm.Name, err)
 	}
-	return &segReader{sm: sm, f: f, size: uint64(size), horizon: horizon}, nil
+	return &segReader{sm: sm, f: f, size: uint64(size), horizon: horizon, end: sm.End}, nil
 }
 
 func openSegment(st Storage, sm SegmentMeta) (*segReader, error) {
@@ -208,7 +212,8 @@ func openSegment(st Storage, sm SegmentMeta) (*segReader, error) {
 //   - a whole, valid block, returned with its padded Size;
 //   - nothing yet: unwritten space (past the file, or no magic), or a block
 //     that ends past the horizon. The Block is zero and the error nil;
-//   - a block below the horizon whose header fields or checksum are wrong:
+//   - a block whose header fields are wrong (one that claims to end past
+//     end among them), or one below the horizon whose checksum is wrong:
 //     an errCorrupt naming the offset and the segment.
 //
 // Any other error is I/O.
@@ -226,7 +231,7 @@ func (r *segReader) block(off uint64, buf *[]byte) (Block, error) {
 	size := uint64(binary.LittleEndian.Uint32(hdr[4:]))
 	plen := uint64(binary.LittleEndian.Uint32(hdr[24:]))
 	if binary.LittleEndian.Uint64(hdr[8:]) != off || size == 0 || size%Grain != 0 ||
-		off+size > sm.End || plen > size-headerSize {
+		off+size > r.end || plen > size-headerSize {
 		return Block{}, fmt.Errorf("%w header at %#x in %s", errCorrupt, off, sm.Name)
 	}
 	if off+size > r.horizon {

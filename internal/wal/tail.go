@@ -60,11 +60,14 @@ func (m *Manager) firstSegmentStart() uint64 {
 // metadata of every segment they live in. An empty batch means the cursor
 // has caught up: what lies at it is unwritten, or ends past the horizon.
 // Callers poll or wait for durability progress. A block below the horizon
-// whose header or checksum is wrong is an error naming its offset and
-// segment. Payloads alias the Tail's scratch buffer and are valid until the
-// next call.
+// whose header or checksum is wrong, or that claims to end past the log's
+// reserved end, is an error naming its offset and segment. Payloads alias
+// the Tail's scratch buffer and are valid until the next call.
 func (t *Tail) Next(maxBytes int) ([]Block, []SegmentMeta, error) {
 	durable := t.m.durable.Load()
+	// Loaded after the horizon: every block that starts below it was
+	// reserved whole by then, so none ends past this.
+	reserved := t.m.offset.Load()
 	var blocks []Block
 	var segs []SegmentMeta
 	var r *segReader
@@ -93,6 +96,9 @@ func (t *Tail) Next(maxBytes int) ([]Block, []SegmentMeta, error) {
 		var err error
 		if r == nil || r.sm.Name != seg.name {
 			r, err = newSegReader(seg.meta(), seg.file, durable)
+			if err == nil {
+				r.end = min(r.end, reserved)
+			}
 		}
 		if err == nil {
 			b, err = r.block(t.pos, &t.buf)

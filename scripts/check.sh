@@ -49,6 +49,11 @@ echo "== txnid x50 (the TID table's inquiry races, repeated) =="
 # its window is a few instructions wide, so one pass proves little.
 go test -count=50 ./internal/txnid/
 
+echo "== client hold timer x20 (-race) =="
+# A held Commit or Abort waits in the connection's write buffer for the next
+# send or for the 1 ms hold timer; the timer, send and fail race on wmu.
+go test -race -count=20 -run 'TestHold|TestBeginCostsNoWrite' ./internal/client/
+
 echo "== go build =="
 go build ./...
 
