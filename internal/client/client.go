@@ -422,57 +422,23 @@ func (c *Client) Health() (state engine.HealthState, cause string, err error) {
 	return state, cause, d.Err()
 }
 
-// ServerStats is the server-level counter snapshot (see server.StatsSnapshot).
-type ServerStats struct {
-	Conns         uint32
-	OpenTxns      uint32
-	Commits       uint64
-	Aborts        uint64
-	GroupBatches  uint64
-	GroupCommits  uint64
-	DurableOffset uint64
-
-	ReplSubscribers   uint32
-	ReplBatches       uint64
-	ReplShippedOffset uint64
-	ReplAckedOffset   uint64
-
-	Checkpoints uint64
-
-	PreparedTxns  uint32
-	ShardPrepares uint64
-	ShardDecides  uint64
-}
+// ServerStats is the server-level counter snapshot.
+type ServerStats = proto.ServerStats
 
 // ServerStats fetches the remote server's counters.
 func (c *Client) ServerStats() (ServerStats, error) {
-	var out ServerStats
 	cn, err := c.conn(0)
 	if err != nil {
-		return out, err
+		return ServerStats{}, err
 	}
 	st, detail, d, err := cn.call(proto.MsgStats, nil)
 	if err != nil {
-		return out, err
+		return ServerStats{}, err
 	}
 	if err := st.Err(detail); err != nil {
-		return out, err
+		return ServerStats{}, err
 	}
-	out.Conns = d.U32()
-	out.OpenTxns = d.U32()
-	out.Commits = d.U64()
-	out.Aborts = d.U64()
-	out.GroupBatches = d.U64()
-	out.GroupCommits = d.U64()
-	out.DurableOffset = d.U64()
-	out.ReplSubscribers = d.U32()
-	out.ReplBatches = d.U64()
-	out.ReplShippedOffset = d.U64()
-	out.ReplAckedOffset = d.U64()
-	out.Checkpoints = d.U64()
-	out.PreparedTxns = d.U32()
-	out.ShardPrepares = d.U64()
-	out.ShardDecides = d.U64()
+	out := d.ServerStats()
 	return out, d.Err()
 }
 

@@ -352,10 +352,8 @@ func (t *Txn) finish(committed bool) {
 	ws.slot.Quiesce()
 	ws.slot.Exit()
 	if committed {
-		ws.commits.Add(1)
 		t.db.stats.Commits.Add(1)
 	} else {
-		ws.aborts.Add(1)
 		t.db.stats.Aborts.Add(1)
 	}
 	t.done = true

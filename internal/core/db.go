@@ -45,9 +45,6 @@ type Config struct {
 	// workers' garbage lists. Zero disables the background collector; call
 	// RunGC manually.
 	GCInterval time.Duration
-	// EpochInterval is the timescale of the version-GC epoch manager.
-	// Defaults to 10ms.
-	EpochInterval time.Duration
 	// Profile enables per-worker cycle accounting by component (the
 	// Figure 11 breakdown). Costs two clock reads per instrumented section.
 	Profile bool
@@ -167,9 +164,6 @@ type DBStats struct {
 // Open creates a DB. Pass a wal.RecoverResult-driven flow via Recover to
 // restore existing state instead.
 func Open(cfg Config) (*DB, error) {
-	if cfg.EpochInterval == 0 {
-		cfg.EpochInterval = 10 * time.Millisecond
-	}
 	log, err := wal.Open(cfg.WAL, nil)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"ermia/internal/mvcc"
 	"ermia/internal/wal"
@@ -48,9 +47,6 @@ func Recover(cfg Config) (*DB, error) {
 func recoverState(cfg Config, replica bool) (*DB, *Applier, *wal.RecoverResult, error) {
 	if cfg.WAL.Storage == nil {
 		return nil, nil, nil, fmt.Errorf("core: recovery requires explicit WAL storage")
-	}
-	if cfg.EpochInterval == 0 {
-		cfg.EpochInterval = 10 * time.Millisecond
 	}
 	st := cfg.WAL.Storage
 	segs, err := wal.Segments(st)

@@ -12,14 +12,12 @@ import (
 )
 
 // workerState is a worker slot's thread-local transaction context (§3.1):
-// its epoch slot and counters, the scratch arrays its transactions fill, and
-// the list of versions its commits made obsolete. Padded to avoid false
-// sharing.
+// its epoch slot and cycle profile, the scratch arrays its transactions
+// fill, and the list of versions its commits made obsolete. Padded to 256
+// bytes, four cache lines, to avoid false sharing.
 type workerState struct {
-	slot    *epoch.Slot
-	prof    Profile
-	commits atomic.Uint64
-	aborts  atomic.Uint64
+	slot *epoch.Slot
+	prof Profile
 	// scratch is parked here between transactions: begin takes it, finish
 	// hands it back. The slot's one live transaction is its only user, so it
 	// needs no lock.
@@ -34,7 +32,7 @@ type workerState struct {
 	// counts the slot's open transactions; only the owner touches it.
 	begin atomic.Uint64
 	live  int
-	_     [8]byte
+	_     [24]byte
 }
 
 // stampIdle is a published begin stamp that holds no horizon.

@@ -1,9 +1,12 @@
 // Package nemesis is a deterministic, seed-replayable chaos harness for the
-// full ERMIA network stack. One Run assembles a primary + replica cluster
-// wired entirely through internal/faultconn, points a retrying client
-// workload at it, and executes a randomized-but-reproducible schedule of
-// network partitions, mid-frame cuts, latency flutter, primary crashes, and
-// (via heartbeat silence) supervised automatic promotions. While the cluster
+// full ERMIA network stack. Two topologies run on one fixture (fixture.go),
+// which wires every node through internal/faultconn, points a retrying
+// client workload at the cluster, executes a randomized-but-reproducible
+// schedule of faults, and then checks the end state on the healed network.
+// RunShard drives a two-shard cluster through the 2PC router (shard.go).
+// Run assembles a primary + replica cluster and schedules network
+// partitions, mid-frame cuts, latency flutter, primary crashes, and (via
+// heartbeat silence) supervised automatic promotions. While the cluster
 // burns, the harness mechanically checks the client-facing invariants the
 // design claims (see DESIGN.md "Network fault model"):
 //
@@ -32,19 +35,15 @@
 package nemesis
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ermia/internal/client"
 	"ermia/internal/core"
 	"ermia/internal/engine"
-	"ermia/internal/faultconn"
 	"ermia/internal/repl"
 	"ermia/internal/server"
 	"ermia/internal/wal"
@@ -59,6 +58,10 @@ const (
 	epReplica = "replica"
 	epBackup  = "backup"
 )
+
+// silenceTimeout is how long the supervisor waits on a silent primary
+// before it promotes the replica.
+const silenceTimeout = 250 * time.Millisecond
 
 // Config parameterizes one nemesis run. The zero value of every field gets
 // a sensible default; only Seed is meaningfully distinct per run.
@@ -77,129 +80,63 @@ type Config struct {
 }
 
 // Result reports what one run did and every invariant violation it found.
-// A clean run has len(Violations) == 0; harness-level failures (setup,
-// verification reads impossible even after healing) surface as Run's error
-// instead.
 type Result struct {
-	Seed       uint64
-	Schedule   []string // the executed fault schedule, deterministic per seed
-	Acked      int      // commits positively acknowledged to a worker
-	Attempts   int      // transaction function invocations (retries included)
-	Reads      int      // reader snapshots that completed
-	Promotions int      // supervised promotions (0 or 1)
-	Crashes    int      // primary crash+restart cycles
-	FinalEpoch uint64   // highest epoch observed by the shared client
-	Violations []string
+	Outcome
+	Reads      int    // reader snapshots that completed
+	Promotions int    // supervised promotions (0 or 1)
+	Crashes    int    // primary crash+restart cycles
+	FinalEpoch uint64 // highest epoch observed by the shared client
 }
 
-// ---- harness ----
-
+// harness is the primary/replica topology.
 type harness struct {
+	*fixture
 	cfg Config
-	net *faultconn.Network
 	res *Result
 
-	priDB *core.DB
-	pri   *server.Server // current primary incarnation
-	priMu sync.Mutex
+	priDB   *core.DB
+	rep     *repl.Replica
+	stopSup chan struct{}
+	supDone chan struct{}
 
-	// audits accumulates the per-epoch write-commit maps of every primary
-	// incarnation (crash+restart keeps the same engine but a fresh server,
-	// so each server's audit is collected when it is retired).
-	audits []map[uint64]uint64
-
-	rep    *repl.Replica
-	backup *server.Server
-
-	cli *client.Client
-	tbl engine.Table
-
-	acked    []atomic.Uint64 // per-worker acked frontier (highest acked seq)
-	attempts atomic.Int64
-	reads    atomic.Int64
-
-	vioMu sync.Mutex
-	vios  []string
+	cli   *client.Client
+	tbl   engine.Table
+	reads atomic.Int64
 }
 
-func (h *harness) violate(format string, args ...any) {
-	h.vioMu.Lock()
-	defer h.vioMu.Unlock()
-	h.vios = append(h.vios, fmt.Sprintf(format, args...))
-}
-
-func (h *harness) dialer(from string) func(string, time.Duration) (net.Conn, error) {
-	return func(addr string, timeout time.Duration) (net.Conn, error) {
-		return h.net.DialTimeout(from, addr, timeout)
-	}
-}
-
-func (h *harness) primaryConfig() server.Config {
-	return server.Config{
+func (h *harness) startPrimary() error {
+	_, err := h.serve(epPrimary, server.Config{
 		DB:            h.priDB,
 		SyncRepl:      true,
 		SyncReplWait:  400 * time.Millisecond,
 		Epoch:         1,
 		ReplHeartbeat: 10 * time.Millisecond,
-		WriteTimeout:  2 * time.Second,
-		IdleTimeout:   2 * time.Second,
-	}
-}
-
-func (h *harness) startPrimary() error {
-	srv, err := server.New(h.primaryConfig())
-	if err != nil {
-		return err
-	}
-	ln, err := h.net.Listen(epPrimary)
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	go srv.Serve(ln)
-	h.priMu.Lock()
-	h.pri = srv
-	h.priMu.Unlock()
-	return nil
-}
-
-func (h *harness) crashPrimary() {
-	h.priMu.Lock()
-	srv := h.pri
-	h.pri = nil
-	h.priMu.Unlock()
-	if srv == nil {
-		return
-	}
-	srv.Close()
-	h.priMu.Lock()
-	h.audits = append(h.audits, srv.CommitEpochs())
-	h.priMu.Unlock()
+	})
+	return err
 }
 
 // startBackup serves the promoted replica's engine under its new epoch.
 // Called from the supervisor's OnPromote hook.
 func (h *harness) startBackup() {
-	srv, err := server.New(server.Config{
-		DB:           h.rep.DB(),
-		Epoch:        h.rep.Epoch(),
-		WriteTimeout: 2 * time.Second,
-		IdleTimeout:  2 * time.Second,
-	})
-	if err != nil {
+	if _, err := h.serve(epBackup, server.Config{DB: h.rep.DB(), Epoch: h.rep.Epoch()}); err != nil {
 		h.violate("harness: promoted server: %v", err)
-		return
 	}
-	ln, err := h.net.Listen(epBackup)
-	if err != nil {
-		srv.Close()
-		h.violate("harness: promoted listener: %v", err)
-		return
+}
+
+// fault crashes the primary server and restarts it under its old epoch on
+// the same engine. Each incarnation is a new server with its own audit.
+func (h *harness) fault(ev event) error {
+	if ev.act != actCrash {
+		return errors.New("not a primary/replica fault")
 	}
-	go srv.Serve(ln)
-	h.priMu.Lock()
-	h.backup = srv
-	h.priMu.Unlock()
+	pris := h.servers(epPrimary)
+	pris[len(pris)-1].Close()
+	h.res.Crashes++
+	time.Sleep(ev.dur)
+	if err := h.startPrimary(); err != nil {
+		return fmt.Errorf("primary restart: %w", err)
+	}
+	return nil
 }
 
 func ctrKey(w int) []byte { return []byte(fmt.Sprintf("ctr-w%d", w)) }
@@ -212,50 +149,24 @@ func u64val(v uint64) []byte {
 	return b
 }
 
-// writer drives unique-key inserts plus a per-worker counter through
-// RunWithRetry until the deadline. Each sequence number is retried until it
-// acks; the acked frontier only advances on a nil return from the retry
-// loop, which is exactly the harness's definition of "acknowledged".
-func (h *harness) writer(w int, deadline time.Time) {
-	policy := engine.RetryPolicy{
-		BaseDelay: time.Millisecond,
-		MaxDelay:  25 * time.Millisecond,
-		Jitter:    0.5,
-		Seed:      h.cfg.Seed*1099511628211 + uint64(w) + 1,
-	}
-	seq := 0
-	for time.Now().Before(deadline) {
-		key := seqKey(w, seq)
-		val := u64val(uint64(seq + 1))
-		ctx, cancel := context.WithDeadline(context.Background(), deadline.Add(250*time.Millisecond))
-		err := policy.Run(ctx, h.cli, w, func(txn engine.Txn) error {
-			h.attempts.Add(1)
-			// Overwriting our own earlier indeterminate attempt is
-			// idempotent: the same value lands under the same keys.
-			if _, gerr := txn.Get(h.tbl, key); gerr == nil {
-				if uerr := txn.Update(h.tbl, key, val); uerr != nil {
-					return uerr
-				}
-			} else if ierr := txn.Insert(h.tbl, key, val); ierr != nil {
-				return ierr
-			}
-			if _, gerr := txn.Get(h.tbl, ctrKey(w)); gerr == nil {
-				return txn.Update(h.tbl, ctrKey(w), val)
-			}
-			return txn.Insert(h.tbl, ctrKey(w), val)
-		})
-		cancel()
-		if err == nil {
-			h.acked[w].Store(uint64(seq + 1))
-			seq++
-			continue
+// txn writes worker w's unique key for seq and sets its counter to seq+1.
+// Overwriting our own earlier indeterminate attempt is idempotent: the same
+// value lands under the same keys.
+func (h *harness) txn(w, seq int) func(engine.Txn) error {
+	key, val := seqKey(w, seq), u64val(uint64(seq+1))
+	return func(txn engine.Txn) error {
+		if err := upsert(txn, h.tbl, key, val); err != nil {
+			return err
 		}
-		// Unavailable (drain, stale epoch) and expired-context errors are
-		// expected mid-chaos; the same sequence number is retried so an
-		// indeterminate earlier attempt can only be overwritten, never
-		// skipped. A tiny pause keeps a dead cluster from busy-spinning.
-		time.Sleep(2 * time.Millisecond)
+		return upsert(txn, h.tbl, ctrKey(w), val)
 	}
+}
+
+func upsert(txn engine.Txn, tbl engine.Table, key, val []byte) error {
+	if _, err := txn.Get(tbl, key); err == nil {
+		return txn.Update(tbl, key, val)
+	}
+	return txn.Insert(tbl, key, val)
 }
 
 // reader repeatedly takes a snapshot and checks two monotonicity claims:
@@ -263,7 +174,7 @@ func (h *harness) writer(w int, deadline time.Time) {
 // snapshot began) and per-reader non-regression while the client's observed
 // epoch is stable.
 func (h *harness) reader(id int, deadline time.Time) {
-	nw := h.cfg.Workers
+	nw := len(h.acked)
 	prev := make([]uint64, nw)
 	var prevEpoch uint64
 	havePrev := false
@@ -325,48 +236,9 @@ func (h *harness) readCounters() ([]uint64, bool) {
 	return vals, true
 }
 
-// execute replays the pre-generated schedule. Faults with a duration heal
-// inline, so at most one durable fault is active at a time; instantaneous
-// cuts overlap freely with the workload.
-func (h *harness) execute(evs []event) {
-	for _, ev := range evs {
-		time.Sleep(ev.gap)
-		switch ev.act {
-		case actCut:
-			h.net.CutAfter(ev.from, ev.to, ev.nbytes)
-		case actPartitionClient:
-			h.net.Partition(epClient, epPrimary)
-			time.Sleep(ev.dur)
-			h.net.Heal(epClient, epPrimary)
-		case actPartitionRepl:
-			h.net.Partition(epPrimary, epReplica)
-			time.Sleep(ev.dur)
-			h.net.Heal(epPrimary, epReplica)
-		case actIsolatePrimary:
-			h.net.Isolate(epPrimary)
-			time.Sleep(ev.dur)
-			h.net.Heal(epPrimary, epClient)
-			h.net.Heal(epPrimary, epReplica)
-			h.net.Heal(epPrimary, epBackup)
-		case actLatency:
-			h.net.SetLatency(ev.from, ev.to, ev.lat, ev.lat/2)
-			time.Sleep(ev.dur)
-			h.net.SetLatency(ev.from, ev.to, 0, 0)
-		case actCrash:
-			h.crashPrimary()
-			h.res.Crashes++
-			time.Sleep(ev.dur)
-			if err := h.startPrimary(); err != nil {
-				h.violate("harness: primary restart: %v", err)
-				return
-			}
-		}
-	}
-}
-
-// Run executes one nemesis schedule and returns what it found. The error
-// return is for harness failures (setup, unverifiable end state); invariant
-// violations land in Result.Violations.
+// Run executes one nemesis schedule on the primary/replica topology and
+// returns what it found. The error return is for harness failures (setup,
+// unverifiable end state); invariant violations land in Result.Violations.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * time.Second
@@ -378,14 +250,11 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Readers = 2
 	}
 	h := &harness{
-		cfg:   cfg,
-		net:   faultconn.NewNetwork(cfg.Seed),
-		res:   &Result{Seed: cfg.Seed},
-		acked: make([]atomic.Uint64, cfg.Workers),
-	}
-	evs := genSchedule(cfg.Seed, cfg.Duration)
-	for _, ev := range evs {
-		h.res.Schedule = append(h.res.Schedule, ev.desc)
+		fixture: newFixture(cfg.Seed, cfg.Workers, epClient, epPrimary, epReplica, epBackup),
+		cfg:     cfg,
+		res:     &Result{},
+		stopSup: make(chan struct{}),
+		supDone: make(chan struct{}),
 	}
 
 	// Primary over an in-memory WAL (group commit syncs into it before any
@@ -396,20 +265,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer db.Close()
 	h.priDB = db
+	defer h.close()
 	if err := h.startPrimary(); err != nil {
 		return nil, fmt.Errorf("nemesis: primary server: %w", err)
 	}
-	defer func() {
-		h.priMu.Lock()
-		pri, backup := h.pri, h.backup
-		h.priMu.Unlock()
-		if pri != nil {
-			pri.Close()
-		}
-		if backup != nil {
-			backup.Close()
-		}
-	}()
 
 	// Replica streaming through the fault network, supervised for
 	// automatic promotion on primary silence.
@@ -424,11 +283,7 @@ func Run(cfg Config) (*Result, error) {
 			Jitter:    0.5,
 			Seed:      cfg.Seed + 7,
 		},
-		Core: core.Config{WAL: wal.Config{
-			SegmentSize: 4 << 20,
-			BufferSize:  1 << 20,
-			Storage:     wal.NewMemStorage(),
-		}},
+		Core: core.Config{WAL: smallWAL(wal.NewMemStorage())},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("nemesis: replica: %w", err)
@@ -438,7 +293,7 @@ func Run(cfg Config) (*Result, error) {
 
 	sup := &repl.Supervisor{
 		R:              rep,
-		SilenceTimeout: 250 * time.Millisecond,
+		SilenceTimeout: silenceTimeout,
 		OnPromote: func(perr error) {
 			if perr != nil {
 				h.violate("harness: promotion failed: %v", perr)
@@ -448,9 +303,7 @@ func Run(cfg Config) (*Result, error) {
 			h.startBackup()
 		},
 	}
-	stopSup := make(chan struct{})
-	supDone := make(chan struct{})
-	go func() { defer close(supDone); sup.Run(stopSup) }()
+	go func() { defer close(h.supDone); sup.Run(h.stopSup) }()
 
 	// One shared client for workers, readers, and verification: its
 	// observed-epoch high-water mark is what fences every Begin off a
@@ -475,124 +328,77 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("nemesis: create table failed")
 	}
 
-	// Chaos window: load, readers, and the fault schedule overlap.
-	deadline := time.Now().Add(cfg.Duration)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) { defer wg.Done(); h.writer(w, deadline) }(w)
+	readers := make([]func(time.Time), cfg.Readers)
+	for r := range readers {
+		readers[r] = func(deadline time.Time) { h.reader(r, deadline) }
 	}
-	for r := 0; r < cfg.Readers; r++ {
-		wg.Add(1)
-		go func(r int) { defer wg.Done(); h.reader(r, deadline) }(r)
+	if err := h.run(h, cli, genSchedule(cfg.Seed, cfg.Duration), cfg.Duration, &h.res.Outcome, readers...); err != nil {
+		return nil, err
 	}
-	h.execute(evs)
-	wg.Wait()
-
-	// Settle: heal everything, stop the failover supervisor, verify.
-	h.net.HealAll()
-	close(stopSup)
-	<-supDone
-
-	h.verify()
-
-	h.res.Acked = 0
-	for w := range h.acked {
-		h.res.Acked += int(h.acked[w].Load())
-	}
-	h.res.Attempts = int(h.attempts.Load())
 	h.res.Reads = int(h.reads.Load())
 	h.res.FinalEpoch = cli.Epoch()
-	h.vioMu.Lock()
-	h.res.Violations = append([]string(nil), h.vios...)
-	h.vioMu.Unlock()
 	return h.res, nil
 }
 
-// verify checks the end-state invariants on the healed network: every acked
-// commit is readable (durability across failover), final counters are at or
-// past the acked frontier, and the per-epoch write audits of old and new
-// primaries are disjoint (single writer per epoch).
-func (h *harness) verify() {
+// verify stops the failover supervisor and checks the end-state invariants
+// on the healed network: every acked commit is readable (durability across
+// failover), final counters are at or past the acked frontier, and the
+// per-epoch write audits of old and new primaries are disjoint (single
+// writer per epoch).
+func (h *harness) verify() error {
+	close(h.stopSup)
+	<-h.supDone
+
 	// Reads go through the shared client so epoch fencing routes them to
-	// the authoritative server. Retried briefly: the cluster just healed.
-	verifyDeadline := time.Now().Add(10 * time.Second)
-	for w := 0; w < h.cfg.Workers; w++ {
-		acked := int(h.acked[w].Load())
-		missing := h.verifyWorker(w, acked, verifyDeadline)
-		for _, i := range missing {
-			h.violate("acked commit w%d seq %d lost (acked frontier %d)", w, i, acked)
-		}
-	}
+	// the authoritative server.
+	h.check("verification reads", h.checkAcked)
 
 	// Single-writer audit: per-epoch write-commit keys of every primary
 	// incarnation vs the promoted server's.
-	h.priMu.Lock()
-	audits := append([]map[uint64]uint64(nil), h.audits...)
-	if h.pri != nil {
-		audits = append(audits, h.pri.CommitEpochs())
-	}
-	var backupAudit map[uint64]uint64
-	if h.backup != nil {
-		backupAudit = h.backup.CommitEpochs()
-	}
-	h.priMu.Unlock()
 	oldEpochs := map[uint64]uint64{}
-	for _, a := range audits {
-		for e, n := range a {
+	for _, srv := range h.servers(epPrimary) {
+		for e, n := range srv.CommitEpochs() {
 			oldEpochs[e] += n
 		}
 	}
-	for e, n := range backupAudit {
-		if n > 0 && oldEpochs[e] > 0 {
-			h.violate("dual primary: epoch %d acked %d write commits on the old primary and %d on the promoted replica",
-				e, oldEpochs[e], n)
+	for _, srv := range h.servers(epBackup) {
+		for e, n := range srv.CommitEpochs() {
+			if n > 0 && oldEpochs[e] > 0 {
+				h.violate("dual primary: epoch %d acked %d write commits on the old primary and %d on the promoted replica",
+					e, oldEpochs[e], n)
+			}
 		}
 	}
+	return nil
 }
 
-// verifyWorker reads this worker's acked keys and counter with retries
-// until the deadline; it returns the sequence numbers that stayed missing.
-func (h *harness) verifyWorker(w, acked int, deadline time.Time) []int {
-	for {
-		missing, err := h.tryVerifyWorker(w, acked)
-		if err == nil {
-			return missing
-		}
-		if time.Now().After(deadline) {
-			h.violate("harness: verification reads for w%d never succeeded: %v", w, err)
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func (h *harness) tryVerifyWorker(w, acked int) ([]int, error) {
+// checkAcked reads every worker's acked keys and counter in one snapshot.
+func (h *harness) checkAcked(report func(string, ...any)) error {
 	txn := h.cli.BeginReadOnly(h.cfg.Workers + h.cfg.Readers + 1)
 	defer txn.Abort()
-	var missing []int
-	for i := 0; i < acked; i++ {
-		v, err := txn.Get(h.tbl, seqKey(w, i))
-		if errors.Is(err, engine.ErrNotFound) {
-			missing = append(missing, i)
+	for w := range h.acked {
+		acked := int(h.acked[w].Load())
+		for i := 0; i < acked; i++ {
+			v, err := txn.Get(h.tbl, seqKey(w, i))
+			if err != nil && !errors.Is(err, engine.ErrNotFound) {
+				return err
+			}
+			if err != nil || len(v) != 8 || binary.LittleEndian.Uint64(v) != uint64(i+1) {
+				report("acked commit w%d seq %d lost (acked frontier %d)", w, i, acked)
+			}
+		}
+		if acked == 0 {
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != 8 || binary.LittleEndian.Uint64(v) != uint64(i+1) {
-			missing = append(missing, i)
-		}
-	}
-	if acked > 0 {
 		v, err := txn.Get(h.tbl, ctrKey(w))
-		if errors.Is(err, engine.ErrNotFound) {
-			h.violate("acked counter w%d missing entirely (frontier %d)", w, acked)
-		} else if err != nil {
-			return nil, err
-		} else if len(v) != 8 || binary.LittleEndian.Uint64(v) < uint64(acked) {
-			h.violate("final counter w%d = %v below acked frontier %d", w, v, acked)
+		switch {
+		case errors.Is(err, engine.ErrNotFound):
+			report("acked counter w%d missing entirely (frontier %d)", w, acked)
+		case err != nil:
+			return err
+		case len(v) != 8 || binary.LittleEndian.Uint64(v) < uint64(acked):
+			report("final counter w%d = %v below acked frontier %d", w, v, acked)
 		}
 	}
-	return missing, nil
+	return nil
 }

@@ -72,6 +72,19 @@ func TestNemesisScheduleDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical schedules")
 	}
+
+	// The pinned promotion seed must keep a primary isolation longer than
+	// the supervisor's silence timeout, or TestNemesisPromotionRun tests
+	// nothing.
+	var longest time.Duration
+	for _, ev := range genSchedule(promotionSeed, pinnedDuration) {
+		if ev.act == actIsolate && ev.from == epPrimary {
+			longest = max(longest, ev.dur)
+		}
+	}
+	if longest <= silenceTimeout {
+		t.Errorf("seed %d: longest primary isolation %v, want > %v", promotionSeed, longest, silenceTimeout)
+	}
 }
 
 // TestNemesisPromotionRun: a seed whose schedule isolates the primary long
@@ -84,7 +97,7 @@ func TestNemesisPromotionRun(t *testing.T) {
 	}
 	// Seed chosen (see TestNemesisSeeds logs) so isolation exceeds the
 	// supervisor's silence timeout early in the run.
-	res, err := Run(Config{Seed: promotionSeed, Duration: 1500 * time.Millisecond})
+	res, err := Run(Config{Seed: promotionSeed, Duration: pinnedDuration})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
@@ -104,3 +117,6 @@ func TestNemesisPromotionRun(t *testing.T) {
 // promotionSeed is a seed whose generated schedule contains an early
 // primary isolation longer than the supervisor silence timeout.
 const promotionSeed = 11
+
+// pinnedDuration is the chaos window of the runs on a pinned seed.
+const pinnedDuration = 1500 * time.Millisecond

@@ -54,6 +54,24 @@ func TestShardScheduleDeterministic(t *testing.T) {
 			t.Fatalf("schedule diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+
+	// The pinned seeds must keep the faults their runs exist for, or
+	// TestShardNemesisCoordinatorCrashes and TestShardNemesisUnsyncedApply
+	// test nothing.
+	count := func(seed uint64) map[action]int {
+		n := map[action]int{}
+		for _, ev := range genShardSchedule(seed, pinnedDuration) {
+			n[ev.act]++
+		}
+		return n
+	}
+	if n := count(coordCrashSeed); n[actCoordCrashPrepare] == 0 || n[actCoordCrashDecision] == 0 {
+		t.Errorf("seed %d: %d coordinator crashes after prepare and %d after decision, want both > 0",
+			coordCrashSeed, n[actCoordCrashPrepare], n[actCoordCrashDecision])
+	}
+	if n := count(unsyncedCrashSeed)[actShardCrashUnsynced]; n < 3 {
+		t.Errorf("seed %d: %d shard crashes hold their syncs, want >= 3", unsyncedCrashSeed, n)
+	}
 }
 
 // TestShardNemesisCoordinatorCrashes pins a seed whose schedule includes
@@ -64,7 +82,7 @@ func TestShardNemesisCoordinatorCrashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard nemesis skipped in -short")
 	}
-	res, err := RunShard(ShardConfig{Seed: coordCrashSeed, Duration: 1500 * time.Millisecond})
+	res, err := RunShard(ShardConfig{Seed: coordCrashSeed, Duration: pinnedDuration})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
@@ -91,7 +109,7 @@ func TestShardNemesisUnsyncedApply(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard nemesis skipped in -short")
 	}
-	res, err := RunShard(ShardConfig{Seed: unsyncedCrashSeed, Duration: 1500 * time.Millisecond})
+	res, err := RunShard(ShardConfig{Seed: unsyncedCrashSeed, Duration: pinnedDuration})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}

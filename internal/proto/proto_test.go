@@ -2,9 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"ermia/internal/engine"
@@ -181,5 +183,40 @@ func TestStatusBijection(t *testing.T) {
 	}
 	if err := st.Err(detail); err == nil || engine.Classify(err) != engine.OutcomeFatal {
 		t.Fatalf("internal status must stay fatal: %v", err)
+	}
+}
+
+// TestServerStatsRoundTrip gives every counter a distinct value and checks
+// that the MsgStats body is each field in declaration order, little-endian
+// at its own width, and that it decodes back to the same struct.
+func TestServerStatsRoundTrip(t *testing.T) {
+	var in ServerStats
+	var want []byte
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		n := uint64(i+1)<<8 | uint64(i+1)
+		switch f.Kind() {
+		case reflect.Uint32:
+			f.SetUint(n << 16)
+			want = binary.LittleEndian.AppendUint32(want, uint32(n<<16))
+		case reflect.Uint64:
+			f.SetUint(n << 48)
+			want = binary.LittleEndian.AppendUint64(want, n<<48)
+		default:
+			t.Fatalf("field %s: kind %s has no wire width", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	got := AppendServerStats(nil, &in)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("body\n got %x\nwant %x", got, want)
+	}
+	d := NewDec(got)
+	if out := d.ServerStats(); d.Err() != nil || out != in || len(d.Rest()) != 0 {
+		t.Fatalf("decoded %+v (err %v), want %+v", out, d.Err(), in)
+	}
+	d = NewDec(got[:len(got)-1])
+	if d.ServerStats(); d.Err() == nil {
+		t.Fatal("a truncated body decoded without an error")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"ermia/internal/engine"
 	"ermia/internal/repl"
@@ -151,7 +150,7 @@ func TestSeededReplicaRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := repl.Config{PrimaryAddr: addr, ReconnectDelay: 10 * time.Millisecond}
+	cfg := repl.Config{PrimaryAddr: addr, Retry: fastRedial}
 	cfg.Core.WAL.Storage = st
 	r, err := repl.Start(cfg)
 	if err != nil {

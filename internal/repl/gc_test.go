@@ -106,10 +106,10 @@ func TestReplicaGCFollowsTheApplier(t *testing.T) {
 	fill(t, db, tbl, "x", doomed)
 
 	r, err := repl.Start(repl.Config{
-		PrimaryAddr:    addr,
-		ReconnectDelay: 10 * time.Millisecond,
-		GCEveryBlocks:  1,
-		Core:           core.Config{GCInterval: time.Millisecond}, // takes effect at promotion
+		PrimaryAddr:   addr,
+		Retry:         fastRedial,
+		GCEveryBlocks: 1,
+		Core:          core.Config{GCInterval: time.Millisecond}, // takes effect at promotion
 	})
 	if err != nil {
 		t.Fatal(err)

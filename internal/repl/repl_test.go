@@ -53,11 +53,15 @@ func startPrimarySized(t *testing.T, segSize uint64) (*core.DB, *server.Server, 
 	return db, srv, ln.Addr().String()
 }
 
+// fastRedial is the reconnect backoff of the replicas these tests start:
+// base 10ms, cap 200ms, jitter 0.5.
+var fastRedial = engine.RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Jitter: 0.5}
+
 func startReplica(t *testing.T, primaryAddr string) *repl.Replica {
 	t.Helper()
 	r, err := repl.Start(repl.Config{
-		PrimaryAddr:    primaryAddr,
-		ReconnectDelay: 10 * time.Millisecond,
+		PrimaryAddr: primaryAddr,
+		Retry:       fastRedial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -562,9 +566,9 @@ func TestPromoteReadsOnlyPastTheWatermark(t *testing.T) {
 	db, _, addr := startPrimary(t)
 	mirror := faultfs.NewRecorder(wal.NewMemStorage())
 	r, err := repl.Start(repl.Config{
-		PrimaryAddr:    addr,
-		ReconnectDelay: 10 * time.Millisecond,
-		Core:           core.Config{WAL: wal.Config{Storage: mirror}},
+		PrimaryAddr: addr,
+		Retry:       fastRedial,
+		Core:        core.Config{WAL: wal.Config{Storage: mirror}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -608,9 +612,9 @@ func TestMirrorFilesStayBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err := repl.Start(repl.Config{
-		PrimaryAddr:    addr,
-		ReconnectDelay: 10 * time.Millisecond,
-		Core:           core.Config{WAL: wal.Config{Storage: mirror}},
+		PrimaryAddr: addr,
+		Retry:       fastRedial,
+		Core:        core.Config{WAL: wal.Config{Storage: mirror}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,13 +44,10 @@ type Config struct {
 	// checkpoint-fetch connections — the seam for the fault-injecting
 	// transport. Nil uses TCP.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// ReconnectDelay is the base pause before redialing after a transport
-	// failure. Default 100ms. Consecutive failures back off exponentially
-	// with jitter under Retry (a successful subscribe resets the streak).
-	ReconnectDelay time.Duration
-	// Retry shapes the reconnect backoff. A zero policy is derived from
-	// ReconnectDelay: base = ReconnectDelay, cap = 20x, jitter 0.5. Set
-	// Retry.Seed for deterministic backoff in tests.
+	// Retry shapes the pause before redialing after a transport failure:
+	// consecutive failures back off exponentially with jitter (a successful
+	// subscribe resets the streak). A zero BaseDelay gets base 100ms, cap
+	// 2s, jitter 0.5. Set Retry.Seed for deterministic backoff in tests.
 	Retry engine.RetryPolicy
 	// HeartbeatTimeout, when positive, bounds the silence the replica
 	// tolerates on an established stream before declaring the connection
@@ -143,15 +140,12 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	if cfg.ReconnectDelay <= 0 {
-		cfg.ReconnectDelay = 100 * time.Millisecond
-	}
 	if cfg.GCEveryBlocks <= 0 {
 		cfg.GCEveryBlocks = 4096
 	}
 	if cfg.Retry.BaseDelay <= 0 {
-		cfg.Retry.BaseDelay = cfg.ReconnectDelay
-		cfg.Retry.MaxDelay = 20 * cfg.ReconnectDelay
+		cfg.Retry.BaseDelay = 100 * time.Millisecond
+		cfg.Retry.MaxDelay = 2 * time.Second
 		cfg.Retry.Jitter = 0.5
 	}
 	db, ap, pass1, err := core.OpenReplica(cfg.Core)

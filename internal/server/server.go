@@ -132,30 +132,7 @@ type Config struct {
 }
 
 // StatsSnapshot is the server-level counter set served by the Stats frame.
-type StatsSnapshot struct {
-	Conns         uint32 // current connections
-	OpenTxns      uint32 // transactions currently holding a slot
-	Commits       uint64 // positively acknowledged commits
-	Aborts        uint64 // aborts, including conflict-failed commits
-	GroupBatches  uint64 // group-commit wakeups
-	GroupCommits  uint64 // commits acknowledged by those wakeups
-	DurableOffset uint64 // engine durability horizon
-
-	// Replication (primary side: shipping; replica side these stay 0 and
-	// the replica's own progress is reported by its process).
-	ReplSubscribers   uint32 // live replication subscriptions
-	ReplBatches       uint64 // batches shipped across all subscribers
-	ReplShippedOffset uint64 // highest offset shipped to any subscriber
-	ReplAckedOffset   uint64 // highest watermark acknowledged by any subscriber
-
-	// Checkpoints counts checkpoint frames served successfully.
-	Checkpoints uint64
-
-	// Sharding / two-phase-commit counters.
-	PreparedTxns  uint32 // transactions currently parked in the prepared state
-	ShardPrepares uint64 // prepare requests acknowledged
-	ShardDecides  uint64 // decide requests applied (commit or abort)
-}
+type StatsSnapshot = proto.ServerStats
 
 // Server serves one engine over TCP.
 type Server struct {

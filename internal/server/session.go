@@ -602,22 +602,7 @@ func (s *session) handleHealth(req request) {
 
 func (s *session) handleStats(req request) {
 	st := s.srv.Stats()
-	body := proto.AppendU32(nil, st.Conns)
-	body = proto.AppendU32(body, st.OpenTxns)
-	body = proto.AppendU64(body, st.Commits)
-	body = proto.AppendU64(body, st.Aborts)
-	body = proto.AppendU64(body, st.GroupBatches)
-	body = proto.AppendU64(body, st.GroupCommits)
-	body = proto.AppendU64(body, st.DurableOffset)
-	body = proto.AppendU32(body, st.ReplSubscribers)
-	body = proto.AppendU64(body, st.ReplBatches)
-	body = proto.AppendU64(body, st.ReplShippedOffset)
-	body = proto.AppendU64(body, st.ReplAckedOffset)
-	body = proto.AppendU64(body, st.Checkpoints)
-	body = proto.AppendU32(body, st.PreparedTxns)
-	body = proto.AppendU64(body, st.ShardPrepares)
-	body = proto.AppendU64(body, st.ShardDecides)
-	s.reply(req.typ, req.id, proto.StatusOK, "", body)
+	s.reply(req.typ, req.id, proto.StatusOK, "", proto.AppendServerStats(nil, &st))
 }
 
 // handleReattach serves the admin Reattach frame: heal the engine's log on

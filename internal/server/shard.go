@@ -52,9 +52,8 @@ const ShardPrepTable = "__shard2pc"
 
 // preparedTxn is one transaction parked between prepare and decide.
 type preparedTxn struct {
-	txn   engine.Txn
-	slot  int
-	epoch uint64
+	txn  engine.Txn
+	slot int
 }
 
 // prepOp is one logical write replayed from (or persisted into) a prepare
@@ -331,7 +330,7 @@ func (s *Server) recoverPrepared() {
 			s.releaseSlot(slot)
 			continue
 		}
-		s.parkPrepared(r.gid, &preparedTxn{txn: txn, slot: slot, epoch: s.epoch.Load()})
+		s.parkPrepared(r.gid, &preparedTxn{txn: txn, slot: slot})
 	}
 }
 
@@ -550,7 +549,7 @@ func (s *session) handleShardPrepare(req request, d *proto.Dec) {
 	delete(s.txns, txnID)
 	s.openTxns.Add(-1)
 	s.srv.openTxns.Add(-1)
-	s.srv.parkPrepared(gid, &preparedTxn{txn: ot.txn, slot: ot.slot, epoch: ep})
+	s.srv.parkPrepared(gid, &preparedTxn{txn: ot.txn, slot: ot.slot})
 	s.srv.shardPrepares.Add(1)
 	s.ackDurable(req, ep, false)
 }

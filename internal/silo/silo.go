@@ -137,8 +137,6 @@ type DB struct {
 type workerState struct {
 	lastTID uint64
 	logBuf  []byte
-	commits atomic.Uint64
-	aborts  atomic.Uint64
 	_       [32]byte
 }
 

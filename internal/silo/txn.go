@@ -497,12 +497,9 @@ func (t *Txn) finish(committed bool) {
 	if t.readOnly {
 		t.db.roEpoch[t.worker].Store(0)
 	}
-	ws := &t.db.workers[t.worker]
 	if committed {
-		ws.commits.Add(1)
 		t.db.stats.Commits.Add(1)
 	} else {
-		ws.aborts.Add(1)
 		t.db.stats.Aborts.Add(1)
 	}
 	t.done = true

@@ -91,16 +91,17 @@ go test -race -short -count=1 ./internal/core/ ./internal/silo/ ./internal/index
 go test -race -count=1 -run TestIndexLenFlatUnderDelivery ./internal/tpcc/
 
 echo "== nemesis smoke (fixed seeds, -race) =="
-# A bounded chaos sweep: every seed replays a deterministic fault schedule
-# (partitions, cuts, crashes, supervised failovers) against a primary +
-# replica cluster under retrying load, and must lose no acked commit, show
-# no snapshot regression, and never ack writes under one epoch on two
-# primaries. A failing seed's schedule is printed by the test; replay it
-# with nemesis.Run(nemesis.Config{Seed: <seed>}). The shard variant
-# (TestShardNemesis*) does the same to a two-shard fleet + 2PC router,
-# crashing the coordinator between prepare and decision, and must conserve
-# cross-shard balance totals, keep every acked transfer, and drain the
-# decision log after healing; replay with nemesis.RunShard.
+# A bounded chaos sweep over two topologies on one fixture: every seed
+# replays a deterministic fault schedule (partitions, cuts, crashes,
+# supervised failovers) against a primary + replica cluster under retrying
+# load, and must lose no acked commit, show no snapshot regression, and
+# never ack writes under one epoch on two primaries. The shard topology
+# (TestShardNemesis*) faults a two-shard fleet + 2PC router, crashing the
+# coordinator between prepare and decision, and must conserve cross-shard
+# balance totals, keep every acked transfer, and drain the decision log
+# after healing. A failing seed's schedule is printed by the test; replay
+# it with nemesis.Run(nemesis.Config{Seed: <seed>}) or
+# nemesis.RunShard(nemesis.ShardConfig{Seed: <seed>}).
 go test -race -count=1 ./internal/nemesis/
 
 echo "== fuzz smoke (FuzzCheckpointBlob, FuzzDecodeRecord, 10s each) =="
