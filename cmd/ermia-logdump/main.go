@@ -103,7 +103,7 @@ func typeName(t uint8) string {
 	case wal.BlockCheckpointBegin:
 		return "ckpt-begin"
 	case wal.BlockCheckpointEnd:
-		return "ckpt-end"
+		return "ckpt-end (retired)"
 	default:
 		return fmt.Sprintf("type%d", t)
 	}

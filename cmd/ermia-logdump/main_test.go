@@ -12,8 +12,9 @@ import (
 
 // TestDumpPrintsEveryRecordKind writes each record kind the engine logs, and
 // a checkpoint, into a real directory and checks that the dump prints one
-// line per record. The checkpoint is taken before the delete, so no
-// collector round can change which records it holds.
+// line per record, the checkpoint's gen, begin and floor, and an old log's
+// checkpoint-end block as retired. The checkpoint is taken before the
+// delete, so no collector round can change which records it holds.
 func TestDumpPrintsEveryRecordKind(t *testing.T) {
 	dir := t.TempDir()
 	st, err := wal.NewDirStorage(dir)
@@ -44,6 +45,14 @@ func TestDumpPrintsEveryRecordKind(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	ci, _ := db.LastCheckpoint()
+	// The end block an older engine logged after publishing a blob.
+	end, err := db.Log().Reserve(len(ci.Name), wal.BlockCheckpointEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end.Append([]byte(ci.Name))
+	end.Commit()
 	step(func(txn *core.Txn) error { return txn.Delete(tbl, []byte("a")) })
 	if err := db.WaitDurable(); err != nil {
 		t.Fatal(err)
@@ -69,6 +78,14 @@ func TestDumpPrintsEveryRecordKind(t *testing.T) {
 	for kind, n := range want {
 		if got[kind] != n {
 			t.Errorf("%d %q lines, want %d\n%s", got[kind], kind, n, out.String())
+		}
+	}
+	for _, line := range []string{
+		fmt.Sprintf("checkpoint gen=%d begin=%#x floor=%#x\n", ci.Gen, ci.Begin, ci.Floor),
+		"ckpt-end (retired) offset=",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("dump lacks %q\n%s", line, out.String())
 		}
 	}
 }

@@ -23,9 +23,6 @@ type Applier struct {
 	segs []wal.SegmentMeta
 	// ckptBegin skips blocks the restored checkpoint already covers.
 	ckptBegin uint64
-	// chainFloor is the lowest offset replay read: ckptBegin, or an overflow
-	// block below it (the recovered checkpoint's Floor).
-	chainFloor uint64
 	// slot guards each application window against version reclamation when
 	// the applier runs next to live readers (replica mode). Recovery could
 	// run unguarded, but entering an uncontended epoch slot is cheap enough
@@ -38,12 +35,11 @@ type Applier struct {
 // them already).
 func (db *DB) NewApplier(st wal.Storage, segs []wal.SegmentMeta, ckptBegin uint64) *Applier {
 	return &Applier{
-		db:         db,
-		st:         st,
-		segs:       append([]wal.SegmentMeta(nil), segs...),
-		ckptBegin:  ckptBegin,
-		chainFloor: ckptBegin,
-		slot:       db.gcEpoch.Register(),
+		db:        db,
+		st:        st,
+		segs:      append([]wal.SegmentMeta(nil), segs...),
+		ckptBegin: ckptBegin,
+		slot:      db.gcEpoch.Register(),
 	}
 }
 
@@ -76,7 +72,6 @@ func (a *Applier) Apply(b wal.Block) error {
 			return fmt.Errorf("core: overflow chain at %#x: %w", prev, err)
 		}
 		chain = append(chain, ob.Payload)
-		a.chainFloor = min(a.chainFloor, prev)
 		prev = ob.Prev
 	}
 	// The epoch window makes the whole block's installs visible as one unit

@@ -34,18 +34,17 @@ import (
 //     makes the begin offset a clean cut: the blob holds exactly the
 //     committed state below it, replay covers everything above it. The lock
 //     also takes the floor of the chains open transactions logged below the
-//     cut (chainFloor). The begin record is made durable before step 4.
+//     cut (chainFloor), which the blob header records. The begin record is
+//     made durable before step 4.
 //  3. Scan every table through ckptVisible — Txn.visible with the begin
 //     offset as the snapshot — waiting out owners still in pre-commit below
 //     the cut, and resolving TID stamps whose owners committed below the cut
 //     to their real commit stamps.
 //  4. Publish atomically: write the blob to name+".tmp", sync, then rename.
 //     A crash anywhere in the window leaves either no blob or a complete
-//     one, never a torn file under a live name.
-//  5. Log the checkpoint-end record naming the blob, for readers of the log.
-//     Recovery finds blobs by listing the storage, and the blob header makes
-//     each self-describing, so a published blob counts even when the crash
-//     ate the end record.
+//     one, never a torn file under a live name. Recovery finds blobs by
+//     listing the storage, and the blob header makes each self-describing,
+//     so the log records nothing after the begin block.
 //
 // Writers never stall for the scan: the write lock is held only for the
 // zero-payload begin reservation (microseconds), and the scan itself runs
@@ -55,12 +54,8 @@ import (
 var checkpointMagic = [4]byte{'E', 'C', 'K', 'P'}
 
 const (
-	checkpointVersion    = 3
-	checkpointHeaderSize = 4 + 2 + 2 + 8 + 8 // magic, version, reserved, gen, begin
-	// checkpointKeep is how many published blobs survive cleanup: the newest
-	// plus one predecessor, so recovery can fall back if the newest suffers
-	// bit damage after publication.
-	checkpointKeep = 2
+	checkpointVersion    = 4
+	checkpointHeaderSize = 4 + 2 + 2 + 8 + 8 + 8 // magic, version, reserved, gen, begin, floor
 )
 
 // checkpointName formats a blob name so that lexicographic order equals
@@ -81,8 +76,10 @@ type CheckpointInfo struct {
 	Name  string
 	Gen   uint64
 	Begin uint64 // begin-record offset; the blob holds all commits below it
-	// Floor is the lowest log offset a replay from the checkpoint reads: the
-	// first overflow block of a commit above the cut, or Begin.
+	// Floor is the lowest log offset a replay from the checkpoint can read,
+	// at or below Begin: the oldest begin stamp of a transaction open at the
+	// cut, since a commit above the cut can follow its overflow chain down
+	// to there. It is taken at the cut and read back from the blob header.
 	Floor uint64
 }
 
@@ -140,7 +137,8 @@ func (db *DB) Checkpoint() error {
 	// Step 3: the consistent scan. A blob I/O failure is a clean checkpoint
 	// failure, not a degrade trigger: unlike log-manager errors it is not
 	// sticky, the engine keeps running, and a later checkpoint can succeed.
-	buf := appendCheckpointHeader(nil, gen, begin)
+	ci := CheckpointInfo{Name: name, Gen: gen, Begin: begin, Floor: floor}
+	buf := appendCheckpointHeader(nil, ci)
 	buf = db.encodeCheckpoint(buf, begin)
 	buf = binary.LittleEndian.AppendUint32(buf, wal.Checksum(buf))
 
@@ -148,20 +146,9 @@ func (db *DB) Checkpoint() error {
 	if err := db.writeCheckpointBlob(name, buf); err != nil {
 		return err
 	}
-
-	// Step 5: the end record names the blob in the log.
-	db.logGate.RLock()
-	end, err := db.logMgr().Reserve(len(name), wal.BlockCheckpointEnd)
-	if err != nil {
-		db.logGate.RUnlock()
-		return db.health.Note(err)
-	}
-	end.Append([]byte(name))
-	end.Commit()
-	db.logGate.RUnlock()
-
-	db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin, Floor: floor})
-	db.cleanupCheckpoints(name)
+	prev, _ := db.LastCheckpoint()
+	db.setLastCheckpoint(ci)
+	db.cleanupCheckpoints(name, prev.Name)
 	return nil
 }
 
@@ -186,35 +173,55 @@ func (db *DB) lastCkptGen() uint64 {
 	return 0
 }
 
-// appendCheckpointHeader appends the blob header.
-func appendCheckpointHeader(buf []byte, gen, begin uint64) []byte {
+// appendCheckpointHeader appends the blob header for ci (its name is not
+// stored).
+func appendCheckpointHeader(buf []byte, ci CheckpointInfo) []byte {
 	buf = append(buf, checkpointMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, checkpointVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, 0) // reserved
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint64(buf, begin)
+	buf = binary.LittleEndian.AppendUint64(buf, ci.Gen)
+	buf = binary.LittleEndian.AppendUint64(buf, ci.Begin)
+	buf = binary.LittleEndian.AppendUint64(buf, ci.Floor)
 	return buf
 }
 
+// parseCheckpointHeader reads a blob header. The trailer checksum vouches
+// for it only in a whole verified image (verifyCheckpointImage), so the
+// header is checked on its own terms too: a seed image arrives off the wire.
+func parseCheckpointHeader(hdr []byte) (CheckpointInfo, error) {
+	if len(hdr) < checkpointHeaderSize || string(hdr[:4]) != string(checkpointMagic[:]) {
+		return CheckpointInfo{}, fmt.Errorf("core: checkpoint image has no header")
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != checkpointVersion {
+		return CheckpointInfo{}, fmt.Errorf("core: checkpoint version %d not supported", v)
+	}
+	ci := CheckpointInfo{
+		Gen:   binary.LittleEndian.Uint64(hdr[8:]),
+		Begin: binary.LittleEndian.Uint64(hdr[16:]),
+		Floor: binary.LittleEndian.Uint64(hdr[24:]),
+	}
+	if ci.Floor > ci.Begin {
+		return CheckpointInfo{}, fmt.Errorf("core: checkpoint floor %#x above its begin %#x", ci.Floor, ci.Begin)
+	}
+	return ci, nil
+}
+
 // verifyCheckpointImage checks a blob image as published — header, payload,
-// FNV-1a trailer — and splits it into its metadata and payload.
-func verifyCheckpointImage(image []byte) (gen, begin uint64, payload []byte, err error) {
+// FNV-1a trailer — and splits it into its metadata (without a name) and
+// payload.
+func verifyCheckpointImage(image []byte) (CheckpointInfo, []byte, error) {
 	if len(image) < checkpointHeaderSize+4 {
-		return 0, 0, nil, fmt.Errorf("core: checkpoint image truncated")
+		return CheckpointInfo{}, nil, fmt.Errorf("core: checkpoint image truncated")
 	}
 	body := image[:len(image)-4]
 	if got, want := wal.Checksum(body), binary.LittleEndian.Uint32(image[len(body):]); got != want {
-		return 0, 0, nil, fmt.Errorf("core: checkpoint checksum mismatch: %#x != %#x", got, want)
+		return CheckpointInfo{}, nil, fmt.Errorf("core: checkpoint checksum mismatch: %#x != %#x", got, want)
 	}
-	if string(body[:4]) != string(checkpointMagic[:]) {
-		return 0, 0, nil, fmt.Errorf("core: checkpoint image has no header")
+	ci, err := parseCheckpointHeader(body)
+	if err != nil {
+		return CheckpointInfo{}, nil, err
 	}
-	if v := binary.LittleEndian.Uint16(body[4:]); v != checkpointVersion {
-		return 0, 0, nil, fmt.Errorf("core: checkpoint version %d not supported", v)
-	}
-	gen = binary.LittleEndian.Uint64(body[8:])
-	begin = binary.LittleEndian.Uint64(body[16:])
-	return gen, begin, body[checkpointHeaderSize:], nil
+	return ci, body[checkpointHeaderSize:], nil
 }
 
 // writeCheckpointBlob persists a checkpoint blob (content plus trailer)
@@ -244,32 +251,25 @@ func (db *DB) writeCheckpointBlob(name string, buf []byte) error {
 	return nil
 }
 
-// cleanupCheckpoints removes stale temp files and published blobs older than
-// the retention window. Best-effort: a failure leaves garbage, never damage.
-func (db *DB) cleanupCheckpoints(newest string) {
+// cleanupCheckpoints removes stale temp files and every published blob but
+// two: the newest, and prev, the checkpoint this engine held before it (one
+// it published, seeded or adopted at recovery, so one that can start a
+// recovery). The predecessor stays so recovery can fall back if the newest
+// suffers bit damage after publication, and TruncateLog keeps the log both
+// need. A blob recovery passed over as damaged goes, rather than take the
+// predecessor's place. Best-effort: a failure leaves garbage, never damage.
+func (db *DB) cleanupCheckpoints(newest, prev string) {
 	st := db.cfg.WAL.Storage
 	names, err := st.List()
 	if err != nil {
 		return
 	}
-	var published []string
 	for _, n := range names {
-		if strings.HasSuffix(n, ".tmp") && strings.HasPrefix(n, "ckpt-") && n != newest+".tmp" {
+		_, _, published := parseCheckpointName(n)
+		tmp := strings.HasSuffix(n, ".tmp") && strings.HasPrefix(n, "ckpt-") && n != newest+".tmp"
+		if tmp || published && n != newest && n != prev {
 			st.Remove(n)
-			continue
 		}
-		if _, _, ok := parseCheckpointName(n); ok {
-			published = append(published, n)
-		}
-	}
-	// List is sorted and the name format orders by begin offset, then
-	// generation.
-	for len(published) > checkpointKeep {
-		if published[0] == newest {
-			break
-		}
-		st.Remove(published[0])
-		published = published[1:]
 	}
 }
 
@@ -339,10 +339,11 @@ func (db *DB) CheckpointChunk(off uint64, max int) (CheckpointChunk, error) {
 // applyVersion's single-applier contract. Loading over existing state is
 // safe; see loadCheckpoint and dropUnseeded.
 func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
-	gen, begin, payload, err := verifyCheckpointImage(image)
+	ci, payload, err := verifyCheckpointImage(image)
 	if err != nil {
 		return 0, err
 	}
+	begin := ci.Begin
 	// A re-seed lands on the state an earlier stream left behind, and skips
 	// the log in between: note which records the image holds, so the ones it
 	// no longer holds can be dropped.
@@ -359,11 +360,11 @@ func (db *DB) SeedCheckpoint(image []byte) (uint64, error) {
 	if seeded != nil {
 		db.dropUnseeded(seeded, begin)
 	}
-	name := checkpointName(begin, gen)
-	if err := db.writeCheckpointBlob(name, image); err != nil {
+	ci.Name = checkpointName(begin, ci.Gen)
+	if err := db.writeCheckpointBlob(ci.Name, image); err != nil {
 		return 0, err
 	}
-	db.setLastCheckpoint(CheckpointInfo{Name: name, Gen: gen, Begin: begin, Floor: begin})
+	db.setLastCheckpoint(ci)
 	db.PublishWatermark(begin)
 	return begin, nil
 }
@@ -396,14 +397,53 @@ func (db *DB) dropUnseeded(seeded map[tableOID]bool, begin uint64) {
 	}
 }
 
-// TruncateLog frees the log segments wholly below the newest checkpoint's
-// Floor, which no recovery from it reads. Returns the removed file names.
+// TruncateLog frees the log segments wholly below the lowest Floor among
+// the published checkpoints in storage, so that recovery can start from any
+// of them, not only the newest. It reads only their headers; a blob whose
+// header does not verify holds no log. Nothing is freed before this engine
+// has a checkpoint of its own, taken, seeded or recovered. Returns the
+// removed file names.
 func (db *DB) TruncateLog() ([]string, error) {
+	log := db.logMgr()
+	if log == nil {
+		return nil, engine.ErrReplicaReadOnly
+	}
+	// Under ckptMu no blob is published or cleaned up meanwhile.
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
 	ci, ok := db.LastCheckpoint()
 	if !ok {
-		return nil, nil // no checkpoint yet
+		return nil, nil
 	}
-	return db.logMgr().Truncate(ci.Floor)
+	st := db.cfg.WAL.Storage
+	names, err := st.List()
+	if err != nil {
+		return nil, fmt.Errorf("core: list checkpoints: %w", err)
+	}
+	floor := ci.Floor
+	for _, n := range names {
+		if _, _, ok := parseCheckpointName(n); !ok {
+			continue
+		}
+		if h, err := readCheckpointHeader(st, n); err == nil {
+			floor = min(floor, h.Floor)
+		}
+	}
+	return log.Truncate(floor)
+}
+
+// readCheckpointHeader reads and checks the header of the blob name.
+func readCheckpointHeader(st wal.Storage, name string) (CheckpointInfo, error) {
+	f, err := st.Open(name)
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	defer f.Close()
+	hdr := make([]byte, checkpointHeaderSize)
+	if n, err := f.ReadAt(hdr, 0); n < len(hdr) {
+		return CheckpointInfo{}, fmt.Errorf("core: read checkpoint %s: %v", name, err)
+	}
+	return parseCheckpointHeader(hdr)
 }
 
 // ckptVisible decides whether version v belongs to the checkpoint snapshot

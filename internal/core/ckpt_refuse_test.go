@@ -17,7 +17,7 @@ import (
 // in storage; Recover with an error.
 func TestCheckpointBodyRefusals(t *testing.T) {
 	img, blobName, blob, _ := fuzzCkptWorkload(t)
-	gen, begin, body, err := verifyCheckpointImage(blob)
+	ci, body, err := verifyCheckpointImage(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestCheckpointBodyRefusals(t *testing.T) {
 		t.Fatalf("catalog of the real body: table %d, index %d, %v", tableID, indexID, err)
 	}
 	image := func(extra []byte) []byte {
-		buf := appendCheckpointHeader(nil, gen, begin)
+		buf := appendCheckpointHeader(nil, ci)
 		buf = append(append(buf, body...), extra...)
 		return binary.LittleEndian.AppendUint32(buf, wal.Checksum(buf))
 	}
@@ -45,7 +45,7 @@ func TestCheckpointBodyRefusals(t *testing.T) {
 	}{
 		{"control", nil},
 		{"commit record", appendInsert(nil, tableID, 99, k, v)},
-		{"stamped at begin", appendVersion(nil, tableID, 99, begin, false, k, v)},
+		{"stamped at begin", appendVersion(nil, tableID, 99, ci.Begin, false, k, v)},
 		{"TID stamp", appendVersion(nil, tableID, 99, mvcc.TIDStamp(7), false, k, v)},
 		{"unknown index", appendBind(nil, indexID+100, 99, k)},
 	}

@@ -117,7 +117,8 @@ type DB struct {
 
 	// Checkpointing (see checkpoint.go). lastCkpt identifies the newest
 	// published checkpoint; ckptMu serializes checkpointers so generation
-	// numbers stay monotone and blob cleanup never races a concurrent scan.
+	// numbers stay monotone and blob cleanup never races a concurrent scan,
+	// and TruncateLog never reads the blobs mid-publish or mid-cleanup.
 	lastCkpt atomic.Pointer[CheckpointInfo]
 	ckptMu   sync.Mutex
 

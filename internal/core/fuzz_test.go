@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 
@@ -134,8 +135,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// fuzzSeedSegment builds a valid one-segment image — commits, a checkpoint
-// record pair, more commits — and returns the segment's name and bytes. The
+// fuzzSeedSegment builds a valid one-segment image — commits, a
+// checkpoint-begin record, more commits — and returns the segment's name and bytes. The
 // checkpoint blob is deliberately not carried into the fuzz storage, so the
 // checkpoint-fallback path runs on every input too.
 func fuzzSeedSegment(f *testing.F) (string, []byte) {
@@ -279,12 +280,13 @@ func blobChecksumOK(data []byte) bool {
 }
 
 // FuzzCheckpointBlob throws mutated checkpoint images at both blob
-// consumers. Recovery: a blob failing its checksum or lacking its header must
-// be skipped — with the log intact, recovery then MUST succeed with the exact
-// full-replay state, never adopt corrupt bytes. A checksum-valid mutant may
-// recover or fail with a clean decode error, never panic. Replica seeding
-// (SeedCheckpoint): a checksum-invalid or headerless image must be
-// rejected; the pristine image must load the exact checkpoint state.
+// consumers. Recovery: a blob failing its checksum, lacking its header or
+// with its floor above its begin must be skipped — with the log intact,
+// recovery then MUST succeed with the exact full-replay state, never adopt
+// corrupt bytes. Another checksum-valid mutant may recover or fail with a
+// clean decode error, never panic. Replica seeding (SeedCheckpoint): an
+// image recovery must skip is rejected; the pristine image must load the
+// exact checkpoint state.
 func FuzzCheckpointBlob(f *testing.F) {
 	img, blobName, blob, want := fuzzCkptWorkload(f)
 
@@ -304,7 +306,7 @@ func FuzzCheckpointBlob(f *testing.F) {
 	f.Add(fixed)
 	// Minimal well-checksummed body: one version record declaring an absurd
 	// key length. The decoder must hit its bounds check, not allocate 4 GiB.
-	huge := appendCheckpointHeader(nil, 1, 64)
+	huge := appendCheckpointHeader(nil, CheckpointInfo{Gen: 1, Begin: 64, Floor: 64})
 	huge = appendVersion(huge, 1, 1, 1, false, nil, nil)
 	binary.LittleEndian.PutUint32(huge[len(huge)-8:], ^uint32(0)) // the key length
 	huge = binary.LittleEndian.AppendUint32(huge, wal.Checksum(huge))
@@ -313,9 +315,16 @@ func FuzzCheckpointBlob(f *testing.F) {
 	headerless := append([]byte(nil), blob[checkpointHeaderSize:len(blob)-4]...)
 	headerless = binary.LittleEndian.AppendUint32(headerless, wal.Checksum(headerless))
 	f.Add(headerless)
+	// A well-checksummed blob whose floor lies above its begin: the header
+	// contradicts itself.
+	high := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(high[24:], binary.LittleEndian.Uint64(high[16:])+wal.Grain)
+	binary.LittleEndian.PutUint32(high[len(high)-4:], wal.Checksum(high[:len(high)-4]))
+	f.Add(high)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		noHeader := !bytes.HasPrefix(data, checkpointMagic[:])
+		badHeader := !bytes.HasPrefix(data, checkpointMagic[:]) ||
+			len(data) >= checkpointHeaderSize && binary.LittleEndian.Uint64(data[24:]) > binary.LittleEndian.Uint64(data[16:])
 		// Recovery path: pristine log, mutated blob under the live name.
 		st := img.Crash()
 		if err := st.Remove(blobName); err != nil {
@@ -333,7 +342,7 @@ func FuzzCheckpointBlob(f *testing.F) {
 			fl.Close()
 		}
 		db, err := Recover(sweepConfig(st))
-		if !blobChecksumOK(data) || noHeader {
+		if !blobChecksumOK(data) || badHeader {
 			// The trailer and header checks must route recovery around the
 			// bad blob and full-log replay must reconstruct the exact
 			// committed state.
@@ -356,8 +365,8 @@ func FuzzCheckpointBlob(f *testing.F) {
 			t.Fatal(err)
 		}
 		_, serr := db2.SeedCheckpoint(data)
-		if serr == nil && (!blobChecksumOK(data) || noHeader) {
-			t.Fatal("SeedCheckpoint accepted an image failing its checksum or without a header")
+		if serr == nil && (!blobChecksumOK(data) || badHeader) {
+			t.Fatal("SeedCheckpoint accepted an image failing its checksum or without a valid header")
 		}
 		if serr == nil && bytes.Equal(data, blob) {
 			checkFuzzState(t, db2, map[string]string{"a": "1", "b": "2"})
@@ -398,37 +407,124 @@ func checkFuzzState(t *testing.T, db *DB, want map[string]string) {
 	}
 }
 
-// FuzzRecover feeds mutated log images to full database recovery: torn and
-// corrupted logs must yield a working database or a clean error, never a
-// panic or runaway allocation.
+// FuzzRecover feeds mutated storage images to full database recovery: torn
+// and corrupted logs and checkpoint blobs must yield a working database or a
+// clean error, never a panic or runaway allocation. An input is a packed
+// directory (packFile). One seed is a lone segment; another is a truncated
+// log with both retained blobs, so mutation reaches the checkpoint fallback.
 func FuzzRecover(f *testing.F) {
 	name, seed := fuzzSeedSegment(f)
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
+	f.Add(packFile(nil, name, seed))
+	f.Add(packFile(nil, name, seed[:len(seed)/2]))
 	flip := append([]byte(nil), seed...)
 	flip[len(flip)/2] ^= 0x04
-	f.Add(flip)
+	f.Add(packFile(nil, name, flip))
 	huge := append([]byte(nil), seed...)
 	binary.LittleEndian.PutUint32(huge[4:], 0xFFFFFFF0)
 	binary.LittleEndian.PutUint32(huge[24:], 0xFFFFFFF0)
-	f.Add(huge)
+	f.Add(packFile(nil, name, huge))
+	f.Add(fuzzTruncatedDir(f))
 
-	f.Fuzz(func(t *testing.T, seg []byte) {
+	f.Fuzz(func(t *testing.T, dir []byte) {
 		st := wal.NewMemStorage()
-		fl, err := st.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seg) > 0 {
-			if _, err := fl.WriteAt(seg, 0); err != nil {
+		for len(dir) > 0 {
+			n := int(dir[0])
+			if len(dir) < 1+n+4 {
+				break
+			}
+			name := string(dir[1 : 1+n])
+			size := min(int(binary.LittleEndian.Uint32(dir[1+n:])), len(dir)-1-n-4)
+			data := dir[1+n+4 : 1+n+4+size]
+			dir = dir[1+n+4+size:]
+			fl, err := st.Create(name)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := fl.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			fl.Sync()
+			fl.Close()
 		}
-		fl.Sync()
-		fl.Close()
 		db, err := Recover(sweepConfig(st.Crash()))
 		if err == nil {
 			db.Close()
 		}
 	})
+}
+
+// packFile appends one file to a FuzzRecover input: a name length byte, the
+// name, a little-endian uint32 data length, then the data. Unpacking clips a
+// length to the bytes left.
+func packFile(buf []byte, name string, data []byte) []byte {
+	buf = append(buf, byte(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
+	return append(buf, data...)
+}
+
+// fuzzTruncatedDir packs every file of a small log that checkpointed twice
+// and truncated: the segments left and the two retained blobs.
+func fuzzTruncatedDir(f *testing.F) []byte {
+	st := wal.NewMemStorage()
+	db, err := Open(Config{WAL: wal.Config{SegmentSize: 2 << 10, BufferSize: 2 << 10, Storage: st, SyncFlush: true}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tbl := db.CreateTable("t")
+	val := string(bytes.Repeat([]byte("v"), 100))
+	for i := 0; i < 36; i++ {
+		put(f, db, tbl, fmt.Sprintf("k%02d", i), val)
+		if i == 11 || i == 23 {
+			if err := db.Checkpoint(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	removed, err := db.TruncateLog()
+	if err != nil || len(removed) == 0 {
+		f.Fatalf("truncation removed %v (%v)", removed, err)
+	}
+	if err := db.WaitDurable(); err != nil {
+		f.Fatal(err)
+	}
+	db.Close()
+	img := st.Crash()
+	names, err := img.List()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var dir []byte
+	blobs := 0
+	for _, n := range names {
+		if _, _, ok := parseCheckpointName(n); ok {
+			blobs++
+		}
+		fl, err := img.Open(n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		size, err := fl.Size()
+		if err != nil {
+			f.Fatal(err)
+		}
+		data := make([]byte, size)
+		if _, err := fl.ReadAt(data, 0); err != nil && err != io.EOF {
+			f.Fatal(err)
+		}
+		fl.Close()
+		dir = packFile(dir, n, data)
+	}
+	if blobs != 2 {
+		f.Fatalf("%d blobs in the truncated log", blobs)
+	}
+	rdb, err := Recover(sweepConfig(img.Crash()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer rdb.Close()
+	if n := rdb.OpenTable("t").(*Table).idx.Len(); n != 36 {
+		f.Fatalf("the truncated log recovers %d of 36 rows", n)
+	}
+	return dir
 }

@@ -221,13 +221,14 @@ func DumpRecords(w io.Writer, indent string, payload []byte) error {
 	})
 }
 
-// DumpCheckpoint verifies a checkpoint image and writes its generation and
-// begin offset, then its body through DumpRecords.
+// DumpCheckpoint verifies a checkpoint image and writes its generation,
+// begin offset and floor (the log it keeps alive starts there), then its
+// body through DumpRecords.
 func DumpCheckpoint(w io.Writer, indent string, image []byte) error {
-	gen, begin, body, err := verifyCheckpointImage(image)
+	ci, body, err := verifyCheckpointImage(image)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%scheckpoint gen=%d begin=%#x\n", indent, gen, begin)
+	fmt.Fprintf(w, "%scheckpoint gen=%d begin=%#x floor=%#x\n", indent, ci.Gen, ci.Begin, ci.Floor)
 	return DumpRecords(w, indent, body)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"ermia/internal/mvcc"
 	"ermia/internal/wal"
@@ -44,6 +45,9 @@ func Recover(cfg Config) (*DB, error) {
 // software bug, not device damage, and surfaces as an error. On a replica a
 // seeded blob reaches past the mirrored log by design, so it is adopted
 // without its begin block, and the scan reads the mirror from its start.
+// With no usable blob, a log that no longer starts where a fresh log starts
+// has lost its catalog to truncation: recovery refuses it, naming each blob
+// it passed over and why, rather than replay a tail it cannot interpret.
 func recoverState(cfg Config, replica bool) (*DB, *Applier, *wal.RecoverResult, error) {
 	if cfg.WAL.Storage == nil {
 		return nil, nil, nil, fmt.Errorf("core: recovery requires explicit WAL storage")
@@ -64,7 +68,8 @@ func recoverState(cfg Config, replica bool) (*DB, *Applier, *wal.RecoverResult, 
 	// listing backwards.
 	var ckpt CheckpointInfo
 	var from uint64
-	for i := len(names) - 1; i >= 0; i-- {
+	var passed []string
+	for i := len(names) - 1; i >= 0 && ckpt.Name == ""; i-- {
 		nameBegin, _, ok := parseCheckpointName(names[i])
 		if !ok {
 			continue
@@ -72,24 +77,36 @@ func recoverState(cfg Config, replica bool) (*DB, *Applier, *wal.RecoverResult, 
 		b, err := wal.ReadBlock(st, segs, nameBegin)
 		logged := err == nil && b.Type == wal.BlockCheckpointBegin
 		if !logged && !replica {
+			passed = append(passed, names[i]+": begin record not in the log")
 			continue
 		}
-		image, rerr := readCheckpointBlob(st, names[i])
-		if rerr != nil {
-			continue
+		image, err := readCheckpointBlob(st, names[i])
+		var payload []byte
+		if err == nil {
+			ckpt, payload, err = verifyCheckpointImage(image)
 		}
-		gen, begin, payload, verr := verifyCheckpointImage(image)
-		if verr != nil || begin != nameBegin {
+		if err == nil && ckpt.Begin != nameBegin {
+			err = fmt.Errorf("core: header begin %#x", ckpt.Begin)
+		}
+		if err != nil {
+			ckpt = CheckpointInfo{}
+			passed = append(passed, names[i]+": "+err.Error())
 			continue // damaged blob or header: fall back
 		}
-		if err := db.loadCheckpoint(payload, begin, nil); err != nil {
+		if err := db.loadCheckpoint(payload, ckpt.Begin, nil); err != nil {
 			return nil, nil, nil, err
 		}
-		ckpt = CheckpointInfo{Name: names[i], Gen: gen, Begin: begin}
+		ckpt.Name = names[i]
 		if logged {
-			from = begin
+			from = ckpt.Begin
 		}
-		break
+	}
+	if ckpt.Name == "" && len(segs) > 0 && segs[0].Start != wal.Grain {
+		why := "no checkpoint in storage"
+		if len(passed) > 0 {
+			why = strings.Join(passed, "; ")
+		}
+		return nil, nil, nil, fmt.Errorf("core: log truncated to segment %s and no checkpoint is usable: %s", segs[0].Name, why)
 	}
 
 	// Roll forward through the same Applier a replica uses for streaming.
@@ -100,7 +117,6 @@ func recoverState(cfg Config, replica bool) (*DB, *Applier, *wal.RecoverResult, 
 		return nil, nil, nil, fmt.Errorf("core: replay: %w", err)
 	}
 	if ckpt.Name != "" {
-		ckpt.Floor = ap.chainFloor
 		db.setLastCheckpoint(ckpt)
 	}
 	return db, ap, res, nil

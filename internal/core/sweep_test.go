@@ -170,7 +170,14 @@ func checkSweepPoint(t *testing.T, seed uint64, tr faultfs.Trace, p faultfs.Poin
 	if err != nil {
 		fail("building crash image: %v", err)
 	}
-	db, err := Recover(sweepConfig(img))
+	checkRecovered(t, img, states, ackFloor(acks, p.Index), fail)
+}
+
+// checkRecovered recovers from st and verifies the durability invariant
+// against states, where the first floor commits were acked durable.
+func checkRecovered(t *testing.T, st wal.Storage, states []map[string]string, floor int, fail func(string, ...any)) {
+	t.Helper()
+	db, err := Recover(sweepConfig(st))
 	if err != nil {
 		fail("recovery: %v", err)
 	}
@@ -228,7 +235,7 @@ func checkSweepPoint(t *testing.T, seed uint64, tr faultfs.Trace, p faultfs.Poin
 		fail("recovered state matches no committed prefix: %v", got)
 	}
 	// Group-commit honesty: acked transactions must be included.
-	if floor := ackFloor(acks, p.Index); match < floor {
+	if match < floor {
 		fail("recovered prefix %d < acked floor %d", match, floor)
 	}
 }
@@ -260,8 +267,7 @@ func TestCrashPointSweep(t *testing.T) {
 	// checkpoint-publication and truncation window iff the trace records the
 	// operations that delimit them. Require all three: the temp-blob write
 	// (a torn blob must be ignored by recovery), the publishing rename (a
-	// crash between rename and the end record must still adopt the blob),
-	// and the segment unlink (a crash mid-truncation leaves a log with a
+	// crash right after it must adopt the blob), and the segment unlink (a crash mid-truncation leaves a log with a
 	// removed prefix that recovery must accept).
 	var ckptTmpWrites, ckptRenames, segRemoves int
 	for _, op := range tr {

@@ -133,7 +133,7 @@ func TestTruncateKeepsTail(t *testing.T) {
 	}
 	db.Close()
 
-	// Recovery must still see the checkpoint-end record.
+	// Recovery must still find the checkpoint's begin record.
 	db2, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ type CheckpointChunk struct {
 	Name  string
 	Gen   uint64
 	Begin uint64 // checkpoint-begin offset; the seeded watermark
-	Start uint64 // subscribe offset: start of the live segment holding Begin
+	Start uint64 // subscribe offset: start of the live segment holding the checkpoint's floor
 	Total uint64 // full image size, including the checksum trailer
 	Data  []byte
 }
@@ -35,8 +35,9 @@ type CheckpointChunk struct {
 type Checkpointer interface {
 	// Checkpoint publishes a consistent checkpoint of the committed state.
 	Checkpoint() error
-	// TruncateLog frees sealed log segments entirely below the newest
-	// checkpoint's begin offset, returning the removed segment names.
+	// TruncateLog frees sealed log segments entirely below the lowest
+	// floor among the kept checkpoints, returning the removed segment
+	// names.
 	TruncateLog() ([]string, error)
 	// CheckpointChunk serves up to max bytes of the newest checkpoint
 	// image starting at byte offset off.

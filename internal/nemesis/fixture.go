@@ -2,7 +2,6 @@ package nemesis
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -50,7 +49,6 @@ type fixture struct {
 
 	acked    []atomic.Uint64 // per worker: how many of its transactions acked
 	attempts atomic.Int64
-	inDoubt  atomic.Int64 // retry loops that ended in engine.ErrTxnInDoubt
 
 	mu     sync.Mutex // guards vios and served
 	vios   []string
@@ -173,9 +171,6 @@ func (f *fixture) work(top topology, db engine.DB, w int, deadline time.Time) {
 			seq++
 			f.acked[w].Store(uint64(seq))
 			continue
-		}
-		if errors.Is(err, engine.ErrTxnInDoubt) {
-			f.inDoubt.Add(1)
 		}
 		// Errors are expected mid-chaos. The same seq is retried, so an
 		// indeterminate earlier attempt is overwritten or detected, never

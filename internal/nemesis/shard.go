@@ -76,7 +76,6 @@ type ShardConfig struct {
 // violation it found.
 type ShardResult struct {
 	Outcome
-	InDoubt      int // commits that returned ErrTxnInDoubt to a worker
 	ShardCrashes int // participant crash+restart cycles
 	// UnsyncedCrashes counts the participant crashes that (timing aside)
 	// destroyed a commit some worker had already been told about: the
@@ -364,7 +363,6 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 	if err := h.run(h, h.router, genShardSchedule(cfg.Seed, cfg.Duration), cfg.Duration, &h.res.Outcome); err != nil {
 		return nil, err
 	}
-	h.res.InDoubt = int(h.inDoubt.Load())
 	return h.res, nil
 }
 

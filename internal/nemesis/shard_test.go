@@ -32,8 +32,8 @@ func TestShardNemesisSeeds(t *testing.T) {
 					t.Logf("  %3d %s", i, ev)
 				}
 			}
-			t.Logf("seed %d: acked=%d attempts=%d indoubt=%d shardcrashes=%d coordcrashes=%d resolved=%d",
-				seed, res.Acked, res.Attempts, res.InDoubt, res.ShardCrashes, res.CoordCrashes, res.Resolved)
+			t.Logf("seed %d: acked=%d attempts=%d shardcrashes=%d coordcrashes=%d resolved=%d",
+				seed, res.Acked, res.Attempts, res.ShardCrashes, res.CoordCrashes, res.Resolved)
 		})
 	}
 }

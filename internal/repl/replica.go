@@ -384,8 +384,8 @@ func (r *Replica) run() {
 // seed bootstraps (or re-seeds) the replica from the primary's newest
 // checkpoint: fetch the image, drop mirrored segments below the new
 // subscribe position, load and persist the image, and resume the stream
-// from the start of the live segment holding the checkpoint-begin record —
-// so every mirrored segment file is byte-complete from its first block.
+// from the start of the live segment holding the checkpoint's floor — so
+// every mirrored segment file is byte-complete from its first block.
 // Runs on the run goroutine between streams, which satisfies
 // SeedCheckpoint's quiesced-applier contract.
 func (r *Replica) seed() error {

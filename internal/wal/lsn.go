@@ -87,9 +87,11 @@ const (
 	// BlockOverflow carries part of an oversized write footprint, linked
 	// backward from the final commit block.
 	BlockOverflow
-	// BlockCheckpointBegin and BlockCheckpointEnd bracket a fuzzy OID-array
-	// checkpoint (§3.7). The end block's payload locates the snapshot.
+	// BlockCheckpointBegin marks a checkpoint's cut (§3.7).
 	BlockCheckpointBegin
+	// BlockCheckpointEnd is retired: it named a published checkpoint blob,
+	// which recovery finds by listing storage instead. Old logs may still
+	// hold one, and scans pass it by; the number is never reused.
 	BlockCheckpointEnd
 	// blockDead marks buffer space whose offsets map to no disk location.
 	// It never reaches a file.

@@ -73,9 +73,11 @@ func segmentName(num int, start, end uint64) string {
 	return fmt.Sprintf("log-%02x-%016x-%016x", num, start, end)
 }
 
+// parseSegmentName recovers a segment's modulo number and range from its
+// name. A number past NumSegments names no segment this log writes.
 func parseSegmentName(name string) (num int, start, end uint64, ok bool) {
 	var n, s, e uint64
-	if _, err := fmt.Sscanf(name, "log-%02x-%016x-%016x", &n, &s, &e); err != nil {
+	if _, err := fmt.Sscanf(name, "log-%02x-%016x-%016x", &n, &s, &e); err != nil || n >= NumSegments {
 		return 0, 0, 0, false
 	}
 	return int(n), s, e, true
