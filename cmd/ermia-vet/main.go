@@ -1,21 +1,19 @@
 // Command ermia-vet runs the repo-specific static-analysis suite over the
-// module: seven analyzers (epochguard, errclass, hotalloc, lockorder,
-// nodeterminism, txnlifecycle, wirecompat) enforcing the concurrency,
-// transaction-lifecycle, wire-compatibility, allocation, and error-taxonomy
-// invariants the Go compiler cannot see. See internal/vet for the analyzer
+// module: six analyzers (epochguard, errclass, hotalloc, lockorder,
+// nodeterminism, txnlifecycle) enforcing the concurrency,
+// transaction-lifecycle, allocation, and error-taxonomy invariants the Go
+// compiler cannot see. See internal/vet for the analyzer
 // semantics and the //ermia: annotation convention.
 //
 // Usage:
 //
 //	ermia-vet [-json] [-run a,b] [-C dir] [./...]
-//	ermia-vet -update-wire-golden
 //
 // The package pattern is accepted for familiarity but the suite always
-// analyzes the whole module: its invariants (lock order, the status
-// bijection, transaction lifecycles) only exist module-wide.
-// -update-wire-golden regenerates internal/proto/wire.golden from the
-// current registry constants, preserving retired entries. Exit status is 0
-// when clean, 1 when findings are reported, 2 on a load or usage error.
+// analyzes the whole module: its invariants (lock order, sentinel
+// classification, transaction lifecycles) only exist module-wide. Exit
+// status is 0 when clean, 1 when findings are reported, 2 on a load or
+// usage error.
 package main
 
 import (
@@ -29,11 +27,10 @@ import (
 
 func main() {
 	var (
-		jsonOut    = flag.Bool("json", false, "emit findings as a JSON array (file, line, col, analyzer, message)")
-		runList    = flag.String("run", "", "comma-separated analyzer subset (default: all)")
-		chdir      = flag.String("C", "", "analyze the module containing this directory (default: current directory)")
-		list       = flag.Bool("list", false, "list the registered analyzers and exit")
-		updateWire = flag.Bool("update-wire-golden", false, "regenerate internal/proto/wire.golden from the code and exit")
+		jsonOut = flag.Bool("json", false, "emit findings as a JSON array (file, line, col, analyzer, message)")
+		runList = flag.String("run", "", "comma-separated analyzer subset (default: all)")
+		chdir   = flag.String("C", "", "analyze the module containing this directory (default: current directory)")
+		list    = flag.Bool("list", false, "list the registered analyzers and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ermia-vet [-json] [-run a,b] [-C dir] [./...]\n")
@@ -72,16 +69,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ermia-vet: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *updateWire {
-		path, err := vet.WriteWireGolden(mod)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ermia-vet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("ermia-vet: wrote %s\n", path)
-		return
 	}
 
 	findings := vet.RelFindings(mod.Root, vet.Run(mod, analyzers))

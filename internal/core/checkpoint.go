@@ -165,12 +165,21 @@ func (db *DB) chainFloor(ceiling uint64) uint64 {
 	return ceiling
 }
 
-// lastCkptGen returns the generation of the newest checkpoint, 0 if none.
+// lastCkptGen returns the highest checkpoint generation in storage or held
+// by this engine, 0 if none. Storage counts because a recovery that passed
+// over a damaged newest blob adopted an older generation.
 func (db *DB) lastCkptGen() uint64 {
-	if ci, ok := db.LastCheckpoint(); ok {
-		return ci.Gen
+	ci, _ := db.LastCheckpoint()
+	gen := ci.Gen
+	// A failed listing leaves the generation this engine holds; the blob
+	// write that follows meets the same storage and reports its failure.
+	names, _ := db.cfg.WAL.Storage.List()
+	for _, n := range names {
+		if _, g, ok := parseCheckpointName(n); ok {
+			gen = max(gen, g)
+		}
 	}
-	return 0
+	return gen
 }
 
 // appendCheckpointHeader appends the blob header for ci (its name is not

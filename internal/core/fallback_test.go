@@ -144,6 +144,30 @@ func TestTruncateKeepsThePredecessorsLog(t *testing.T) {
 	expect(t, db, "t", want)
 }
 
+// TestCheckpointGenAfterFallback: a recovery that passed over a damaged
+// newest blob adopts an older generation, and the next checkpoint still
+// takes a generation above every blob in storage, the damaged one included.
+func TestCheckpointGenAfterFallback(t *testing.T) {
+	st, blobs, _ := twoCheckpointLog(t)
+	damageBlob(t, st, blobs[1])
+	var highest uint64
+	for _, b := range blobs {
+		_, gen, _ := parseCheckpointName(b)
+		highest = max(highest, gen)
+	}
+	db, err := Recover(scanConfig(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ci, _ := db.LastCheckpoint(); ci.Gen <= highest {
+		t.Fatalf("checkpoint after fallback took generation %d (%s); storage already held generation %d in %v", ci.Gen, ci.Name, highest, blobs)
+	}
+}
+
 // TestRecoverRefusesWithoutUsableCheckpoint: with both retained blobs
 // damaged, the truncated log alone holds no catalog. Recovery refuses
 // before it replays anything, naming each blob it passed over.

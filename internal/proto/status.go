@@ -20,8 +20,6 @@ type Status uint16
 const (
 	// StatusOK is the success code; it maps to a nil error, not a sentinel,
 	// so it stands outside the statusTable bijection.
-	//
-	//ermia:status special success maps to nil, not a sentinel
 	StatusOK Status = iota
 	StatusNotFound
 	StatusDuplicate
@@ -47,8 +45,6 @@ const (
 	// wait for this replica's promotion).
 	StatusReplicaReadOnly
 	// StatusInternal carries any error outside the taxonomy as text.
-	//
-	//ermia:status special catch-all carrying arbitrary error text, not a fixed sentinel
 	StatusInternal
 	// StatusTailTruncated reports a replication subscribe (or in-flight
 	// stream) whose position fell below the primary's truncation horizon:

@@ -3,7 +3,6 @@ package proto
 import (
 	"errors"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"strings"
 	"testing"
@@ -11,67 +10,63 @@ import (
 	"ermia/internal/engine"
 )
 
-// sentinelValues resolves engine sentinel names to their runtime values.
-// The exhaustiveness test below enumerates the names straight from the
-// engine package's source, so adding a sentinel to the engine without
-// extending this map (and, unless it is wire-local, the statusTable) fails
-// the test with a pointed message rather than silently shipping an error
-// the wire cannot carry.
+// sentinelValues resolves sentinel names, qualified by package, to their
+// runtime values. The exhaustiveness test below enumerates the names
+// straight from the engine's and this package's source, so adding a
+// sentinel without extending this map (and, unless it is wire-local, the
+// statusTable) fails the test with a pointed message rather than silently
+// shipping an error the wire cannot carry.
 var sentinelValues = map[string]error{
-	"ErrNotFound":         engine.ErrNotFound,
-	"ErrDuplicate":        engine.ErrDuplicate,
-	"ErrWriteConflict":    engine.ErrWriteConflict,
-	"ErrReadValidation":   engine.ErrReadValidation,
-	"ErrSerialization":    engine.ErrSerialization,
-	"ErrPhantom":          engine.ErrPhantom,
-	"ErrAborted":          engine.ErrAborted,
-	"ErrReadOnlyDegraded": engine.ErrReadOnlyDegraded,
-	"ErrReplicaReadOnly":  engine.ErrReplicaReadOnly,
-	"ErrConnLost":         engine.ErrConnLost,
-	"ErrOverloaded":       engine.ErrOverloaded,
-	"ErrShutdown":         engine.ErrShutdown,
-	"ErrRetriesExhausted": engine.ErrRetriesExhausted,
-	"ErrNoCheckpoint":     engine.ErrNoCheckpoint,
-	"ErrDeadlineExceeded": engine.ErrDeadlineExceeded,
-	"ErrStaleEpoch":       engine.ErrStaleEpoch,
-	"ErrBadQueryPlan":     engine.ErrBadQueryPlan,
-	"ErrQueryCancelled":   engine.ErrQueryCancelled,
-	"ErrQueryOverflow":    engine.ErrQueryOverflow,
-	"ErrTxnInDoubt":       engine.ErrTxnInDoubt,
-	"ErrShardMoved":       engine.ErrShardMoved,
+	"engine.ErrNotFound":         engine.ErrNotFound,
+	"engine.ErrDuplicate":        engine.ErrDuplicate,
+	"engine.ErrWriteConflict":    engine.ErrWriteConflict,
+	"engine.ErrReadValidation":   engine.ErrReadValidation,
+	"engine.ErrSerialization":    engine.ErrSerialization,
+	"engine.ErrPhantom":          engine.ErrPhantom,
+	"engine.ErrAborted":          engine.ErrAborted,
+	"engine.ErrReadOnlyDegraded": engine.ErrReadOnlyDegraded,
+	"engine.ErrReplicaReadOnly":  engine.ErrReplicaReadOnly,
+	"engine.ErrConnLost":         engine.ErrConnLost,
+	"engine.ErrOverloaded":       engine.ErrOverloaded,
+	"engine.ErrShutdown":         engine.ErrShutdown,
+	"engine.ErrRetriesExhausted": engine.ErrRetriesExhausted,
+	"engine.ErrNoCheckpoint":     engine.ErrNoCheckpoint,
+	"engine.ErrDeadlineExceeded": engine.ErrDeadlineExceeded,
+	"engine.ErrStaleEpoch":       engine.ErrStaleEpoch,
+	"engine.ErrBadQueryPlan":     engine.ErrBadQueryPlan,
+	"engine.ErrQueryCancelled":   engine.ErrQueryCancelled,
+	"engine.ErrQueryOverflow":    engine.ErrQueryOverflow,
+	"engine.ErrTxnInDoubt":       engine.ErrTxnInDoubt,
+	"engine.ErrShardMoved":       engine.ErrShardMoved,
+	"proto.ErrBadFrame":          ErrBadFrame,
+	"proto.ErrFrameTooLarge":     ErrFrameTooLarge,
+	"proto.ErrUnknownTxn":        ErrUnknownTxn,
+	"proto.ErrUnknownTable":      ErrUnknownTable,
+	"proto.ErrBadRequest":        ErrBadRequest,
 }
 
-// engineSentinel is one parsed sentinel declaration.
-type engineSentinel struct {
-	name  string
-	local bool // declaration carries //ermia:classify local
+// sentinelDecl is one parsed sentinel declaration.
+type sentinelDecl struct {
+	name  string // package-qualified, as in sentinelValues
+	local bool   // declaration carries //ermia:classify local
 }
 
-// parseEngineSentinels enumerates the exported Err* package variables of
-// internal/engine from its source, with their //ermia:classify annotations.
-func parseEngineSentinels(t *testing.T) []engineSentinel {
+// parseSentinels enumerates the exported Err* package variables of the
+// engine and of this package from their source, with their
+// //ermia:classify annotations.
+func parseSentinels(t *testing.T) []sentinelDecl {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, "../engine", nil, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse internal/engine: %v", err)
-	}
-	var out []engineSentinel
-	for _, pkg := range pkgs {
-		for name, file := range pkg.Files {
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
+	var out []sentinelDecl
+	for _, pkg := range []struct{ name, dir string }{{"engine", "../engine"}, {"proto", "."}} {
+		_, files := parseSources(t, pkg.dir)
+		for _, file := range files {
 			for _, decl := range file.Decls {
 				gd, ok := decl.(*ast.GenDecl)
 				if !ok || gd.Tok != token.VAR {
 					continue
 				}
 				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
+					vs := spec.(*ast.ValueSpec)
 					doc := vs.Doc
 					if doc == nil {
 						doc = gd.Doc
@@ -90,47 +85,44 @@ func parseEngineSentinels(t *testing.T) []engineSentinel {
 					}
 					for _, id := range vs.Names {
 						if ast.IsExported(id.Name) && strings.HasPrefix(id.Name, "Err") {
-							out = append(out, engineSentinel{name: id.Name, local: local})
+							out = append(out, sentinelDecl{name: pkg.name + "." + id.Name, local: local})
 						}
 					}
 				}
 			}
 		}
 	}
-	if len(out) == 0 {
-		t.Fatal("parsed no sentinels from internal/engine")
-	}
 	return out
 }
 
 // TestStatusBijectionExhaustive proves the status<->error mapping is a true
-// bijection over the full engine error taxonomy: every engine sentinel
+// bijection over the full error taxonomy: every engine and proto sentinel
 // either round-trips through a distinct wire status or is explicitly
 // annotated as wire-local, and every status code rebuilds the exact
 // sentinel it came from.
 func TestStatusBijectionExhaustive(t *testing.T) {
-	sentinels := parseEngineSentinels(t)
+	sentinels := parseSentinels(t)
 
 	seenStatus := make(map[Status]string)
 	for _, s := range sentinels {
 		err, ok := sentinelValues[s.name]
 		if !ok {
-			t.Errorf("engine.%s is not in sentinelValues; add it here and decide its wire mapping", s.name)
+			t.Errorf("%s is not in sentinelValues; add it here and decide its wire mapping", s.name)
 			continue
 		}
 		status, detail := StatusOf(err)
 		if s.local {
 			if status != StatusInternal {
-				t.Errorf("engine.%s is annotated //ermia:classify local but maps to wire status %d", s.name, status)
+				t.Errorf("%s is annotated //ermia:classify local but maps to wire status %d", s.name, status)
 			}
 			continue
 		}
 		if status == StatusInternal {
-			t.Errorf("engine.%s has no dedicated wire status (fell through to StatusInternal %q); add a statusTable row or annotate it //ermia:classify local", s.name, detail)
+			t.Errorf("%s has no dedicated wire status (fell through to StatusInternal %q); add a statusTable row or annotate it //ermia:classify local", s.name, detail)
 			continue
 		}
 		if prev, dup := seenStatus[status]; dup {
-			t.Errorf("engine.%s and engine.%s share wire status %d; the mapping must be injective", s.name, prev, status)
+			t.Errorf("%s and %s share wire status %d; the mapping must be injective", s.name, prev, status)
 		}
 		seenStatus[status] = s.name
 
@@ -138,10 +130,10 @@ func TestStatusBijectionExhaustive(t *testing.T) {
 		// errors.Is and Classify behave exactly as they do in process.
 		back := status.Err("")
 		if !errors.Is(back, err) {
-			t.Errorf("status %d rebuilds %v, not engine.%s", status, back, s.name)
+			t.Errorf("status %d rebuilds %v, not %s", status, back, s.name)
 		}
 		if back != err {
-			t.Errorf("status %d rebuilds a different error instance than engine.%s", status, s.name)
+			t.Errorf("status %d rebuilds a different error instance than %s", status, s.name)
 		}
 	}
 }
@@ -171,10 +163,11 @@ func TestStatusTableIsBijection(t *testing.T) {
 	}
 }
 
-// TestStatusCodeCoverage walks the numeric status space: every code between
-// StatusOK and StatusInternal is either one of the two special codes or
-// backed by a table row, so no constant can be added to the iota block
-// without a mapping decision.
+// TestStatusCodeCoverage walks every Status constant the source declares:
+// each is either one of the two special codes or backed by a table row, so
+// no constant can be added to the iota block, in the middle or at the end,
+// without a mapping decision. StatusOK maps to a nil error and
+// StatusInternal carries arbitrary text; neither is a fixed sentinel.
 func TestStatusCodeCoverage(t *testing.T) {
 	if got, _ := StatusOf(nil); got != StatusOK {
 		t.Errorf("StatusOf(nil) = %d, want StatusOK", got)
@@ -182,7 +175,11 @@ func TestStatusCodeCoverage(t *testing.T) {
 	if err := StatusOK.Err(""); err != nil {
 		t.Errorf("StatusOK.Err() = %v, want nil", err)
 	}
-	for s := StatusOK + 1; s < StatusInternal; s++ {
+	for _, c := range registryConsts(t) {
+		if c.kind != "status" || c.name == "StatusOK" || c.name == "StatusInternal" {
+			continue
+		}
+		s := Status(c.value)
 		found := false
 		for _, row := range statusTable {
 			if row.status == s {
@@ -191,7 +188,7 @@ func TestStatusCodeCoverage(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("status code %d has no statusTable row and is not a special code", s)
+			t.Errorf("%s (status code %d) has no statusTable row and is not a special code", c.name, s)
 		}
 	}
 	// StatusInternal carries arbitrary text and must round-trip as itself.

@@ -3,20 +3,15 @@ package engine
 import "errors"
 
 var (
-	// ErrConflict is classified (IsRetryable) and wire-mapped (statusTable).
+	// ErrConflict is classified (IsRetryable).
 	ErrConflict = errors.New("conflict")
 
-	// ErrNoWire is classified by annotation but missing from statusTable.
-	//
-	//ermia:classify fatal fixture: intentionally fatal
-	ErrNoWire = errors.New("nowire") // want `sentinel ErrNoWire has no proto status`
-
-	// ErrNoClass is wire-mapped but never classified.
+	// ErrNoClass is never classified.
 	ErrNoClass = errors.New("noclass") // want `sentinel ErrNoClass is not referenced by engine\.IsRetryable or engine\.Classify`
 
-	// ErrFine is annotated both ways: fatal by default, never on the wire.
+	// ErrFine is classified by annotation: fatal by default.
 	//
-	//ermia:classify fatal local fixture: fully annotated
+	//ermia:classify fatal fixture: intentionally fatal
 	ErrFine = errors.New("fine")
 )
 

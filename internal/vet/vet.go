@@ -1,15 +1,15 @@
 // Package vet is ermia-vet's engine: a from-scratch, stdlib-only static
 // analysis driver (go/parser, go/ast, go/types, go/importer — no x/tools)
-// plus seven repo-specific analyzers enforcing the invariants the Go
+// plus six repo-specific analyzers enforcing the invariants the Go
 // compiler cannot see:
 //
 //   - epochguard: functions that dereference latch-free version chains
 //     (//ermia:guarded) may only be called from other guarded functions or
 //     from audited guard boundaries (//ermia:guard-entry), proving chain
 //     walks stay under an epoch guard.
-//   - errclass: every exported sentinel error is classified by the retry
-//     taxonomy and round-trips through the wire-status bijection; switches
-//     over //ermia:exhaustive enum types must cover every constant.
+//   - errclass: every exported sentinel error in engine, core and wal is
+//     classified by the retry taxonomy; switches over //ermia:exhaustive
+//     enum types must cover every constant.
 //   - hotalloc: //ermia:hotpath functions must have zero heap escapes per
 //     the real compiler's escape analysis (go build -gcflags=-m).
 //   - lockorder: the static mutex acquisition-order graph must be acyclic.
@@ -21,10 +21,9 @@
 //     use-after-finish, no double-finish — with interprocedural summaries
 //     for helpers and //ermia:txn-owner audits for handles whose ownership
 //     escapes the function.
-//   - wirecompat: the wire registry (Msg* and Status constants in
-//     internal/proto) is append-only against the committed wire.golden
-//     snapshot; renumbering, reuse, or removal of a committed value is a
-//     protocol break.
+//
+// The wire registry and the status<->error bijection are facts about one
+// package and are checked by internal/proto's own tests.
 //
 // Findings are suppressed, one site at a time, with a justified
 // "//ermia:allow <analyzer> <reason>" comment on (or immediately above) the
@@ -51,7 +50,7 @@ type Finding struct {
 }
 
 // Analyzer is one registered pass. Analyzers see the whole module at once:
-// several invariants (lock order, the status bijection, transaction lifecycles)
+// several invariants (lock order, sentinel classification, transaction lifecycles)
 // only exist across package boundaries.
 type Analyzer struct {
 	Name string
@@ -68,7 +67,6 @@ func Analyzers() []*Analyzer {
 		LockOrder,
 		NoDeterminism,
 		TxnLifecycle,
-		WireCompat,
 	}
 }
 
@@ -158,7 +156,6 @@ var knownVerbs = map[string]bool{
 	"guard-entry":   true,
 	"guarded":       true,
 	"hotpath":       true,
-	"status":        true,
 	"txn-owner":     true,
 }
 

@@ -11,15 +11,12 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
-echo "== ermia-vet (epochguard, errclass, hotalloc, lockorder, nodeterminism, txnlifecycle, wirecompat) =="
+echo "== ermia-vet (epochguard, errclass, hotalloc, lockorder, nodeterminism, txnlifecycle) =="
 if ! go run ./cmd/ermia-vet ./...; then
 	echo "" >&2
 	echo "check.sh: ermia-vet found invariant violations (listed above)." >&2
 	echo "Fix each finding or suppress a justified exception with" >&2
 	echo "'//ermia:allow <analyzer> <reason>' on the offending line." >&2
-	echo "A wirecompat finding for a genuinely new message or status means" >&2
-	echo "the registry snapshot needs appending: run" >&2
-	echo "'go run ./cmd/ermia-vet -update-wire-golden' and commit the result." >&2
 	echo "See DESIGN.md, section 'Static analysis'." >&2
 	exit 1
 fi
@@ -58,7 +55,13 @@ echo "== go build =="
 go build ./...
 
 echo "== go test =="
-go test ./...
+if ! go test ./...; then
+	echo "" >&2
+	echo "check.sh: tests failed (listed above). A TestWireRegistry failure for a" >&2
+	echo "genuinely new message or status means wire.golden needs appending: run" >&2
+	echo "'go test ./internal/proto -run TestWireRegistry -update' and commit the result." >&2
+	exit 1
+fi
 
 echo "== repository benchmark (nested module: its tests, then every workload at smoke size) =="
 # benchmark/ is its own module (ermia/benchmark, replace ermia => ../), so
