@@ -30,6 +30,7 @@
 package faultfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -532,15 +533,25 @@ func TornLen(seed uint64, k, size int) int {
 
 // Points enumerates the crash points of a trace: a pure point at every
 // operation boundary (0 through len(tr)), plus a torn point for every write
-// with a seeded prefix length. If the total exceeds max (> 0), points are
-// sampled with an even deterministic stride that always keeps the first and
-// final boundaries.
+// with a seeded prefix length. A write that ends in at least a grain of zeros
+// carries the log's zero-ahead fill: its seeded tear falls in the bytes
+// before the fill, and a second torn point keeps those whole and half the
+// fill. If the total exceeds max (> 0), points are sampled with an even
+// deterministic stride that always keeps the first and final boundaries.
 func Points(tr Trace, seed uint64, max int) []Point {
 	var pts []Point
 	for k := 0; k <= len(tr); k++ {
 		pts = append(pts, Point{Index: k})
 		if k < len(tr) && tr[k].Kind == OpWrite && len(tr[k].Data) > 0 {
-			pts = append(pts, Point{Index: k, Torn: true, TornLen: TornLen(seed, k, len(tr[k].Data))})
+			n := len(tr[k].Data)
+			live := len(bytes.TrimRight(tr[k].Data, "\x00"))
+			if n-live < wal.Grain {
+				live = n
+			}
+			pts = append(pts, Point{Index: k, Torn: true, TornLen: TornLen(seed, k, live)})
+			if live < n {
+				pts = append(pts, Point{Index: k, Torn: true, TornLen: live + (n-live)/2})
+			}
 		}
 	}
 	if max <= 0 || len(pts) <= max {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -642,4 +643,60 @@ func TestMirrorFilesStayBounded(t *testing.T) {
 	if after-before > 2 {
 		t.Fatalf("mirroring %d segments left %d more descriptors open", len(shipped), after-before)
 	}
+}
+
+// TestMirrorCrashAcrossRollReopens: batches whose blocks span a segment roll
+// are mirrored, and the replica crashes at any point of that. Promotion
+// reopens the mirror's log with wal.Open, which refuses a later segment file
+// holding a valid block behind a hole. So each mirror segment must be
+// durable before blocks are written into the next: a crash must leave a
+// mirror that recovers and reopens at every point.
+func TestMirrorCrashAcrossRollReopens(t *testing.T) {
+	db, _, addr := startPrimarySized(t, 8<<10)
+	mirror := faultfs.NewRecorder(wal.NewMemStorage())
+	r, err := repl.Start(repl.Config{
+		PrimaryAddr: addr,
+		Retry:       fastRedial,
+		Core:        core.Config{WAL: wal.Config{Storage: mirror}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("kv")
+	fill(t, db, tbl, "k", 2000)
+	if err := db.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+	waitWatermark(t, r, db.Log().DurableOffset())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := mirror.Ops()
+	segs := map[string]bool{}
+	for _, op := range tr {
+		if op.Kind == faultfs.OpWrite && strings.HasPrefix(op.Name, "log-") {
+			segs[op.Name] = true
+		}
+	}
+	if len(segs) < 4 {
+		t.Fatalf("the mirror wrote %d segments; the test needs rolls", len(segs))
+	}
+	pts := faultfs.Points(tr, 1, 0)
+	for _, p := range pts {
+		img, err := faultfs.CrashImage(tr, p)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		res, err := wal.Recover(img, 0, func(wal.Block) error { return nil })
+		if err != nil {
+			t.Fatalf("%v: recover the mirror: %v", p, err)
+		}
+		log, err := wal.Open(wal.Config{Storage: img, SyncFlush: true}, res)
+		if err != nil {
+			t.Fatalf("%v: reopen the mirror: %v", p, err)
+		}
+		log.Close()
+	}
+	t.Logf("%d crash points over %d operations, %d segments", len(pts), len(tr), len(segs))
 }

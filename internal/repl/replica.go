@@ -649,7 +649,9 @@ func (r *Replica) mirrorFile(sm wal.SegmentMeta) (wal.File, error) {
 }
 
 // applyBatch is the whole-batch pipeline: extend the segment map, mirror
-// every block to the local segment files, sync them, then replay the
+// every block to the local segment files, syncing each before the next
+// one is written (the order the primary's log keeps, which a restart's
+// wal.Open relies on to tell a torn tail from damage), then replay the
 // blocks in order, advancing the watermark past each block only after it
 // is fully applied. The batch was already validated as a unit (frame CRC
 // plus batch CRC), so nothing here can tear mid-batch short of a crash —
@@ -672,6 +674,16 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 	// batch: the Tail ships each segment with its blocks.
 	at := make([]wal.SegmentMeta, len(b.Blocks))
 	var buf []byte
+	var last wal.File // the file written last, not yet synced
+	syncLast := func() error {
+		if last == nil {
+			return nil
+		}
+		if err := last.Sync(); err != nil {
+			return fmt.Errorf("repl: mirror sync: %w", err)
+		}
+		return nil
+	}
 	for i := range b.Blocks {
 		blk := &b.Blocks[i]
 		j := slices.IndexFunc(segs, func(sm wal.SegmentMeta) bool { return blk.Off >= sm.Start && blk.Off < sm.End })
@@ -686,17 +698,20 @@ func (r *Replica) applyBatch(b *proto.ReplBatch) error {
 		if err != nil {
 			return err
 		}
+		if f != last {
+			if err := syncLast(); err != nil {
+				return err
+			}
+			last = f
+		}
 		buf = wal.AppendBlock(buf[:0], blk.Type, blk.Off, uint64(blk.Size), blk.Prev, blk.Payload)
 		if _, err := f.WriteAt(buf, int64(blk.Off-sm.Start)); err != nil {
 			return fmt.Errorf("repl: mirror write %s: %w", sm.Name, err)
 		}
 		at[i] = sm
 	}
-	// Open files are this batch's segments and the one the stream was in.
-	for name, f := range r.files {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("repl: mirror sync %s: %w", name, err)
-		}
+	if err := syncLast(); err != nil {
+		return err
 	}
 
 	// Replay. Overflow chains resolve through the mirror (shipped in order

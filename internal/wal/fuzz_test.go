@@ -115,6 +115,11 @@ func FuzzRecover(f *testing.F) {
 	f.Add(garbage, uint8(0))
 	f.Add(log, uint8(0))    // every segment
 	f.Add(log, uint8(1<<1)) // the second segment missing: a gap
+	// A crash near a roll: the first segment cut mid-way, the next one's
+	// file present and holding nothing.
+	rolled := make([]byte, 2*fuzzSegSize)
+	copy(rolled, seed[:len(seed)/2])
+	f.Add(rolled, uint8(0))
 
 	f.Fuzz(func(t *testing.T, image []byte, drop uint8) {
 		st := wal.NewMemStorage()
@@ -145,6 +150,36 @@ func FuzzRecover(f *testing.F) {
 		}
 		for _, p := range prevs {
 			wal.ReadBlock(st, res.Segments, p)
+		}
+
+		// The log resumes where the scan stopped: after one more block and
+		// a close, a scan yields what this one did and then that block,
+		// never a block this scan dropped. Open may instead refuse a later
+		// segment file that holds a block past the hole.
+		m, err := wal.Open(wal.Config{SegmentSize: fuzzSegSize, BufferSize: 2048, Storage: st, SyncFlush: true}, res)
+		if err != nil {
+			return
+		}
+		r, err := m.Reserve(3, wal.BlockCommit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Append([]byte("new"))
+		r.Commit()
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var again []wal.LSN
+		var last string
+		if _, err := wal.Recover(st, 0, func(b wal.Block) error {
+			again, last = append(again, b.LSN), string(b.Payload)
+			return nil
+		}); err != nil {
+			t.Fatalf("recovery after a restart: %v", err)
+		}
+		if len(again) != len(lsns)+1 || !slices.Equal(again[:len(lsns)], lsns) || last != "new" {
+			t.Fatalf("after a restart the scan yields %v ending %q; want %v and then the new block",
+				again, last, lsns)
 		}
 	})
 }

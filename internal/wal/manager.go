@@ -63,7 +63,19 @@ type segment struct {
 	end   uint64 // start + capacity, exclusive
 	file  File
 	name  string
+	// zeroed is the offset below which the file is known to be written,
+	// with log data or with zero-ahead fill (see writeToFile). Only the
+	// flush driver touches it.
+	zeroed uint64
 }
+
+// zeroAhead is how far past the flush frontier writeToFile keeps a live
+// segment file zero-filled. A group commit's sync then overwrites blocks the
+// file already has instead of extending the file, which on a journaling file
+// system also allocates blocks and logs the new size. A zero header reads as
+// unwritten space, so recovery stops at the fill exactly where it stops at
+// the file's end.
+const zeroAhead = 256 << 10
 
 func (s *segment) meta() SegmentMeta {
 	return SegmentMeta{Num: s.num, Start: s.start, End: s.end, Name: s.name}
@@ -100,6 +112,11 @@ type Manager struct {
 	buf    []byte
 	avail  []atomic.Uint32 // per-grain completion tags
 	grains uint64
+
+	// stage is writeToFile's scratch, kept so a flush allocates nothing:
+	// the last piece of a write plus its zero-ahead fill, all zero between
+	// writes.
+	stage []byte
 
 	durMu   sync.Mutex
 	durCond *sync.Cond
@@ -150,20 +167,11 @@ func Open(cfg Config, resume *RecoverResult) (*Manager, error) {
 		m.offset.Store(start)
 		m.flushed.Store(start)
 		m.durable.Store(start)
-	} else {
-		for _, sm := range resume.Segments {
-			f, err := cfg.Storage.Open(sm.Name)
-			if err != nil {
-				return nil, fmt.Errorf("wal: reopen segment %s: %w", sm.Name, err)
-			}
-			seg := &segment{num: sm.Num, start: sm.Start, end: sm.End, file: f, name: sm.Name}
-			m.segTable[seg.num] = seg
-			m.segs = append(m.segs, seg)
-			m.cur.Store(seg)
+	} else if err := m.resume(resume); err != nil {
+		for _, s := range m.segs {
+			s.file.Close()
 		}
-		m.offset.Store(resume.NextOffset)
-		m.flushed.Store(resume.NextOffset)
-		m.durable.Store(resume.NextOffset)
+		return nil, err
 	}
 
 	if cfg.SyncFlush {
@@ -172,6 +180,79 @@ func Open(cfg Config, resume *RecoverResult) (*Manager, error) {
 		go m.flusher()
 	}
 	return m, nil
+}
+
+// resume continues the log res describes, so that nothing at or past
+// res.NextOffset is ever read as a continuation of it:
+//   - the segment holding NextOffset is current. If the rest of it holds a
+//     valid block (stale, past a damaged one), one durable skip record
+//     seals it, as Reattach seals a segment, and allocation resumes at its
+//     end, in the next segment. A rest without a valid block can never
+//     continue the log, so it is left as it is and recovering a clean log
+//     writes nothing;
+//   - segment files starting at or past NextOffset are removed, newest
+//     first, so a crash part-way leaves a prefix the gap rule accepts. A
+//     file among them that holds a valid block makes resume refuse, naming
+//     it: every writer of segment files (writeRange, Reattach's fillHoles,
+//     a replica's mirror) makes a segment durable before it writes the
+//     next, so that block lies past damage, not past a torn tail.
+func (m *Manager) resume(res *RecoverResult) error {
+	next := res.NextOffset
+	var later []SegmentMeta
+	for _, sm := range res.Segments {
+		if sm.Start >= next {
+			later = append(later, sm)
+			continue
+		}
+		f, err := m.cfg.Storage.Open(sm.Name)
+		if err != nil {
+			return fmt.Errorf("wal: reopen segment %s: %w", sm.Name, err)
+		}
+		seg := &segment{num: sm.Num, start: sm.Start, end: sm.End, file: f, name: sm.Name, zeroed: next}
+		m.segTable[seg.num] = seg
+		m.segs = append(m.segs, seg)
+		m.cur.Store(seg)
+	}
+	for _, sm := range later {
+		off, found, err := firstValidBlock(m.cfg.Storage, sm, sm.Start)
+		if err != nil {
+			return err
+		}
+		if found {
+			return fmt.Errorf("wal: segment %s holds a valid block at %#x past the end of the log at %#x",
+				sm.Name, off, next)
+		}
+	}
+	cur := m.cur.Load()
+	if cur != nil && next < cur.end {
+		_, stale, err := firstValidBlock(m.cfg.Storage, cur.meta(), next)
+		if err != nil {
+			return err
+		}
+		if stale {
+			if err := writeSkipToFile(cur, next, cur.end-next); err != nil {
+				return fmt.Errorf("wal: seal %s: %w", cur.name, err)
+			}
+			if err := cur.file.Sync(); err != nil {
+				return fmt.Errorf("wal: seal %s: %w", cur.name, err)
+			}
+			next = cur.end
+		}
+	}
+	for i := len(later) - 1; i >= 0; i-- {
+		if err := m.cfg.Storage.Remove(later[i].Name); err != nil {
+			return fmt.Errorf("wal: remove segment %s past the end of the log: %w", later[i].Name, err)
+		}
+	}
+	if cur == nil {
+		if _, err := m.addSegment(0, next); err != nil {
+			return fmt.Errorf("wal: create first segment: %w", err)
+		}
+	}
+	m.offset.Store(next)
+	m.flushed.Store(next)
+	m.durable.Store(next)
+	return nil
 }
 
 // CurrentOffset returns the offset a transaction starting now should use as
@@ -551,6 +632,8 @@ func (m *Manager) syncTo(off uint64) error {
 func (m *Manager) flusher() {
 	defer close(m.done)
 	stopping := false
+	idle := time.NewTimer(m.cfg.IdleSleep)
+	defer idle.Stop()
 	for {
 		if m.Err() != nil {
 			// Poisoned by anyone (our own flushOnce, a failed segment open
@@ -567,11 +650,19 @@ func (m *Manager) flusher() {
 			if stopping {
 				return
 			}
+			idle.Reset(m.cfg.IdleSleep)
 			select {
 			case <-m.stop:
 				stopping = true // drain what is completed, chunk by chunk
 			case <-m.kick:
-			case <-time.After(m.cfg.IdleSleep):
+			case <-idle.C:
+				continue
+			}
+			if !idle.Stop() {
+				select { // a tick that raced the wakeup
+				case <-idle.C:
+				default:
+				}
 			}
 		}
 	}
@@ -601,9 +692,6 @@ func (m *Manager) flushOnce() (int, error) {
 		return 0, err
 	}
 	m.flushed.Store(cur)
-	if err := m.syncRange(start, cur); err != nil {
-		return 0, err
-	}
 	m.durMu.Lock()
 	m.durable.Store(cur)
 	m.durMu.Unlock()
@@ -612,7 +700,10 @@ func (m *Manager) flushOnce() (int, error) {
 }
 
 // writeRange writes buffer offsets [start, end) to their segment files,
-// skipping dead zones.
+// skipping dead zones, and syncs each segment's file before it writes the
+// next one: a segment then holds a byte only once every segment before it
+// is durable up to that point, so after any crash a valid block in a later
+// segment file means the earlier ones are whole (see resume).
 func (m *Manager) writeRange(start, end uint64) error {
 	for start < end {
 		seg := m.lookupSegment(start)
@@ -632,6 +723,9 @@ func (m *Manager) writeRange(start, end uint64) error {
 		if err := m.writeToFile(seg, start, chunkEnd); err != nil {
 			return err
 		}
+		if err := seg.file.Sync(); err != nil {
+			return fmt.Errorf("wal: sync: %w", err)
+		}
 		start = chunkEnd
 	}
 	return nil
@@ -650,37 +744,43 @@ func (m *Manager) nextSegmentStart(off uint64) uint64 {
 	return 0
 }
 
-// writeToFile copies ring bytes [start, end) into seg's file.
+// writeToFile copies ring bytes [start, end) into seg's file. A short write
+// that passes seg.zeroed also carries zeros past end, in the same WriteAt:
+// the last piece is staged with its fill, so a flush issues one write per
+// ring piece whether or not it extends the file. The fill starts at end,
+// never below it, so it lands on no block a flush has written. Only a
+// write under zeroAhead/16 (a flush's part in one segment, over all its
+// ring pieces) carries fill, up to zeroAhead past its end or to the
+// segment's end. A larger flush's sync is dominated by its own data, and
+// filling behind it would write each of its bytes twice; it extends the
+// file bare, and the next short flush carries the fill. Only the last piece
+// is staged, so the copy stays under zeroAhead/16.
 func (m *Manager) writeToFile(seg *segment, start, end uint64) error {
 	b := m.cfg.BufferSize
+	short := end-start < zeroAhead/16
 	for start < end {
 		pos := start % b
 		n := end - start
 		if b-pos < n {
 			n = b - pos
 		}
-		if _, err := seg.file.WriteAt(m.buf[pos:pos+n], int64(start-seg.start)); err != nil {
+		p := m.buf[pos : pos+n]
+		if short && start+n == end && end > seg.zeroed && end < seg.end {
+			if m.stage == nil {
+				m.stage = make([]byte, zeroAhead+zeroAhead/16)
+			}
+			copy(m.stage, p)
+			p = m.stage[:min(seg.end, end+zeroAhead)-start]
+		}
+		_, err := seg.file.WriteAt(p, int64(start-seg.start))
+		if len(p) > int(n) {
+			clear(m.stage[:n]) // the stage is all zero between writes
+		}
+		if err != nil {
 			return fmt.Errorf("wal: write segment %s: %w", seg.name, err)
 		}
+		seg.zeroed = max(seg.zeroed, start+uint64(len(p)))
 		start += n
-	}
-	return nil
-}
-
-// syncRange syncs every segment file overlapping [start, end).
-func (m *Manager) syncRange(start, end uint64) error {
-	m.segMu.Lock()
-	var files []File
-	for _, s := range m.segs {
-		if s.start < end && s.end > start {
-			files = append(files, s.file)
-		}
-	}
-	m.segMu.Unlock()
-	for _, f := range files {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
 	}
 	return nil
 }

@@ -150,6 +150,7 @@ func (m *Manager) reopenSegments(durable uint64) error {
 			if f, err = m.cfg.Storage.Create(s.name); err != nil {
 				return fmt.Errorf("wal: reattach: recreate segment %s: %w", s.name, err)
 			}
+			s.zeroed = s.start
 		}
 		if s.file != nil {
 			s.file.Close()
@@ -196,8 +197,9 @@ func (m *Manager) grainComplete(off, bufSize uint64) bool {
 }
 
 // fillHoles writes skip records over the abandoned claim range [lo, hi),
-// one per segment intersection, directly to the segment files. It returns
-// how many skip records it wrote.
+// one per segment intersection, directly to the segment files, and syncs
+// each file before replay moves on, in the order writeRange keeps. It
+// returns how many skip records it wrote.
 func (m *Manager) fillHoles(lo, hi uint64) (int, error) {
 	n := 0
 	for lo < hi {
@@ -215,6 +217,9 @@ func (m *Manager) fillHoles(lo, hi uint64) (int, error) {
 			end = seg.end
 		}
 		if err := writeSkipToFile(seg, lo, end-lo); err != nil {
+			return n, fmt.Errorf("wal: reattach fill hole: %w", err)
+		}
+		if err := seg.file.Sync(); err != nil {
 			return n, fmt.Errorf("wal: reattach fill hole: %w", err)
 		}
 		n++

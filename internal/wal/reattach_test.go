@@ -229,3 +229,76 @@ func TestReattachReplacementStorage(t *testing.T) {
 		t.Fatalf("recovered commits %q, want \"abc\"", got)
 	}
 }
+
+// TestReattachHoleAtSegmentEndCrashSweep: a claim abandoned when the device
+// failed ends exactly at its segment's end, and committed work follows it
+// in the next segment. Reattach fills the hole with a skip record and
+// replays the next segment. A crash at any point of that must leave a log
+// that recovers and reopens: were the skip record not durable before the
+// next segment's replay, a crash between them would leave a hole followed
+// by a later segment holding valid blocks, which Open refuses as damage.
+func TestReattachHoleAtSegmentEndCrashSweep(t *testing.T) {
+	const segSize = 8 << 10
+	inner := wal.NewMemStorage()
+	rec := faultfs.NewRecorder(inner)
+	// Op 1 creates the first segment, op 2 the second; op 3, the first
+	// flush's write, fails.
+	inj := faultfs.NewInjector(rec, faultfs.Plan{FailOp: 3})
+	cfg := wal.Config{SegmentSize: segSize, BufferSize: 32 << 10, Storage: inj, SyncFlush: true}
+	m, err := wal.Open(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segEnd := m.CurrentOffset() + segSize
+	offA := commitBlock(t, m, []byte{'a'})
+	for m.CurrentOffset()+1024 < segEnd {
+		commitBlock(t, m, make([]byte, 900))
+	}
+	hole := int(segEnd-m.CurrentOffset()) - wal.BlockHeaderSize
+	if _, err := m.Reserve(hole, wal.BlockCommit); err != nil {
+		t.Fatalf("reserve the hole: %v", err)
+	}
+	if m.CurrentOffset() != segEnd {
+		t.Fatalf("the hole ends at %#x, not at the segment's end %#x", m.CurrentOffset(), segEnd)
+	}
+	offC := commitBlock(t, m, []byte{'c'})
+	if offC < segEnd {
+		t.Fatalf("block c at %#x is not in the next segment", offC)
+	}
+	if err := m.WaitDurable(offA); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("WaitDurable = %v, want ErrInjected", err)
+	}
+	inj.Heal()
+	rep, err := m.Reattach(nil)
+	if err != nil {
+		t.Fatalf("reattach: %v", err)
+	}
+	if rep.HolesFilled != 1 || rep.Lost != 0 {
+		t.Fatalf("reattach filled %d holes and lost %d bytes; want 1 and 0", rep.HolesFilled, rep.Lost)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := rec.Ops()
+	pts := faultfs.Points(tr, 1, 0)
+	for _, p := range pts {
+		img, err := faultfs.CrashImage(tr, p)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		res, err := wal.Recover(img, 0, func(wal.Block) error { return nil })
+		if err != nil {
+			t.Fatalf("%v: recover: %v", p, err)
+		}
+		m2, err := wal.Open(wal.Config{SegmentSize: segSize, BufferSize: 32 << 10, Storage: img, SyncFlush: true}, res)
+		if err != nil {
+			t.Fatalf("%v: reopen after the crash: %v", p, err)
+		}
+		m2.Close()
+	}
+	t.Logf("%d crash points over %d operations", len(pts), len(tr))
+	if got := recoverCommits(t, inner); len(got) == 0 || got[0] != 'a' || got[len(got)-1] != 'c' {
+		t.Fatalf("recovered commits %q; want a first and c last", got)
+	}
+}

@@ -150,6 +150,29 @@ func ReadBlock(st Storage, metas []SegmentMeta, off uint64) (Block, error) {
 	return Block{}, fmt.Errorf("wal: offset %#x maps to no segment", off)
 }
 
+// firstValidBlock looks for a whole, valid block in sm's file at or past
+// offset from, at every grain: a block past a hole is not reachable by
+// walking the file.
+func firstValidBlock(st Storage, sm SegmentMeta, from uint64) (uint64, bool, error) {
+	r, err := openSegment(st, sm)
+	if err != nil {
+		return 0, false, err
+	}
+	defer r.f.Close()
+	var buf []byte
+	for off := from; off < sm.End && off-sm.Start < r.size; off += Grain {
+		b, err := r.block(off, &buf)
+		if err != nil && !errors.Is(err, errCorrupt) {
+			return 0, false, err
+		}
+		if b.Size != 0 {
+			return off, true, nil
+		}
+		buf = buf[:0]
+	}
+	return 0, false, nil
+}
+
 // putHeader encodes a block header into h; the block's bytes, its reader
 // and this encoder are the whole on-disk format (see headerSize). sum is the
 // FNV-1a of the payload; the stored checksum continues it over h[2:28].

@@ -21,7 +21,7 @@ if ! go run ./cmd/ermia-vet ./...; then
 	exit 1
 fi
 
-echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc and whole transactions; syncs and forced waits per cross-shard commit) =="
+echo "== budgets (AllocsPerRun on hot-path encode/decode/mvcc, whole transactions and the log's flush loop; syncs and forced waits per cross-shard commit) =="
 # The hotalloc analyzer above gates //ermia:hotpath functions to zero heap
 # escapes at compile time; these tests pin the per-op allocation count of
 # the functions whose allocations are intentional (frame read/write,
@@ -40,6 +40,22 @@ go test -count=1 -run 'TestTxnAllocBudget' ./internal/core/
 # keep its caller waiting for two, and allocate within its budget.
 # BenchmarkCommitCross in the same package prints the numbers.
 go test -count=1 -run 'TestCommitCrossBudget' ./internal/shard/
+# The log's flush loop allocates nothing: a warm commit made durable in
+# SyncFlush mode (zero-ahead stage kept, no per-sync file list) and an idle
+# flusher (one reused timer).
+go test -count=1 -run 'TestFlushAllocatesNothing|TestIdleFlusherAllocatesNothing' ./internal/wal/
+
+echo "== wal zero-ahead and resume x20 (-race) =="
+# The flusher and SyncFlush write paths with zero-ahead fill, and a restart
+# over a damaged or stale tail, repeated: the flusher's timing varies per run.
+go test -race -count=20 \
+	-run 'TestZeroAhead|TestRestartNeverRevivesDroppedBlocks|TestResumeOverStaleBlocks|TestResumeAfterRecovery' \
+	./internal/wal/
+
+echo "== wal commit sync (smoke) =="
+# One 300-byte commit made durable per op on this machine's file system;
+# prints ns/op and syncs/op, the sync rung of the commit ladder.
+go test -run '^$' -bench BenchmarkCommitSync -benchtime 200x ./internal/wal/
 
 echo "== txnid x50 (the TID table's inquiry races, repeated) =="
 # TestConcurrentInquire races Inquire against allocate/release on one slot;
